@@ -3,11 +3,12 @@
 # check that every machine-readable artifact parses back as JSON,
 # profile a workload under the isolation backends, verify the fast
 # paths shrink the switch+seccomp share, check the SFI switch/access
-# crossover, and hold fresh bench numbers to the committed baseline.
+# crossover, hold fresh bench numbers to the committed baseline, and
+# run the repository benchmark's self-checks on every workload.
 #
 # Run from the repository root:
 #   sh bin/ci.sh              full pipeline (the CI default)
-#   sh bin/ci.sh --quick      skip the chaos and profile smokes
+#   sh bin/ci.sh --quick      skip the chaos, profile and perfbench smokes
 #   sh bin/ci.sh --cores N    run the test suite and the SMP determinism
 #                             stage on an N-core simulated machine
 set -eu
@@ -266,8 +267,16 @@ if [ "$quick" = 0 ]; then
     exit 1
   fi
   dune exec bin/chaos.exe -- wiki --seed 42
+
+  stage "perfbench smoke (benchmark self-checks)"
+  # One short traced run per workload: run.py exits non-zero when an
+  # output check or a self-check fails, including the check that the
+  # simulated figures do not depend on the ENCL_* environment.
+  for w in http_vtx bild_mpk wiki_mpk_4core python_vtx; do
+    python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 1
+  done
 else
-  echo "ci: --quick: skipping profile, overhead, fastpath, sysring-speedup, and chaos smokes"
+  echo "ci: --quick: skipping profile, overhead, fastpath, sysring-speedup, chaos, and perfbench smokes"
 fi
 
 now=$(date +%s)

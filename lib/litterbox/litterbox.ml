@@ -1410,7 +1410,7 @@ let install_core_env t stack =
 let hw_env_equal t (target : Cpu.env) =
   let cur = Cpu.env t.machine.Machine.cpu in
   Int32.equal cur.Cpu.pkru target.Cpu.pkru
-  && String.equal (Pagetable.name cur.Cpu.pt) (Pagetable.name target.Cpu.pt)
+  && Pagetable.id cur.Cpu.pt = Pagetable.id target.Cpu.pt
 
 let can_elide t stack = Fastpath.enabled () && hw_env_equal t (env_of_stack t stack)
 

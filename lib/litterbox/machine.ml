@@ -21,7 +21,7 @@ let create ?(costs = Costs.default) ?(cores = 1) () =
   let clock = Clock.create () in
   let trusted_pt = Pagetable.create ~name:"trusted" in
   let trusted_env = Cpu.trusted_env trusted_pt in
-  let cpu = Cpu.create ~phys ~clock ~costs trusted_env in
+  let cpu = Cpu.create ~phys ~clock trusted_env in
   let mm = Encl_kernel.Mm.create ~phys ~base:Encl_elf.Linker.heap_base in
   Encl_kernel.Mm.add_pt mm trusted_pt;
   let vfs = Encl_kernel.Vfs.create () in

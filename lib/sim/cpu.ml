@@ -33,7 +33,6 @@ let trusted_env pt =
 type t = {
   phys : Phys.t;
   clock : Clock.t;
-  costs : Costs.t;
   mutable tlbs : Tlb.t array;
       (** one translation cache per simulated core, indexed by the
           clock's current lane; grown on demand. *)
@@ -54,11 +53,10 @@ type t = {
   mutable on_gate_violation : (string -> unit) option;
 }
 
-let create ~phys ~clock ~costs env =
+let create ~phys ~clock env =
   {
     phys;
     clock;
-    costs;
     tlbs = [| Tlb.create () |];
     current = env;
     inject = None;
@@ -79,10 +77,6 @@ let set_injector t inj =
   Encl_fault.Fault.register inj ~point:"cpu.pte_perm_flip"
     ~doc:"transient permission denial on an otherwise-valid PTE";
   t.inject <- Some inj
-
-let phys t = t.phys
-let clock t = t.clock
-let costs t = t.costs
 
 (* The current core's TLB: each simulated core owns a private
    translation cache, selected by the clock's lane. On one core this is
@@ -148,8 +142,7 @@ let set_env t env =
   (* A different page table means a CR3 move: no PCID, so the current
      core's TLB is flushed. PKRU-only changes (LB_MPK switches) keep it
      warm. *)
-  if not (Pagetable.name env.pt = Pagetable.name t.current.pt) then
-    Tlb.flush (tlb t);
+  if Pagetable.id env.pt <> Pagetable.id t.current.pt then Tlb.flush (tlb t);
   t.current <- env
 
 (* Re-install an environment a core already owns: on real SMP each core
@@ -184,7 +177,7 @@ let check_page t kind vaddr =
   let vpn = vpn_of_addr vaddr in
   if injected t "cpu.spurious_fault" then
     fault t kind vaddr "injected spurious page fault";
-  ignore (Tlb.access (tlb t) ~space:(Pagetable.name t.current.pt) ~vpn);
+  ignore (Tlb.access (tlb t) ~space:(Pagetable.id t.current.pt) ~vpn);
   match Pagetable.walk t.current.pt ~vpn with
   | None -> fault t kind vaddr "page not mapped"
   | Some pte ->
@@ -234,7 +227,10 @@ let check t kind ~addr ~len =
     for vpn = first to last do
       ignore (check_page t kind (addr_of_vpn vpn))
     done;
-    (* Re-check the exact start address for a precise fault report. *)
+    (* The loop has already checked the start page, at its base
+       address, so a real violation there never reaches this re-check.
+       It stays because dropping it would change the TLB statistics and
+       the sequence of injector draws and access-hook calls. *)
     ignore (check_page t kind addr)
   end
 

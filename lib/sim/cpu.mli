@@ -50,17 +50,15 @@ val trusted_env : Pagetable.t -> env
 
 type t
 
-val create : phys:Phys.t -> clock:Clock.t -> costs:Costs.t -> env -> t
-val phys : t -> Phys.t
-val clock : t -> Clock.t
-val costs : t -> Costs.t
+val create : phys:Phys.t -> clock:Clock.t -> env -> t
 
 val env : t -> env
 
 val set_env : t -> env -> unit
 (** Raw environment switch; costs are accounted by the caller
-    (LitterBox). Moving to a different page table flushes the TLB model
-    (a CR3 write); changing only the PKRU value does not.
+    (LitterBox). Moving to a different page table (another
+    {!Pagetable.id}, whatever its name) flushes the TLB model (a CR3
+    write); changing only the PKRU value does not.
 
     Under {!Defense.Gate_integrity}, a switch issued while untrusted
     code (label prefix ["enc:"]) is executing outside a registered call
@@ -148,6 +146,3 @@ val write_bytes : t -> addr:int -> Bytes.t -> unit
 
 val fetch : t -> addr:int -> unit
 (** Instruction-fetch check at [addr] (entering a function). *)
-
-val vpn_of_addr : int -> int
-val addr_of_vpn : int -> int

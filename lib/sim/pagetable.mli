@@ -7,7 +7,15 @@
 type t
 
 val create : name:string -> t
+(** A fresh, empty table with a process-unique {!id}. *)
+
+val id : t -> int
+(** The table's identity: distinct for every table {!create} or {!clone}
+    returns. The TLB model keys translations by it, and a CR3 move is a
+    change of id. *)
+
 val name : t -> string
+(** A label for messages and reports; two tables may share one. *)
 
 val map : t -> vpn:int -> Pte.t -> unit
 (** Install an entry. Raises [Invalid_argument] if [vpn] is mapped. *)
@@ -27,9 +35,6 @@ val set_present : t -> vpn:int -> bool -> unit
 
 val set_pkey : t -> vpn:int -> int -> unit
 (** Retag a page with an MPK key (0..15). *)
-
-val mapped_count : t -> int
-val iter : t -> (int -> Pte.t -> unit) -> unit
 
 val clone : t -> name:string -> t
 (** Deep copy (fresh [Pte.t] records, shared frames): used by LB_VTX to

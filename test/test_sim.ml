@@ -139,7 +139,7 @@ let cpu_fixture () =
   Pagetable.map pt ~vpn:0 (Pte.make ~ppn:data_ppn ~perms:perms_rw);
   Pagetable.map pt ~vpn:1 (Pte.make ~ppn:text_ppn ~perms:perms_rx);
   Pagetable.set_pkey pt ~vpn:0 1;
-  let cpu = Cpu.create ~phys ~clock ~costs:Costs.default (Cpu.trusted_env pt) in
+  let cpu = Cpu.create ~phys ~clock (Cpu.trusted_env pt) in
   (cpu, pt)
 
 let expect_fault f =
@@ -194,7 +194,7 @@ let cpu_tests =
         let pt = Pagetable.create ~name:"t" in
         Pagetable.map pt ~vpn:0 (Pte.make ~ppn:(Phys.alloc_page phys) ~perms:perms_rw);
         Pagetable.map pt ~vpn:1 (Pte.make ~ppn:(Phys.alloc_page phys) ~perms:perms_rw);
-        let cpu = Cpu.create ~phys ~clock ~costs:Costs.default (Cpu.trusted_env pt) in
+        let cpu = Cpu.create ~phys ~clock (Cpu.trusted_env pt) in
         let data = Bytes.init 100 (fun i -> Char.chr (i mod 256)) in
         let addr = Phys.page_size - 50 in
         Cpu.write_bytes cpu ~addr data;
@@ -206,7 +206,7 @@ let cpu_tests =
         let pt = Pagetable.create ~name:"t" in
         Pagetable.map pt ~vpn:0 (Pte.make ~ppn:(Phys.alloc_page phys) ~perms:perms_rw);
         Pagetable.map pt ~vpn:1 (Pte.make ~ppn:(Phys.alloc_page phys) ~perms:perms_rw);
-        let cpu = Cpu.create ~phys ~clock ~costs:Costs.default (Cpu.trusted_env pt) in
+        let cpu = Cpu.create ~phys ~clock (Cpu.trusted_env pt) in
         let addr = Phys.page_size - 3 in
         Cpu.write64 cpu addr 0x0102030405060708L;
         Alcotest.(check int64) "straddling i64" 0x0102030405060708L (Cpu.read64 cpu addr));
@@ -271,30 +271,30 @@ let tlb_tests =
   [
     Alcotest.test_case "hit after miss" `Quick (fun () ->
         let tlb = Tlb.create () in
-        Alcotest.(check bool) "miss first" false (Tlb.access tlb ~space:"a" ~vpn:1);
-        Alcotest.(check bool) "hit second" true (Tlb.access tlb ~space:"a" ~vpn:1);
+        Alcotest.(check bool) "miss first" false (Tlb.access tlb ~space:0 ~vpn:1);
+        Alcotest.(check bool) "hit second" true (Tlb.access tlb ~space:0 ~vpn:1);
         Alcotest.(check int) "counts" 1 (Tlb.hits tlb);
         Alcotest.(check int) "counts" 1 (Tlb.misses tlb));
     Alcotest.test_case "spaces are distinct" `Quick (fun () ->
         let tlb = Tlb.create () in
-        ignore (Tlb.access tlb ~space:"a" ~vpn:1);
+        ignore (Tlb.access tlb ~space:0 ~vpn:1);
         Alcotest.(check bool) "other space misses" false
-          (Tlb.access tlb ~space:"b" ~vpn:1));
+          (Tlb.access tlb ~space:1 ~vpn:1));
     Alcotest.test_case "flush drops everything" `Quick (fun () ->
         let tlb = Tlb.create () in
-        ignore (Tlb.access tlb ~space:"a" ~vpn:1);
+        ignore (Tlb.access tlb ~space:0 ~vpn:1);
         Tlb.flush tlb;
         Alcotest.(check int) "empty" 0 (Tlb.occupancy tlb);
-        Alcotest.(check bool) "miss again" false (Tlb.access tlb ~space:"a" ~vpn:1));
+        Alcotest.(check bool) "miss again" false (Tlb.access tlb ~space:0 ~vpn:1));
     Alcotest.test_case "FIFO eviction bounds occupancy" `Quick (fun () ->
         let tlb = Tlb.create ~capacity:4 () in
         for vpn = 0 to 9 do
-          ignore (Tlb.access tlb ~space:"a" ~vpn)
+          ignore (Tlb.access tlb ~space:0 ~vpn)
         done;
         Alcotest.(check int) "capacity respected" 4 (Tlb.occupancy tlb);
         (* Oldest entries were evicted. *)
-        Alcotest.(check bool) "vpn 0 gone" false (Tlb.access tlb ~space:"a" ~vpn:0);
-        Alcotest.(check bool) "vpn 9 present" true (Tlb.access tlb ~space:"a" ~vpn:9));
+        Alcotest.(check bool) "vpn 0 gone" false (Tlb.access tlb ~space:0 ~vpn:0);
+        Alcotest.(check bool) "vpn 9 present" true (Tlb.access tlb ~space:0 ~vpn:9));
     Alcotest.test_case "same-pagetable env switch keeps the TLB warm" `Quick
       (fun () ->
         let cpu, pt = cpu_fixture () in
@@ -305,7 +305,7 @@ let tlb_tests =
           { Cpu.label = "mpk-env"; pt; pkru = Mpk.pkru_all_access; exec_ok = None; sfi = None };
         Alcotest.(check int) "no flush" f0 (Tlb.flushes (Cpu.tlb cpu));
         Alcotest.(check bool) "still warm" true
-          (Tlb.access (Cpu.tlb cpu) ~space:(Pagetable.name pt) ~vpn:0));
+          (Tlb.access (Cpu.tlb cpu) ~space:(Pagetable.id pt) ~vpn:0));
     Alcotest.test_case "CR3-style env switch flushes" `Quick (fun () ->
         let cpu, _pt = cpu_fixture () in
         ignore (Cpu.read8 cpu 0);
@@ -315,6 +315,129 @@ let tlb_tests =
         let f0 = Tlb.flushes (Cpu.tlb cpu) in
         Cpu.set_env cpu (Cpu.trusted_env other);
         Alcotest.(check int) "flushed" (f0 + 1) (Tlb.flushes (Cpu.tlb cpu)));
+    Alcotest.test_case "same-named page tables are distinct spaces" `Quick
+      (fun () ->
+        (* Identity is the table, not its label: a CR3 move between two
+           tables that share a name flushes, and the second table never
+           hits the first one's translations. *)
+        let cpu, pt = cpu_fixture () in
+        let twin = Pagetable.clone pt ~name:(Pagetable.name pt) in
+        ignore (Cpu.read8 cpu 0);
+        let tlb = Cpu.tlb cpu in
+        let f0 = Tlb.flushes tlb and h0 = Tlb.hits tlb in
+        Cpu.set_env cpu (Cpu.trusted_env twin);
+        Alcotest.(check int) "flushed" (f0 + 1) (Tlb.flushes tlb);
+        ignore (Cpu.read8 cpu 0);
+        Alcotest.(check int) "no hit on the other table" h0 (Tlb.hits tlb));
+    Alcotest.test_case "access below -4096 misses once, then faults" `Quick
+      (fun () ->
+        let cpu, _ = cpu_fixture () in
+        let tlb = Cpu.tlb cpu in
+        let h0 = Tlb.hits tlb and m0 = Tlb.misses tlb in
+        (match Cpu.read8 cpu (-4097) with
+        | exception Cpu.Fault f ->
+            Alcotest.(check string) "reason" "page not mapped" f.Cpu.reason
+        | _ -> Alcotest.fail "expected Cpu.Fault");
+        Alcotest.(check int) "one miss" (m0 + 1) (Tlb.misses tlb);
+        Alcotest.(check int) "no hit" h0 (Tlb.hits tlb));
+  ]
+
+(* The reference TLB: the original Hashtbl + Queue model, kept as the
+   oracle the int-keyed TLB is checked against. *)
+module Tlb_model = struct
+  type t = {
+    capacity : int;
+    entries : (int * int, unit) Hashtbl.t;
+    fifo : (int * int) Queue.t;
+    mutable hits : int;
+    mutable misses : int;
+    mutable flushes : int;
+  }
+
+  let create ~capacity =
+    {
+      capacity;
+      entries = Hashtbl.create 2048;
+      fifo = Queue.create ();
+      hits = 0;
+      misses = 0;
+      flushes = 0;
+    }
+
+  let access t ~space ~vpn =
+    let key = (space, vpn) in
+    if Hashtbl.mem t.entries key then begin
+      t.hits <- t.hits + 1;
+      true
+    end
+    else begin
+      t.misses <- t.misses + 1;
+      if Hashtbl.length t.entries >= t.capacity then begin
+        let victim = Queue.pop t.fifo in
+        Hashtbl.remove t.entries victim
+      end;
+      Hashtbl.replace t.entries key ();
+      Queue.push key t.fifo;
+      false
+    end
+
+  let flush t =
+    Hashtbl.reset t.entries;
+    Queue.clear t.fifo;
+    t.flushes <- t.flushes + 1
+end
+
+type tlb_op = Access of int * int | Flush
+
+let tlb_op_arb =
+  let open QCheck.Gen in
+  (* Small vpns so that hits and evictions happen, shifted by multiples
+     of 2^36 and mirrored below zero: pairs that a bare
+     [space * 2^36 + vpn] key would conflate. The last space is outside
+     the int key's space range. *)
+  let space = oneofl [ 0; 1; 2; (1 lsl 26) + 1 ] in
+  let vpn =
+    map2
+      (fun v shift -> v + (shift * (1 lsl 36)))
+      (int_range (-6) 9)
+      (frequencyl [ (6, 0); (1, 1); (1, -1); (1, 2); (1, 1 lsl 14) ])
+  in
+  let op =
+    frequency
+      [ (12, map2 (fun s v -> Access (s, v)) space vpn); (1, return Flush) ]
+  in
+  let print = function
+    | Access (s, v) -> Printf.sprintf "access %d %d" s v
+    | Flush -> "flush"
+  in
+  QCheck.make
+    ~print:QCheck.Print.(pair int (list print))
+    (pair (oneofl [ 1; 2; 3; 4; 5; 6; 7; 8; 1024 ]) (list_size (int_range 0 300) op))
+
+let tlb_props =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"int-keyed TLB matches the reference model"
+         ~count:400 tlb_op_arb (fun (capacity, ops) ->
+           let tlb = Tlb.create ~capacity () in
+           let model = Tlb_model.create ~capacity in
+           List.for_all
+             (fun op ->
+               let same_result =
+                 match op with
+                 | Access (space, vpn) ->
+                     Tlb.access tlb ~space ~vpn = Tlb_model.access model ~space ~vpn
+                 | Flush ->
+                     Tlb.flush tlb;
+                     Tlb_model.flush model;
+                     true
+               in
+               same_result
+               && Tlb.hits tlb = model.hits
+               && Tlb.misses tlb = model.misses
+               && Tlb.flushes tlb = model.flushes
+               && Tlb.occupancy tlb = Hashtbl.length model.entries)
+             ops));
   ]
 
 let vtx_tests =
@@ -366,7 +489,7 @@ let () =
       ("pagetable", pagetable_tests);
       ("mpk", mpk_tests @ mpk_props);
       ("cpu", cpu_tests);
-      ("tlb", tlb_tests);
+      ("tlb", tlb_tests @ tlb_props);
       ("misc", misc_tests);
       ("clock", clock_tests);
       ("vtx", vtx_tests);
