@@ -3,12 +3,13 @@
 # check that every machine-readable artifact parses back as JSON,
 # profile a workload under the isolation backends, verify the fast
 # paths shrink the switch+seccomp share, check the SFI switch/access
-# crossover, hold fresh bench numbers to the committed baseline, and
-# run the repository benchmark's self-checks on every workload.
+# crossover, hold fresh bench numbers to the committed baseline, run
+# the repository benchmark's self-checks on every workload, and hold its
+# simulated figures to the committed pin.
 #
 # Run from the repository root:
 #   sh bin/ci.sh              full pipeline (the CI default)
-#   sh bin/ci.sh --quick      skip the chaos, profile and perfbench smokes
+#   sh bin/ci.sh --quick      skip the chaos, profile and perfbench stages
 #   sh bin/ci.sh --cores N    run the test suite and the SMP determinism
 #                             stage on an N-core simulated machine
 set -eu
@@ -275,8 +276,28 @@ if [ "$quick" = 0 ]; then
   for w in http_vtx bild_mpk wiki_mpk_4core python_vtx; do
     python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 1
   done
+
+  stage "perfbench pin (simulated figures vs bench/perfbench_pin.txt)"
+  # A host-side change may alter what the simulator costs to run, never
+  # what it simulates: one short round of every workload must print
+  # exactly the committed simulated figures. Uses the binary the smoke
+  # stage just built. After a change meant to move a simulated figure,
+  # regenerate deliberately with:
+  #   for w in http_vtx bild_mpk wiki_mpk_4core python_vtx; do
+  #     .bench_build/default/perfbench/perfbench.exe --workload "$w" \
+  #       --seed 8080 --pin-check
+  #   done > bench/perfbench_pin.txt
+  for w in http_vtx bild_mpk wiki_mpk_4core python_vtx; do
+    .bench_build/default/perfbench/perfbench.exe --workload "$w" \
+      --seed 8080 --pin-check
+  done > "$tmp/perfbench_pin.txt"
+  if ! cmp -s bench/perfbench_pin.txt "$tmp/perfbench_pin.txt"; then
+    echo "ci: perfbench simulated figures diverged from bench/perfbench_pin.txt" >&2
+    diff bench/perfbench_pin.txt "$tmp/perfbench_pin.txt" >&2 || true
+    exit 1
+  fi
 else
-  echo "ci: --quick: skipping profile, overhead, fastpath, sysring-speedup, chaos, and perfbench smokes"
+  echo "ci: --quick: skipping profile, overhead, fastpath, sysring-speedup, chaos, perfbench smoke and pin"
 fi
 
 now=$(date +%s)

@@ -29,10 +29,8 @@ let write_bytes m t b =
 let write_string m t s = write_bytes m t (Bytes.of_string s)
 
 let blit m ~src ~dst =
-  let len = min src.len dst.len in
-  let data = Cpu.read_bytes m.Machine.cpu ~addr:src.addr ~len in
-  Machine.note_copied m len;
-  Cpu.write_bytes m.Machine.cpu ~addr:dst.addr data
+  Cpu.copy m.Machine.cpu ~src:src.addr ~dst:dst.addr ~len:(min src.len dst.len)
+    ~note:(Machine.note_copied m)
 
 let get64 m t i =
   check t (i + 7);

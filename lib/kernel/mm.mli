@@ -28,13 +28,17 @@ val map : t -> len:int -> perms:Pte.perms -> int
 (** [alloc_range] + [map_at]; returns the address. *)
 
 val unmap : t -> addr:int -> len:int -> unit
-(** Remove the range from every page table and free the frames. *)
+(** Remove the range from every page table and free the frames. Raises
+    [Invalid_argument], changing nothing, if any page of the range is not
+    mapped. *)
 
 val protect : t -> ?pt:Pagetable.t -> addr:int -> len:int -> Pte.perms -> unit
 (** Change permissions in one table, or all when [pt] is not given. *)
 
 val set_pkey : t -> addr:int -> len:int -> int -> unit
-(** Retag the range (all page tables — key tags live in the PTEs). *)
+(** Retag the range (all page tables — key tags live in the PTEs). Raises
+    [Invalid_argument], changing nothing, if any page of the range is not
+    mapped or the key is outside 0–15. *)
 
 val set_present : t -> pt:Pagetable.t -> addr:int -> len:int -> bool -> unit
 

@@ -51,6 +51,7 @@ type t = {
   mutable gate_depth : int;
   mutable gate_violations : int;
   mutable on_gate_violation : (string -> unit) option;
+  mutable buf : Bytes.t;  (** staging buffer of [copy], grown on demand *)
 }
 
 let create ~phys ~clock env =
@@ -66,6 +67,7 @@ let create ~phys ~clock env =
     gate_depth = 0;
     gate_violations = 0;
     on_gate_violation = None;
+    buf = Bytes.empty;
   }
 
 let set_fault_hook t f = t.on_fault <- f
@@ -269,35 +271,46 @@ let write64 t addr v =
         (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff)
     done
 
+(* Move [len] bytes between guest memory at [addr] and [b] at [pos], one
+   page at a time through the current page table; the caller has already
+   checked the range. *)
+let rec blit_out t ~addr b ~pos ~len =
+  if len > 0 then begin
+    let off = addr mod Phys.page_size in
+    let chunk = min len (Phys.page_size - off) in
+    let pte = Option.get (Pagetable.walk t.current.pt ~vpn:(vpn_of_addr addr)) in
+    Phys.blit_to_bytes t.phys ~ppn:pte.Pte.ppn ~off b pos chunk;
+    blit_out t ~addr:(addr + chunk) b ~pos:(pos + chunk) ~len:(len - chunk)
+  end
+
+let rec blit_in t ~addr b ~pos ~len =
+  if len > 0 then begin
+    let off = addr mod Phys.page_size in
+    let chunk = min len (Phys.page_size - off) in
+    let pte = Option.get (Pagetable.walk t.current.pt ~vpn:(vpn_of_addr addr)) in
+    Phys.blit_of_bytes t.phys ~ppn:pte.Pte.ppn ~off b pos chunk;
+    blit_in t ~addr:(addr + chunk) b ~pos:(pos + chunk) ~len:(len - chunk)
+  end
+
 let read_bytes t ~addr ~len =
   check t Read ~addr ~len;
   let dst = Bytes.create len in
-  let rec copy src_addr dst_off remaining =
-    if remaining > 0 then begin
-      let off = src_addr mod Phys.page_size in
-      let chunk = min remaining (Phys.page_size - off) in
-      let vpn = vpn_of_addr src_addr in
-      let pte = Option.get (Pagetable.walk t.current.pt ~vpn) in
-      Phys.blit_to_bytes t.phys ~ppn:pte.Pte.ppn ~off dst dst_off chunk;
-      copy (src_addr + chunk) (dst_off + chunk) (remaining - chunk)
-    end
-  in
-  copy addr 0 len;
+  blit_out t ~addr dst ~pos:0 ~len;
   dst
 
 let write_bytes t ~addr src =
   let len = Bytes.length src in
   check t Write ~addr ~len;
-  let rec copy dst_addr src_off remaining =
-    if remaining > 0 then begin
-      let off = dst_addr mod Phys.page_size in
-      let chunk = min remaining (Phys.page_size - off) in
-      let vpn = vpn_of_addr dst_addr in
-      let pte = Option.get (Pagetable.walk t.current.pt ~vpn) in
-      Phys.blit_of_bytes t.phys ~ppn:pte.Pte.ppn ~off src src_off chunk;
-      copy (dst_addr + chunk) (src_off + chunk) (remaining - chunk)
-    end
-  in
-  copy addr 0 len
+  blit_in t ~addr src ~pos:0 ~len
+
+let copy t ~src ~dst ~len ~note =
+  check t Read ~addr:src ~len;
+  note len;
+  check t Write ~addr:dst ~len;
+  if Bytes.length t.buf < len then
+    t.buf <- Bytes.create (max len (2 * Bytes.length t.buf));
+  (* Staging the whole source first keeps overlapping copies exact. *)
+  blit_out t ~addr:src t.buf ~pos:0 ~len;
+  blit_in t ~addr:dst t.buf ~pos:0 ~len
 
 let fetch t ~addr = ignore (check_page t Exec addr)

@@ -2,7 +2,17 @@
 
     Frames are identified by physical page numbers (PPNs). The store backs
     every virtual address space in the simulation; page tables map virtual
-    page numbers to PPNs allocated here. *)
+    page numbers to PPNs allocated here.
+
+    Frames are demand-zero, as Linux anonymous mappings are: allocating a
+    frame only reserves its PPN, and the frame reads as zeros until its
+    first write gives it its own zeroed 4 KiB. Nothing but host memory
+    tells an untouched frame from a written one: every access to an
+    allocated frame behaves the same either way.
+
+    Every access raises [Invalid_argument] for a PPN never allocated, a
+    freed PPN, or a byte range outside the frame (for an untouched frame
+    too). *)
 
 val page_size : int
 (** 4096 bytes. *)
@@ -12,14 +22,16 @@ type t
 val create : unit -> t
 
 val alloc_page : t -> int
-(** Allocate a zeroed frame; returns its PPN. *)
+(** Allocate a frame that reads as zeros; returns its PPN. Freed PPNs are
+    reused first. *)
 
 val free_page : t -> int -> unit
 (** Return a frame to the free list. Double frees raise
     [Invalid_argument]. *)
 
 val page_count : t -> int
-(** Number of frames currently allocated (live, not freed). *)
+(** Number of frames currently allocated (live, not freed), whether
+    written or not. *)
 
 val read8 : t -> ppn:int -> off:int -> int
 val write8 : t -> ppn:int -> off:int -> int -> unit

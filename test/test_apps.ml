@@ -257,6 +257,32 @@ let bild_tests =
         Alcotest.(check int) "left" 30 (Gbuf.get m out 0);
         Alcotest.(check int) "centre" 30 (Gbuf.get m out 4);
         Alcotest.(check int) "right" 30 (Gbuf.get m out 8));
+    Alcotest.test_case "invert flips every byte of random images" `Quick (fun () ->
+        (* Odd width x odd height makes the last tile one row of 4 * odd
+           bytes, so the word-at-a-time loop leaves a byte tail. *)
+        let rng = Random.State.make [| 13 |] in
+        List.iter
+          (fun (width, height) ->
+            let rt =
+              Result.get_ok
+                (Runtime.boot Runtime.baseline
+                   ~packages:
+                     (Runtime.package "main" ~imports:[ Bild.pkg ]
+                        ~functions:[ ("main", 32) ] ()
+                     :: Bild.packages ())
+                   ~entry:"main")
+            in
+            let m = Runtime.machine rt in
+            let size = width * height * 4 in
+            let image = Bytes.init size (fun _ -> Char.chr (Random.State.int rng 256)) in
+            let src = Runtime.alloc_in rt ~pkg:"main" size in
+            Gbuf.write_bytes m src image;
+            let out = Gbuf.read_bytes m (Bild.invert rt ~src ~width ~height) in
+            Alcotest.(check bytes)
+              (Printf.sprintf "%dx%d" width height)
+              (Bytes.map (fun c -> Char.chr (255 - Char.code c)) image)
+              out)
+          [ (1, 1); (7, 5); (13, 9); (31, 17); (8, 3); (5, 8); (64, 2); (33, 33) ]);
     Alcotest.test_case "transfers only happen under LitterBox" `Quick (fun () ->
         let base = Scenarios.bild None ~width:64 ~height:64 ~iters:1 () in
         let mpk = Scenarios.bild (Some Lb.Mpk) ~width:64 ~height:64 ~iters:1 () in

@@ -416,12 +416,86 @@ let runtime_tests =
         | _ -> Alcotest.fail "expected failure");
   ]
 
+(* Gbuf.blit against the sequence it replaced: read the source into a
+   fresh buffer, note the copy, write the buffer out. Both run on their
+   own fresh machine: four read-write pages, then one read-only page,
+   then nothing mapped. Everything observable must match. *)
+let reference_blit m ~(src : Gbuf.t) ~(dst : Gbuf.t) =
+  let len = min src.Gbuf.len dst.Gbuf.len in
+  let data = Cpu.read_bytes m.Machine.cpu ~addr:src.Gbuf.addr ~len in
+  Machine.note_copied m len;
+  Cpu.write_bytes m.Machine.cpu ~addr:dst.Gbuf.addr data
+
+let copy_region = 5 * Phys.page_size
+
+let run_blit blit (src, dst, len) =
+  let m = Machine.create () in
+  let mm = m.Machine.mm in
+  let base =
+    Encl_kernel.Mm.map mm ~len:copy_region ~perms:{ Pte.r = true; w = true; x = false }
+  in
+  Cpu.write_bytes m.Machine.cpu ~addr:base
+    (Bytes.init copy_region (fun i -> Char.chr (((i * 7) + (i / Phys.page_size)) land 0xff)));
+  Encl_kernel.Mm.protect mm ~addr:(base + (4 * Phys.page_size)) ~len:Phys.page_size
+    { Pte.r = true; w = false; x = false };
+  let tlb = Cpu.tlb m.Machine.cpu in
+  let hits = Tlb.hits tlb and misses = Tlb.misses tlb in
+  let accesses = ref [] in
+  Cpu.set_access_hook m.Machine.cpu
+    (Some (fun kind ~vaddr -> accesses := (kind, vaddr - base) :: !accesses));
+  let fault =
+    match
+      blit m ~src:{ Gbuf.addr = base + src; len } ~dst:{ Gbuf.addr = base + dst; len }
+    with
+    | () -> None
+    | exception Cpu.Fault f -> Some { f with Cpu.vaddr = f.Cpu.vaddr - base }
+  in
+  let hits = Tlb.hits tlb - hits and misses = Tlb.misses tlb - misses in
+  Cpu.set_access_hook m.Machine.cpu None;
+  let memory = Cpu.read_bytes m.Machine.cpu ~addr:base ~len:copy_region in
+  (memory, m.Machine.bytes_copied, hits, misses, List.rev !accesses, fault)
+
+let blit_matches_reference case = run_blit Gbuf.blit case = run_blit reference_blit case
+
+let gbuf_copy_tests =
+  let page = Phys.page_size in
+  let case name ~faults c =
+    Alcotest.test_case name `Quick (fun () ->
+        let (_, _, _, _, _, fault) as got = run_blit Gbuf.blit c in
+        Alcotest.(check bool) "faults" faults (fault <> None);
+        Alcotest.(check bool) "same as the reference" true (got = run_blit reference_blit c))
+  in
+  [
+    case "overlap, destination above the source" ~faults:false (100, 2000, 5000);
+    case "overlap, destination below the source" ~faults:false (2000, 100, 5000);
+    case "source and destination equal" ~faults:false (300, 300, 3 * page);
+    case "page-crossing, disjoint" ~faults:false (page - 10, (2 * page) - 5, page + 20);
+    case "zero length" ~faults:false (10, 20, 0);
+    case "zero length on unmapped memory" ~faults:false (6 * page, 7 * page, 0);
+    case "destination not writable" ~faults:true (0, (4 * page) - 100, 200);
+    case "source not mapped" ~faults:true ((5 * page) - 8, 0, 16);
+    case "destination not mapped" ~faults:true (0, (5 * page) - 8, 16);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"blit matches the reference on random ranges" ~count:300
+         QCheck.(
+           make
+             ~print:Print.(triple int int int)
+             Gen.(
+               let off = int_range 0 (copy_region + 64) in
+               let near s = map (fun d -> max 0 (s + d)) (int_range (-5000) 5000) in
+               off >>= fun src ->
+               frequency [ (1, off); (2, near src) ] >>= fun dst ->
+               frequency [ (1, int_range 0 16); (3, int_range 0 (3 * page)) ]
+               >|= fun len -> (src, dst, len)))
+         blit_matches_reference);
+  ]
+
 let () =
   Alcotest.run "golike"
     [
       ("galloc", galloc_tests);
       ("sched", sched_tests);
       ("sync", sync_tests);
-      ("gbuf", gbuf_props);
+      ("gbuf", gbuf_props @ gbuf_copy_tests);
       ("runtime", runtime_tests);
     ]

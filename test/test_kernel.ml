@@ -361,6 +361,31 @@ let kernel_tests =
         Alcotest.(check int) "rw" 7 (Cpu.read8 m.Machine.cpu addr);
         Alcotest.(check bool) "munmap" true
           (K.syscall m.Machine.kernel (K.Munmap { addr; len = 8192 }) = Ok 0));
+    Alcotest.test_case "a failed munmap leaves the range mapped" `Quick (fun () ->
+        let m = kernel_fixture () in
+        let k = m.Machine.kernel in
+        (* One mapped page; the page after it is not mapped. *)
+        let addr = Result.get_ok (K.syscall k (K.Mmap { len = 4096 })) in
+        Cpu.write8 m.Machine.cpu addr 7;
+        let frames = Phys.page_count m.Machine.phys in
+        Alcotest.(check bool) "einval" true
+          (K.syscall k (K.Munmap { addr; len = 8192 }) = Error K.Einval);
+        Alcotest.(check bool) "still mapped" true
+          (Encl_kernel.Mm.is_mapped m.Machine.mm ~addr);
+        Alcotest.(check int) "no frame freed" frames (Phys.page_count m.Machine.phys);
+        Alcotest.(check int) "contents kept" 7 (Cpu.read8 m.Machine.cpu addr));
+    Alcotest.test_case "a failed pkey_mprotect retags nothing" `Quick (fun () ->
+        let m = kernel_fixture () in
+        let k = m.Machine.kernel in
+        let addr = Result.get_ok (K.syscall k (K.Mmap { len = 4096 })) in
+        let pkey () =
+          (Option.get (Pagetable.walk m.Machine.trusted_pt ~vpn:(addr / Phys.page_size)))
+            .Pte.pkey
+        in
+        let before = pkey () in
+        Alcotest.(check bool) "einval" true
+          (K.syscall k (K.Pkey_mprotect { addr; len = 8192; key = 3 }) = Error K.Einval);
+        Alcotest.(check int) "key unchanged" before (pkey ()));
     Alcotest.test_case "socket lifecycle via syscalls" `Quick (fun () ->
         let m = kernel_fixture () in
         let k = m.Machine.kernel in

@@ -42,6 +42,199 @@ let phys_tests =
         let ppn = Phys.alloc_page p in
         Phys.write64 p ~ppn ~off:8 0x1122334455667788L;
         Alcotest.(check int64) "readback" 0x1122334455667788L (Phys.read64 p ~ppn ~off:8));
+    Alcotest.test_case "untouched frames reject out-of-frame offsets" `Quick (fun () ->
+        let p = Phys.create () in
+        let ppn = Phys.alloc_page p in
+        let rejects name f =
+          match f () with
+          | exception Invalid_argument _ -> ()
+          | _ -> Alcotest.fail (name ^ " accepted")
+        in
+        rejects "read8 -1" (fun () -> ignore (Phys.read8 p ~ppn ~off:(-1)));
+        rejects "read8 4096" (fun () -> ignore (Phys.read8 p ~ppn ~off:4096));
+        rejects "read64 4089" (fun () -> ignore (Phys.read64 p ~ppn ~off:4089));
+        rejects "write8 -1" (fun () -> Phys.write8 p ~ppn ~off:(-1) 1);
+        rejects "write8 4096" (fun () -> Phys.write8 p ~ppn ~off:4096 1);
+        rejects "write64 4089" (fun () -> Phys.write64 p ~ppn ~off:4089 1L);
+        rejects "blit_of_bytes past the end" (fun () ->
+            Phys.blit_of_bytes p ~ppn ~off:4090 (Bytes.make 8 'x') 0 8);
+        Alcotest.(check int) "still zero" 0 (Phys.read8 p ~ppn ~off:4095));
+  ]
+
+(* The reference store: one zeroed [Bytes] per frame, made at allocation.
+   The demand-zero store is checked against it. *)
+module Phys_model = struct
+  type t = {
+    mutable frames : Bytes.t option array;
+    mutable next : int;
+    mutable free : int list;
+    mutable live : int;
+  }
+
+  let create () = { frames = Array.make 64 None; next = 0; free = []; live = 0 }
+
+  let grow t =
+    let frames = Array.make (2 * Array.length t.frames) None in
+    Array.blit t.frames 0 frames 0 (Array.length t.frames);
+    t.frames <- frames
+
+  let alloc_page t =
+    t.live <- t.live + 1;
+    match t.free with
+    | ppn :: rest ->
+        t.free <- rest;
+        t.frames.(ppn) <- Some (Bytes.make Phys.page_size '\000');
+        ppn
+    | [] ->
+        if t.next >= Array.length t.frames then grow t;
+        let ppn = t.next in
+        t.next <- ppn + 1;
+        t.frames.(ppn) <- Some (Bytes.make Phys.page_size '\000');
+        ppn
+
+  let frame t ppn =
+    if ppn < 0 || ppn >= t.next then
+      invalid_arg (Printf.sprintf "Phys: bad ppn %d" ppn);
+    match t.frames.(ppn) with
+    | Some b -> b
+    | None -> invalid_arg (Printf.sprintf "Phys: ppn %d is free" ppn)
+
+  let free_page t ppn =
+    ignore (frame t ppn);
+    t.frames.(ppn) <- None;
+    t.free <- ppn :: t.free;
+    t.live <- t.live - 1
+
+  let read8 t ~ppn ~off = Char.code (Bytes.get (frame t ppn) off)
+  let write8 t ~ppn ~off v = Bytes.set (frame t ppn) off (Char.chr (v land 0xff))
+  let read64 t ~ppn ~off = Bytes.get_int64_le (frame t ppn) off
+  let write64 t ~ppn ~off v = Bytes.set_int64_le (frame t ppn) off v
+
+  let blit_to_bytes t ~ppn ~off dst dst_off len =
+    Bytes.blit (frame t ppn) off dst dst_off len
+
+  let blit_of_bytes t ~ppn ~off src src_off len =
+    Bytes.blit src src_off (frame t ppn) off len
+end
+
+type phys_op =
+  | Alloc
+  | Free of int
+  | Read8 of int * int
+  | Write8 of int * int * int
+  | Read64 of int * int
+  | Write64 of int * int * int64
+  | Blit_to of int * int * int * int  (** ppn, off, dst_off, len *)
+  | Blit_of of int * int * int * int  (** ppn, off, src_off, len *)
+
+let phys_op_arb =
+  let open QCheck.Gen in
+  (* Mostly live or freed PPNs, some never allocated; offsets and lengths
+     mostly in range, with the frame's edges and beyond. *)
+  let ppn = frequency [ (8, int_range 0 7); (1, oneofl [ -1; 12; max_int ]) ] in
+  let off =
+    frequency
+      [
+        (6, int_range 0 4095);
+        (3, oneofl [ -1; 0; 4088; 4089; 4095; 4096 ]);
+        (1, int_range (-9) 4105);
+      ]
+  in
+  let len = frequency [ (6, int_range 0 24); (1, oneofl [ -1; 25; 4096 ]) ] in
+  let op =
+    frequency
+      [
+        (3, return Alloc);
+        (1, map (fun p -> Free p) ppn);
+        (3, map2 (fun p o -> Read8 (p, o)) ppn off);
+        (3, map3 (fun p o v -> Write8 (p, o, v)) ppn off (int_range (-300) 300));
+        (2, map2 (fun p o -> Read64 (p, o)) ppn off);
+        (2, map3 (fun p o v -> Write64 (p, o, v)) ppn off ui64);
+        (2, map3 (fun (p, o) d l -> Blit_to (p, o, d, l)) (pair ppn off) (int_range 0 8) len);
+        (2, map3 (fun (p, o) d l -> Blit_of (p, o, d, l)) (pair ppn off) (int_range 0 8) len);
+      ]
+  in
+  let print = function
+    | Alloc -> "alloc"
+    | Free p -> Printf.sprintf "free %d" p
+    | Read8 (p, o) -> Printf.sprintf "read8 %d %d" p o
+    | Write8 (p, o, v) -> Printf.sprintf "write8 %d %d %d" p o v
+    | Read64 (p, o) -> Printf.sprintf "read64 %d %d" p o
+    | Write64 (p, o, v) -> Printf.sprintf "write64 %d %d %Ld" p o v
+    | Blit_to (p, o, d, l) -> Printf.sprintf "blit_to %d %d %d %d" p o d l
+    | Blit_of (p, o, d, l) -> Printf.sprintf "blit_of %d %d %d %d" p o d l
+  in
+  QCheck.make ~print:(QCheck.Print.list print) (list_size (int_range 0 200) op)
+
+(* What one operation returned, or the exception it raised, as text:
+   constructor and message must both match. *)
+let outcome f = match f () with s -> s | exception e -> "raised " ^ Printexc.to_string e
+
+(* Source bytes for [Blit_of]; a 32-byte window, so offsets 0-8 and
+   lengths up to 24 fit and the rest are rejected by [Bytes.blit]. *)
+let blit_src = Bytes.init 32 (fun i -> Char.chr (0x41 + i))
+
+let phys_step p m op =
+  let both f g = (outcome f, outcome g) in
+  match op with
+  | Alloc ->
+      both
+        (fun () -> string_of_int (Phys.alloc_page p))
+        (fun () -> string_of_int (Phys_model.alloc_page m))
+  | Free ppn ->
+      both (fun () -> Phys.free_page p ppn; "") (fun () -> Phys_model.free_page m ppn; "")
+  | Read8 (ppn, off) ->
+      both
+        (fun () -> string_of_int (Phys.read8 p ~ppn ~off))
+        (fun () -> string_of_int (Phys_model.read8 m ~ppn ~off))
+  | Write8 (ppn, off, v) ->
+      both
+        (fun () -> Phys.write8 p ~ppn ~off v; "")
+        (fun () -> Phys_model.write8 m ~ppn ~off v; "")
+  | Read64 (ppn, off) ->
+      both
+        (fun () -> Int64.to_string (Phys.read64 p ~ppn ~off))
+        (fun () -> Int64.to_string (Phys_model.read64 m ~ppn ~off))
+  | Write64 (ppn, off, v) ->
+      both
+        (fun () -> Phys.write64 p ~ppn ~off v; "")
+        (fun () -> Phys_model.write64 m ~ppn ~off v; "")
+  | Blit_to (ppn, off, dst_off, len) ->
+      let out blit () =
+        let dst = Bytes.make 32 '.' in
+        blit dst;
+        Bytes.to_string dst
+      in
+      both
+        (out (fun dst -> Phys.blit_to_bytes p ~ppn ~off dst dst_off len))
+        (out (fun dst -> Phys_model.blit_to_bytes m ~ppn ~off dst dst_off len))
+  | Blit_of (ppn, off, src_off, len) ->
+      both
+        (fun () -> Phys.blit_of_bytes p ~ppn ~off blit_src src_off len; "")
+        (fun () -> Phys_model.blit_of_bytes m ~ppn ~off blit_src src_off len; "")
+
+let phys_props =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"demand-zero store matches the eager model" ~count:500
+         phys_op_arb (fun ops ->
+           let p = Phys.create () and m = Phys_model.create () in
+           let page read =
+             let b = Bytes.create Phys.page_size in
+             outcome (fun () -> read b; Bytes.to_string b)
+           in
+           List.for_all
+             (fun op ->
+               let got, want = phys_step p m op in
+               got = want && Phys.page_count p = m.Phys_model.live)
+             ops
+           (* Every frame, live or freed, ends byte-identical. *)
+           && List.for_all
+                (fun ppn ->
+                  page (fun b -> Phys.blit_to_bytes p ~ppn ~off:0 b 0 Phys.page_size)
+                  = page (fun b ->
+                        Phys_model.blit_to_bytes m ~ppn ~off:0 b 0 Phys.page_size))
+                (List.init (m.Phys_model.next + 1) Fun.id)));
   ]
 
 let pagetable_tests =
@@ -485,7 +678,7 @@ let vtx_tests =
 let () =
   Alcotest.run "sim"
     [
-      ("phys", phys_tests);
+      ("phys", phys_tests @ phys_props);
       ("pagetable", pagetable_tests);
       ("mpk", mpk_tests @ mpk_props);
       ("cpu", cpu_tests);
