@@ -3,13 +3,14 @@
 # check that every machine-readable artifact parses back as JSON,
 # profile a workload under the isolation backends, verify the fast
 # paths shrink the switch+seccomp share, check the SFI switch/access
-# crossover, hold fresh bench numbers to the committed baseline, run
+# crossover, hold the enforcement report and seeded chaos runs to a
+# committed pin, hold fresh bench numbers to the committed baseline, run
 # the repository benchmark's self-checks on every workload, and hold its
 # simulated figures to the committed pin.
 #
 # Run from the repository root:
 #   sh bin/ci.sh              full pipeline (the CI default)
-#   sh bin/ci.sh --quick      skip the chaos, profile and perfbench stages
+#   sh bin/ci.sh --quick      skip the chaos smoke, profile and perfbench stages
 #   sh bin/ci.sh --cores N    run the test suite and the SMP determinism
 #                             stage on an N-core simulated machine
 set -eu
@@ -133,6 +134,29 @@ if ! cmp -s "$tmp/zc_on.txt" "$tmp/zc_off.txt"; then
   exit 1
 fi
 dune exec bin/profile.exe -- zerocopy --requests 400
+
+stage "enforcement pin (enforcement + chaos vs bench/enforcement_pin.txt)"
+# A host-side change may alter what the simulator costs to run, never
+# what enforcement decides or what the fault injector does: the
+# timing-free enforcement report and two seeded chaos runs (http, and
+# wiki's network faults: drops, short reads, short writes) must print
+# exactly the committed pin. Runs in --quick too; all three take under
+# a second. After a change meant to move one of them, regenerate
+# deliberately with:
+#   { dune exec bin/trace_dump.exe -- enforcement
+#     dune exec bin/chaos.exe -- http --seed 42
+#     dune exec bin/chaos.exe -- wiki --rate 0.1
+#   } > bench/enforcement_pin.txt
+{
+  dune exec bin/trace_dump.exe -- enforcement
+  dune exec bin/chaos.exe -- http --seed 42
+  dune exec bin/chaos.exe -- wiki --rate 0.1
+} > "$tmp/enforcement_pin.txt"
+if ! cmp -s bench/enforcement_pin.txt "$tmp/enforcement_pin.txt"; then
+  echo "ci: enforcement or chaos output diverged from bench/enforcement_pin.txt" >&2
+  diff bench/enforcement_pin.txt "$tmp/enforcement_pin.txt" >&2 || true
+  exit 1
+fi
 
 stage "sfi (switch/access crossover)"
 # The SFI selection rule must hold, measured: strictly fewer
@@ -297,7 +321,7 @@ if [ "$quick" = 0 ]; then
     exit 1
   fi
 else
-  echo "ci: --quick: skipping profile, overhead, fastpath, sysring-speedup, chaos, perfbench smoke and pin"
+  echo "ci: --quick: skipping profile, overhead, fastpath, sysring-speedup, chaos smoke, perfbench smoke and perfbench pin"
 fi
 
 now=$(date +%s)

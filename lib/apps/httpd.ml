@@ -179,15 +179,17 @@ let client_get rt ep ~path =
   | Ok _ -> ()
   | Error e -> failwith ("client_get: " ^ e)
 
+(* Reads until the socket would block or is at EOF. The chunks recv
+   returns are ours: a one-chunk response is returned as is, a longer one
+   concatenated once. *)
 let client_read_response rt ep =
   let net = (Runtime.machine rt).Machine.net in
-  let buf = Buffer.create 16384 in
-  let rec drain () =
+  let rec drain acc =
     match Encl_kernel.Net.recv net ep 65536 with
-    | Encl_kernel.Net.Data d ->
-        Buffer.add_bytes buf d;
-        drain ()
-    | Encl_kernel.Net.Would_block | Encl_kernel.Net.Eof -> ()
+    | Encl_kernel.Net.Data d -> drain (d :: acc)
+    | Encl_kernel.Net.Would_block | Encl_kernel.Net.Eof -> acc
   in
-  drain ();
-  Buffer.to_bytes buf
+  match drain [] with
+  | [] -> Bytes.empty
+  | [ d ] -> d
+  | rev_chunks -> Bytes.concat Bytes.empty (List.rev rev_chunks)

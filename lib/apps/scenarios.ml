@@ -458,14 +458,15 @@ let chaos_drive rt ~port ~requests ~conns =
   let eps = Array.init conns (fun _ -> connect ()) in
   Runtime.kick rt;
   let answered = ref 0 in
-  let req = Bytes.of_string "GET /page/home HTTP/1.1\r\nHost: sim\r\n\r\n" in
+  (* A fresh buffer per send: the stream keeps the one it is given. *)
+  let req () = Bytes.of_string "GET /page/home HTTP/1.1\r\nHost: sim\r\n\r\n" in
   for i = 0 to requests - 1 do
     let idx = i mod conns in
     (* Like any real client fetching an idempotent GET: one retry on a
        fresh connection when the first try died under the request. *)
     let rec attempt tries =
       if Net.ep_closed eps.(idx) then eps.(idx) <- connect ();
-      match Net.send net eps.(idx) req with
+      match Net.send net eps.(idx) (req ()) with
       | Ok _ ->
           Runtime.kick rt;
           let got = ref false in

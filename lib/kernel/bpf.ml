@@ -24,9 +24,13 @@ type program = insn array
 type data = { nr : int; arch : int; args : int array; pkru : int32 }
 
 let make_data ~nr ?(args = [||]) ~pkru () =
-  let full = Array.make 6 0 in
-  Array.blit args 0 full 0 (min 6 (Array.length args));
-  { nr; arch = 0xc000003e (* AUDIT_ARCH_X86_64 *); args = full; pkru }
+  let arg i = if i < Array.length args then args.(i) else 0 in
+  {
+    nr;
+    arch = 0xc000003e (* AUDIT_ARCH_X86_64 *);
+    args = [| arg 0; arg 1; arg 2; arg 3; arg 4; arg 5 |];
+    pkru;
+  }
 
 exception Bad_program of string
 

@@ -166,6 +166,8 @@ type rxring = {
 
 let ring_hdr_bytes = 8
 
+let counts_len = 1 + List.fold_left (fun m nr -> max m (Sysno.number nr)) 0 Sysno.all
+
 type t = {
   clock : Clock.t;
   costs : Costs.t;
@@ -179,7 +181,7 @@ type t = {
   fds : (int, fd_desc) Hashtbl.t;
   mutable next_fd : int;
   rng : Encl_util.Rng.t;
-  counts : (Sysno.t, int) Hashtbl.t;
+  counts : int array;  (** per-syscall tallies, indexed by [Sysno.number] *)
   mutable total : int;
   mutable origin_kills : int;
   mutable mm_denied : int;
@@ -206,7 +208,7 @@ let create ~clock ~costs ~cpu ~trusted_env ~vfs ~net ~mm ~obs =
     fds = Hashtbl.create 64;
     next_fd = 3;
     rng = Encl_util.Rng.make ~seed:0x5eccf11eL;
-    counts = Hashtbl.create 64;
+    counts = Array.make counts_len 0;
     total = 0;
     origin_kills = 0;
     mm_denied = 0;
@@ -282,17 +284,28 @@ let bounce t ~passes n =
 
 let pages_of len = (max len 1 + Phys.page_size - 1) / Phys.page_size
 
-(* Per-call kernel service cost (on top of the trap). *)
+(* A negative length or duration: the call fails with EINVAL before it
+   touches an fd, a socket or memory. *)
+let negative_length = function
+  | Read { len; _ } | Write { len; _ } | Send { len; _ } | Recv { len; _ }
+  | Sendfile { len; _ } | Getrandom { len; _ } | Mmap { len } | Munmap { len; _ }
+  | Pkey_mprotect { len; _ } ->
+      len < 0
+  | Nanosleep ns -> ns < 0
+  | _ -> false
+
+(* Per-call kernel service cost (on top of the trap). A negative length
+   is charged as 0: the call only fails its argument check. *)
 let service_cost t call =
   match call with
   | Read { len; _ } | Write { len; _ } | Send { len; _ } | Recv { len; _ } ->
-      120 + (len / 16)
+      120 + (max len 0 / 16)
   | Recv_ring _ -> 120
   | Sendfile { len; _ } ->
       (* Page references splice from the VFS cache to the socket; no
          per-byte user-memory pass (the flag-off bounce is charged at
          execute time, where the actual byte count is known). *)
-      t.costs.Costs.sendfile_base + (len / 256)
+      t.costs.Costs.sendfile_base + (max len 0 / 256)
   | Open _ -> 450
   | Close _ -> 90
   | Stat _ -> 280
@@ -309,7 +322,7 @@ let service_cost t call =
   | Nanosleep _ -> 0 (* the sleep itself is accounted separately *)
   | Sched_yield -> 60
   | Futex -> 320
-  | Getrandom { len; _ } -> 90 + (len / 4)
+  | Getrandom { len; _ } -> 90 + (max len 0 / 4)
   | Mmap { len } -> 380 + (18 * pages_of len)
   | Munmap { len; _ } -> 200 + (8 * pages_of len)
   | Pkey_mprotect { len; _ } -> 333 + (63 * pages_of len)
@@ -340,6 +353,7 @@ let file_writable flags =
 
 let execute t call =
   match call with
+  | _ when negative_length call -> Error Einval
   | Getuid -> Ok 1000
   | Getpid -> Ok 4217
   | Gettimeofday | Clock_gettime -> Ok (Clock.now t.clock / 1000)
@@ -665,7 +679,8 @@ let execute t call =
 
 let record t nr =
   t.total <- t.total + 1;
-  Hashtbl.replace t.counts nr (1 + Option.value ~default:0 (Hashtbl.find_opt t.counts nr))
+  let i = Sysno.number nr in
+  t.counts.(i) <- t.counts.(i) + 1
 
 (* Stamp the syscall's verdict into the machine's observability sink:
    verdict counters, a per-category counter, the latency histogram, and a
@@ -886,14 +901,20 @@ let listener_pending t fd =
   | Some _ | None -> false
 
 let syscall_count t = t.total
-let count_for t nr = Option.value ~default:0 (Hashtbl.find_opt t.counts nr)
+let count_for t nr = t.counts.(Sysno.number nr)
 let origin_kill_count t = t.origin_kills
 let mm_denied_count t = t.mm_denied
 
 let trace t =
-  Hashtbl.fold (fun nr n acc -> (nr, n) :: acc) t.counts []
-  |> List.sort (fun (a, _) (b, _) -> compare (Sysno.number a) (Sysno.number b))
+  let acc = ref [] in
+  for i = Array.length t.counts - 1 downto 0 do
+    if t.counts.(i) > 0 then
+      match Sysno.of_number i with
+      | Some nr -> acc := (nr, t.counts.(i)) :: !acc
+      | None -> ()
+  done;
+  !acc
 
 let reset_stats t =
   t.total <- 0;
-  Hashtbl.reset t.counts
+  Array.fill t.counts 0 (Array.length t.counts) 0

@@ -147,6 +147,11 @@ val syscall : t -> call -> (int, errno) result
 (** Full dispatch: trap cost, syscall-origin verification, seccomp (PKRU
     read from the CPU's current environment), service. Returns a small
     integer (fd, byte count, value, address for [Mmap]) or an errno.
+    A negative length or duration ([Read], [Write], [Send], [Recv],
+    [Sendfile], [Getrandom], [Mmap], [Munmap], [Pkey_mprotect],
+    [Nanosleep]) returns [Error Einval] without touching an fd, a socket
+    or memory; the trap, origin checks and seccomp filter still run
+    first, and the service is charged as for length 0.
 
     Two gate-hardening checks run before the seccomp program, both free
     of simulated cost: under {!Defense.Syscall_origin} a trap from an

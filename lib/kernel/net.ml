@@ -1,4 +1,6 @@
-(* FIFO byte queue with chunked storage. *)
+(* FIFO byte queue with chunked storage. [push] keeps the buffer it is
+   given (the caller hands it over); [pop] returns bytes no chunk still
+   refers to, so each byte is copied out at most once. *)
 module Bytebuf = struct
   type t = { chunks : Bytes.t Queue.t; mutable offset : int; mutable size : int }
 
@@ -6,29 +8,41 @@ module Bytebuf = struct
 
   let push t data =
     if Bytes.length data > 0 then begin
-      Queue.push (Bytes.copy data) t.chunks;
+      Queue.push data t.chunks;
       t.size <- t.size + Bytes.length data
     end
 
   let size t = t.size
 
   let pop t n =
-    let out = Buffer.create (min n t.size) in
-    let remaining = ref (min n t.size) in
-    while !remaining > 0 do
-      let chunk = Queue.peek t.chunks in
-      let avail = Bytes.length chunk - t.offset in
-      let take = min avail !remaining in
-      Buffer.add_subbytes out chunk t.offset take;
-      remaining := !remaining - take;
-      if take = avail then begin
+    let len = max 0 (min n t.size) in
+    if len = 0 then Bytes.empty
+    else
+      let head = Queue.peek t.chunks in
+      if t.offset = 0 && Bytes.length head = len then begin
+        (* The whole unread head chunk: hand it over as is. *)
         ignore (Queue.pop t.chunks);
-        t.offset <- 0
+        t.size <- t.size - len;
+        head
       end
-      else t.offset <- t.offset + take
-    done;
-    t.size <- t.size - Buffer.length out;
-    Buffer.to_bytes out
+      else begin
+        let out = Bytes.create len in
+        let pos = ref 0 in
+        while !pos < len do
+          let chunk = Queue.peek t.chunks in
+          let avail = Bytes.length chunk - t.offset in
+          let take = min avail (len - !pos) in
+          Bytes.blit chunk t.offset out !pos take;
+          pos := !pos + take;
+          if take = avail then begin
+            ignore (Queue.pop t.chunks);
+            t.offset <- 0
+          end
+          else t.offset <- t.offset + take
+        done;
+        t.size <- t.size - len;
+        out
+      end
 end
 
 type remote = {

@@ -42,7 +42,15 @@ val readable : t -> ep -> bool
 (** Data buffered, or the stream is at EOF (non-consuming peek). *)
 
 val send : t -> ep -> Bytes.t -> (int, string) result
+(** Queue the buffer on the peer's side. The stream takes ownership of
+    it without copying: the caller must not mutate or resend it
+    afterwards. (The kernel sends what [copy_from_user] just read, so a
+    peer still receives the bytes guest memory held when [send] ran.) *)
+
 val recv : t -> ep -> int -> recv_result
+(** Up to [n] buffered bytes (a negative [n] reads as 0). The returned
+    bytes belong to the caller: no stream buffer refers to them. *)
+
 val close_ep : t -> ep -> unit
 val ep_closed : ep -> bool
 
@@ -71,7 +79,9 @@ val register_remote :
   t -> ip:int -> port:int -> ?respond:(Bytes.t -> Bytes.t list) -> string ->
   remote
 (** Register a remote server. [respond chunk] produces reply chunks pushed
-    back to the guest; default responds nothing. *)
+    back to the guest; default responds nothing. The stream takes
+    ownership of each reply, as with {!send}: [respond] must return fresh
+    buffers. *)
 
 val remote_received : remote -> Bytes.t
 (** Every byte this host has received so far (exfiltration detector). *)

@@ -109,11 +109,24 @@ let compile ~trusted_pkrus envs =
    changes a meta-package's rights vector). *)
 type vkey = { vk_pkru : int; vk_nr : int; vk_arg0 : int }
 
+(* Exact keys, hashed and compared field by field as ints: a 32-bit
+   PKRU, the syscall number and an unbounded arg0 do not pack losslessly
+   into one int. *)
+module Vtbl = Hashtbl.Make (struct
+  type t = vkey
+
+  let equal a b = a.vk_pkru = b.vk_pkru && a.vk_nr = b.vk_nr && a.vk_arg0 = b.vk_arg0
+
+  let hash k =
+    let h = (((k.vk_pkru * 31) + k.vk_nr) * 31) + k.vk_arg0 in
+    h lxor (h lsr 17) lxor (h lsr 34)
+end)
+
 type outcome = Hit | Evaluated of int
 
 type t = {
   mutable prog : Bpf.program option;
-  mutable caches : (vkey, Bpf.action) Hashtbl.t array;
+  mutable caches : Bpf.action Vtbl.t array;
       (** one verdict cache per simulated core (a real per-CPU cache
           would be lock-free for the same reason): index = core,
           grown on demand. Hit/miss tallies stay machine-wide. *)
@@ -125,7 +138,7 @@ type t = {
 let create () =
   {
     prog = None;
-    caches = [| Hashtbl.create 128 |];
+    caches = [| Vtbl.create 128 |];
     hits = 0;
     misses = 0;
     invalidations = 0;
@@ -137,7 +150,7 @@ let cache_for t core =
     t.caches <-
       Array.init
         (max (core + 1) (2 * n))
-        (fun i -> if i < n then t.caches.(i) else Hashtbl.create 128)
+        (fun i -> if i < n then t.caches.(i) else Vtbl.create 128)
   end;
   t.caches.(core)
 
@@ -146,7 +159,7 @@ let cache_for t core =
    real per-CPU cache would need), counted once. *)
 let invalidate t =
   Array.iter
-    (fun cache -> if Hashtbl.length cache > 0 then Hashtbl.reset cache)
+    (fun cache -> if Vtbl.length cache > 0 then Vtbl.reset cache)
     t.caches;
   t.invalidations <- t.invalidations + 1
 
@@ -187,14 +200,14 @@ let check_memo ?(core = 0) t data =
       else
         let cache = cache_for t core in
         let key = key_of_data data in
-        (match Hashtbl.find_opt cache key with
+        (match Vtbl.find_opt cache key with
         | Some action ->
             t.hits <- t.hits + 1;
             (action, Hit)
         | None ->
             t.misses <- t.misses + 1;
             let action, steps = Bpf.run_count prog data in
-            Hashtbl.replace cache key action;
+            Vtbl.replace cache key action;
             (action, Evaluated steps))
 
 let cache_stats t = (t.hits, t.misses)

@@ -55,7 +55,13 @@ val check_counted : t -> Bpf.data -> Bpf.action * int
     no cross-core locking is being hand-waved away): the kernel passes
     the core the trap arrived on, each core warms its own verdicts, and
     invalidation shoots down every core's cache at once. Hit/miss
-    statistics are machine-wide. *)
+    statistics are machine-wide.
+
+    Each core's table is keyed exactly by the three fields — the PKRU
+    as its 32-bit pattern, the syscall number and the whole of arg0, of
+    any sign or size — and hashed and compared as ints, with no
+    polymorphic hashing on the trap path. The three do not pack
+    losslessly into one int, so the key stays a record. *)
 
 type outcome =
   | Hit  (** verdict came from the cache *)

@@ -110,7 +110,8 @@ let fault t kind vaddr reason =
    code running inside one may write PKRU / move CR3 / retag. *)
 
 let untrusted_label label =
-  String.length label > 4 && String.sub label 0 4 = "enc:"
+  String.length label > 4
+  && label.[0] = 'e' && label.[1] = 'n' && label.[2] = 'c' && label.[3] = ':'
 
 let register_gate t name = Hashtbl.replace t.gates name ()
 let in_gate t = t.gate_depth > 0

@@ -84,7 +84,9 @@ val restore_env : t -> env -> unit
 
 val untrusted_label : string -> bool
 (** Is [label] an untrusted (enclosure) environment? True exactly for
-    the ["enc:"] prefix every backend gives its enclosure envs. *)
+    the ["enc:"] prefix every backend gives its enclosure envs, followed
+    by at least one character (the bare ["enc:"] is trusted). Allocates
+    nothing: the kernel asks on every trap. *)
 
 val register_gate : t -> string -> unit
 (** Mark [name] as a vetted gate site (done once at runtime init). *)

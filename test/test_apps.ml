@@ -299,6 +299,21 @@ let http_tests =
         let r = Scenarios.http None ~requests:16 ~conns:2 () in
         Alcotest.(check int) "served" 16 r.Scenarios.h_requests;
         Alcotest.(check bool) "throughput sane" true (r.Scenarios.h_req_per_sec > 0.0));
+    Alcotest.test_case "client_read_response joins the chunks once" `Quick (fun () ->
+        let main = Runtime.package "main" ~functions:[ ("main", 64) ] () in
+        let rt = Result.get_ok (Runtime.boot Runtime.baseline ~packages:[ main ] ~entry:"main") in
+        let net = (Runtime.machine rt).Machine.net in
+        let l = Result.get_ok (Encl_kernel.Net.listen net ~port:9100) in
+        let ep = Httpd.client_connect rt ~port:9100 in
+        let server = Option.get (Encl_kernel.Net.accept net l) in
+        (* Three chunks that take three 64 KiB reads. *)
+        let chunks = [ "HTTP/1.1 200 OK\r\n\r\n"; String.make 70_000 'b'; String.make 65_000 't' ] in
+        List.iter (fun c -> ignore (Encl_kernel.Net.send net server (Bytes.of_string c))) chunks;
+        Alcotest.(check string) "concatenation" (String.concat "" chunks)
+          (Bytes.to_string (Httpd.client_read_response rt ep));
+        Alcotest.(check bool) "socket empty" false (Encl_kernel.Net.readable net ep);
+        Alcotest.(check bool) "would block" true
+          (Encl_kernel.Net.recv net ep 1 = Encl_kernel.Net.Would_block));
     Alcotest.test_case "http under both backends" `Quick (fun () ->
         List.iter
           (fun c -> ignore (Scenarios.http c ~requests:8 ~conns:2 ()))

@@ -200,6 +200,164 @@ let seccomp_props =
            actual = reference));
   ]
 
+(* The reference verdict cache: per-core polymorphic tables keyed by a
+   (PKRU, nr, arg0) record, flushed on [install] and [invalidate]. The
+   int-hashed cache in [Seccomp] is checked against it. *)
+module Verdict_model = struct
+  type key = { pkru : int; nr : int; arg0 : int }
+
+  type t = {
+    mutable prog : Bpf.program option;
+    mutable caches : (key, Bpf.action) Hashtbl.t array;
+    mutable hits : int;
+    mutable misses : int;
+    mutable invalidations : int;
+  }
+
+  let create () =
+    { prog = None; caches = [| Hashtbl.create 128 |]; hits = 0; misses = 0; invalidations = 0 }
+
+  let cache_for t core =
+    if core >= Array.length t.caches then begin
+      let n = Array.length t.caches in
+      t.caches <-
+        Array.init
+          (max (core + 1) (2 * n))
+          (fun i -> if i < n then t.caches.(i) else Hashtbl.create 128)
+    end;
+    t.caches.(core)
+
+  let invalidate t =
+    Array.iter (fun cache -> if Hashtbl.length cache > 0 then Hashtbl.reset cache) t.caches;
+    t.invalidations <- t.invalidations + 1
+
+  let install t prog =
+    t.prog <- Some prog;
+    if Defense.enabled Defense.Cache_epoch then invalidate t
+
+  let check_memo ~core t (data : Bpf.data) =
+    match t.prog with
+    | None -> (Bpf.Allow, Seccomp.Evaluated 0)
+    | Some prog ->
+        if not (Fastpath.enabled ()) then
+          let action, steps = Bpf.run_count prog data in
+          (action, Seccomp.Evaluated steps)
+        else
+          let cache = cache_for t core in
+          let key =
+            {
+              pkru = Int32.to_int (Int32.logand data.Bpf.pkru 0xffffffffl) land 0xffffffff;
+              nr = data.Bpf.nr;
+              arg0 = data.Bpf.args.(0);
+            }
+          in
+          match Hashtbl.find_opt cache key with
+          | Some action ->
+              t.hits <- t.hits + 1;
+              (action, Seccomp.Hit)
+          | None ->
+              t.misses <- t.misses + 1;
+              let action, steps = Bpf.run_count prog data in
+              Hashtbl.replace cache key action;
+              (action, Seccomp.Evaluated steps)
+end
+
+type verdict_op =
+  | Install of int
+  | Invalidate
+  | Check of { core : int; pkru : int32; nr : int; arg0 : int }
+
+(* Two filters that disagree, so a verdict surviving an install shows.
+   PKRUs with the sign bit set and per-argument rules are in both. *)
+let verdict_programs =
+  let env pkru rules = { Seccomp.pkru; rules } in
+  [|
+    Seccomp.compile ~trusted_pkrus:[ Mpk.pkru_all_access ]
+      [
+        env 0x10l [ Seccomp.rule Sysno.Getuid; Seccomp.rule Sysno.Read ];
+        env 0x80000010l
+          [ Seccomp.rule Sysno.Sendto; Seccomp.rule ~arg0:[ 101; 102 ] Sysno.Connect ];
+        env (-4l) [ Seccomp.rule ~arg0:[ 7 ] Sysno.Read ];
+      ];
+    Seccomp.compile ~trusted_pkrus:[ Mpk.pkru_all_access ]
+      [
+        env 0x10l [ Seccomp.rule ~arg0:[ 101 ] Sysno.Connect ];
+        env 0x80000010l [ Seccomp.rule Sysno.Getuid ];
+      ];
+  |]
+
+let verdict_arb =
+  let open QCheck.Gen in
+  let pkru =
+    frequency
+      [
+        (4, oneofl [ Mpk.pkru_all_access; 0x10l; 0x80000010l; -4l; Int32.min_int; -1l ]);
+        (1, int32);
+      ]
+  in
+  let nr =
+    frequency
+      [
+        (4, map Sysno.number (oneofl [ Sysno.Getuid; Sysno.Read; Sysno.Sendto; Sysno.Connect ]));
+        (1, int_range 0 400);
+      ]
+  in
+  let arg0 =
+    frequency
+      [
+        (4, oneofl [ 7; 101; 102; 666 ]);
+        (2, oneofl [ (1 lsl 32) + 7; (1 lsl 32) + 101; -1; -(1 lsl 32) + 101; min_int; max_int ]);
+        (1, int);
+      ]
+  in
+  let op =
+    frequency
+      [
+        (1, map (fun i -> Install i) (int_range 0 1));
+        (1, return Invalidate);
+        ( 12,
+          map2
+            (fun (core, pkru) (nr, arg0) -> Check { core; pkru; nr; arg0 })
+            (pair (int_range 0 3) pkru) (pair nr arg0) );
+      ]
+  in
+  let print = function
+    | Install i -> Printf.sprintf "install %d" i
+    | Invalidate -> "invalidate"
+    | Check { core; pkru; nr; arg0 } ->
+        Printf.sprintf "check core=%d pkru=%ld nr=%d arg0=%d" core pkru nr arg0
+  in
+  QCheck.make ~print:(QCheck.Print.list print) (list_size (int_range 0 120) op)
+
+let verdict_props =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"int-hashed verdict cache matches the polymorphic model"
+         ~count:300 verdict_arb (fun ops ->
+           Fastpath.with_flag true @@ fun () ->
+           let s = Seccomp.create () and m = Verdict_model.create () in
+           List.for_all
+             (fun op ->
+               let same_step =
+                 match op with
+                 | Install i ->
+                     let prog = verdict_programs.(i) in
+                     Verdict_model.install m prog;
+                     Seccomp.install s prog = Ok ()
+                 | Invalidate ->
+                     Verdict_model.invalidate m;
+                     Seccomp.invalidate s;
+                     true
+                 | Check { core; pkru; nr; arg0 } ->
+                     let data = Bpf.make_data ~nr ~args:[| arg0 |] ~pkru () in
+                     Seccomp.check_memo ~core s data = Verdict_model.check_memo ~core m data
+               in
+               same_step
+               && Seccomp.cache_stats s = (m.Verdict_model.hits, m.Verdict_model.misses)
+               && Seccomp.invalidation_count s = m.Verdict_model.invalidations)
+             ops));
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* VFS *)
 
@@ -322,10 +480,194 @@ let net_tests =
         Alcotest.(check bool) "still there" true (Net.recv net server 1 <> Net.Would_block));
   ]
 
+(* The reference socket buffer: [push] copies what it is sent and [pop]
+   assembles its answer in a [Buffer]. The owning, copy-once store in
+   [Net] is checked against it. *)
+module Bytebuf_model = struct
+  type t = { chunks : Bytes.t Queue.t; mutable offset : int; mutable size : int }
+
+  let create () = { chunks = Queue.create (); offset = 0; size = 0 }
+
+  let push t data =
+    if Bytes.length data > 0 then begin
+      Queue.push (Bytes.copy data) t.chunks;
+      t.size <- t.size + Bytes.length data
+    end
+
+  let pop t n =
+    let out = Buffer.create (min n t.size) in
+    let remaining = ref (min n t.size) in
+    while !remaining > 0 do
+      let chunk = Queue.peek t.chunks in
+      let avail = Bytes.length chunk - t.offset in
+      let take = min avail !remaining in
+      Buffer.add_subbytes out chunk t.offset take;
+      remaining := !remaining - take;
+      if take = avail then begin
+        ignore (Queue.pop t.chunks);
+        t.offset <- 0
+      end
+      else t.offset <- t.offset + take
+    done;
+    t.size <- t.size - Buffer.length out;
+    Buffer.to_bytes out
+end
+
+(* How many bytes a [recv] asks for, relative to what is buffered. *)
+type recv_n = Neg | Zero | One | Size_minus | Size | Size_plus | Big | Rand of int
+
+type stream_op = Send of int | Recv of recv_n
+
+let stream_arb =
+  let open QCheck.Gen in
+  let recv_n =
+    frequency
+      [
+        (1, return Neg); (1, return Zero); (1, return One); (2, return Size_minus);
+        (2, return Size); (1, return Size_plus); (1, return Big);
+        (3, map (fun n -> Rand n) (int_range 0 30_000));
+      ]
+  in
+  let op =
+    frequency
+      [
+        (2, map (fun n -> Send n) (frequency [ (3, int_range 0 20_000); (1, int_range 0 8) ]));
+        (3, map (fun n -> Recv n) recv_n);
+      ]
+  in
+  let print_op = function
+    | Send n -> Printf.sprintf "send %d" n
+    | Recv Neg -> "recv -1"
+    | Recv Zero -> "recv 0"
+    | Recv One -> "recv 1"
+    | Recv Size_minus -> "recv size-1"
+    | Recv Size -> "recv size"
+    | Recv Size_plus -> "recv size+1"
+    | Recv Big -> "recv 65536"
+    | Recv (Rand n) -> Printf.sprintf "recv %d" n
+  in
+  QCheck.make
+    ~print:(fun (before, after) ->
+      String.concat "; " (List.map print_op before)
+      ^ "; close; " ^ String.concat "; " (List.map print_op after))
+    (pair (list_size (int_range 0 40) op) (list_size (int_range 0 10) op))
+
+let net_props =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"copy-once stream matches the copying model" ~count:300
+         stream_arb (fun (before, after) ->
+           let net = Net.create () in
+           let l = Result.get_ok (Net.listen net ~port:80) in
+           let client = Result.get_ok (Net.client_connect net ~port:80) in
+           let server = Option.get (Net.accept net l) in
+           let model = Bytebuf_model.create () and closed = ref false in
+           let sends = ref 0 in
+           let step op =
+             match op with
+             | Send n ->
+                 incr sends;
+                 let data = Bytes.init n (fun i -> Char.chr ((!sends * 37 + i) land 0xff)) in
+                 let want =
+                   if !closed then "error"
+                   else begin
+                     Bytebuf_model.push model data;
+                     Printf.sprintf "ok %d" n
+                   end
+                 in
+                 let got =
+                   match Net.send net client data with
+                   | Ok k -> Printf.sprintf "ok %d" k
+                   | Error _ -> "error"
+                 in
+                 got = want
+             | Recv r ->
+                 let size = model.Bytebuf_model.size in
+                 let n =
+                   match r with
+                   | Neg -> -1
+                   | Zero -> 0
+                   | One -> 1
+                   | Size_minus -> size - 1
+                   | Size -> size
+                   | Size_plus -> size + 1
+                   | Big -> 65_536
+                   | Rand n -> n
+                 in
+                 let want =
+                   if size > 0 then "data " ^ Bytes.to_string (Bytebuf_model.pop model n)
+                   else if !closed then "eof"
+                   else "would block"
+                 in
+                 let got =
+                   match Net.recv net server n with
+                   | Net.Data d ->
+                       let s = "data " ^ Bytes.to_string d in
+                       (* The bytes are the caller's: scribbling on them
+                          must not reach anything still buffered. *)
+                       Bytes.fill d 0 (Bytes.length d) '!';
+                       s
+                   | Net.Would_block -> "would block"
+                   | Net.Eof -> "eof"
+                 in
+                 got = want
+           in
+           let readable () =
+             Net.readable net server = (model.Bytebuf_model.size > 0 || !closed)
+           in
+           List.for_all (fun op -> step op && readable ()) before
+           && begin
+                Net.close_ep net client;
+                closed := true;
+                readable ()
+              end
+           && List.for_all (fun op -> step op && readable ()) after));
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Kernel dispatcher *)
 
 let kernel_fixture () = Machine.create ()
+
+let map_buf m =
+  Encl_kernel.Mm.map m.Machine.mm ~len:4096 ~perms:{ Pte.r = true; w = true; x = false }
+
+(* A guest socket accepted on [port], and the external client's end. *)
+let guest_conn m ~port =
+  let k = m.Machine.kernel in
+  let fd = Result.get_ok (K.syscall k K.Socket) in
+  ignore (K.syscall k (K.Bind { fd; port }));
+  ignore (K.syscall k (K.Listen fd));
+  let client = Result.get_ok (Net.client_connect m.Machine.net ~port) in
+  (Result.get_ok (K.syscall k (K.Accept fd)), client)
+
+(* Every call that takes a length or a duration, over a live read-write
+   file, a live socket holding data and a mapped 4 KiB buffer, so only
+   the length can make them fail. *)
+let length_calls m =
+  let k = m.Machine.kernel in
+  ignore (Vfs.create_file m.Machine.vfs "/len" (Bytes.make 8192 'f'));
+  let file = Result.get_ok (K.syscall k (K.Open { path = "/len"; flags = [ K.O_rdwr ] })) in
+  let sock, client = guest_conn m ~port:7070 in
+  ignore (Net.send m.Machine.net client (Bytes.of_string "queued"));
+  let buf = map_buf m in
+  let calls len =
+    [
+      ("read file", K.Read { fd = file; buf; len });
+      ("read socket", K.Read { fd = sock; buf; len });
+      ("write file", K.Write { fd = file; buf; len });
+      ("write socket", K.Write { fd = sock; buf; len });
+      ("send", K.Send { fd = sock; buf; len });
+      ("recv", K.Recv { fd = sock; buf; len });
+      ("getrandom", K.Getrandom { buf; len });
+      ("sendfile", K.Sendfile { out_fd = sock; in_fd = file; off = 0; len });
+      ("nanosleep", K.Nanosleep len);
+      ("mmap", K.Mmap { len });
+      ("munmap", K.Munmap { addr = buf; len });
+      ("pkey_mprotect", K.Pkey_mprotect { addr = buf; len; key = 1 });
+    ]
+  in
+  (sock, client, buf, calls)
 
 let kernel_tests =
   [
@@ -467,6 +809,144 @@ let kernel_tests =
         let t0 = Clock.now m.Machine.clock in
         ignore (K.syscall m.Machine.kernel (K.Nanosleep 5000));
         Alcotest.(check bool) "advanced" true (Clock.now m.Machine.clock - t0 >= 5000));
+    Alcotest.test_case "negative lengths are EINVAL" `Quick (fun () ->
+        let m = kernel_fixture () in
+        let k = m.Machine.kernel in
+        let sock, client, buf, calls = length_calls m in
+        List.iter
+          (fun len ->
+            List.iter
+              (fun (name, call) ->
+                let what = Printf.sprintf "%s len %d" name len in
+                match K.syscall k call with
+                | r -> Alcotest.(check bool) what true (r = Error K.Einval)
+                | exception e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e))
+              (calls len))
+          [ -1; -100_000 ];
+        (* Nothing moved: the data is still queued, the buffer still
+           mapped, and the peer got nothing. *)
+        Alcotest.(check bool) "data still queued" true
+          (K.syscall k (K.Recv { fd = sock; buf; len = 64 }) = Ok 6);
+        Alcotest.(check bool) "buffer mapped" true (Encl_kernel.Mm.is_mapped m.Machine.mm ~addr:buf);
+        Alcotest.(check bool) "peer got nothing" true
+          (Net.recv m.Machine.net client 64 = Net.Would_block));
+    Alcotest.test_case "send snapshots guest memory" `Quick (fun () ->
+        let m = kernel_fixture () in
+        let k = m.Machine.kernel in
+        let sock, client = guest_conn m ~port:7071 in
+        let buf = map_buf m in
+        Cpu.write_bytes m.Machine.cpu ~addr:buf (Bytes.of_string "original bytes");
+        Alcotest.(check bool) "sent" true (K.syscall k (K.Send { fd = sock; buf; len = 14 }) = Ok 14);
+        Cpu.write_bytes m.Machine.cpu ~addr:buf (Bytes.of_string "OVERWRITTEN!!!");
+        match Net.recv m.Machine.net client 64 with
+        | Net.Data d -> Alcotest.(check string) "peer reads the original" "original bytes" (Bytes.to_string d)
+        | _ -> Alcotest.fail "no data");
+  ]
+
+(* The reference syscall bookkeeping: a polymorphic table from syscall to
+   count, and a running total. The kernel's array is checked against it. *)
+module Counts_model = struct
+  type t = { counts : (Sysno.t, int) Hashtbl.t; mutable total : int }
+
+  let create () = { counts = Hashtbl.create 64; total = 0 }
+
+  let record t nr =
+    t.total <- t.total + 1;
+    Hashtbl.replace t.counts nr (1 + Option.value ~default:0 (Hashtbl.find_opt t.counts nr))
+
+  let count_for t nr = Option.value ~default:0 (Hashtbl.find_opt t.counts nr)
+
+  let trace t =
+    Hashtbl.fold (fun nr n acc -> (nr, n) :: acc) t.counts []
+    |> List.sort (fun (a, _) (b, _) -> compare (Sysno.number a) (Sysno.number b))
+
+  let reset t =
+    t.total <- 0;
+    Hashtbl.reset t.counts
+end
+
+(* Calls that are cheap and harmless on a bare machine, over many
+   syscall numbers; fd 99 is never open. *)
+let cheap_calls =
+  [|
+    K.Getuid; K.Getpid; K.Gettimeofday; K.Clock_gettime; K.Sched_yield; K.Futex;
+    K.Epoll_wait; K.Epoll_ctl 99; K.Setsockopt 99; K.Close 99; K.Dup 99; K.Fstat 99;
+    K.Lseek { fd = 99; off = 0; whence = 0 }; K.Stat "/nope"; K.Unlink "/nope";
+    K.Readdir "/nope"; K.Open { path = "/nope"; flags = [] };
+    K.Chmod { path = "/nope"; mode = 0 }; K.Read { fd = 99; buf = 0; len = 1 };
+    K.Write { fd = 99; buf = 0; len = 1 }; K.Send { fd = 99; buf = 0; len = 1 };
+    K.Recv { fd = 99; buf = 0; len = 1 }; K.Recv_ring { fd = 99 };
+    K.Sendfile { out_fd = 99; in_fd = 99; off = 0; len = 1 }; K.Socket;
+    K.Connect { fd = 99; ip = 0; port = 1 }; K.Bind { fd = 99; port = 1 }; K.Listen 99;
+    K.Accept 99; K.Nanosleep 0; K.Getcwd { buf = 0; len = 0 }; K.Pkey_free 99;
+  |]
+
+type count_op = Call of int | Exit | Reset
+
+let count_arb =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (12, map (fun i -> Call i) (int_range 0 (Array.length cheap_calls - 1)));
+        (1, return Exit);
+        (1, return Reset);
+      ]
+  in
+  let print = function
+    | Call i -> Sysno.name (K.sysno_of_call cheap_calls.(i))
+    | Exit -> "exit"
+    | Reset -> "reset"
+  in
+  QCheck.make ~print:(QCheck.Print.list print) (list_size (int_range 0 150) op)
+
+(* Seven calls with a length, at lengths in [-2^20, 4096]. *)
+let hostile_arb =
+  let open QCheck.Gen in
+  let len = frequency [ (1, int_range (-(1 lsl 20)) (-1)); (1, int_range 0 4096) ] in
+  QCheck.make
+    ~print:QCheck.Print.(list (pair int int))
+    (list_size (int_range 1 16) (pair (int_range 0 8) len))
+
+let kernel_props =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"syscall tallies match the polymorphic model" ~count:200
+         count_arb (fun ops ->
+           let k = (kernel_fixture ()).Machine.kernel in
+           let model = Counts_model.create () in
+           let agree () =
+             K.trace k = Counts_model.trace model
+             && K.syscall_count k = model.Counts_model.total
+             && List.for_all (fun nr -> K.count_for k nr = Counts_model.count_for model nr) Sysno.all
+           in
+           agree ()
+           && List.for_all
+                (fun op ->
+                  (match op with
+                  | Call i ->
+                      Counts_model.record model (K.sysno_of_call cheap_calls.(i));
+                      ignore (K.syscall k cheap_calls.(i))
+                  | Exit -> (
+                      Counts_model.record model Sysno.Exit;
+                      match K.exit_program k 0 with _ -> () | exception K.Exited _ -> ())
+                  | Reset ->
+                      Counts_model.reset model;
+                      K.reset_stats k);
+                  agree ())
+                ops));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"hostile lengths return a result, never raise" ~count:100
+         hostile_arb (fun calls ->
+           let m = kernel_fixture () in
+           let _, _, _, make = length_calls m in
+           List.for_all
+             (fun (i, len) ->
+               let _, call = List.nth (make len) i in
+               match K.syscall m.Machine.kernel call with
+               | Ok _ | Error _ -> true
+               | exception _ -> false)
+             calls));
   ]
 
 let mm_tests =
@@ -518,9 +998,9 @@ let () =
     [
       ("sysno", sysno_tests);
       ("bpf", bpf_tests);
-      ("seccomp", seccomp_tests @ seccomp_props);
+      ("seccomp", seccomp_tests @ seccomp_props @ verdict_props);
       ("mm", mm_tests);
       ("vfs", vfs_tests);
-      ("net", net_tests);
-      ("kernel", kernel_tests);
+      ("net", net_tests @ net_props);
+      ("kernel", kernel_tests @ kernel_props);
     ]

@@ -342,6 +342,11 @@ let expect_fault f =
 
 let cpu_tests =
   [
+    Alcotest.test_case "untrusted_label tests the enc: prefix" `Quick (fun () ->
+        List.iter
+          (fun (label, want) ->
+            Alcotest.(check bool) (Printf.sprintf "%S" label) want (Cpu.untrusted_label label))
+          [ ("", false); ("enc", false); ("enc:", false); ("enc:x", true); ("trusted", false) ]);
     Alcotest.test_case "trusted env reads and writes" `Quick (fun () ->
         let cpu, _ = cpu_fixture () in
         Cpu.write8 cpu 100 42;
