@@ -10,6 +10,7 @@ module Lb = Encl_litterbox.Litterbox
 module Machine = Encl_litterbox.Machine
 module K = Encl_kernel.Kernel
 module Scenarios = Encl_apps.Scenarios
+module Ab = Encl_apps.Ab
 module Malice = Encl_apps.Malice
 module Attack = Encl_attack.Attack
 module Backend = Encl_litterbox.Backend
@@ -23,7 +24,8 @@ let quick = Sys.getenv_opt "ENCL_BENCH_QUICK" = Some "1"
 (* Every backend, from the one canonical list: a backend added to
    [Backend.all] shows up in every table below with no edits here. *)
 let backends = Encl_litterbox.Backend.all
-let configs = None :: List.map (fun b -> Some b) backends
+let enclosed = List.map Option.some backends
+let configs = None :: enclosed
 
 (* Every legacy table runs on the classic single-core machine no matter
    what ENCL_CORES says, so the committed baseline rows never depend on
@@ -35,6 +37,12 @@ let rcfg_of config =
 
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
+
+(* Every scenario the bench runs is sized to measure: a refusal is a
+   harness bug. *)
+let get = function Ok v -> v | Error e -> failwith ("bench: " ^ e)
+let report outcome = snd (get outcome)
+let metric = Scenarios.metric
 
 (* ------------------------------------------------------------------ *)
 (* Machine-readable results (BENCH_results.json)                       *)
@@ -56,6 +64,12 @@ let add_result ~workload ~backend ~metric ?paper value =
         ("paper", match paper with Some p -> Json.Float p | None -> Json.Null);
       ]
     :: !results
+
+(* One row per metric in [names], valued by [value]. *)
+let add_metrics ~workload ~backend value names =
+  List.iter
+    (fun metric -> add_result ~workload ~backend ~metric (value metric))
+    names
 
 let add_row ~workload ~metric ?(papers = []) values =
   List.iteri
@@ -109,11 +123,8 @@ let micro_packages () =
   ]
 
 let micro_boot config =
-  match
-    Runtime.boot (rcfg_of config) ~packages:(micro_packages ()) ~entry:"main"
-  with
-  | Ok rt -> rt
-  | Error e -> failwith ("micro boot: " ^ e)
+  get
+    (Runtime.boot (rcfg_of config) ~packages:(micro_packages ()) ~entry:"main")
 
 let median values =
   let sorted = List.sort compare values in
@@ -121,17 +132,20 @@ let median values =
 
 let iters = if quick then 1_000 else 100_000
 
+(* Median simulated ns of [n] calls of [f] on [rt]'s clock. *)
+let median_ns rt n f =
+  let clock = Runtime.clock rt in
+  median
+    (List.init n (fun _ ->
+         let t0 = Clock.now clock in
+         f ();
+         Clock.now clock - t0))
+
 (* Time to call and return from an empty enclosure. *)
 let micro_call config =
   let rt = micro_boot config in
-  let clock = Runtime.clock rt in
-  let samples = ref [] in
-  for _ = 1 to iters do
-    let t0 = Clock.now clock in
-    Runtime.with_enclosure rt "empty" (fun () -> ());
-    samples := (Clock.now clock - t0) :: !samples
-  done;
-  median !samples
+  median_ns rt iters (fun () ->
+      Runtime.with_enclosure rt "empty" (fun () -> ()))
 
 (* Transfer of a 4-page memory section. *)
 let micro_transfer config =
@@ -140,36 +154,23 @@ let micro_transfer config =
   | Some _ ->
       let rt = micro_boot config in
       let lb = Option.get (Runtime.lb rt) in
-      let clock = Runtime.clock rt in
       let addr = Runtime.syscall_exn rt (K.Mmap { len = 4 * Phys.page_size }) in
-      let samples = ref [] in
       let flip = ref false in
-      for _ = 1 to min iters 20_000 do
-        let to_pkg = if !flip then "img" else "libFx" in
-        flip := not !flip;
-        let t0 = Clock.now clock in
-        Lb.transfer lb ~addr ~len:(4 * Phys.page_size) ~to_pkg
-          ~site:"runtime.mallocgc";
-        samples := (Clock.now clock - t0) :: !samples
-      done;
-      median !samples
+      median_ns rt (min iters 20_000) (fun () ->
+          let to_pkg = if !flip then "img" else "libFx" in
+          flip := not !flip;
+          Lb.transfer lb ~addr ~len:(4 * Phys.page_size) ~to_pkg
+            ~site:"runtime.mallocgc")
 
 (* getuid(2) in a loop, from inside an enclosure that permits it. *)
 let micro_syscall config =
   let rt = micro_boot config in
-  let clock = Runtime.clock rt in
-  let samples = ref [] in
   let measure () =
-    for _ = 1 to iters do
-      let t0 = Clock.now clock in
-      ignore (Runtime.syscall rt K.Getuid);
-      samples := (Clock.now clock - t0) :: !samples
-    done
+    median_ns rt iters (fun () -> ignore (Runtime.syscall rt K.Getuid))
   in
-  (match config with
+  match config with
   | None -> measure ()
-  | Some _ -> Runtime.with_enclosure rt "io_enc" measure);
-  median !samples
+  | Some _ -> Runtime.with_enclosure rt "io_enc" measure
 
 let table1 () =
   section "Table 1: Microbenchmarks (ns, median)";
@@ -204,6 +205,18 @@ let table1 () =
 (* ------------------------------------------------------------------ *)
 (* Table 2: macrobenchmarks                                            *)
 
+(* A req/s row over [configs]: recorded, and printed with each
+   backend's slowdown against the baseline, then [note]. *)
+let throughput_row ~label ~workload ?papers ~note run =
+  let rps = List.map (fun c -> metric (report (run c)) "req_per_sec") configs in
+  add_row ~workload ~metric:"req_per_sec" ?papers (List.combine configs rps);
+  let b = List.hd rps in
+  Printf.printf "%-10s %7.0freq/s" label b;
+  List.iter
+    (fun v -> Printf.printf " %7.0freq/s (%.2fx)" v (b /. v))
+    (List.tl rps);
+  Printf.printf "%s\n%!" note
+
 let table2 () =
   section "Table 2: Macrobenchmarks";
   let bild_iters = if quick then 1 else 3 in
@@ -213,13 +226,12 @@ let table2 () =
   let bild_res =
     List.map
       (fun c ->
-        Scenarios.bild c ~rcfg:(rcfg_of c) ~width:dim ~height:dim
-          ~iters:bild_iters ())
+        report
+          (Scenarios.bild c ~rcfg:(rcfg_of c) ~width:dim ~height:dim
+             ~iters:bild_iters ()))
       configs
   in
-  let ms_res =
-    List.map (fun r -> float_of_int r.Scenarios.b_ns_per_invert /. 1e6) bild_res
-  in
+  let ms_res = List.map (fun r -> metric r "ns_per_invert" /. 1e6) bild_res in
   add_row ~workload:"bild" ~metric:"ms_per_invert"
     ~papers:[ 13.25; 13.25 *. 1.12; 13.25 *. 1.05 ]
     (List.combine configs ms_res);
@@ -229,36 +241,14 @@ let table2 () =
       List.iter (fun v -> Printf.printf " %8.2fms (%.2fx)" v (v /. b)) rest;
       Printf.printf "   [paper: 13.25 / 1.12x / 1.05x]\n%!"
   | [] -> assert false);
-  (* HTTP *)
-  let http_res =
-    List.map (fun c -> Scenarios.http c ~rcfg:(rcfg_of c) ~requests ()) configs
-  in
-  let http_rps = List.map (fun r -> r.Scenarios.h_req_per_sec) http_res in
-  add_row ~workload:"http" ~metric:"req_per_sec"
+  throughput_row ~label:"HTTP" ~workload:"http"
     ~papers:[ 16991.; 16991. /. 1.02; 16991. /. 1.77 ]
-    (List.combine configs http_rps);
-  (match http_rps with
-  | b :: rest ->
-      Printf.printf "HTTP       %7.0freq/s" b;
-      List.iter (fun v -> Printf.printf " %7.0freq/s (%.2fx)" v (b /. v)) rest;
-      Printf.printf " [paper: 16991 / 1.02x / 1.77x]\n%!"
-  | [] -> assert false);
-  (* FastHTTP *)
-  let fast_res =
-    List.map
-      (fun c -> Scenarios.fasthttp c ~rcfg:(rcfg_of c) ~requests ())
-      configs
-  in
-  let fast_rps = List.map (fun r -> r.Scenarios.h_req_per_sec) fast_res in
-  add_row ~workload:"fasthttp" ~metric:"req_per_sec"
+    ~note:" [paper: 16991 / 1.02x / 1.77x]" (fun c ->
+      Scenarios.http c ~rcfg:(rcfg_of c) ~requests ());
+  throughput_row ~label:"FastHTTP" ~workload:"fasthttp"
     ~papers:[ 22867.; 22867. /. 1.04; 22867. /. 2.01 ]
-    (List.combine configs fast_rps);
-  (match fast_rps with
-  | b :: rest ->
-      Printf.printf "FastHTTP   %7.0freq/s" b;
-      List.iter (fun v -> Printf.printf " %7.0freq/s (%.2fx)" v (b /. v)) rest;
-      Printf.printf " [paper: 22867 / 1.04x / 2.01x]\n%!"
-  | [] -> assert false);
+    ~note:" [paper: 22867 / 1.04x / 2.01x]" (fun c ->
+      Scenarios.fasthttp c ~rcfg:(rcfg_of c) ~requests ());
   (* The TCB-information columns of Table 2. *)
   Printf.printf
     "\nBenchmark information (Table 2, right side):\n%-10s %-10s %-14s %-12s\n"
@@ -276,19 +266,11 @@ let table2 () =
 let figure5 () =
   section "Figure 5: wiki-like web application (mux + pq + Postgres)";
   let requests = if quick then 120 else 1000 in
-  let res =
-    List.map (fun c -> Scenarios.wiki c ~rcfg:(rcfg_of c) ~requests ()) configs
-  in
-  let rps = List.map (fun r -> r.Scenarios.h_req_per_sec) res in
-  add_row ~workload:"wiki" ~metric:"req_per_sec" (List.combine configs rps);
-  (match rps with
-  | b :: rest ->
-      Printf.printf "wiki       %7.0freq/s" b;
-      List.iter (fun v -> Printf.printf " %7.0freq/s (%.2fx)" v (b /. v)) rest;
-      Printf.printf
-        "\n(paper: \"the throughput slowdown is similar to the one in the \
-         FastHTTP experiment\")\n%!"
-  | [] -> assert false);
+  throughput_row ~label:"wiki" ~workload:"wiki"
+    ~note:
+      "\n(paper: \"the throughput slowdown is similar to the one in the \
+       FastHTTP experiment\")"
+    (fun c -> Scenarios.wiki c ~rcfg:(rcfg_of c) ~requests ());
   match Scenarios.wiki_check (Some Lb.Vtx) with
   | Ok body ->
       Printf.printf "functional check (POST then GET through both enclosures): %s\n"
@@ -366,32 +348,18 @@ let security () =
 (* Extensions beyond the paper: LB_LWC (paper Â§8's hardware-free
    suggestion) and LB_SFI (software fault isolation). Their micro and
    macro rows already appear in Tables 1/2 above via [configs]; this
-   section prints the head-to-head that motivates each one. *)
+   section says what motivates each one. *)
 
 let extensions () =
   section "Extensions: LB_LWC (no specialized hardware) and LB_SFI (instrumentation)";
-  let requests = if quick then 200 else 1000 in
-  let http =
-    List.map
-      (fun c ->
-        (Scenarios.http c ~rcfg:(rcfg_of c) ~requests ()).Scenarios.h_req_per_sec)
-      configs
-  in
-  (match http with
-  | b :: rest ->
-      Printf.printf "HTTP req/s %10.0f" b;
-      List.iter (fun v -> Printf.printf " %10.0f" v) rest;
-      Printf.printf "  (slowdowns";
-      List.iter (fun v -> Printf.printf " %.2fx" (b /. v)) rest;
-      Printf.printf ")\n"
-  | [] -> assert false);
   Printf.printf
-    "(LWC switches cost two kernel crossings but system calls stay at\n\
-    \ baseline cost: it beats LB_VTX on syscall-heavy servers while needing\n\
-    \ no MPK keys or VT-x. SFI crosses the sandbox for the price of a\n\
-    \ trampoline call and instead pays per memory access: cheapest of all\n\
-    \ on this switch-heavy server, worst on access-heavy bild -- the\n\
-    \ crossover `profile.exe crossover` pins down.)\n"
+    "(Table 2's HTTP row: LWC switches cost two kernel crossings but system\n\
+    \ calls stay at baseline cost: it beats LB_VTX on syscall-heavy servers\n\
+    \ while needing no MPK keys or VT-x. SFI crosses the sandbox for the\n\
+    \ price of a trampoline call and instead pays per memory access:\n\
+    \ cheapest of all on this switch-heavy server, worst on access-heavy\n\
+    \ bild -- the crossover the `profile.exe ab --axis backend:...` lines\n\
+    \ in bin/ci.sh pin down.)\n"
 
 (* ------------------------------------------------------------------ *)
 (* Ablations: the design choices DESIGN.md calls out                   *)
@@ -440,24 +408,24 @@ let ablations () =
      every system call erases most of LB_MPK's advantage on
      syscall-heavy servers. *)
   let requests = if quick then 200 else 1000 in
-  let base = Scenarios.http None ~rcfg:(rcfg_of None) ~requests () in
-  let fast = Scenarios.http (Some Lb.Mpk) ~rcfg:(rcfg_of (Some Lb.Mpk)) ~requests () in
+  let rps rcfg config =
+    metric (report (Scenarios.http config ~rcfg ~requests ())) "req_per_sec"
+  in
+  let base = rps (rcfg_of None) None in
+  let fast = rps (rcfg_of (Some Lb.Mpk)) (Some Lb.Mpk) in
   let slow_costs =
     { Costs.default with Costs.seccomp_fast = Costs.default.Costs.seccomp_eval }
   in
   let slow =
-    Scenarios.http (Some Lb.Mpk)
-      ~rcfg:{ (rcfg_of (Some Lb.Mpk)) with Runtime.costs = slow_costs }
-      ~requests ()
+    rps
+      { (rcfg_of (Some Lb.Mpk)) with Runtime.costs = slow_costs }
+      (Some Lb.Mpk)
   in
   Printf.printf
     "seccomp fast path ON:  HTTP LB_MPK %.0f req/s (%.3fx)
      seccomp fast path OFF: HTTP LB_MPK %.0f req/s (%.3fx)
 "
-    fast.Scenarios.h_req_per_sec
-    (base.Scenarios.h_req_per_sec /. fast.Scenarios.h_req_per_sec)
-    slow.Scenarios.h_req_per_sec
-    (base.Scenarios.h_req_per_sec /. slow.Scenarios.h_req_per_sec);
+    fast (base /. fast) slow (base /. slow);
   (* 3. TLB locality: LB_MPK switches write PKRU and keep the same page
      table (TLB stays warm); LB_VTX switches move CR3 and flush it. *)
   let tlb_flushes backend =
@@ -497,41 +465,28 @@ let bechamel_tests () =
   let open Bechamel in
   let mpk_rt = micro_boot (Some Lb.Mpk) in
   let vtx_rt = micro_boot (Some Lb.Vtx) in
-  let t1_call =
-    Test.make ~name:"table1/mpk-enclosure-call"
-      (Staged.stage (fun () -> Runtime.with_enclosure mpk_rt "empty" (fun () -> ())))
-  in
-  let t1_syscall =
-    Test.make ~name:"table1/vtx-syscall"
-      (Staged.stage (fun () -> ignore (Runtime.syscall vtx_rt K.Getuid)))
-  in
-  let t2_bild =
-    Test.make ~name:"table2/bild-64x64-invert"
-      (Staged.stage (fun () ->
-           ignore
-             (Scenarios.bild (Some Lb.Mpk) ~rcfg:(rcfg_of (Some Lb.Mpk))
-                ~width:64 ~height:64 ~iters:1 ())))
-  in
-  let f5_wiki =
-    Test.make ~name:"figure5/wiki-24-requests"
-      (Staged.stage (fun () ->
-           ignore
-             (Scenarios.wiki (Some Lb.Vtx) ~rcfg:(rcfg_of (Some Lb.Vtx))
-                ~requests:24 ~conns:4 ())))
-  in
-  let p64_python =
-    Test.make ~name:"section6.4/python-1k-points"
-      (Staged.stage (fun () ->
-           ignore (Plot.run ~backend:Lb.Vtx ~mode:Pyrt.Conservative ~points:1_000 ())))
-  in
-  let s65_attack =
-    Test.make ~name:"section6.5/ssh-decorator-run"
-      (Staged.stage (fun () ->
-           ignore
-             (Malice.run ~backend:(Some Lb.Mpk) Malice.Ssh_decorator
-                Malice.Default_policy)))
-  in
-  [ t1_call; t1_syscall; t2_bild; f5_wiki; p64_python; s65_attack ]
+  let test name f = Test.make ~name (Staged.stage f) in
+  [
+    test "table1/mpk-enclosure-call" (fun () ->
+        Runtime.with_enclosure mpk_rt "empty" (fun () -> ()));
+    test "table1/vtx-syscall" (fun () ->
+        ignore (Runtime.syscall vtx_rt K.Getuid));
+    test "table2/bild-64x64-invert" (fun () ->
+        ignore
+          (Scenarios.bild (Some Lb.Mpk) ~rcfg:(rcfg_of (Some Lb.Mpk)) ~width:64
+             ~height:64 ~iters:1 ()));
+    test "figure5/wiki-24-requests" (fun () ->
+        ignore
+          (Scenarios.wiki (Some Lb.Vtx) ~rcfg:(rcfg_of (Some Lb.Vtx))
+             ~requests:24 ~conns:4 ()));
+    test "section6.4/python-1k-points" (fun () ->
+        ignore
+          (Plot.run ~backend:Lb.Vtx ~mode:Pyrt.Conservative ~points:1_000 ()));
+    test "section6.5/ssh-decorator-run" (fun () ->
+        ignore
+          (Malice.run ~backend:(Some Lb.Mpk) Malice.Ssh_decorator
+             Malice.Default_policy));
+  ]
 
 let run_bechamel () =
   section "Bechamel: harness wall-clock cost (one Test.make per table)";
@@ -562,113 +517,71 @@ let run_bechamel () =
     (bechamel_tests ())
 
 (* ------------------------------------------------------------------ *)
-(* Fast path: switch elision + seccomp verdict cache                   *)
+(* Optimization A/B sections                                           *)
 
-let fastpath () =
-  section "Fast path: switch elision and the seccomp verdict cache";
+(* Both sides of a pair through the A/B runner [profile ab] and the
+   tests share: the bench fails whenever the runner does. Knob sides
+   run under an explicit setting, so rows never depend on ENCL_*. *)
+let ab ?rcfg ~requests scenario ~backend axis =
+  match Ab.run ?rcfg ~requests ~scenario ~backend axis with
+  | Ok { Ab.a; b; failures = []; _ } -> (a, b)
+  | Ok { Ab.failures; _ } ->
+      List.iter (fun f -> prerr_endline ("bench: " ^ f)) failures;
+      exit 1
+  | Error e ->
+      prerr_endline ("bench: " ^ e);
+      exit 1
+
+let registered name = (name, List.assoc name Scenarios.registry)
+let value side name = Option.get (Ab.metric side name)
+
+(* Each knob section runs its scenario with the knob on and off on every
+   config it lists and records the knob-on side's metrics, per workload
+   (a workload given a config is recorded on that one only). *)
+let knob_sections () =
   let requests = if quick then 200 else 2000 in
-  let run_http backend flag =
-    Fastpath.with_flag flag (fun () ->
-        Scenarios.http_rt (Some backend) ~rcfg:(rcfg_of (Some backend))
-          ~requests ())
-  in
   List.iter
-    (fun backend ->
-      let rt_on, on = run_http backend true in
-      let _rt_off, off = run_http backend false in
-      let lb = Option.get (Runtime.lb rt_on) in
-      let name = Scenarios.config_name (Some backend) in
-      Printf.printf
-        "%-8s http  on %8.0f req/s  off %8.0f req/s  (%d/%d switches elided)\n%!"
-        name on.Scenarios.h_req_per_sec off.Scenarios.h_req_per_sec
-        (Lb.switch_elided_count lb) (Lb.switch_count lb);
-      add_result ~workload:"switch_elision_http" ~backend:name
-        ~metric:"req_per_sec" on.Scenarios.h_req_per_sec;
-      add_result ~workload:"switch_elision_http" ~backend:name
-        ~metric:"elided_switches"
-        (float_of_int (Lb.switch_elided_count lb));
-      if backend = Lb.Mpk then begin
-        let hits, misses =
-          K.seccomp_cache_stats (Runtime.machine rt_on).Machine.kernel
-        in
-        let rate =
-          K.seccomp_cache_hit_rate (Runtime.machine rt_on).Machine.kernel
-        in
-        Printf.printf
-          "%-8s http  seccomp verdict cache: %d hits / %d evaluations \
-           (%.3f hit rate)\n%!"
-          name hits (hits + misses) rate;
-        add_result ~workload:"seccomp_cache_hit_rate" ~backend:name
-          ~metric:"hit_rate" rate
-      end)
-    backends
-
-(* ------------------------------------------------------------------ *)
-(* Syscall ring: batched submission/completion (ENCL_SYSRING)          *)
-
-let sysring () =
-  section "Syscall ring: batched submission (ENCL_SYSRING)";
-  let requests = if quick then 200 else 2000 in
-  let run_http backend flag =
-    Sysring.with_flag flag (fun () ->
-        Scenarios.http_rt (Some backend) ~rcfg:(rcfg_of (Some backend))
-          ~requests ())
-  in
-  List.iter
-    (fun backend ->
-      let rt_on, on = run_http backend true in
-      let rt_off, off = run_http backend false in
-      let lb = Option.get (Runtime.lb rt_on) in
-      let lb_off = Option.get (Runtime.lb rt_off) in
-      let name = Scenarios.config_name (Some backend) in
-      let batches = Lb.ring_batches_count lb in
-      let batch_avg =
-        if batches = 0 then 0.0
-        else float_of_int (Lb.ring_drained_count lb) /. float_of_int batches
-      in
-      Printf.printf
-        "%-8s http  ring on %8.0f req/s  off %8.0f req/s  (%d entries in %d \
-         batches, avg %.1f; vm_exits %d vs %d)\n%!"
-        name on.Scenarios.h_req_per_sec off.Scenarios.h_req_per_sec
-        (Lb.ring_drained_count lb) batches batch_avg (Lb.vmexit_count lb)
-        (Lb.vmexit_count lb_off);
-      add_result ~workload:"sysring_http" ~backend:name ~metric:"req_per_sec"
-        on.Scenarios.h_req_per_sec;
-      add_result ~workload:"sysring_http" ~backend:name ~metric:"vm_exits"
-        (float_of_int (Lb.vmexit_count lb));
-      add_result ~workload:"sysring_http" ~backend:name ~metric:"batch_avg"
-        batch_avg)
-    backends
-
-(* ------------------------------------------------------------------ *)
-(* Zero-copy data plane: rx view ring + sendfile (ENCL_ZEROCOPY)       *)
-
-let zerocopy () =
-  section "Zero-copy data plane: zerocopy_http (ENCL_ZEROCOPY)";
-  let requests = if quick then 200 else 2000 in
-  let run config flag =
-    Zerocopy.with_flag flag (fun () ->
-        Scenarios.zerocopy_http config ~rcfg:(rcfg_of config) ~requests ())
-  in
-  List.iter
-    (fun config ->
-      (* Both halves run under an explicit flag so the committed rows
-         never depend on the ENCL_ZEROCOPY environment. *)
-      let on = run config true in
-      let off = run config false in
-      let name = Scenarios.config_name config in
-      Printf.printf
-        "%-8s zc http  on %8.0f req/s %9dB copied   off %8.0f req/s %9dB \
-         copied   ring %d/%d/%d\n%!"
-        name on.Scenarios.z_req_per_sec on.Scenarios.z_bytes_copied
-        off.Scenarios.z_req_per_sec off.Scenarios.z_bytes_copied
-        on.Scenarios.z_ring_granted on.Scenarios.z_ring_consumed
-        on.Scenarios.z_ring_reclaimed;
-      add_result ~workload:"zerocopy_http" ~backend:name ~metric:"req_per_sec"
-        on.Scenarios.z_req_per_sec;
-      add_result ~workload:"zerocopy_http" ~backend:name ~metric:"bytes_copied"
-        (float_of_int on.Scenarios.z_bytes_copied))
-    configs
+    (fun (title, knob, scenario, configs, rows) ->
+      section title;
+      List.iter
+        (fun config ->
+          let on, off =
+            ab ~rcfg:(rcfg_of config) ~requests (registered scenario)
+              ~backend:config (Ab.Knob knob)
+          in
+          let backend = Scenarios.config_name config in
+          let rows =
+            List.filter
+              (fun (_, only, _) -> only = None || only = Some config)
+              rows
+          in
+          let show side =
+            List.concat_map (fun (_, _, ms) -> ms) rows
+            |> List.map (fun m -> Printf.sprintf "%s %.10g" m (value side m))
+            |> String.concat "  "
+          in
+          Printf.printf "%-8s %-4s on  %s\n%-8s %-4s off %s\n%!" backend
+            scenario (show on) "" scenario (show off);
+          List.iter
+            (fun (workload, _, ms) ->
+              add_metrics ~workload ~backend (value on) ms)
+            rows)
+        configs)
+    [
+      ( "Fast path: switch elision and the seccomp verdict cache",
+        Knob.fastpath, "http", enclosed,
+        [
+          ("switch_elision_http", None, [ "req_per_sec"; "elided_switches" ]);
+          ("seccomp_cache_hit_rate", Some (Some Lb.Mpk), [ "hit_rate" ]);
+        ] );
+      ( "Syscall ring: batched submission (ENCL_SYSRING)", Knob.sysring, "http",
+        enclosed,
+        [ ("sysring_http", None, [ "req_per_sec"; "vm_exits"; "batch_avg" ]) ]
+      );
+      ( "Zero-copy data plane: zerocopy_http (ENCL_ZEROCOPY)", Knob.zerocopy,
+        "zerocopy_http", configs,
+        [ ("zerocopy_http", None, [ "req_per_sec"; "bytes_copied" ]) ] );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Resilience (availability under the chaos harness)                   *)
@@ -676,33 +589,26 @@ let zerocopy () =
 let resilience () =
   section "Resilience: availability under deterministic fault injection";
   let requests = if quick then 200 else 500 in
+  (* No enclosures to fault in the baseline. *)
   List.iter
     (fun config ->
-      match config with
-      | None -> () (* no enclosures to fault in the baseline *)
-      | Some _ ->
-          let _rt, r =
-            Scenarios.chaos_http config ~rcfg:(rcfg_of config) ~requests ()
-          in
-          let backend = Scenarios.config_name config in
-          Printf.printf "%-8s chaos http  %s\n" backend
-            (Scenarios.pp_chaos_result r);
-          add_result ~workload:"resilience_http" ~backend ~metric:"availability"
-            r.Scenarios.c_availability;
-          add_result ~workload:"resilience_http" ~backend ~metric:"injected"
-            (float_of_int r.Scenarios.c_injected);
-          add_result ~workload:"resilience_http" ~backend ~metric:"conns_failed"
-            (float_of_int r.Scenarios.c_conns_failed))
-    configs;
-  let _rt, r =
-    Scenarios.chaos_wiki (Some Lb.Mpk) ~rcfg:(rcfg_of (Some Lb.Mpk))
-      ~requests:(if quick then 150 else 400) ()
+      let r =
+        report (Scenarios.chaos_http config ~rcfg:(rcfg_of config) ~requests ())
+      in
+      let backend = Scenarios.config_name config in
+      Printf.printf "%-8s chaos http  %s\n" backend
+        (Scenarios.pp_chaos_result r);
+      add_metrics ~workload:"resilience_http" ~backend (metric r)
+        [ "availability"; "injected"; "conns_failed" ])
+    enclosed;
+  let r =
+    report
+      (Scenarios.chaos_wiki (Some Lb.Mpk) ~rcfg:(rcfg_of (Some Lb.Mpk))
+         ~requests:(if quick then 150 else 400) ())
   in
   Printf.printf "%-8s chaos wiki  %s\n" "LB_MPK" (Scenarios.pp_chaos_result r);
-  add_result ~workload:"resilience_wiki" ~backend:"LB_MPK" ~metric:"availability"
-    r.Scenarios.c_availability;
-  add_result ~workload:"resilience_wiki" ~backend:"LB_MPK" ~metric:"reconnects"
-    (float_of_int r.Scenarios.c_reconnects)
+  add_metrics ~workload:"resilience_wiki" ~backend:"LB_MPK" (metric r)
+    [ "availability"; "reconnects" ]
 
 (* ------------------------------------------------------------------ *)
 (* Attack containment (the scored corpus of lib/attack)                *)
@@ -735,27 +641,18 @@ module Miner = Encl_litterbox.Miner
 
 let policy_mining () =
   section "Policy mining: witness overhead and mined policy width";
-  let with_witness flag f =
-    let saved_obs = !Encl_obs.Obs.default_enabled in
-    let saved_w = !Encl_obs.Witness.default_enabled in
-    Encl_obs.Obs.default_enabled := flag;
-    Encl_obs.Witness.default_enabled := flag;
-    Fun.protect
-      ~finally:(fun () ->
-        Encl_obs.Obs.default_enabled := saved_obs;
-        Encl_obs.Witness.default_enabled := saved_w)
-      f
-  in
+  let with_witness flag f = Encl_obs.Obs.with_default ~witness:true flag f in
   (* The recorder charges no simulated time, so witnessed req/s must
      match the unwitnessed run; the gate keeps this row near zero. *)
   let requests = if quick then 200 else 2000 in
   let run witnessed =
-    let _rt, r =
+    let r =
       with_witness witnessed (fun () ->
-          Scenarios.http_rt (Some Lb.Mpk) ~rcfg:(rcfg_of (Some Lb.Mpk))
-            ~requests ())
+          report
+            (Scenarios.http (Some Lb.Mpk) ~rcfg:(rcfg_of (Some Lb.Mpk))
+               ~requests ()))
     in
-    r.Scenarios.h_req_per_sec
+    metric r "req_per_sec"
   in
   let off = run false in
   let on_ = run true in
@@ -767,8 +664,13 @@ let policy_mining () =
   (* Mined policy width per scenario: total capabilities granted by the
      least-privilege literals the miner recovers from a witnessed run.
      Any widening of a mined policy shows up here as a higher width. *)
-  let mined_width name runner =
-    let rt = with_witness true runner in
+  let mined_width (name, requests) =
+    let run = List.assoc name Scenarios.registry in
+    let rt, _ =
+      get
+        (with_witness true (fun () ->
+             run (Some Lb.Mpk) ~rcfg:(rcfg_of (Some Lb.Mpk)) ~requests ()))
+    in
     let lb = Option.get (Runtime.lb rt) in
     let mined = Miner.mine lb in
     let total =
@@ -783,18 +685,13 @@ let policy_mining () =
     add_result ~workload:("policy_mining_" ^ name) ~backend:"LB_MPK"
       ~metric:"policy_width" (float_of_int total)
   in
-  mined_width "http" (fun () ->
-      fst
-        (Scenarios.http_rt (Some Lb.Mpk) ~rcfg:(rcfg_of (Some Lb.Mpk))
-           ~requests ()));
-  mined_width "wiki" (fun () ->
-      fst
-        (Scenarios.wiki_rt (Some Lb.Mpk) ~rcfg:(rcfg_of (Some Lb.Mpk))
-           ~requests:(if quick then 120 else 400) ()));
-  mined_width "pq" (fun () ->
-      fst
-        (Scenarios.pq_rt (Some Lb.Mpk) ~rcfg:(rcfg_of (Some Lb.Mpk))
-           ~queries:(if quick then 80 else 200) ()))
+  List.iter mined_width
+    [
+      ("http", requests);
+      ("wiki", if quick then 120 else 400);
+      (* pq reads the size as its query count *)
+      ("pq", if quick then 80 else 200);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* SMP: the sharded machine's scaling curve                            *)
@@ -803,42 +700,36 @@ let smp () =
   section "SMP: smp_http across simulated cores (makespan req/s)";
   let requests = if quick then 512 else 4096 in
   let conns = if quick then 32 else 64 in
-  let core_counts = [ 1; 2; 4; 8; 16 ] in
-  let runs =
+  let backend = Some Lb.Mpk in
+  let smp_http : Scenarios.runner =
+   fun c ?rcfg ?requests () -> Scenarios.smp_http c ?rcfg ?requests ~conns ()
+  in
+  (* Every core count against the 1-core run: the runner requires the
+     same enforcement summary (served requests, workload syscalls,
+     faults) on both sides. *)
+  let pairs =
     List.map
       (fun cores ->
-        (cores, Scenarios.smp_http (Some Lb.Mpk) ~cores ~requests ~conns ()))
-      core_counts
+        ( cores,
+          ab ~requests ("smp_http", smp_http) ~backend (Ab.Cores (cores, 1)) ))
+      [ 2; 4; 8; 16 ]
   in
-  let base = snd (List.hd runs) in
+  let base = snd (snd (List.hd pairs)) in
+  let rps side = value side "req_per_sec" in
   List.iter
-    (fun (cores, r) ->
-      let speedup =
-        r.Scenarios.s_req_per_sec /. base.Scenarios.s_req_per_sec
-      in
-      let hit_rate =
-        float_of_int r.Scenarios.s_affinity_hits
-        /. float_of_int
-             (max 1 (r.Scenarios.s_affinity_hits + r.Scenarios.s_switches))
-      in
+    (fun (cores, side) ->
       Printf.printf
-        "LB_MPK  smp_http %2d cores %9.0f req/s (%5.2fx)  steals %5d  \
-         affinity %.3f  switches %6d\n%!"
-        cores r.Scenarios.s_req_per_sec speedup r.Scenarios.s_steals hit_rate
-        r.Scenarios.s_switches;
-      let workload = Printf.sprintf "smp_http_%dcore" cores in
-      add_result ~workload ~backend:"LB_MPK" ~metric:"req_per_sec"
-        r.Scenarios.s_req_per_sec;
-      add_result ~workload ~backend:"LB_MPK" ~metric:"steal_count"
-        (float_of_int r.Scenarios.s_steals);
-      add_result ~workload ~backend:"LB_MPK" ~metric:"affinity_hit_rate"
-        hit_rate)
-    runs;
+        "LB_MPK  smp_http %2d cores %9.0f req/s (%5.2fx)  steals %5.0f  \
+         affinity %.3f\n%!"
+        cores (rps side) (rps side /. rps base) (value side "steal_count")
+        (value side "affinity_hit_rate");
+      add_metrics
+        ~workload:(Printf.sprintf "smp_http_%dcore" cores)
+        ~backend:"LB_MPK" (value side)
+        [ "req_per_sec"; "steal_count"; "affinity_hit_rate" ])
+    ((1, base) :: List.map (fun (cores, (a, _)) -> (cores, a)) pairs);
   (* The headline gate row: 4-core speedup per core, higher-better. *)
-  let r4 = List.assoc 4 runs in
-  let efficiency =
-    r4.Scenarios.s_req_per_sec /. base.Scenarios.s_req_per_sec /. 4.0
-  in
+  let efficiency = rps (fst (List.assoc 4 pairs)) /. rps base /. 4.0 in
   Printf.printf "LB_MPK  smp_http scaling efficiency at 4 cores: %.3f\n%!"
     efficiency;
   add_result ~workload:"smp_http" ~backend:"LB_MPK"
@@ -847,27 +738,28 @@ let smp () =
      fibers (wiki) and the query-splitting workers (pq) spread by work
      stealing; cores are pinned per row so the committed baseline never
      depends on ENCL_CORES. *)
-  let rcfg = rcfg_of (Some Lb.Mpk) in
-  let wiki_requests = if quick then 120 else 400 in
-  let w1 = Scenarios.wiki (Some Lb.Mpk) ~rcfg ~cores:1 ~requests:wiki_requests () in
-  let w4 = Scenarios.wiki (Some Lb.Mpk) ~rcfg ~cores:4 ~requests:wiki_requests () in
+  let rcfg = rcfg_of backend in
+  let w4, w1 =
+    ab ~rcfg ~requests:(if quick then 120 else 400) (registered "wiki") ~backend
+      (Ab.Cores (4, 1))
+  in
   Printf.printf
     "LB_MPK  smp_wiki  1 core %8.0f req/s   4 cores %8.0f req/s (%.2fx)\n%!"
-    w1.Scenarios.h_req_per_sec w4.Scenarios.h_req_per_sec
-    (w4.Scenarios.h_req_per_sec /. w1.Scenarios.h_req_per_sec);
+    (rps w1) (rps w4) (rps w4 /. rps w1);
   add_result ~workload:"smp_wiki_4core" ~backend:"LB_MPK" ~metric:"req_per_sec"
-    w4.Scenarios.h_req_per_sec;
+    (rps w4);
   let queries = if quick then 80 else 200 in
-  let p1 = Scenarios.pq (Some Lb.Mpk) ~rcfg ~cores:1 ~workers:1 ~queries () in
-  let p4 = Scenarios.pq (Some Lb.Mpk) ~rcfg ~cores:4 ~workers:4 ~queries () in
+  let pq ~cores ~workers =
+    metric (report (Scenarios.pq backend ~rcfg ~cores ~workers ~queries ()))
+      "ns_per_query"
+  in
+  let p1 = pq ~cores:1 ~workers:1 in
+  let p4 = pq ~cores:4 ~workers:4 in
   Printf.printf
-    "LB_MPK  smp_pq    1 worker %7dns/query   4 workers x 4 cores %7dns/query \
-     (%.2fx)\n%!"
-    p1.Scenarios.p_ns_per_query p4.Scenarios.p_ns_per_query
-    (float_of_int p1.Scenarios.p_ns_per_query
-    /. float_of_int (max 1 p4.Scenarios.p_ns_per_query));
-  add_result ~workload:"smp_pq_4core" ~backend:"LB_MPK" ~metric:"query_ns"
-    (float_of_int p4.Scenarios.p_ns_per_query)
+    "LB_MPK  smp_pq    1 worker %7.0fns/query   4 workers x 4 cores \
+     %7.0fns/query (%.2fx)\n%!"
+    p1 p4 (p1 /. Float.max 1.0 p4);
+  add_result ~workload:"smp_pq_4core" ~backend:"LB_MPK" ~metric:"query_ns" p4
 
 (* ------------------------------------------------------------------ *)
 
@@ -881,9 +773,7 @@ let () =
   security ();
   extensions ();
   ablations ();
-  fastpath ();
-  sysring ();
-  zerocopy ();
+  knob_sections ();
   resilience ();
   attacks ();
   policy_mining ();

@@ -19,11 +19,6 @@ module Backend = Encl_litterbox.Backend
 module Json = Encl_obs.Export.Json
 open Cmdliner
 
-let write_file path contents =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_string oc contents)
-
 let clip n s = if String.length s <= n then s else String.sub s 0 (n - 1) ^ "…"
 
 (* --backend accepts a comma-separated list of short names (or "all");
@@ -197,7 +192,7 @@ let run_corpus backends seed disabled json_out =
                    per_backend) );
           ]
       in
-      write_file path (Json.to_string json);
+      Cli.write_file path (Json.to_string json);
       Printf.printf "\nwrote %s\n" path);
   let total_escaped =
     List.fold_left

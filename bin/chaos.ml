@@ -19,40 +19,44 @@ module Fault = Encl_fault.Fault
 open Cmdliner
 
 let run scenario backend seed rate budget requests conns threshold =
-  let rt, r =
+  let name, run =
     match scenario with
-    | `Http ->
-        Scenarios.chaos_http backend ~seed:(Int64.of_int seed) ~rate ~budget
-          ~requests ~conns ()
-    | `Wiki ->
-        Scenarios.chaos_wiki backend ~seed:(Int64.of_int seed) ~rate ~budget
-          ~requests ~conns ()
+    | `Http -> ("http", Scenarios.chaos_http)
+    | `Wiki -> ("wiki", Scenarios.chaos_wiki)
   in
-  let name = match scenario with `Http -> "http" | `Wiki -> "wiki" in
-  Printf.printf "chaos %s backend=%s seed=%d rate=%.2f budget=%d\n" name
-    (Scenarios.config_name backend)
-    seed rate budget;
-  Printf.printf "%s\n" (Scenarios.pp_chaos_result r);
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  if r.Scenarios.c_availability < threshold then
-    fail "availability %.3f below threshold %.3f" r.Scenarios.c_availability
-      threshold;
-  (* The server must have stayed up: faults are contained, so with any
-     fault activity the driver still gets the bulk of its responses. *)
-  if r.Scenarios.c_served = 0 then fail "server served nothing";
-  (match Runtime.lb rt with
-  | Some lb
-    when r.Scenarios.c_faults <> Lb.fault_count lb ->
-      fail "fault accounting diverged"
-  | _ -> ());
-  match !failures with
-  | [] ->
-      Printf.printf "chaos %s: ok\n" name;
-      0
-  | fs ->
-      List.iter (fun f -> prerr_endline ("chaos: " ^ f)) fs;
+  match
+    run backend ~seed:(Int64.of_int seed) ~rate ~budget ~requests ~conns ()
+  with
+  | Error e ->
+      prerr_endline ("chaos: " ^ e);
       1
+  | Ok (rt, r) -> (
+      Printf.printf "chaos %s backend=%s seed=%d rate=%.2f budget=%d\n" name
+        (Scenarios.config_name backend)
+        seed rate budget;
+      Printf.printf "%s\n" (Scenarios.pp_chaos_result r);
+      let failures = ref [] in
+      let fail fmt =
+        Printf.ksprintf (fun s -> failures := s :: !failures) fmt
+      in
+      let availability = Scenarios.metric r "availability" in
+      if availability < threshold then
+        fail "availability %.3f below threshold %.3f" availability threshold;
+      (* The server must have stayed up: faults are contained, so with any
+         fault activity the client still gets the bulk of its responses. *)
+      if r.Scenarios.ops = 0 then fail "server served nothing";
+      (match Runtime.lb rt with
+      | Some lb
+        when int_of_float (Scenarios.metric r "faults") <> Lb.fault_count lb ->
+          fail "fault accounting diverged"
+      | _ -> ());
+      match !failures with
+      | [] ->
+          Printf.printf "chaos %s: ok\n" name;
+          0
+      | fs ->
+          List.iter (fun f -> prerr_endline ("chaos: " ^ f)) fs;
+          1)
 
 let points () =
   (* Registered hook points of a freshly built machine. *)
@@ -64,20 +68,6 @@ let points () =
 
 (* ------------------------------------------------------------------ *)
 (* Cmdliner wiring *)
-
-let backend_arg =
-  let parse = function
-    | "baseline" -> Ok None
-    | "mpk" -> Ok (Some Lb.Mpk)
-    | "vtx" -> Ok (Some Lb.Vtx)
-    | "lwc" -> Ok (Some Lb.Lwc)
-    | s -> Error (`Msg ("unknown backend " ^ s))
-  in
-  let print ppf c = Format.pp_print_string ppf (Scenarios.config_name c) in
-  Arg.(
-    value
-    & opt (conv (parse, print)) (Some Lb.Mpk)
-    & info [ "backend" ] ~docv:"BACKEND" ~doc:"baseline, mpk, vtx or lwc.")
 
 let seed_arg =
   Arg.(
@@ -115,7 +105,7 @@ let scenario_cmd name scenario ~rate ~requests ~conns ~doc =
   Cmd.v (Cmd.info name ~doc)
     Term.(
       const (run scenario)
-      $ backend_arg $ seed_arg $ rate_arg ~default:rate $ budget_arg
+      $ Cli.backend_arg $ seed_arg $ rate_arg ~default:rate $ budget_arg
       $ requests_arg ~default:requests $ conns_arg ~default:conns
       $ threshold_arg)
 

@@ -1,18 +1,19 @@
 #!/bin/sh
 # CI pipeline: build, run the test suite, run the quick benchmark sweep,
-# check that every machine-readable artifact parses back as JSON,
-# profile a workload under the isolation backends, verify the fast
-# paths shrink the switch+seccomp share, check the SFI switch/access
-# crossover, hold the enforcement report and seeded chaos runs to a
-# committed pin, hold fresh bench numbers to the committed baseline, run
-# the repository benchmark's self-checks on every workload, and hold its
+# check that every machine-readable artifact parses back as JSON, hold
+# the enforcement report and seeded chaos runs to a committed pin under
+# every knob and core-count combination, check each optimization claim
+# as an A/B line of data, hold fresh bench numbers to the committed
+# baseline, profile a workload under the isolation backends, run the
+# repository benchmark's self-checks on every workload, and hold its
 # simulated figures to the committed pin.
 #
 # Run from the repository root:
 #   sh bin/ci.sh              full pipeline (the CI default)
 #   sh bin/ci.sh --quick      skip the chaos smoke, profile and perfbench stages
-#   sh bin/ci.sh --cores N    run the test suite and the SMP determinism
-#                             stage on an N-core simulated machine
+#   sh bin/ci.sh --cores N    run the test suite, the SMP determinism stage
+#                             and the enforcement pin on an N-core
+#                             simulated machine too
 set -eu
 
 quick=0
@@ -104,68 +105,71 @@ dune exec bin/trace_dump.exe -- validate "$tmp/attacks.json"
 dune exec bin/attacks.exe -- prove-defenses
 dune exec bin/trace_dump.exe -- attacks > /dev/null
 
-stage "sysring differential (enforcement on/off diff)"
-# Batching may change what a run costs, never what enforcement decides:
-# the timing-free enforcement report must be byte-identical with the
-# syscall ring on and off (same verdicts, fault logs, quarantine state,
-# workload syscall totals). Runs in --quick too — it is the cheapest
-# end-to-end witness that the ring preserves semantics.
-ENCL_SYSRING=1 dune exec bin/trace_dump.exe -- enforcement > "$tmp/sysring_on.txt"
-ENCL_SYSRING=0 dune exec bin/trace_dump.exe -- enforcement > "$tmp/sysring_off.txt"
-if ! cmp -s "$tmp/sysring_on.txt" "$tmp/sysring_off.txt"; then
-  echo "ci: enforcement diverged between ENCL_SYSRING=1 and =0" >&2
-  diff "$tmp/sysring_on.txt" "$tmp/sysring_off.txt" >&2 || true
-  exit 1
-fi
+# The stages below call the built executables directly: dune exec adds
+# a rebuild check to every call.
+bin=_build/default/bin
 
-stage "zerocopy differential (enforcement on/off diff + speedup)"
-# The Zerocopy flag gates cost accounting only: the timing-free
-# enforcement report — which now includes the zerocopy_http scenario
-# and the rx ring's descriptor counters — must be byte-identical with
-# ENCL_ZEROCOPY on and off. Runs in --quick too. The speedup half
-# (profile zerocopy) then requires every backend to serve >= 10% more
-# req/s with strictly fewer ledger bytes copied at identical
-# kernel-syscall, fault and rx-ring descriptor counts.
-ENCL_ZEROCOPY=1 dune exec bin/trace_dump.exe -- enforcement > "$tmp/zc_on.txt"
-ENCL_ZEROCOPY=0 dune exec bin/trace_dump.exe -- enforcement > "$tmp/zc_off.txt"
-if ! cmp -s "$tmp/zc_on.txt" "$tmp/zc_off.txt"; then
-  echo "ci: enforcement diverged between ENCL_ZEROCOPY=1 and =0" >&2
-  diff "$tmp/zc_on.txt" "$tmp/zc_off.txt" >&2 || true
-  exit 1
-fi
-dune exec bin/profile.exe -- zerocopy --requests 400
-
-stage "enforcement pin (enforcement + chaos vs bench/enforcement_pin.txt)"
-# A host-side change may alter what the simulator costs to run, never
-# what enforcement decides or what the fault injector does: the
-# timing-free enforcement report and two seeded chaos runs (http, and
-# wiki's network faults: drops, short reads, short writes) must print
-# exactly the committed pin. Runs in --quick too; all three take under
-# a second. After a change meant to move one of them, regenerate
-# deliberately with:
+stage "enforcement pin (every knob x core count vs bench/enforcement_pin.txt)"
+# A knob or a core count may change what a run costs, never what
+# enforcement decides or what the fault injector does: under every
+# combination of the knobs in Knob.all (test_sim pins the list to these
+# three variables) and of 1, 4 and the matrix's cores, the timing-free
+# enforcement report and two seeded chaos runs (http, and wiki's
+# network faults) must print exactly the committed pin. Runs in --quick
+# too. After a change meant to move one of them, regenerate with:
 #   { dune exec bin/trace_dump.exe -- enforcement
 #     dune exec bin/chaos.exe -- http --seed 42
 #     dune exec bin/chaos.exe -- wiki --rate 0.1
 #   } > bench/enforcement_pin.txt
-{
-  dune exec bin/trace_dump.exe -- enforcement
-  dune exec bin/chaos.exe -- http --seed 42
-  dune exec bin/chaos.exe -- wiki --rate 0.1
-} > "$tmp/enforcement_pin.txt"
-if ! cmp -s bench/enforcement_pin.txt "$tmp/enforcement_pin.txt"; then
-  echo "ci: enforcement or chaos output diverged from bench/enforcement_pin.txt" >&2
-  diff bench/enforcement_pin.txt "$tmp/enforcement_pin.txt" >&2 || true
-  exit 1
-fi
+pin_core_counts="1 4"
+case "$cores" in 1 | 4) ;; *) pin_core_counts="1 4 $cores" ;; esac
+for fastpath in 0 1; do
+  for sysring in 0 1; do
+    for zerocopy in 0 1; do
+      for n in $pin_core_counts; do
+        combo="ENCL_FASTPATH=$fastpath ENCL_SYSRING=$sysring ENCL_ZEROCOPY=$zerocopy ENCL_CORES=$n"
+        {
+          env $combo $bin/trace_dump.exe enforcement
+          env $combo $bin/chaos.exe http --seed 42
+          env $combo $bin/chaos.exe wiki --rate 0.1
+        } > "$tmp/enforcement_pin.txt"
+        if ! cmp -s bench/enforcement_pin.txt "$tmp/enforcement_pin.txt"; then
+          echo "ci: enforcement or chaos output under $combo diverged from bench/enforcement_pin.txt" >&2
+          diff bench/enforcement_pin.txt "$tmp/enforcement_pin.txt" >&2 || true
+          exit 1
+        fi
+      done
+    done
+  done
+done
 
-stage "sfi (switch/access crossover)"
-# The SFI selection rule must hold, measured: strictly fewer
-# switch-category ns than LB_VTX on the switch-heavy scenario, strictly
-# more access-category ns than LB_MPK on the access-heavy one, with
-# identical fault and workload-syscall counts on both legs. Runs in
-# --quick too — it is the end-to-end witness that the SFI backend
-# enforces the same policy at an inverted cost structure.
-dune exec bin/profile.exe -- crossover
+stage "optimization claims (profile ab)"
+# Each claim is one A/B line (A = the knob on, the first backend or the
+# first core count): profile ab exits 1 unless both sides' attribution
+# ledgers are conserved, no ring is left unbalanced, the enforcement
+# summaries are identical and every --expect holds. Runs in --quick too.
+ab() { $bin/profile.exe ab "$@"; }
+# Paper Table 1 ordering: VT-x spends a larger share switching than MPK.
+ab --scenario http --axis backend:vtx,mpk --expect switch_share:higher
+# The fast path shrinks the switch + seccomp share.
+ab --scenario http --backend mpk --axis knob:fastpath --expect enforcement_share:lower
+ab --scenario http --backend vtx --axis knob:fastpath --expect enforcement_share:lower
+# The syscall ring batches (fewer kernel crossings); VT-x gains >= 15%
+# req/s with fewer VM EXITs, MPK gets no slower.
+ab --scenario http --backend vtx --axis knob:sysring --expect req_per_sec:higher:1.15 --expect vm_exits:lower --expect crossings:lower
+ab --scenario http --backend mpk --axis knob:sysring --expect req_per_sec:higher:1.0 --expect crossings:lower
+# Zero copy: >= 10% req/s and fewer ledger bytes copied on every backend.
+ab --scenario zerocopy_http --backend mpk --axis knob:zerocopy --requests 400 --expect req_per_sec:higher:1.10 --expect bytes_copied:lower
+ab --scenario zerocopy_http --backend vtx --axis knob:zerocopy --requests 400 --expect req_per_sec:higher:1.10 --expect bytes_copied:lower
+ab --scenario zerocopy_http --backend lwc --axis knob:zerocopy --requests 400 --expect req_per_sec:higher:1.10 --expect bytes_copied:lower
+ab --scenario zerocopy_http --backend sfi --axis knob:zerocopy --requests 400 --expect req_per_sec:higher:1.10 --expect bytes_copied:lower
+# The SFI crossover: cheaper to cross than VT-x, dearer to touch memory
+# than MPK.
+ab --scenario http --axis backend:sfi,vtx --expect switch_ns:lower
+ab --scenario bild --axis backend:sfi,mpk --expect access_ns:higher
+# 4 cores serve >= 2.5x the 1-core req/s (makespan); the bench's smp
+# section checks 2, 8 and 16 cores against 1.
+ab --scenario smp_http --backend mpk --axis cores:4,1 --expect req_per_sec:higher:2.5
 
 stage "trace artifacts"
 dune exec bin/trace_dump.exe -- wiki --requests 200 --out-dir "$tmp"
@@ -182,15 +186,12 @@ if ! cmp -s "$tmp/witness.json" "$tmp/rerun-witness/witness.json"; then
   exit 1
 fi
 
-stage "smp determinism (rerun diff + core-count invariance)"
+stage "smp determinism (rerun diff)"
 # Sharding the machine must never cost determinism. Two same-seed runs
 # of the work-stealing scenario must produce byte-identical trace,
 # metrics and witness artifacts at every core count this leg covers
-# (1 and the matrix's $cores), and enforcement must be a function of
-# the program alone: the timing-free enforcement report — verdicts,
-# fault logs, quarantine state, workload syscall totals, on all four
-# backends — must be byte-identical between a 1-core and a 4-core
-# machine.
+# (1 and the matrix's $cores). Core-count invariance of enforcement is
+# part of the enforcement-pin stage.
 smp_core_counts=1
 if [ "$cores" != 1 ]; then smp_core_counts="1 $cores"; fi
 for n in $smp_core_counts; do
@@ -207,22 +208,6 @@ for n in $smp_core_counts; do
   done
   dune exec bin/trace_dump.exe -- validate "$tmp/smp-$n-a/metrics.json"
 done
-ENCL_CORES=1 dune exec bin/trace_dump.exe -- enforcement > "$tmp/enforce_1core.txt"
-ENCL_CORES=4 dune exec bin/trace_dump.exe -- enforcement > "$tmp/enforce_4core.txt"
-if ! cmp -s "$tmp/enforce_1core.txt" "$tmp/enforce_4core.txt"; then
-  echo "ci: enforcement diverged between 1-core and 4-core machines" >&2
-  diff "$tmp/enforce_1core.txt" "$tmp/enforce_4core.txt" >&2 || true
-  exit 1
-fi
-
-stage "smp scaling"
-# The sharded machine must actually scale: profile smp runs smp_http at
-# 1, 2, 4, 8 and 16 cores and exits 1 unless the 4-core run serves
-# >= 2.5x the 1-core req/s at identical fault and workload-syscall
-# counts. The curve lands in SMP_scaling.json next to
-# BENCH_results.json so the workflow can upload it as an artifact.
-dune exec bin/profile.exe -- smp --out SMP_scaling.json
-dune exec bin/trace_dump.exe -- validate SMP_scaling.json
 
 stage "policy mining (mine -> verify -> drift)"
 # The witness ledger must reconcile with the kernel counters and the
@@ -263,22 +248,6 @@ if [ "$quick" = 0 ]; then
     echo "ci: profile runs of the same workload diverged" >&2
     exit 1
   fi
-
-  stage "overhead ordering"
-  # The paper's Table 1 ordering must hold: VT-x spends a larger share
-  # of wall time switching than MPK does.
-  dune exec bin/profile.exe -- overhead
-
-  stage "fast-path differential"
-  # With ENCL_FASTPATH on, the switch+seccomp share of wall time must
-  # shrink strictly on both backends while enforcement outcomes and
-  # fault counts stay identical.
-  dune exec bin/profile.exe -- fastpath
-
-  stage "sysring speedup"
-  # With ENCL_SYSRING on, VT-x must serve >= 15% more req/s with
-  # strictly fewer VM EXITs at equal workload syscall and fault counts.
-  dune exec bin/profile.exe -- sysring
 
   stage "chaos smoke (availability + determinism)"
   # The server must stay up under fault injection (exit 1 below 90%
@@ -321,7 +290,7 @@ if [ "$quick" = 0 ]; then
     exit 1
   fi
 else
-  echo "ci: --quick: skipping profile, overhead, fastpath, sysring-speedup, chaos smoke, perfbench smoke and perfbench pin"
+  echo "ci: --quick: skipping profile smoke, chaos smoke, perfbench smoke and perfbench pin"
 fi
 
 now=$(date +%s)

@@ -2,7 +2,7 @@
    backend.
 
    Usage:
-     dune exec bin/minigo_run.exe -- [--backend mpk|vtx|lwc|none] FILE...
+     dune exec bin/minigo_run.exe -- [--backend mpk|vtx|lwc|sfi|none] FILE...
 
    Each FILE holds one package; the program needs a main package with a
    main() function. See lib/minigo for the language (notably the
@@ -11,7 +11,6 @@
 
 module Minigo = Encl_minigo.Minigo
 module Runtime = Encl_golike.Runtime
-module Lb = Encl_litterbox.Litterbox
 open Cmdliner
 
 let read_file path =
@@ -23,10 +22,8 @@ let read_file path =
 let run backend files =
   let config =
     match backend with
-    | "none" -> Runtime.baseline
-    | "vtx" -> Runtime.with_backend Lb.Vtx
-    | "lwc" -> Runtime.with_backend Lb.Lwc
-    | _ -> Runtime.with_backend Lb.Mpk
+    | None -> Runtime.baseline
+    | Some b -> Runtime.with_backend b
   in
   let sources = List.map read_file files in
   match Minigo.build ~config ~sources () with
@@ -43,12 +40,6 @@ let run backend files =
           prerr_endline ("fault: " ^ e);
           2)
 
-let backend_arg =
-  Arg.(
-    value
-    & opt string "mpk"
-    & info [ "backend" ] ~docv:"BACKEND" ~doc:"mpk, vtx, lwc, or none (baseline).")
-
 let files_arg =
   Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE" ~doc:"Source files.")
 
@@ -56,6 +47,6 @@ let cmd =
   Cmd.v
     (Cmd.info "minigo-run" ~version:"1.0"
        ~doc:"Run mini-Go programs with enclosures")
-    Term.(const run $ backend_arg $ files_arg)
+    Term.(const run $ Cli.backend_arg $ files_arg)
 
 let () = exit (Cmd.eval' cmd)

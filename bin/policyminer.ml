@@ -27,37 +27,25 @@ module Witness = Encl_obs.Witness
 module Json = Encl_obs.Export.Json
 open Cmdliner
 
-let mineable = List.filter (fun n -> n <> "bild") Scenarios.scenario_names
+let mineable =
+  List.filter (fun n -> n <> "bild") (List.map fst Scenarios.registry)
 
 (* ------------------------------------------------------------------ *)
 (* Scenario runs *)
 
 (* One run of [name] under [backend]. [witnessed] turns the event sink
    and the witness recorder on (mining); verification re-runs enforce
-   only, so they skip the recording. Returns the runtime even when the
-   workload died mid-run — the probe runs are expected to. *)
-type outcome = {
-  rt : Runtime.t option;  (** None: the run failed before boot finished *)
-  failure : string option;  (** exception or scenario error, if any *)
-}
-
+   only, so they skip the recording. A workload that died mid-run — the
+   probe runs are expected to — is an [Error]. *)
 let run_scenario ?(witnessed = false) name backend requests =
-  Obs.default_enabled := witnessed;
-  Witness.default_enabled := witnessed;
-  let restore () =
-    Obs.default_enabled := false;
-    Witness.default_enabled := false
-  in
-  Fun.protect ~finally:restore @@ fun () ->
-  match Scenarios.run_named name (Some backend) ?requests () with
-  | Ok (rt, _line) -> { rt = Some rt; failure = None }
-  | Error e -> { rt = None; failure = Some e }
-  | exception e -> { rt = None; failure = Some (Printexc.to_string e) }
+  Obs.with_default ~witness:true witnessed @@ fun () ->
+  match (List.assoc name Scenarios.registry) (Some backend) ?requests () with
+  | Ok (rt, _report) -> Ok rt
+  | Error e -> Error e
+  | exception e -> Error (Printexc.to_string e)
 
-let fault_count = function
-  | { rt = Some rt; _ } -> (
-      match Runtime.lb rt with Some lb -> Lb.fault_count lb | None -> 0)
-  | { rt = None; _ } -> 0
+let fault_count rt =
+  match Runtime.lb rt with Some lb -> Lb.fault_count lb | None -> 0
 
 (* A mining run must see everything: the event ring is lossy under
    overflow, and a lossy trace is a blind spot the miner must not paper
@@ -79,10 +67,9 @@ let check_ring rt =
 (* Mine one backend's run: per-enclosure literals, each validated. *)
 let mine_one name backend requests =
   match run_scenario ~witnessed:true name backend requests with
-  | { failure = Some e; _ } ->
+  | Error e ->
       Error (Printf.sprintf "%s under %s: %s" name (Lb.backend_name backend) e)
-  | { rt = None; _ } -> Error (name ^ ": scenario returned no runtime")
-  | { rt = Some rt; _ } -> (
+  | Ok rt -> (
       match Runtime.lb rt with
       | None -> Error (name ^ ": scenario ran without a litterbox")
       | Some lb -> (
@@ -235,14 +222,14 @@ let verify_backend name backend requests =
         let outcome =
           with_overrides literals (fun () -> run_scenario name backend requests)
         in
-        match (outcome.failure, fault_count outcome) with
-        | None, 0 ->
+        match Result.map fault_count outcome with
+        | Ok 0 ->
             Printf.printf "  [%s] sound: zero faults under the mined policy\n"
               bname;
             []
-        | Some e, _ ->
+        | Error e ->
             [ Printf.sprintf "[%s] unsound: mined policy broke the run: %s" bname e ]
-        | None, n ->
+        | Ok n ->
             [ Printf.sprintf "[%s] unsound: %d faults under the mined policy" bname n ]
       in
       (* Minimality: dropping any single mined capability must fault. *)
@@ -259,7 +246,9 @@ let verify_backend name backend requests =
                   with_overrides probe (fun () ->
                       run_scenario name backend requests)
                 in
-                if outcome.failure <> None || fault_count outcome > 0 then begin
+                if Result.fold ~ok:(fun rt -> fault_count rt > 0)
+                     ~error:(fun _ -> true) outcome
+                then begin
                   Printf.printf "  [%s] minimal: %s %s => faults\n" bname
                     m.Miner.enclosure desc;
                   None
@@ -366,25 +355,25 @@ let drift name backends requests snapshot write =
 
 let overhead requests =
   let run witnessed =
-    Obs.default_enabled := witnessed;
-    Witness.default_enabled := witnessed;
-    let r = Scenarios.http (Some Lb.Mpk) ?requests () in
-    Obs.default_enabled := false;
-    Witness.default_enabled := false;
-    r.Scenarios.h_req_per_sec
+    Obs.with_default ~witness:true witnessed (fun () ->
+        Scenarios.http (Some Lb.Mpk) ?requests ())
+    |> Result.map (fun (_, r) -> Scenarios.metric r "req_per_sec")
   in
-  let off = run false in
-  let on_ = run true in
-  let pct = (off -. on_) /. off *. 100.0 in
-  Printf.printf "http req/s: witness off %.0f, on %.0f, overhead %.2f%%\n" off
-    on_ pct;
-  (* Recording charges no simulated time, so the overhead must be
-     essentially zero; 10%% is the acceptance ceiling. *)
-  if pct < 10.0 then 0
-  else begin
-    prerr_endline "policyminer: witness overhead exceeds 10%";
-    1
-  end
+  match (run false, run true) with
+  | Error e, _ | _, Error e ->
+      prerr_endline ("policyminer: " ^ e);
+      1
+  | Ok off, Ok on_ ->
+      let pct = (off -. on_) /. off *. 100.0 in
+      Printf.printf "http req/s: witness off %.0f, on %.0f, overhead %.2f%%\n"
+        off on_ pct;
+      (* Recording charges no simulated time, so the overhead must be
+         essentially zero; 10%% is the acceptance ceiling. *)
+      if pct < 10.0 then 0
+      else begin
+        prerr_endline "policyminer: witness overhead exceeds 10%";
+        1
+      end
 
 (* ------------------------------------------------------------------ *)
 (* Cmdliner wiring *)

@@ -22,11 +22,6 @@ module Metrics = Encl_obs.Metrics
 module Export = Encl_obs.Export
 open Cmdliner
 
-let write_file path contents =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_string oc contents)
-
 (* The acceptance invariant: the sink's cross-scope totals must agree
    exactly with LitterBox's own counters, the syscall ring must balance
    (submitted = drained + pending), and the obs syscall totals must
@@ -209,28 +204,23 @@ let per_core_conservation ~cores:machine_cores contents =
 let run name backend requests out_dir summary =
   Obs.default_enabled := true;
   Encl_obs.Witness.default_enabled := true;
-  match Scenarios.run_named name backend ?requests () with
+  match
+    Result.bind (Scenarios.find name) (fun run -> run backend ?requests ())
+  with
   | Error e ->
       prerr_endline ("trace-dump: " ^ e);
       1
-  | Ok (rt, result_line) -> (
+  | Ok (rt, report) -> (
       let obs = (Runtime.machine rt).Machine.obs in
-      let rec mkdir_p dir =
-        if not (Sys.file_exists dir) then begin
-          mkdir_p (Filename.dirname dir);
-          Sys.mkdir dir 0o755
-        end
-      in
-      mkdir_p out_dir;
       let trace_path = Filename.concat out_dir "trace.json" in
       let metrics_path = Filename.concat out_dir "metrics.json" in
       let witness_path = Filename.concat out_dir "witness.json" in
-      write_file trace_path (Export.trace_json obs);
-      write_file metrics_path (Export.metrics_json obs);
-      write_file witness_path (Export.witness_json obs);
+      Cli.write_file trace_path (Export.trace_json obs);
+      Cli.write_file metrics_path (Export.metrics_json obs);
+      Cli.write_file witness_path (Export.witness_json obs);
       Printf.printf "%s under %s: %s\n" name
         (Scenarios.config_name backend)
-        result_line;
+        (Scenarios.pp_report report);
       Printf.printf "%d events (%d dropped) -> %s, %s, %s\n"
         (Obs.total_events obs) (Obs.dropped_events obs) trace_path metrics_path
         witness_path;
@@ -295,14 +285,14 @@ let validate path =
           1)
 
 (* ------------------------------------------------------------------ *)
-(* enforcement: a timing-free enforcement report for the sysring diff
-   stage of bin/ci.sh.  The script runs this twice — ENCL_SYSRING=1 and
-   ENCL_SYSRING=0 — and requires byte-identical output: batching may
-   change what a run costs and how fibers interleave, never what
-   enforcement decides.  Only order-invariant quantities are printed
-   (per-op results in program order, fault logs, quarantine state, the
-   kernel's per-syscall totals, request counts); nothing timing-bearing
-   (req/s, simulated ns) appears. *)
+(* enforcement: a timing-free enforcement report. bin/ci.sh runs it under
+   every combination of the knobs and core counts and requires output
+   identical to bench/enforcement_pin.txt: a knob may change what a run
+   costs and how fibers interleave, never what enforcement decides.
+   Only order-invariant quantities are printed (per-op results in
+   program order, fault logs, quarantine state, the kernel's
+   per-syscall totals, request counts); nothing timing-bearing (req/s,
+   simulated ns) appears. *)
 
 let enforcement_packages () =
   [
@@ -383,54 +373,6 @@ let enforcement_ops backend =
     (fun (nr, n) -> Printf.printf "  sys %-14s %d\n" (Sysno.name nr) n)
     (K.trace (Runtime.machine rt).Machine.kernel)
 
-(* Memory-management syscalls (mmap, pkey_mprotect, ...) are excluded
-   from the diffed totals: their counts follow allocator span growth and
-   GC timing, which legitimately move with fiber interleaving.  The ring
-   never carries them — every syscall the apps issue is non-mem, and
-   those must match call-for-call. *)
-let workload_trace kernel =
-  List.filter
-    (fun (nr, _) -> Sysno.category nr <> Sysno.Cat_mem)
-    (K.trace kernel)
-
-let enforcement_scenario name run =
-  let rt, (r : Scenarios.http_result) = run () in
-  let lb = Option.get (Runtime.lb rt) in
-  let kernel = (Runtime.machine rt).Machine.kernel in
-  let trace = workload_trace kernel in
-  let total = List.fold_left (fun acc (_, n) -> acc + n) 0 trace in
-  Printf.printf
-    "  %-16s served=%d workload_syscalls=%d faults=%d ring_balanced=%b\n" name
-    r.Scenarios.h_requests total (Lb.fault_count lb)
-    (Lb.ring_submitted_count lb = Lb.ring_drained_count lb + Lb.ring_pending lb);
-  List.iter
-    (fun (nr, n) -> Printf.printf "    sys %-14s %d\n" (Sysno.name nr) n)
-    trace
-
-(* The zero-copy scenario's enforcement report: everything here must be
-   invariant under both ENCL_SYSRING and ENCL_ZEROCOPY (ci.sh byte-diffs
-   the output across each flag), so bytes_copied — the one quantity the
-   Zerocopy flag is allowed to move — is deliberately absent. The rx
-   ring's descriptor counters are pure enforcement state and appear. *)
-let enforcement_zc name run =
-  let rt, (r : Scenarios.zc_result) = run () in
-  let kernel = (Runtime.machine rt).Machine.kernel in
-  let faults =
-    match Runtime.lb rt with None -> 0 | Some lb -> Lb.fault_count lb
-  in
-  let trace = workload_trace kernel in
-  let total = List.fold_left (fun acc (_, n) -> acc + n) 0 trace in
-  Printf.printf
-    "  %-16s served=%d workload_syscalls=%d faults=%d rxring=%d/%d/%d \
-     balanced=%b\n"
-    name r.Scenarios.z_requests total faults r.Scenarios.z_ring_granted
-    r.Scenarios.z_ring_consumed r.Scenarios.z_ring_reclaimed
-    (r.Scenarios.z_ring_granted
-    = r.Scenarios.z_ring_consumed + r.Scenarios.z_ring_reclaimed);
-  List.iter
-    (fun (nr, n) -> Printf.printf "    sys %-14s %d\n" (Sysno.name nr) n)
-    trace
-
 (* The pylike leg: localcopy under the Zerocopy flag is copy-on-write,
    so everything observable — payload bytes through either side of a
    share, the fault on a write to the R-granted source, refcounts once
@@ -491,13 +433,15 @@ let enforcement () =
   Printf.printf "scenario enforcement\n";
   List.iter
     (fun backend ->
-      let bname = Lb.backend_name backend in
-      enforcement_scenario ("http/" ^ bname) (fun () ->
-          Scenarios.http_rt (Some backend) ~requests:120 ());
-      enforcement_scenario ("fasthttp/" ^ bname) (fun () ->
-          Scenarios.fasthttp_rt (Some backend) ~requests:120 ());
-      enforcement_zc ("zerocopy_http/" ^ bname) (fun () ->
-          Scenarios.zerocopy_http_rt (Some backend) ~requests:120 ()))
+      List.iter
+        (fun name ->
+          let label = name ^ "/" ^ Lb.backend_name backend in
+          let run = List.assoc name Scenarios.registry in
+          match run (Some backend) ~requests:120 () with
+          | Ok (rt, r) ->
+              List.iter print_endline (Scenarios.enforcement ~label rt r)
+          | Error e -> failwith (label ^ ": " ^ e))
+        [ "http"; "fasthttp"; "zerocopy_http" ])
     Encl_litterbox.Backend.all;
   Printf.printf "pylike localcopy enforcement\n";
   List.iter
@@ -619,30 +563,28 @@ let witness_scenario errors label lb kernel obs =
     label w_allowed w_denied o_allowed o_denied kernel_count guest
 
 let witness_check () =
-  Obs.default_enabled := true;
-  Witness.default_enabled := true;
   let errors = ref [] in
-  List.iter
-    (fun backend ->
+  Obs.with_default ~witness:true true (fun () ->
       List.iter
-        (fun (name, requests) ->
-          let label =
-            Printf.sprintf "%s/%s" name
-              (Encl_litterbox.Backend.arg_name backend)
-          in
-          match Scenarios.run_named name (Some backend) ~requests () with
-          | Error e -> errors := (label ^ ": " ^ e) :: !errors
-          | Ok (rt, _) -> (
-              match Runtime.lb rt with
-              | None -> errors := (label ^ ": no litterbox") :: !errors
-              | Some lb ->
-                  let machine = Runtime.machine rt in
-                  witness_scenario errors label lb machine.Machine.kernel
-                    machine.Machine.obs))
-        [ ("http", 160); ("wiki", 120); ("pq", 80) ])
-    Encl_litterbox.Backend.all;
-  Obs.default_enabled := false;
-  Witness.default_enabled := false;
+        (fun backend ->
+          List.iter
+            (fun (name, requests) ->
+              let label =
+                Printf.sprintf "%s/%s" name
+                  (Encl_litterbox.Backend.arg_name backend)
+              in
+              let run = List.assoc name Scenarios.registry in
+              match run (Some backend) ~requests () with
+              | Error e -> errors := (label ^ ": " ^ e) :: !errors
+              | Ok (rt, _) -> (
+                  match Runtime.lb rt with
+                  | None -> errors := (label ^ ": no litterbox") :: !errors
+                  | Some lb ->
+                      let machine = Runtime.machine rt in
+                      witness_scenario errors label lb machine.Machine.kernel
+                        machine.Machine.obs))
+            [ ("http", 160); ("wiki", 120); ("pq", 80) ])
+        Encl_litterbox.Backend.all);
   match List.rev !errors with
   | [] ->
       Printf.printf
@@ -656,28 +598,6 @@ let witness_check () =
 
 (* ------------------------------------------------------------------ *)
 (* Cmdliner wiring *)
-
-let backend_arg =
-  let parse = function
-    | "baseline" -> Ok None
-    | s -> (
-        match Encl_litterbox.Backend.of_string s with
-        | Some b -> Ok (Some b)
-        | None -> Error (`Msg ("unknown backend " ^ s)))
-  in
-  let print ppf c = Format.pp_print_string ppf (Scenarios.config_name c) in
-  Arg.(
-    value
-    & opt (conv (parse, print)) (Some Lb.Mpk)
-    & info [ "backend" ] ~docv:"BACKEND"
-        ~doc:"baseline, mpk, vtx, lwc or sfi.")
-
-let requests_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "requests" ] ~docv:"N"
-        ~doc:"Request count for the HTTP-style scenarios.")
 
 let out_dir_arg =
   (* Default under _build so casual runs never litter the work tree with
@@ -698,7 +618,8 @@ let scenario_cmd sc =
   Cmd.v
     (Cmd.info sc ~doc:("Run the " ^ sc ^ " scenario and export its trace."))
     Term.(
-      const (run sc) $ backend_arg $ requests_arg $ out_dir_arg $ summary_arg)
+      const (run sc) $ Cli.backend_arg $ Cli.requests_arg $ out_dir_arg
+      $ summary_arg)
 
 let validate_cmd =
   let file_arg =
@@ -715,8 +636,8 @@ let enforcement_cmd =
        ~doc:
          "Print a timing-free enforcement report (op results in program \
           order, fault logs, quarantine state, kernel syscall totals). \
-          bin/ci.sh runs this with ENCL_SYSRING=1 and =0 and requires the \
-          two outputs to be byte-identical.")
+          bin/ci.sh requires it to match bench/enforcement_pin.txt under \
+          every knob and core-count combination.")
     Term.(const enforcement $ const ())
 
 let witness_cmd =
@@ -743,7 +664,7 @@ let () =
       ~doc:"Run a scenario and export its trace and metrics"
   in
   let cmds =
-    List.map scenario_cmd Scenarios.scenario_names
+    List.map (fun (sc, _) -> scenario_cmd sc) Scenarios.registry
     @ [ validate_cmd; enforcement_cmd; attacks_cmd; witness_cmd ]
   in
   exit (Cmd.eval' (Cmd.group info cmds))

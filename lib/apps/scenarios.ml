@@ -1,15 +1,34 @@
 module Runtime = Encl_golike.Runtime
 module Gbuf = Encl_golike.Gbuf
+module Sched = Encl_golike.Sched
 module Lb = Encl_litterbox.Litterbox
 module K = Encl_kernel.Kernel
+module Sysno = Encl_kernel.Sysno
 module Net = Encl_kernel.Net
 module Machine = Encl_litterbox.Machine
+module Fault = Encl_fault.Fault
 
 type config = Lb.backend option
 
 let config_name = function
   | None -> "Baseline"
   | Some backend -> Lb.backend_name backend
+
+type report = {
+  ops : int;
+  cpu_ns : int;
+  wall_ns : int;
+  metrics : (string * float) list;
+}
+
+type outcome = (Runtime.t * report, string) result
+
+let metric r name = List.assoc name r.metrics
+
+let pp_report r =
+  String.concat " "
+    (Printf.sprintf "ops=%d cpu_ns=%d wall_ns=%d" r.ops r.cpu_ns r.wall_ns
+    :: List.map (fun (k, v) -> Printf.sprintf "%s=%.10g" k v) r.metrics)
 
 let runtime_config ?rcfg config =
   match rcfg with
@@ -19,38 +38,55 @@ let runtime_config ?rcfg config =
       | None -> Runtime.baseline
       | Some b -> Runtime.with_backend b)
 
+let with_cores ?rcfg ?cores config =
+  match cores with
+  | None -> rcfg
+  | Some c -> Some { (runtime_config ?rcfg config) with Runtime.cores = c }
+
 let boot_exn ?rcfg config ~packages ~entry =
   match Runtime.boot (runtime_config ?rcfg config) ~packages ~entry with
   | Ok rt -> rt
   | Error e -> failwith ("scenario boot: " ^ e)
 
+(* Open the measured span: the returned function closes it into a report
+   of [ops] with the metrics [metrics cpu_ns wall_ns]. *)
+let measure rt =
+  let clock = Runtime.clock rt in
+  let t0 = Clock.now clock and w0 = Clock.wall clock in
+  fun ~ops metrics ->
+    let cpu_ns = Clock.now clock - t0 and wall_ns = Clock.wall clock - w0 in
+    Ok (rt, { ops; cpu_ns; wall_ns; metrics = metrics cpu_ns wall_ns })
+
+(* A program's main package: [main] plus the closure [body] of its one
+   enclosure [enc], which runs [policy] over [deps]. *)
+let main_package ~imports ~body:(closure, size) ~enc ~policy ~deps =
+  Runtime.package "main" ~imports
+    ~functions:[ ("main", 512); (closure, size) ]
+    ~enclosures:
+      [
+        {
+          Encl_elf.Objfile.enc_name = enc;
+          enc_policy = policy;
+          enc_closure = closure;
+          enc_deps = deps;
+        };
+      ]
+    ()
+
 (* ------------------------------------------------------------------ *)
 (* bild                                                                *)
 
-type bild_result = {
-  b_ns_per_invert : int;
-  b_transfers : int;
-  b_checksum : int;
-}
-
-let bild_rt config ?rcfg ?(width = 1024) ?(height = 1024) ?(iters = 3) () =
+let bild config ?rcfg ?(width = 1024) ?(height = 1024) ?(iters = 3) () =
+  if iters < 1 then
+    Error
+      (Printf.sprintf "bild needs at least 1 measured iteration, got %d" iters)
+  else
   let secrets =
     Runtime.package "secrets" ~functions:[ ("load_image", 256) ] ()
   in
   let main =
-    Runtime.package "main"
-      ~imports:[ Bild.pkg; "secrets" ]
-      ~functions:[ ("main", 512); ("rcl_body", 256) ]
-      ~enclosures:
-        [
-          {
-            Encl_elf.Objfile.enc_name = "rcl";
-            enc_policy = "secrets:R; sys=none";
-            enc_closure = "rcl_body";
-            enc_deps = [ Bild.pkg ];
-          };
-        ]
-      ()
+    main_package ~imports:[ Bild.pkg; "secrets" ] ~body:("rcl_body", 256)
+      ~enc:"rcl" ~policy:"secrets:R; sys=none" ~deps:[ Bild.pkg ]
   in
   let rt =
     boot_exn ?rcfg config
@@ -69,39 +105,25 @@ let bild_rt config ?rcfg ?(width = 1024) ?(height = 1024) ?(iters = 3) () =
   in
   (* Warm-up (hardware and allocator caches, as in any benchmark). *)
   ignore (invert_once ());
-  let transfers0 =
+  let transfer_count () =
     match Runtime.lb rt with Some lb -> Lb.transfer_count lb | None -> 0
   in
-  let clock = Runtime.clock rt in
-  let t0 = Clock.now clock in
+  let transfers0 = transfer_count () in
+  let finish = measure rt in
   for _ = 1 to iters do
     let out = invert_once () in
     checksum := Bild.checksum rt out
   done;
-  let elapsed = Clock.now clock - t0 in
-  let transfers =
-    (match Runtime.lb rt with Some lb -> Lb.transfer_count lb | None -> 0)
-    - transfers0
-  in
-  ( rt,
-    {
-      b_ns_per_invert = elapsed / iters;
-      b_transfers = transfers / max 1 iters;
-      b_checksum = !checksum;
-    } )
-
-let bild config ?rcfg ?width ?height ?iters () =
-  snd (bild_rt config ?rcfg ?width ?height ?iters ())
+  let transfers = transfer_count () - transfers0 in
+  finish ~ops:iters (fun elapsed _ ->
+      [
+        ("ns_per_invert", float_of_int (elapsed / iters));
+        ("transfers", float_of_int (transfers / iters));
+        ("checksum", float_of_int !checksum);
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* HTTP servers                                                        *)
-
-type http_result = {
-  h_requests : int;
-  h_ns : int;
-  h_req_per_sec : float;
-  h_syscalls_per_req : float;
-}
 
 let page_bytes = 13 * 1024
 
@@ -110,9 +132,19 @@ let assets_package () =
     ~constants:[ ("index_html", page_bytes, Some (Bytes.make page_bytes 'x')) ]
     ()
 
+let rate ops ns = float_of_int ops /. (float_of_int ns /. 1e9)
+
 (* Drive [requests] requests over [conns] persistent connections and
-   measure the steady state. *)
-let drive rt ~port ~requests ~conns ~served =
+   measure the steady state. The request rate is over total CPU time,
+   or over the makespan (the slowest core's lane) with [makespan]. *)
+let drive ?(makespan = false) rt ~port ~requests ~conns ~served =
+  if conns < 1 || requests < conns then
+    Error
+      (Printf.sprintf
+         "%d requests over %d connections: need at least one request per \
+          connection to measure a round"
+         requests conns)
+  else
   let m = Runtime.machine rt in
   let kernel = m.Machine.kernel in
   (* Let the server start. *)
@@ -123,8 +155,7 @@ let drive rt ~port ~requests ~conns ~served =
   List.iter (fun ep -> Httpd.client_get rt ep ~path:"/page/home") eps;
   Runtime.kick rt;
   List.iter (fun ep -> ignore (Httpd.client_read_response rt ep)) eps;
-  let clock = Runtime.clock rt in
-  let t0 = Clock.now clock in
+  let finish = measure rt in
   let sys0 = K.syscall_count kernel in
   let served0 = served () in
   let rounds = requests / conns in
@@ -141,63 +172,55 @@ let drive rt ~port ~requests ~conns ~served =
   if handled < rounds * conns then
     failwith
       (Printf.sprintf "server fell behind: %d/%d requests" handled (rounds * conns));
-  let elapsed = Clock.now clock - t0 in
   let syscalls = K.syscall_count kernel - sys0 in
-  {
-    h_requests = handled;
-    h_ns = elapsed;
-    h_req_per_sec = float_of_int handled /. (float_of_int elapsed /. 1e9);
-    h_syscalls_per_req = float_of_int syscalls /. float_of_int handled;
-  }
+  finish ~ops:handled (fun elapsed wall ->
+      [
+        ("req_per_sec", rate handled (if makespan then wall else elapsed));
+        ("syscalls_per_req", float_of_int syscalls /. float_of_int handled);
+      ])
 
-let http_rt config ?rcfg ?(requests = 2000) ?(conns = 8) () =
+(* The net/http program: an enclosed request handler (no packages, no
+   system calls) that selects the in-memory 13 KB page. *)
+let http_boot ?rcfg config =
   let main =
-    Runtime.package "main"
-      ~imports:[ Httpd.pkg; "assets" ]
-      ~functions:[ ("main", 512); ("handler_body", 256) ]
-      ~enclosures:
-        [
-          {
-            Encl_elf.Objfile.enc_name = "handler_enc";
-            enc_policy = "assets:R; sys=none";
-            enc_closure = "handler_body";
-            enc_deps = [];
-          };
-        ]
-      ()
+    main_package ~imports:[ Httpd.pkg; "assets" ] ~body:("handler_body", 256)
+      ~enc:"handler_enc" ~policy:"assets:R; sys=none" ~deps:[]
   in
   let packages = main :: assets_package () :: Httpd.packages () in
   let rt = boot_exn ?rcfg config ~packages ~entry:"main" in
   Httpd.reset_counters ();
+  rt
+
+(* Serve the page on [port]. [render_ns] is per-request template
+   compute, charged to the lane of whichever core runs the connection's
+   fiber; [fallback] is a trusted page served once the handler's
+   enclosure is quarantined. *)
+let http_serve ?(render_ns = 0) ?fallback rt ~port =
   let page = Runtime.global rt ~pkg:"assets" "index_html" in
   let m = Runtime.machine rt in
-  let handler ~meth:_ ~path:_ =
+  let clock = Runtime.clock rt in
+  let enclosed () =
     Runtime.with_enclosure rt "handler_enc" (fun () ->
-        (* The handler's logic selects the in-memory page. *)
         ignore (Gbuf.get m page 0);
+        Clock.consume clock Clock.Compute render_ns;
         page)
   in
-  Runtime.run_main rt (fun () -> Httpd.serve rt ~port:8080 ~handler);
-  (rt, drive rt ~port:8080 ~requests ~conns ~served:Httpd.requests_served)
+  let handler ~meth:_ ~path:_ =
+    match fallback with
+    | None -> enclosed ()
+    | Some body -> ( try enclosed () with Lb.Quarantined _ -> body)
+  in
+  Runtime.run_main rt (fun () -> Httpd.serve rt ~port ~handler)
 
-let http config ?rcfg ?requests ?conns () =
-  snd (http_rt config ?rcfg ?requests ?conns ())
+let http config ?rcfg ?(requests = 2000) ?(conns = 8) () =
+  let rt = http_boot ?rcfg config in
+  http_serve rt ~port:8080;
+  drive rt ~port:8080 ~requests ~conns ~served:Httpd.requests_served
 
-let fasthttp_rt config ?rcfg ?(requests = 2000) ?(conns = 8) () =
+let fasthttp config ?rcfg ?(requests = 2000) ?(conns = 8) () =
   let main =
-    Runtime.package "main"
-      ~imports:[ Fasthttp.pkg; "assets" ]
-      ~functions:[ ("main", 512); ("srv_body", 256) ]
-      ~enclosures:
-        [
-          {
-            Encl_elf.Objfile.enc_name = "fasthttp_srv";
-            enc_policy = "; sys=net";
-            enc_closure = "srv_body";
-            enc_deps = [ Fasthttp.pkg ];
-          };
-        ]
-      ()
+    main_package ~imports:[ Fasthttp.pkg; "assets" ] ~body:("srv_body", 256)
+      ~enc:"fasthttp_srv" ~policy:"; sys=net" ~deps:[ Fasthttp.pkg ]
   in
   let packages = main :: assets_package () :: Fasthttp.packages () in
   let rt = boot_exn ?rcfg config ~packages ~entry:"main" in
@@ -213,10 +236,7 @@ let fasthttp_rt config ?rcfg ?(requests = 2000) ?(conns = 8) () =
   let enclosure = match config with None -> None | Some _ -> Some "fasthttp_srv" in
   Runtime.run_main rt (fun () ->
       Fasthttp.serve_enclosed rt ~port:8081 ~enclosure ~handler);
-  (rt, drive rt ~port:8081 ~requests ~conns ~served:Fasthttp.requests_served)
-
-let fasthttp config ?rcfg ?requests ?conns () =
-  snd (fasthttp_rt config ?rcfg ?requests ?conns ())
+  drive rt ~port:8081 ~requests ~conns ~served:Fasthttp.requests_served
 
 (* ------------------------------------------------------------------ *)
 (* Wiki (Figure 5)                                                     *)
@@ -230,26 +250,12 @@ let wiki_boot ?rcfg config =
       Wiki.start rt ~port:8090 ~enclosed:(config <> None) ());
   rt
 
-(* [cores], when pinned, shards the machine: the per-connection serving
-   fibers (and the proxy/glue goroutines) then spread over the shard by
-   work stealing. Left unset, the config is byte-identical to the old
-   single-core boot. *)
-let wiki_rt config ?rcfg ?cores ?(requests = 1000) ?(conns = 4) () =
-  let rcfg =
-    match cores with
-    | None -> rcfg
-    | Some c -> Some { (runtime_config ?rcfg config) with Runtime.cores = c }
-  in
-  let rt = wiki_boot ?rcfg config in
-  (rt, drive rt ~port:8090 ~requests ~conns ~served:Wiki.requests_served)
-
-let wiki config ?rcfg ?cores ?requests ?conns () =
-  snd (wiki_rt config ?rcfg ?cores ?requests ?conns ())
+let wiki config ?rcfg ?cores ?(requests = 1000) ?(conns = 4) () =
+  let rt = wiki_boot ?rcfg:(with_cores ?rcfg ?cores config) config in
+  drive rt ~port:8090 ~requests ~conns ~served:Wiki.requests_served
 
 (* ------------------------------------------------------------------ *)
 (* pq: an enclosed database client                                     *)
-
-type pq_result = { p_queries : int; p_ns_per_query : int }
 
 (* The database driver alone inside an enclosure: connect once, then a
    query loop against the mini-Postgres remote. The whole untrusted
@@ -258,27 +264,13 @@ type pq_result = { p_queries : int; p_ns_per_query : int }
    database address — which makes this the policy miner's third
    reference scenario (http mines memory, wiki mines two enclosures,
    pq mines a connect narrowing in isolation). *)
-let pq_rt config ?rcfg ?cores ?(workers = 1) ?(queries = 200) () =
-  let rcfg =
-    match cores with
-    | None -> rcfg
-    | Some c -> Some { (runtime_config ?rcfg config) with Runtime.cores = c }
-  in
+let pq config ?rcfg ?cores ?(workers = 1) ?(queries = 200) () =
+  let rcfg = with_cores ?rcfg ?cores config in
   let main =
-    Runtime.package "main" ~imports:[ Pq.pkg ]
-      ~functions:[ ("main", 512); ("pq_body", 512) ]
-      ~enclosures:
-        [
-          {
-            Encl_elf.Objfile.enc_name = "pq_enc";
-            enc_policy =
-              Printf.sprintf "; sys=net,connect(%s)"
-                (Encl_kernel.Net.string_of_addr Wiki.db_ip);
-            enc_closure = "pq_body";
-            enc_deps = [ Pq.pkg ];
-          };
-        ]
-      ()
+    main_package ~imports:[ Pq.pkg ] ~body:("pq_body", 512) ~enc:"pq_enc"
+      ~policy:
+        (Printf.sprintf "; sys=net,connect(%s)" (Net.string_of_addr Wiki.db_ip))
+      ~deps:[ Pq.pkg ]
   in
   let rt =
     boot_exn ?rcfg config ~packages:(main :: Pq.packages ()) ~entry:"main"
@@ -286,21 +278,22 @@ let pq_rt config ?rcfg ?cores ?(workers = 1) ?(queries = 200) () =
   let _db = Wiki.setup_remote_db rt in
   Pq.reset_counters ();
   let completed = ref 0 in
-  let clock = Runtime.clock rt in
-  let t0 = Clock.now clock in
+  let finish = measure rt in
   let sql = "SELECT body FROM pages WHERE title = 'home'" in
+  (* No [Pq.close]: close(2) is file-category and denied under the
+     net-only filter; trusted code sweeps the fd (same division of labor
+     as the wiki's db proxy). *)
+  let query_loop n =
+    let conn = Pq.connect rt ~ip:Wiki.db_ip ~port:Wiki.db_port in
+    for _ = 1 to n do
+      match Pq.query rt conn sql with
+      | Ok _ -> incr completed
+      | Error e -> failwith ("pq query: " ^ e)
+    done
+  in
   (if workers <= 1 then
      Runtime.run_main rt (fun () ->
-         Runtime.with_enclosure rt "pq_enc" (fun () ->
-             let conn = Pq.connect rt ~ip:Wiki.db_ip ~port:Wiki.db_port in
-             for _ = 1 to queries do
-               match Pq.query rt conn sql with
-               | Ok _ -> incr completed
-               | Error e -> failwith ("pq query: " ^ e)
-             done
-             (* No [Pq.close]: close(2) is file-category and denied under
-                the net-only filter; trusted code sweeps the fd (same
-                division of labor as the wiki's db proxy). *)))
+         Runtime.with_enclosure rt "pq_enc" (fun () -> query_loop queries))
    else
      (* Parallel query fibers, spawned inside the enclosure environment
         (inherited at spawn, like fasthttp's connection fibers): each
@@ -316,12 +309,7 @@ let pq_rt config ?rcfg ?cores ?(workers = 1) ?(queries = 200) () =
                  else per
                in
                Runtime.go rt (fun () ->
-                   let conn = Pq.connect rt ~ip:Wiki.db_ip ~port:Wiki.db_port in
-                   for _ = 1 to n do
-                     match Pq.query rt conn sql with
-                     | Ok _ -> incr completed
-                     | Error e -> failwith ("pq query: " ^ e)
-                   done;
+                   query_loop n;
                    incr finished)
              done;
              Encl_golike.Sched.wait_until (Runtime.sched rt) (fun () ->
@@ -329,24 +317,11 @@ let pq_rt config ?rcfg ?cores ?(workers = 1) ?(queries = 200) () =
   Runtime.kick rt;
   if !completed < queries then
     failwith (Printf.sprintf "pq: %d/%d queries completed" !completed queries);
-  let elapsed = Clock.now clock - t0 in
-  (rt, { p_queries = !completed; p_ns_per_query = elapsed / max 1 queries })
-
-let pq config ?rcfg ?cores ?workers ?queries () =
-  snd (pq_rt config ?rcfg ?cores ?workers ?queries ())
+  finish ~ops:!completed (fun elapsed _ ->
+      [ ("ns_per_query", float_of_int (elapsed / max 1 queries)) ])
 
 (* ------------------------------------------------------------------ *)
 (* zerocopy_http: the zero-copy data plane end to end                  *)
-
-type zc_result = {
-  z_requests : int;
-  z_req_per_sec : float;
-  z_syscalls_per_req : float;
-  z_bytes_copied : int;
-  z_ring_granted : int;
-  z_ring_consumed : int;
-  z_ring_reclaimed : int;
-}
 
 let zc_static_path = "/srv/index.html"
 
@@ -363,22 +338,13 @@ let netring_package () =
    VFS with sendfile(2). The identical syscall sequence runs with
    ENCL_ZEROCOPY off (the kernel bounce-copies internally), so the flag
    moves only time and the bytes_copied ledger — which is exactly what
-   the profile gate and the CI enforcement byte-diff check. *)
-let zerocopy_http_rt config ?rcfg ?(requests = 2000) ?(conns = 8) () =
+   the A/B runner and the CI enforcement pin check. *)
+let zerocopy_http config ?rcfg ?(requests = 2000) ?(conns = 8) () =
   let main =
-    Runtime.package "main"
-      ~imports:[ Fasthttp.pkg; Runtime.netring_pkg ]
-      ~functions:[ ("main", 512); ("srv_body", 256) ]
-      ~enclosures:
-        [
-          {
-            Encl_elf.Objfile.enc_name = "zc_srv";
-            enc_policy = Runtime.netring_pkg ^ ":R; sys=net,io";
-            enc_closure = "srv_body";
-            enc_deps = [ Fasthttp.pkg ];
-          };
-        ]
-      ()
+    main_package ~imports:[ Fasthttp.pkg; Runtime.netring_pkg ]
+      ~body:("srv_body", 256) ~enc:"zc_srv"
+      ~policy:(Runtime.netring_pkg ^ ":R; sys=net,io")
+      ~deps:[ Fasthttp.pkg ]
   in
   let packages = main :: netring_package () :: Fasthttp.packages () in
   let rt = boot_exn ?rcfg config ~packages ~entry:"main" in
@@ -387,15 +353,14 @@ let zerocopy_http_rt config ?rcfg ?(requests = 2000) ?(conns = 8) () =
   let kernel = m.Machine.kernel in
   (* Static body on the VFS, opened read-only by trusted setup — the
      net,io filter denies open(2) inside the enclosure. *)
-  let vfs = m.Machine.vfs in
-  (match Encl_kernel.Vfs.mkdir_p vfs "/srv" with
-  | Ok () -> ()
-  | Error e -> failwith ("zerocopy_http: " ^ Encl_kernel.Vfs.errno_name e));
-  (match
-     Encl_kernel.Vfs.create_file vfs zc_static_path (Bytes.make page_bytes 'x')
-   with
-  | Ok () -> ()
-  | Error e -> failwith ("zerocopy_http: " ^ Encl_kernel.Vfs.errno_name e));
+  let module Vfs = Encl_kernel.Vfs in
+  let vfs_ok = function
+    | Ok () -> ()
+    | Error e -> failwith ("zerocopy_http: " ^ Vfs.errno_name e)
+  in
+  vfs_ok (Vfs.mkdir_p m.Machine.vfs "/srv");
+  vfs_ok
+    (Vfs.create_file m.Machine.vfs zc_static_path (Bytes.make page_bytes 'x'));
   let file_fd =
     Runtime.syscall_exn rt (K.Open { path = zc_static_path; flags = [ K.O_rdonly ] })
   in
@@ -404,41 +369,53 @@ let zerocopy_http_rt config ?rcfg ?(requests = 2000) ?(conns = 8) () =
   Runtime.run_main rt (fun () ->
       Fasthttp.serve_zc rt ~port:8082 ~ring ~file_fd ~file_len:page_bytes
         ~enclosure);
-  let r =
-    drive rt ~port:8082 ~requests ~conns ~served:Fasthttp.zc_requests_served
-  in
-  let granted, consumed, reclaimed = K.rxring_counters kernel in
-  ( rt,
-    {
-      z_requests = r.h_requests;
-      z_req_per_sec = r.h_req_per_sec;
-      z_syscalls_per_req = r.h_syscalls_per_req;
-      z_bytes_copied = K.bytes_copied_count kernel + m.Machine.bytes_copied;
-      z_ring_granted = granted;
-      z_ring_consumed = consumed;
-      z_ring_reclaimed = reclaimed;
-    } )
+  drive rt ~port:8082 ~requests ~conns ~served:Fasthttp.zc_requests_served
+  |> Result.map (fun (rt, r) ->
+         let granted, consumed, reclaimed = K.rxring_counters kernel in
+         ( rt,
+           {
+             r with
+             metrics =
+               r.metrics
+               @ [
+                   ("rx_granted", float_of_int granted);
+                   ("rx_consumed", float_of_int consumed);
+                   ("rx_reclaimed", float_of_int reclaimed);
+                 ];
+           } ))
 
-let zerocopy_http config ?rcfg ?requests ?conns () =
-  snd (zerocopy_http_rt config ?rcfg ?requests ?conns ())
+let rxring r =
+  let n k = int_of_float (metric r k) in
+  try Some (n "rx_granted", n "rx_consumed", n "rx_reclaimed")
+  with Not_found -> None
+
+(* ------------------------------------------------------------------ *)
+(* smp_http: the HTTP server sharded across simulated cores            *)
+
+(* The http program with a per-request template-render cost and the
+   request rate measured against the makespan (the slowest core's
+   lane) rather than total CPU time. The render compute is what scales
+   across cores: connection fibers spread over the shard by work
+   stealing while the client loop stays serial on core 0 (the
+   scenario's Amdahl bound). The core count follows [ENCL_CORES] unless
+   pinned, so benchmark rows pin it per call. *)
+let smp_http config ?rcfg ?cores ?(requests = 4096) ?(conns = 64)
+    ?(render_ns = 30_000) () =
+  let rt = http_boot ?rcfg:(with_cores ?rcfg ?cores config) config in
+  http_serve rt ~port:8088 ~render_ns;
+  drive ~makespan:true rt ~port:8088 ~requests ~conns
+    ~served:Httpd.requests_served
 
 (* ------------------------------------------------------------------ *)
 (* Chaos: workloads under deterministic fault injection                *)
 
-module Fault = Encl_fault.Fault
-module Sched = Encl_golike.Sched
-
-type chaos_result = {
-  c_sent : int;
-  c_served : int;
-  c_availability : float;
-  c_injected : int;
-  c_faults : int;
-  c_kills : int;
-  c_conns_failed : int;
-  c_quarantined : bool;
-  c_reconnects : int;
-}
+let arm rt ~seed ~budget rules =
+  let inject = (Runtime.machine rt).Machine.inject in
+  Fault.set_seed inject seed;
+  Fault.arm_plan inject rules;
+  match Runtime.lb rt with
+  | Some lb -> Lb.set_fault_budget lb budget
+  | None -> ()
 
 (* A fault-tolerant client driver: every request counts as sent; a
    connection the server tore down (or the injector dropped) is
@@ -446,9 +423,16 @@ type chaos_result = {
    the client side — the attempt saw response bytes — so one attempt can
    never score more than once (an injected short read can split one
    request into two server-side handle cycles, which would inflate a
-   server-side counter). *)
-let chaos_drive rt ~port ~requests ~conns =
-  let net = (Runtime.machine rt).Machine.net in
+   server-side counter). The injector is disarmed before the tallies are
+   read. *)
+let chaos_drive rt ~port ~requests ~conns ~conns_failed ~enclosure ~reconnects
+    =
+  if conns < 1 then
+    Error (Printf.sprintf "chaos needs a connection, got %d" conns)
+  else
+  let m = Runtime.machine rt in
+  let net = m.Machine.net in
+  let finish = measure rt in
   Runtime.kick rt;
   let connect () =
     match Net.client_connect net ~port with
@@ -491,32 +475,35 @@ let chaos_drive rt ~port ~requests ~conns =
     if attempt 1 then incr answered
   done;
   Runtime.kick rt;
-  (requests, !answered)
-
-let chaos_result rt ~sent ~served ~conns_failed ~enclosure ~reconnects =
-  let inject = (Runtime.machine rt).Machine.inject in
+  Fault.disarm_all m.Machine.inject;
   let lb = Runtime.lb rt in
-  {
-    c_sent = sent;
-    c_served = served;
-    c_availability = float_of_int served /. float_of_int (max 1 sent);
-    c_injected = Fault.total_fired inject;
-    c_faults = (match lb with Some lb -> Lb.fault_count lb | None -> 0);
-    c_kills = Sched.kill_count (Runtime.sched rt);
-    c_conns_failed = conns_failed;
-    c_quarantined =
-      (match (lb, enclosure) with
-      | Some lb, Some enc -> Lb.quarantined lb enc
-      | _ -> false);
-    c_reconnects = reconnects;
-  }
+  let count n = float_of_int n in
+  finish ~ops:!answered (fun _ _ ->
+      [
+        ("sent", count requests);
+        ("served", count !answered);
+        ( "availability",
+          float_of_int !answered /. float_of_int (max 1 requests) );
+        ("injected", count (Fault.total_fired m.Machine.inject));
+        ( "faults",
+          count (match lb with Some lb -> Lb.fault_count lb | None -> 0) );
+        ("kills", count (Sched.kill_count (Runtime.sched rt)));
+        ("conns_failed", count (conns_failed ()));
+        ( "quarantined",
+          match (lb, enclosure) with
+          | Some lb, Some enc when Lb.quarantined lb enc -> 1.0
+          | _ -> 0.0 );
+        ("reconnects", count (reconnects ()));
+      ])
 
 let pp_chaos_result r =
+  let n k = int_of_float (metric r k) in
   Printf.sprintf
     "sent=%d served=%d availability=%.3f injected=%d faults=%d kills=%d \
      conns_failed=%d quarantined=%b reconnects=%d"
-    r.c_sent r.c_served r.c_availability r.c_injected r.c_faults r.c_kills
-    r.c_conns_failed r.c_quarantined r.c_reconnects
+    (n "sent") (n "served") (metric r "availability") (n "injected")
+    (n "faults") (n "kills") (n "conns_failed") (n "quarantined" = 1)
+    (n "reconnects")
 
 (* The HTTP chaos scenario: spurious page faults inside the request
    handler's enclosure. Containment shows up at three levels — the
@@ -526,52 +513,17 @@ let pp_chaos_result r =
    recovers. *)
 let chaos_http config ?rcfg ?(seed = 42L) ?(rate = 0.10) ?(budget = 5)
     ?(requests = 500) ?(conns = 8) () =
-  let main =
-    Runtime.package "main"
-      ~imports:[ Httpd.pkg; "assets" ]
-      ~functions:[ ("main", 512); ("handler_body", 256) ]
-      ~enclosures:
-        [
-          {
-            Encl_elf.Objfile.enc_name = "handler_enc";
-            enc_policy = "assets:R; sys=none";
-            enc_closure = "handler_body";
-            enc_deps = [];
-          };
-        ]
-      ()
-  in
-  let packages = main :: assets_package () :: Httpd.packages () in
-  let rt = boot_exn ?rcfg config ~packages ~entry:"main" in
-  Httpd.reset_counters ();
-  let m = Runtime.machine rt in
-  let page = Runtime.global rt ~pkg:"assets" "index_html" in
+  let rt = http_boot ?rcfg config in
   (* Trusted fallback body, staged in the server's own arena so the
      serving loop can read it once the enclosure is off-line. *)
   let fallback = Runtime.alloc_in rt ~pkg:Httpd.pkg 512 in
-  Gbuf.fill m fallback 0x66;
-  let handler ~meth:_ ~path:_ =
-    match
-      Runtime.with_enclosure rt "handler_enc" (fun () ->
-          ignore (Gbuf.get m page 0);
-          page)
-    with
-    | body -> body
-    | exception Lb.Quarantined _ -> fallback
-  in
-  let inject = m.Machine.inject in
-  Fault.set_seed inject seed;
-  Fault.arm inject
-    (Fault.rule ~prob:rate ~env_prefix:"enc:" "cpu.spurious_fault");
-  (match Runtime.lb rt with
-  | Some lb -> Lb.set_fault_budget lb budget
-  | None -> ());
-  Runtime.run_main rt (fun () -> Httpd.serve rt ~port:8080 ~handler);
-  let sent, served = chaos_drive rt ~port:8080 ~requests ~conns in
-  Fault.disarm_all inject;
-  ( rt,
-    chaos_result rt ~sent ~served ~conns_failed:(Httpd.connections_failed ())
-      ~enclosure:(Some "handler_enc") ~reconnects:0 )
+  Gbuf.fill (Runtime.machine rt) fallback 0x66;
+  arm rt ~seed ~budget
+    [ Fault.rule ~prob:rate ~env_prefix:"enc:" "cpu.spurious_fault" ];
+  http_serve rt ~port:8080 ~fallback;
+  chaos_drive rt ~port:8080 ~requests ~conns
+    ~conns_failed:Httpd.connections_failed ~enclosure:(Some "handler_enc")
+    ~reconnects:(fun () -> 0)
 
 (* The wiki chaos scenario: network-level failures (dropped connections,
    short reads/writes, transient errnos) across the whole stack,
@@ -580,190 +532,87 @@ let chaos_wiki config ?rcfg ?(seed = 42L) ?(rate = 0.05) ?(budget = 5)
     ?(requests = 400) ?(conns = 4) () =
   let rt = wiki_boot ?rcfg config in
   Pq.reset_counters ();
-  let m = Runtime.machine rt in
-  let inject = m.Machine.inject in
-  Fault.set_seed inject seed;
-  Fault.arm_plan inject
-    [
-      Fault.rule ~prob:rate "net.conn_drop";
-      Fault.rule ~prob:rate "net.partial_read";
-      Fault.rule ~prob:rate "net.partial_write";
-      Fault.rule ~prob:rate "kernel.transient_eintr";
-      Fault.rule ~prob:rate "kernel.transient_eagain";
-    ];
-  (match Runtime.lb rt with
-  | Some lb -> Lb.set_fault_budget lb budget
-  | None -> ());
-  let sent, served = chaos_drive rt ~port:8090 ~requests ~conns in
-  Fault.disarm_all inject;
-  ( rt,
-    chaos_result rt ~sent ~served ~conns_failed:(Wiki.connections_failed ())
-      ~enclosure:None ~reconnects:(Pq.reconnect_count ()) )
+  arm rt ~seed ~budget
+    (List.map
+       (Fault.rule ~prob:rate)
+       [
+         "net.conn_drop";
+         "net.partial_read";
+         "net.partial_write";
+         "kernel.transient_eintr";
+         "kernel.transient_eagain";
+       ]);
+  chaos_drive rt ~port:8090 ~requests ~conns
+    ~conns_failed:Wiki.connections_failed ~enclosure:None
+    ~reconnects:Pq.reconnect_count
 
 (* ------------------------------------------------------------------ *)
-(* smp_http: the HTTP server sharded across simulated cores            *)
+(* Enforcement summary                                                 *)
 
-type smp_result = {
-  s_cores : int;
-  s_requests : int;
-  s_wall_ns : int;
-  s_cpu_ns : int;
-  s_req_per_sec : float;
-  s_steals : int;
-  s_affinity_hits : int;
-  s_switches : int;
-  s_faults : int;
-  s_syscalls : int;
-}
+(* Memory-management syscalls (mmap, pkey_mprotect, ...) are left out:
+   their counts follow allocator span growth and GC timing, which
+   legitimately move with fiber interleaving, backend (MPK transfers
+   call pkey_mprotect) and core count. The ring never carries them —
+   every syscall the apps make is non-mem, and those must match
+   call-for-call. *)
+let workload_syscalls rt =
+  List.filter
+    (fun (nr, _) -> Sysno.category nr <> Sysno.Cat_mem)
+    (K.trace (Runtime.machine rt).Machine.kernel)
 
-(* The http scenario with a per-request template-render cost and the
-   request rate measured against the makespan (the slowest core's
-   lane) rather than total CPU time. The render compute is what scales
-   across cores: connection fibers spread over the shard by work
-   stealing while the client driver stays serial on core 0 (the
-   scenario's Amdahl bound). The core count is pinned per call so
-   benchmark rows never depend on the environment; the default follows
-   [ENCL_CORES] for the CLI drivers. *)
-let smp_http_rt config ?cores ?(requests = 4096) ?(conns = 64)
-    ?(render_ns = 30_000) () =
-  let cores =
-    match cores with Some c -> c | None -> Runtime.default_cores ()
+(* Only quantities no knob, core count or backend may move appear: the
+   rx ring's descriptor counters are enforcement state, bytes copied
+   (which the zero-copy knob moves) is not. The two line shapes are
+   pinned in bench/enforcement_pin.txt. *)
+let enforcement ~label rt r =
+  let trace = workload_syscalls rt in
+  let total = List.fold_left (fun acc (_, n) -> acc + n) 0 trace in
+  let faults, ring_balanced =
+    match Runtime.lb rt with
+    | Some lb ->
+        ( Lb.fault_count lb,
+          Lb.ring_submitted_count lb
+          = Lb.ring_drained_count lb + Lb.ring_pending lb )
+    | None -> (0, true)
   in
-  let rcfg = { (runtime_config config) with Runtime.cores } in
-  let main =
-    Runtime.package "main"
-      ~imports:[ Httpd.pkg; "assets" ]
-      ~functions:[ ("main", 512); ("handler_body", 256) ]
-      ~enclosures:
-        [
-          {
-            Encl_elf.Objfile.enc_name = "handler_enc";
-            enc_policy = "assets:R; sys=none";
-            enc_closure = "handler_body";
-            enc_deps = [];
-          };
-        ]
-      ()
+  let ring =
+    match rxring r with
+    | Some (g, c, rc) ->
+        Printf.sprintf "rxring=%d/%d/%d balanced=%b" g c rc (g = c + rc)
+    | None -> Printf.sprintf "ring_balanced=%b" ring_balanced
   in
-  let packages = main :: assets_package () :: Httpd.packages () in
-  let rt = boot_exn ~rcfg config ~packages ~entry:"main" in
-  Httpd.reset_counters ();
-  let page = Runtime.global rt ~pkg:"assets" "index_html" in
-  let m = Runtime.machine rt in
-  let clock = Runtime.clock rt in
-  let handler ~meth:_ ~path:_ =
-    Runtime.with_enclosure rt "handler_enc" (fun () ->
-        ignore (Gbuf.get m page 0);
-        (* Template rendering: per-request compute charged to the lane
-           of whichever core runs this connection's fiber. *)
-        Clock.consume clock Clock.Compute render_ns;
-        page)
-  in
-  Runtime.run_main rt (fun () -> Httpd.serve rt ~port:8088 ~handler);
-  Runtime.kick rt;
-  let eps = List.init conns (fun _ -> Httpd.client_connect rt ~port:8088) in
-  Runtime.kick rt;
-  (* Warm-up round. *)
-  List.iter (fun ep -> Httpd.client_get rt ep ~path:"/page/home") eps;
-  Runtime.kick rt;
-  List.iter (fun ep -> ignore (Httpd.client_read_response rt ep)) eps;
-  let t0 = Clock.wall clock in
-  let served0 = Httpd.requests_served () in
-  let rounds = requests / conns in
-  for _ = 1 to rounds do
-    List.iter (fun ep -> Httpd.client_get rt ep ~path:"/page/home") eps;
-    Runtime.kick rt;
-    List.iter
-      (fun ep ->
-        let resp = Httpd.client_read_response rt ep in
-        if Bytes.length resp = 0 then failwith "empty response")
-      eps
-  done;
-  let handled = Httpd.requests_served () - served0 in
-  if handled < rounds * conns then
-    failwith
-      (Printf.sprintf "server fell behind: %d/%d requests" handled
-         (rounds * conns));
-  let wall = Clock.wall clock - t0 in
-  let sched = Runtime.sched rt in
-  let non_mem =
-    List.fold_left
-      (fun acc (nr, n) ->
-        if Encl_kernel.Sysno.category nr = Encl_kernel.Sysno.Cat_mem then acc
-        else acc + n)
-      0
-      (K.trace m.Machine.kernel)
-  in
-  ( rt,
-    {
-      s_cores = cores;
-      s_requests = handled;
-      s_wall_ns = wall;
-      s_cpu_ns = Clock.now clock;
-      s_req_per_sec = float_of_int handled /. (float_of_int wall /. 1e9);
-      s_steals = Sched.steal_count sched;
-      s_affinity_hits = Sched.affinity_hit_count sched;
-      s_switches = Sched.switch_count sched;
-      s_faults =
-        (match Runtime.lb rt with Some lb -> Lb.fault_count lb | None -> 0);
-      s_syscalls = non_mem;
-    } )
-
-let smp_http config ?cores ?requests ?conns ?render_ns () =
-  snd (smp_http_rt config ?cores ?requests ?conns ?render_ns ())
+  Printf.sprintf "  %-16s served=%d workload_syscalls=%d faults=%d %s" label
+    r.ops total faults ring
+  :: List.map
+       (fun (nr, n) -> Printf.sprintf "    sys %-14s %d" (Sysno.name nr) n)
+       trace
 
 (* ------------------------------------------------------------------ *)
-(* Named dispatch (trace_dump, CI)                                     *)
+(* Registry                                                            *)
 
-let scenario_names =
-  [ "bild"; "http"; "fasthttp"; "wiki"; "pq"; "smp_http"; "zerocopy_http" ]
+type runner =
+  config -> ?rcfg:Runtime.config -> ?requests:int -> unit -> outcome
 
-let pp_http_result r =
-  Printf.sprintf "%d requests, %.0f req/s, %.2f syscalls/req" r.h_requests
-    r.h_req_per_sec r.h_syscalls_per_req
+let registry : (string * runner) list =
+  [
+    (* [requests] does not apply: bild is iteration-driven. *)
+    ("bild", fun c ?rcfg ?requests:_ () -> bild c ?rcfg ());
+    ("http", fun c ?rcfg ?requests () -> http c ?rcfg ?requests ());
+    ("fasthttp", fun c ?rcfg ?requests () -> fasthttp c ?rcfg ?requests ());
+    ("wiki", fun c ?rcfg ?requests () -> wiki c ?rcfg ?requests ());
+    ("pq", fun c ?rcfg ?requests () -> pq c ?rcfg ?queries:requests ());
+    ("smp_http", fun c ?rcfg ?requests () -> smp_http c ?rcfg ?requests ());
+    ( "zerocopy_http",
+      fun c ?rcfg ?requests () -> zerocopy_http c ?rcfg ?requests () );
+  ]
 
-let run_named name config ?requests () =
-  match name with
-  | "bild" ->
-      (* [requests] does not apply: bild is iteration-driven. *)
-      let rt, r = bild_rt config () in
-      Ok
-        ( rt,
-          Printf.sprintf "%d ns/invert, %d transfers/invert" r.b_ns_per_invert
-            r.b_transfers )
-  | "http" ->
-      let rt, r = http_rt config ?requests () in
-      Ok (rt, pp_http_result r)
-  | "fasthttp" ->
-      let rt, r = fasthttp_rt config ?requests () in
-      Ok (rt, pp_http_result r)
-  | "wiki" ->
-      let rt, r = wiki_rt config ?requests () in
-      Ok (rt, pp_http_result r)
-  | "pq" ->
-      let rt, r = pq_rt config ?queries:requests () in
-      Ok
-        ( rt,
-          Printf.sprintf "%d queries, %d ns/query" r.p_queries
-            r.p_ns_per_query )
-  | "smp_http" ->
-      let rt, r = smp_http_rt config ?requests () in
-      Ok
-        ( rt,
-          Printf.sprintf "%d requests on %d cores, %.0f req/s, %d steals"
-            r.s_requests r.s_cores r.s_req_per_sec r.s_steals )
-  | "zerocopy_http" ->
-      let rt, r = zerocopy_http_rt config ?requests () in
-      Ok
-        ( rt,
-          Printf.sprintf
-            "%d requests, %.0f req/s, %d bytes copied, ring %d/%d/%d"
-            r.z_requests r.z_req_per_sec r.z_bytes_copied r.z_ring_granted
-            r.z_ring_consumed r.z_ring_reclaimed )
-  | _ ->
+let find name =
+  match List.assoc_opt name registry with
+  | Some run -> Ok run
+  | None ->
       Error
         (Printf.sprintf "unknown scenario %s (choose from: %s)" name
-           (String.concat ", " scenario_names))
+           (String.concat ", " (List.map fst registry)))
 
 let wiki_check config =
   let rt = wiki_boot config in

@@ -2,74 +2,90 @@
 
     Each scenario builds a full program (packages + enclosures), boots it
     under the requested configuration ([None] = unmodified-Go baseline),
-    drives a workload, and reports simulated-time results. These are used
-    by the benchmark harness, the examples, and the integration tests. *)
+    drives a workload, and returns the booted runtime with one
+    {!report}. These are used by the benchmark harness, the A/B runner,
+    the tools in [bin/] and the integration tests. *)
 
 type config = Encl_litterbox.Litterbox.backend option
 
 val config_name : config -> string
 
-(** The [?rcfg] parameter overrides the full runtime configuration
-    (custom cost model, clustering ablation); when present it takes
-    precedence over the backend [config]. *)
+(** {2 Reports} *)
 
-type bild_result = {
-  b_ns_per_invert : int;  (** steady-state simulated ns per invert call *)
-  b_transfers : int;
-  b_checksum : int;  (** output checksum (correctness witness) *)
+type report = {
+  ops : int;  (** operations completed: requests, inverts or queries *)
+  cpu_ns : int;  (** simulated CPU ns over the measured span, all cores *)
+  wall_ns : int;
+      (** simulated makespan over the measured span (the slowest core's
+          lane); equal to [cpu_ns] on one core *)
+  metrics : (string * float) list;
+      (** values only this scenario knows, named as in
+          [BENCH_results.json] where a bench row carries them:
+          [req_per_sec] and [syscalls_per_req] (HTTP-style),
+          [ns_per_invert], [transfers] and [checksum] (bild),
+          [ns_per_query] (pq), [rx_granted], [rx_consumed] and
+          [rx_reclaimed] (zerocopy_http), and the chaos tallies *)
 }
+
+type outcome = (Encl_golike.Runtime.t * report, string) result
+(** [Error] on input the scenario cannot measure, e.g. fewer requests
+    than connections. *)
+
+val metric : report -> string -> float
+(** A scenario metric by name. Raises [Not_found] when the scenario does
+    not report it. *)
+
+val pp_report : report -> string
+(** One line: ops, spans and every scenario metric. *)
+
+val rxring : report -> (int * int * int) option
+(** The rx ring's (granted, consumed, reclaimed) descriptor counters at
+    quiesce, when the scenario attached that ring. *)
+
+val with_cores :
+  ?rcfg:Encl_golike.Runtime.config -> ?cores:int -> config ->
+  Encl_golike.Runtime.config option
+(** The configuration a scenario boots: [rcfg] (else the [config]
+    backend's default) with [cores] pinned on top when given. *)
+
+(** {2 Scenarios}
+
+    The [?rcfg] parameter overrides the full runtime configuration
+    (custom cost model, clustering ablation); when present it takes
+    precedence over the backend [config]. [?cores], where offered,
+    pins the core count on top of it. *)
 
 val bild :
   config -> ?rcfg:Encl_golike.Runtime.config -> ?width:int -> ?height:int ->
-  ?iters:int -> unit -> bild_result
+  ?iters:int -> unit -> outcome
 (** The Table 2 "bild" row: a sensitive image shared read-only with an
     enclosed call to bild's [invert]; all system calls denied. Default
     image 1024x1024 RGBA, 3 measured iterations after one warm-up. *)
 
-type http_result = {
-  h_requests : int;
-  h_ns : int;  (** simulated ns for the measured requests *)
-  h_req_per_sec : float;
-  h_syscalls_per_req : float;
-}
-
 val http :
   config -> ?rcfg:Encl_golike.Runtime.config -> ?requests:int -> ?conns:int ->
-  unit -> http_result
+  unit -> outcome
 (** The Table 2 "HTTP" row: net/http server, enclosed request handler
     (no packages, no system calls) returning a 13 KB static page. *)
 
 val fasthttp :
   config -> ?rcfg:Encl_golike.Runtime.config -> ?requests:int -> ?conns:int ->
-  unit -> http_result
+  unit -> outcome
 (** The Table 2 "FastHTTP" row: whole server enclosed with a net-only
     filter, trusted handler goroutine behind channels. *)
 
 val wiki :
   config -> ?rcfg:Encl_golike.Runtime.config -> ?cores:int -> ?requests:int ->
-  ?conns:int -> unit -> http_result
+  ?conns:int -> unit -> outcome
 (** The Figure 5 wiki application: GET-page workload against the
     mini-Postgres remote, two enclosures (HTTP server, DB proxy).
     [cores], when pinned, shards the machine so the per-connection
     serving fibers spread by work stealing; unset is the classic
     single-core boot. *)
 
-type smp_result = {
-  s_cores : int;
-  s_requests : int;
-  s_wall_ns : int;  (** makespan: the slowest core's lane, measured span *)
-  s_cpu_ns : int;  (** total simulated CPU ns across all cores *)
-  s_req_per_sec : float;  (** requests over {e wall} (makespan) time *)
-  s_steals : int;  (** work-steal migrations (scheduler counter) *)
-  s_affinity_hits : int;
-  s_switches : int;  (** Execute environment switches *)
-  s_faults : int;  (** LitterBox-accounted enclosure faults *)
-  s_syscalls : int;  (** non-memory-category system calls, cumulative *)
-}
-
 val smp_http :
-  config -> ?cores:int -> ?requests:int -> ?conns:int -> ?render_ns:int ->
-  unit -> smp_result
+  config -> ?rcfg:Encl_golike.Runtime.config -> ?cores:int -> ?requests:int ->
+  ?conns:int -> ?render_ns:int -> unit -> outcome
 (** The http scenario with a per-request template-render cost, request
     rate measured against the makespan (max core lane) instead of total
     CPU time. Connection fibers spread across the simulated cores by
@@ -81,41 +97,21 @@ val wiki_check : config -> (string, string) result
 (** Functional check: create a page over POST, read it back over GET;
     returns the page body seen by the client. *)
 
-type pq_result = {
-  p_queries : int;  (** queries completed *)
-  p_ns_per_query : int;  (** simulated ns per query (connect amortized) *)
-}
-
 val pq :
   config -> ?rcfg:Encl_golike.Runtime.config -> ?cores:int -> ?workers:int ->
-  ?queries:int -> unit -> pq_result
+  ?queries:int -> unit -> outcome
 (** The database driver alone inside an enclosure ([pq_enc]: pq and its
     dependency tree, [net] syscalls narrowed to the database address):
     connect once, then [queries] SELECTs against the mini-Postgres
     remote. The policy miner's connect-narrowing reference scenario.
-    [workers] (default 1 — the classic serial loop, byte-identical to
-    the old scenario) splits the queries over that many goroutines,
-    each with its own connection, spawned inside the enclosure; pin
-    [cores] alongside to spread them over a sharded machine. *)
-
-type zc_result = {
-  z_requests : int;
-  z_req_per_sec : float;
-  z_syscalls_per_req : float;
-  z_bytes_copied : int;
-      (** kernel user-memory passes + guest buffer-to-buffer copies over
-          the measured run (the whole boot, in fact — the ledgers are
-          machine-lifetime); near zero with {!Encl_sim.Zerocopy} on *)
-  z_ring_granted : int;
-  z_ring_consumed : int;
-  z_ring_reclaimed : int;
-      (** rx-ring descriptor balance: granted = consumed + reclaimed at
-          quiesce, independent of the Zerocopy flag *)
-}
+    [workers] (default 1 — the classic serial loop) splits the queries
+    over that many goroutines, each with its own connection, spawned
+    inside the enclosure; pin [cores] alongside to spread them over a
+    sharded machine. *)
 
 val zerocopy_http :
   config -> ?rcfg:Encl_golike.Runtime.config -> ?requests:int -> ?conns:int ->
-  unit -> zc_result
+  unit -> outcome
 (** The zero-copy data plane end to end: the fasthttp server in zc
     serving mode — requests read in place from the rx view ring
     ("netring:R" in the [zc_srv] policy), 13 KiB static body spliced
@@ -124,24 +120,18 @@ val zerocopy_http :
     enforcement artifacts are byte-identical across the flag and only
     time + the bytes_copied ledger move. *)
 
-(** {2 Chaos scenarios (deterministic fault injection)} *)
+(** {2 Chaos scenarios (deterministic fault injection)}
 
-type chaos_result = {
-  c_sent : int;  (** client request attempts *)
-  c_served : int;  (** attempts the client saw a response for *)
-  c_availability : float;  (** served / sent *)
-  c_injected : int;  (** fault-injector fires *)
-  c_faults : int;  (** LitterBox-accounted enclosure faults *)
-  c_kills : int;  (** fibers killed and reaped by the scheduler *)
-  c_conns_failed : int;  (** connections torn down by a contained fault *)
-  c_quarantined : bool;  (** the targeted enclosure exhausted its budget *)
-  c_reconnects : int;  (** pq re-dials (wiki scenario) *)
-}
+    Their metrics are the chaos tallies: [sent], [served],
+    [availability] (served / sent), [injected] (fault-injector fires),
+    [faults] (LitterBox-accounted), [kills] (fibers killed and reaped),
+    [conns_failed] (connections torn down by a contained fault),
+    [quarantined] (1 when the targeted enclosure exhausted its budget)
+    and [reconnects] (pq re-dials). *)
 
 val chaos_http :
   config -> ?rcfg:Encl_golike.Runtime.config -> ?seed:int64 -> ?rate:float ->
-  ?budget:int -> ?requests:int -> ?conns:int -> unit ->
-  Encl_golike.Runtime.t * chaos_result
+  ?budget:int -> ?requests:int -> ?conns:int -> unit -> outcome
 (** Spurious page faults injected into the request-handler enclosure at
     [rate] per consultation. Each fault costs one connection; after
     [budget] faults the enclosure is quarantined and the handler serves a
@@ -150,57 +140,39 @@ val chaos_http :
 
 val chaos_wiki :
   config -> ?rcfg:Encl_golike.Runtime.config -> ?seed:int64 -> ?rate:float ->
-  ?budget:int -> ?requests:int -> ?conns:int -> unit ->
-  Encl_golike.Runtime.t * chaos_result
+  ?budget:int -> ?requests:int -> ?conns:int -> unit -> outcome
 (** Network chaos over the wiki: dropped connections, short reads and
     writes, transient [EINTR]/[EAGAIN] — exercising the retry helpers
     and the pq -> minidb reconnect path. *)
 
-val pp_chaos_result : chaos_result -> string
-(** One deterministic [key=value] line (the chaos tool's output). *)
+val pp_chaos_result : report -> string
+(** One deterministic [key=value] line of the chaos tallies (the chaos
+    tool's output). *)
 
-(** {2 Runtime-returning variants}
+(** {2 Enforcement} *)
 
-    The [_rt] functions additionally return the booted runtime so
-    callers (the trace dumper, tests) can inspect the machine —
-    observability sink, LitterBox counters — after the workload. *)
+val workload_syscalls :
+  Encl_golike.Runtime.t -> (Encl_kernel.Sysno.t * int) list
+(** The kernel's per-syscall totals without the memory-management
+    family, whose counts follow allocator span growth and GC timing. *)
 
-val bild_rt :
-  config -> ?rcfg:Encl_golike.Runtime.config -> ?width:int -> ?height:int ->
-  ?iters:int -> unit -> Encl_golike.Runtime.t * bild_result
+val enforcement : label:string -> Encl_golike.Runtime.t -> report -> string list
+(** A run's enforcement, without timings: ops served, the workload
+    syscall total and per-syscall counts, faults, and the syscall-ring
+    balance — or, when the run attached the rx ring, its descriptor
+    counters and their balance. Identical under every knob, core count
+    and backend for the same program and workload. *)
 
-val http_rt :
-  config -> ?rcfg:Encl_golike.Runtime.config -> ?requests:int -> ?conns:int ->
-  unit -> Encl_golike.Runtime.t * http_result
+(** {2 Registry} *)
 
-val fasthttp_rt :
-  config -> ?rcfg:Encl_golike.Runtime.config -> ?requests:int -> ?conns:int ->
-  unit -> Encl_golike.Runtime.t * http_result
+type runner =
+  config -> ?rcfg:Encl_golike.Runtime.config -> ?requests:int -> unit ->
+  outcome
+(** A default-sized run; [requests] resizes the request-driven scenarios
+    (pq reads it as its query count, bild ignores it). *)
 
-val wiki_rt :
-  config -> ?rcfg:Encl_golike.Runtime.config -> ?cores:int -> ?requests:int ->
-  ?conns:int -> unit -> Encl_golike.Runtime.t * http_result
+val registry : (string * runner) list
+(** bild, http, fasthttp, wiki, pq, smp_http and zerocopy_http. *)
 
-val pq_rt :
-  config -> ?rcfg:Encl_golike.Runtime.config -> ?cores:int -> ?workers:int ->
-  ?queries:int -> unit -> Encl_golike.Runtime.t * pq_result
-
-val zerocopy_http_rt :
-  config -> ?rcfg:Encl_golike.Runtime.config -> ?requests:int -> ?conns:int ->
-  unit -> Encl_golike.Runtime.t * zc_result
-
-val smp_http_rt :
-  config -> ?cores:int -> ?requests:int -> ?conns:int -> ?render_ns:int ->
-  unit -> Encl_golike.Runtime.t * smp_result
-
-val scenario_names : string list
-(** Names accepted by {!run_named}: currently
-    ["bild"; "http"; "fasthttp"; "wiki"; "pq"; "smp_http";
-    "zerocopy_http"]. *)
-
-val run_named :
-  string -> config -> ?requests:int -> unit ->
-  (Encl_golike.Runtime.t * string, string) result
-(** Run a scenario by name with default sizing ([?requests] applies to the
-    HTTP-style scenarios; [bild] is iteration-driven and ignores it).
-    Returns the runtime and a one-line human-readable result. *)
+val find : string -> (runner, string) result
+(** A registry entry by name; the error lists the choices. *)

@@ -189,7 +189,7 @@ let syscall_exn t call =
    {!syscall}. *)
 let syscall_batched t call =
   match t.lb with
-  | Some lb when Sysring.enabled () ->
+  | Some lb when Knob.sysring.Knob.value ->
       let c = Lb.submit lb call in
       if (not (Lb.completion_ready c)) && Sched.in_fiber t.sched then
         Sched.wait_until t.sched (fun () -> Lb.completion_ready c);
@@ -201,7 +201,7 @@ let syscall_batched t call =
    running; the entry completes at the next drain point. *)
 let syscall_nowait t call =
   match t.lb with
-  | Some lb when Sysring.enabled () -> ignore (Lb.submit lb call)
+  | Some lb when Knob.sysring.Knob.value -> ignore (Lb.submit lb call)
   | Some _ | None -> ignore (syscall t call)
 
 (* The rx view ring. The arena is ordinary heap memory allocated in

@@ -289,7 +289,7 @@ let pick_next t core =
   let runq = t.runqs.(core) in
   match t.lb with
   | Some lb
-    when Fastpath.enabled ()
+    when Knob.fastpath.Knob.value
          && Queue.length runq > 1
          && t.affinity_streaks.(core) < affinity_budget -> (
       if fiber_matches_on_core t lb core (Queue.peek runq) then begin

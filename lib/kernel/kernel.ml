@@ -576,7 +576,7 @@ let execute t call =
                     (let module Obs = Encl_obs.Obs in
                      if Obs.enabled t.obs then
                        Obs.incr t.obs "ring.rx_granted");
-                    if Zerocopy.enabled () then
+                    if Knob.zerocopy.Knob.value then
                       Clock.consume t.clock Clock.Syscall
                         t.costs.Costs.zc_grant
                     else bounce t ~passes:1 n;
@@ -597,7 +597,7 @@ let execute t call =
                   (* The payload moves VFS -> socket without entering
                      user memory; with the flag off it takes the
                      classic read+write detour instead (two passes). *)
-                  if not (Zerocopy.enabled ()) then bounce t ~passes:2 n;
+                  if not Knob.zerocopy.Knob.value then bounce t ~passes:2 n;
                   match Net.send t.net ep data with
                   | Ok sent -> Ok sent
                   | Error _ -> Error Epipe)
@@ -768,7 +768,7 @@ let syscall_body t call nr ~trap_cost =
     | Seccomp.Evaluated steps ->
         Clock.consume t.clock Clock.Syscall
           (if steps <= 4 then t.costs.Costs.seccomp_fast else t.costs.Costs.seccomp_eval);
-        if Obs.enabled t.obs && Fastpath.enabled () then
+        if Obs.enabled t.obs && Knob.fastpath.Knob.value then
           Obs.incr t.obs "seccomp.cache_miss");
     if injected t "kernel.seccomp_delay" then
       (* Verdict unchanged, just late: a cold BPF JIT cache. *)

@@ -194,7 +194,7 @@ let check_memo ?(core = 0) t data =
   match t.prog with
   | None -> (Bpf.Allow, Evaluated 0)
   | Some prog ->
-      if not (Fastpath.enabled ()) then
+      if not Knob.fastpath.Knob.value then
         let action, steps = Bpf.run_count prog data in
         (action, Evaluated steps)
       else

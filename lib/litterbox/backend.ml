@@ -31,6 +31,21 @@ let of_string s =
   | "sfi" | "lb_sfi" -> Some Sfi
   | _ -> None
 
+(* A "baseline or backend" command-line argument: [None] is the
+   unprotected baseline. The one parser every tool in bin/ uses. *)
+let config_of_string s =
+  match String.lowercase_ascii s with
+  | "baseline" | "none" -> Ok None
+  | _ -> (
+      match of_string s with
+      | Some b -> Ok (Some b)
+      | None ->
+          Error
+            (Printf.sprintf "unknown backend %s (choose from: baseline, %s)" s
+               (String.concat ", " (List.map arg_name all))))
+
+let config_arg_name = function None -> "baseline" | Some b -> arg_name b
+
 (** What a backend must provide to LitterBox. The context types are
     abstract here — LitterBox instantiates them with its own runtime
     state ([ctx] = the LitterBox instance, [enc] = per-enclosure

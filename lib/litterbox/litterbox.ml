@@ -1412,7 +1412,8 @@ let hw_env_equal t (target : Cpu.env) =
   Int32.equal cur.Cpu.pkru target.Cpu.pkru
   && Pagetable.id cur.Cpu.pt = Pagetable.id target.Cpu.pt
 
-let can_elide t stack = Fastpath.enabled () && hw_env_equal t (env_of_stack t stack)
+let can_elide t stack =
+  Knob.fastpath.Knob.value && hw_env_equal t (env_of_stack t stack)
 
 let note_elision t scope =
   t.switch_elided <- t.switch_elided + 1;
@@ -1714,7 +1715,7 @@ let transfer_range t ~addr ~len ~chunk ~to_pkg ~site =
   if len <= 0 then invalid_arg "Litterbox.transfer_range: len must be > 0";
   let n = (len + chunk - 1) / chunk in
   let chunk_len i = min chunk (len - (i * chunk)) in
-  if (not (Fastpath.enabled ())) || n <= 1 then
+  if (not Knob.fastpath.Knob.value) || n <= 1 then
     for i = 0 to n - 1 do
       transfer t ~addr:(addr + (i * chunk)) ~len:(chunk_len i) ~to_pkg ~site
     done

@@ -24,8 +24,11 @@ module Json = struct
       s;
     Buffer.add_char buf '"'
 
+  (* JSON has no NaN or infinity: a non-finite float is written as null,
+     which readers (the bench gate among them) reject as a value. *)
   let float_repr f =
-    if Float.is_integer f && Float.abs f < 1e15 then
+    if not (Float.is_finite f) then "null"
+    else if Float.is_integer f && Float.abs f < 1e15 then
       Printf.sprintf "%.1f" f
     else Printf.sprintf "%.12g" f
 

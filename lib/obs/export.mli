@@ -14,7 +14,8 @@ module Json : sig
     | Obj of (string * t) list
 
   val to_string : t -> string
-  (** Compact serialization (valid JSON; strings escaped). *)
+  (** Compact serialization (valid JSON; strings escaped, NaN and
+      infinities written as [null]). *)
 
   val parse : string -> (t, string) result
   (** Strict parser for the subset above (numbers without a fraction or

@@ -15,6 +15,14 @@ type t = {
 let default_capacity = 65_536
 let default_enabled = ref false
 
+let with_default ?(witness = false) b f =
+  let saved = (!default_enabled, !Witness.default_enabled) in
+  default_enabled := b;
+  if witness then Witness.default_enabled := b;
+  Fun.protect f ~finally:(fun () ->
+      default_enabled := fst saved;
+      Witness.default_enabled := snd saved)
+
 let trusted_scope = "trusted"
 
 let create ?(capacity = default_capacity) ?enabled ~now () =

@@ -18,6 +18,11 @@ val default_enabled : bool ref
     trace (e.g. [bin/trace_dump.exe]) set this before booting a
     runtime; the library default is [false]. *)
 
+val with_default : ?witness:bool -> bool -> (unit -> 'a) -> 'a
+(** Run [f] with {!default_enabled} (and, with [witness], the witness
+    recorder's default too) set to the given value, restoring both on
+    exit. *)
+
 val create : ?capacity:int -> ?enabled:bool -> now:(unit -> int) -> unit -> t
 (** [enabled] defaults to [!default_enabled]. *)
 

@@ -419,7 +419,7 @@ let write_payload t obj data =
    never turned out to be needed is saved. *)
 let localcopy t obj ~dst_module =
   let elide =
-    Zerocopy.enabled ()
+    Knob.zerocopy.Knob.value
     &&
     match t.lb with
     | None -> false

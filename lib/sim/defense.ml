@@ -50,22 +50,6 @@ let name = function
   | Sfi_mask -> "sfi-mask"
   | Tainted_boundary -> "tainted-boundary"
 
-let describe = function
-  | Gate_integrity ->
-      "only registered call gates may change PKRU / page table / SFI tag"
-  | Syscall_origin ->
-      "system calls from untrusted code must originate inside a call gate"
-  | Mm_guard ->
-      "mmap/munmap/pkey_* are a trusted-runtime privilege, denied to enclosures"
-  | Ring_integrity ->
-      "ring entries drain under their submitter's filter; epilog drains first"
-  | Resume_check -> "resuming into a quarantined enclosure environment faults"
-  | Cache_epoch ->
-      "installing a seccomp program or re-homing a transfer flushes the verdict cache"
-  | Sfi_mask -> "every SFI load/store runs the mask-and-bounds sequence"
-  | Tainted_boundary ->
-      "tainted boundary values must pass their check before trusted use"
-
 let of_string s =
   let canon =
     String.map (function '_' -> '-' | c -> c) (String.lowercase_ascii s)
@@ -86,7 +70,6 @@ let () =
 
 let enabled d = state.(index d)
 let set d b = state.(index d) <- b
-let all_enabled () = Array.for_all Fun.id state
 
 let with_disabled d f =
   let saved = state.(index d) in

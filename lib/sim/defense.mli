@@ -39,13 +39,11 @@ type t =
 val all : t list
 val name : t -> string  (** kebab-case identifier, e.g. ["gate-integrity"] *)
 
-val describe : t -> string
 val of_string : string -> t option
 (** Accepts the kebab-case {!name} (underscores tolerated, case-folded). *)
 
 val enabled : t -> bool
 val set : t -> bool -> unit
-val all_enabled : unit -> bool
 
 val with_disabled : t -> (unit -> 'a) -> 'a
 (** Run [f] with defense [d] off, restoring the previous state on exit. *)

@@ -1,21 +1,5 @@
-(* The global fast-path switch. One flag gates every optimization that
-   is semantics-preserving by construction (switch elision, the seccomp
-   verdict cache, transfer coalescing, enclosure-affinity scheduling):
-   enforcement outcomes must be bit-identical either way, only the
-   simulated cost changes. Initialized from ENCL_FASTPATH (default on;
-   "0", "false" or "off" disable), mutable so tests and tools can run
-   the same workload under both settings in one process. *)
+(* A view onto {!Knob.fastpath}. *)
 
-let flag =
-  ref
-    (match Sys.getenv_opt "ENCL_FASTPATH" with
-    | Some ("0" | "false" | "off") -> false
-    | Some _ | None -> true)
-
-let enabled () = !flag
-let set b = flag := b
-
-let with_flag b f =
-  let saved = !flag in
-  flag := b;
-  Fun.protect ~finally:(fun () -> flag := saved) f
+let enabled () = Knob.fastpath.Knob.value
+let set b = Knob.set Knob.fastpath b
+let with_flag b f = Knob.with_value Knob.fastpath b f

@@ -1,23 +1,5 @@
-(* The syscall-ring switch. Gates the io_uring-style batched submission
-   path (Litterbox.submit/drain + the golike runtime's batched syscall
-   helpers): untrusted code enqueues syscall descriptors without
-   switching and one guest-syscall/VM EXIT drains the whole batch.
-   Enforcement outcomes must be bit-identical either way — same
-   verdicts, faults and errno results — only the number of privilege
-   crossings changes. Initialized from ENCL_SYSRING (default on; "0",
-   "false" or "off" disable), mutable so tests and tools can run the
-   same workload under both settings in one process. *)
+(* A view onto {!Knob.sysring}. *)
 
-let flag =
-  ref
-    (match Sys.getenv_opt "ENCL_SYSRING" with
-    | Some ("0" | "false" | "off") -> false
-    | Some _ | None -> true)
-
-let enabled () = !flag
-let set b = flag := b
-
-let with_flag b f =
-  let saved = !flag in
-  flag := b;
-  Fun.protect ~finally:(fun () -> flag := saved) f
+let enabled () = Knob.sysring.Knob.value
+let set b = Knob.set Knob.sysring b
+let with_flag b f = Knob.with_value Knob.sysring b f

@@ -1,22 +1,5 @@
-(* The global zero-copy switch. One flag gates every data-plane
-   optimization that is semantics-preserving by construction (rx-ring
-   view consumption without a bounce copy, the sendfile fast path,
-   pylike localcopy elision): enforcement outcomes must be bit-identical
-   either way, only the simulated cost and the bytes_copied ledger
-   change. Initialized from ENCL_ZEROCOPY (default on; "0", "false" or
-   "off" disable), mutable so tests and tools can run the same workload
-   under both settings in one process. *)
+(* A view onto {!Knob.zerocopy}. *)
 
-let flag =
-  ref
-    (match Sys.getenv_opt "ENCL_ZEROCOPY" with
-    | Some ("0" | "false" | "off") -> false
-    | Some _ | None -> true)
-
-let enabled () = !flag
-let set b = flag := b
-
-let with_flag b f =
-  let saved = !flag in
-  flag := b;
-  Fun.protect ~finally:(fun () -> flag := saved) f
+let enabled () = Knob.zerocopy.Knob.value
+let set b = Knob.set Knob.zerocopy b
+let with_flag b f = Knob.with_value Knob.zerocopy b f

@@ -83,3 +83,11 @@ let sym_addr image ~pkg name =
   match Image.find_symbol image ~pkg name with
   | Some s -> s.Image.ps_addr
   | None -> failwith (Printf.sprintf "symbol %s.%s not found" pkg name)
+
+(* Substring test for checking error and failure messages. *)
+let contains haystack needle =
+  let n = String.length needle and h = String.length haystack in
+  let rec go i =
+    i + n <= h && (String.sub haystack i n = needle || go (i + 1))
+  in
+  go 0

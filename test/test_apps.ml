@@ -13,6 +13,10 @@ module Scenarios = Encl_apps.Scenarios
 module Malice = Encl_apps.Malice
 module Deps = Encl_apps.Deps
 
+(* A scenario's report; a refusal to run fails the test. *)
+let report = function Ok (_rt, r) -> r | Error e -> Alcotest.fail e
+let metric r name = int_of_float (Scenarios.metric r name)
+
 (* ------------------------------------------------------------------ *)
 (* Minidb *)
 
@@ -176,15 +180,23 @@ let mux_tests =
 let bild_tests =
   [
     Alcotest.test_case "invert inverts every byte" `Quick (fun () ->
-        let r = Scenarios.bild None ~width:64 ~height:64 ~iters:1 () in
+        let r = report (Scenarios.bild None ~width:64 ~height:64 ~iters:1 ()) in
         (* 64*64*4 bytes of 0x55 inverted to 0xAA. *)
-        Alcotest.(check int) "checksum" (64 * 64 * 4 * 0xAA) r.Scenarios.b_checksum);
+        Alcotest.(check int) "checksum" (64 * 64 * 4 * 0xAA) (metric r "checksum"));
     Alcotest.test_case "enclosed invert matches baseline output" `Quick (fun () ->
-        let base = Scenarios.bild None ~width:32 ~height:32 ~iters:1 () in
-        let mpk = Scenarios.bild (Some Lb.Mpk) ~width:32 ~height:32 ~iters:1 () in
-        let vtx = Scenarios.bild (Some Lb.Vtx) ~width:32 ~height:32 ~iters:1 () in
-        Alcotest.(check int) "mpk" base.Scenarios.b_checksum mpk.Scenarios.b_checksum;
-        Alcotest.(check int) "vtx" base.Scenarios.b_checksum vtx.Scenarios.b_checksum);
+        let checksum c =
+          metric (report (Scenarios.bild c ~width:32 ~height:32 ~iters:1 ())) "checksum"
+        in
+        let base = checksum None in
+        Alcotest.(check int) "mpk" base (checksum (Some Lb.Mpk));
+        Alcotest.(check int) "vtx" base (checksum (Some Lb.Vtx)));
+    Alcotest.test_case "bild refuses a run with no measured iteration" `Quick
+      (fun () ->
+        match Scenarios.bild None ~width:8 ~height:8 ~iters:0 () with
+        | Ok _ -> Alcotest.fail "iters:0 measured nothing and still reported"
+        | Error e ->
+            Alcotest.(check bool) ("names the count: " ^ e) true
+              (Fixtures.contains e "got 0"));
     Alcotest.test_case "enclosure cannot write the shared image" `Quick (fun () ->
         let secrets = Runtime.package "secrets" ~functions:[ ("load", 32) ] () in
         let main =
@@ -284,10 +296,11 @@ let bild_tests =
               out)
           [ (1, 1); (7, 5); (13, 9); (31, 17); (8, 3); (5, 8); (64, 2); (33, 33) ]);
     Alcotest.test_case "transfers only happen under LitterBox" `Quick (fun () ->
-        let base = Scenarios.bild None ~width:64 ~height:64 ~iters:1 () in
-        let mpk = Scenarios.bild (Some Lb.Mpk) ~width:64 ~height:64 ~iters:1 () in
-        Alcotest.(check int) "baseline none" 0 base.Scenarios.b_transfers;
-        Alcotest.(check bool) "mpk many" true (mpk.Scenarios.b_transfers > 0));
+        let transfers c =
+          metric (report (Scenarios.bild c ~width:64 ~height:64 ~iters:1 ())) "transfers"
+        in
+        Alcotest.(check int) "baseline none" 0 (transfers None);
+        Alcotest.(check bool) "mpk many" true (transfers (Some Lb.Mpk) > 0));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -296,9 +309,32 @@ let bild_tests =
 let http_tests =
   [
     Alcotest.test_case "http server answers with the page" `Quick (fun () ->
-        let r = Scenarios.http None ~requests:16 ~conns:2 () in
-        Alcotest.(check int) "served" 16 r.Scenarios.h_requests;
-        Alcotest.(check bool) "throughput sane" true (r.Scenarios.h_req_per_sec > 0.0));
+        let r = report (Scenarios.http None ~requests:16 ~conns:2 ()) in
+        Alcotest.(check int) "served" 16 r.Scenarios.ops;
+        Alcotest.(check bool) "throughput sane" true
+          (Scenarios.metric r "req_per_sec" > 0.0));
+    Alcotest.test_case "fewer requests than connections is refused" `Quick
+      (fun () ->
+        (* 4 requests over 8 connections is zero measured rounds: the
+           rate would be 0/0. *)
+        List.iter
+          (fun (name, run) ->
+            match run None ~requests:4 ~conns:8 () with
+            | Ok (_, r) ->
+                Alcotest.failf "%s measured %d requests, req/s %g" name
+                  r.Scenarios.ops (Scenarios.metric r "req_per_sec")
+            | Error e ->
+                Alcotest.(check bool) (name ^ " names both numbers: " ^ e) true
+                  (Fixtures.contains e "4 requests"
+                  && Fixtures.contains e "8 connections"))
+          [
+            ("http", fun c ~requests ~conns () -> Scenarios.http c ~requests ~conns ());
+            ( "smp_http",
+              fun c ~requests ~conns () -> Scenarios.smp_http c ~requests ~conns () );
+            ( "zerocopy_http",
+              fun c ~requests ~conns () ->
+                Scenarios.zerocopy_http c ~requests ~conns () );
+          ]);
     Alcotest.test_case "client_read_response joins the chunks once" `Quick (fun () ->
         let main = Runtime.package "main" ~functions:[ ("main", 64) ] () in
         let rt = Result.get_ok (Runtime.boot Runtime.baseline ~packages:[ main ] ~entry:"main") in
@@ -316,21 +352,21 @@ let http_tests =
           (Encl_kernel.Net.recv net ep 1 = Encl_kernel.Net.Would_block));
     Alcotest.test_case "http under both backends" `Quick (fun () ->
         List.iter
-          (fun c -> ignore (Scenarios.http c ~requests:8 ~conns:2 ()))
+          (fun c -> ignore (report (Scenarios.http c ~requests:8 ~conns:2 ())))
           [ Some Lb.Mpk; Some Lb.Vtx ]);
     Alcotest.test_case "fasthttp under both backends" `Quick (fun () ->
         List.iter
-          (fun c -> ignore (Scenarios.fasthttp c ~requests:8 ~conns:2 ()))
+          (fun c -> ignore (report (Scenarios.fasthttp c ~requests:8 ~conns:2 ())))
           [ Some Lb.Mpk; Some Lb.Vtx ]);
     Alcotest.test_case "http and fasthttp have similar syscall traces" `Quick
       (fun () ->
         (* Paper §6.2: "FastHTTP and HTTP have a similar system call
            trace". *)
-        let a = Scenarios.http None ~requests:64 ~conns:4 () in
-        let b = Scenarios.fasthttp None ~requests:64 ~conns:4 () in
+        let a = report (Scenarios.http None ~requests:64 ~conns:4 ()) in
+        let b = report (Scenarios.fasthttp None ~requests:64 ~conns:4 ()) in
+        let per_req r = Scenarios.metric r "syscalls_per_req" in
         Alcotest.(check bool) "within one syscall" true
-          (abs_float (a.Scenarios.h_syscalls_per_req -. b.Scenarios.h_syscalls_per_req)
-          < 1.0));
+          (abs_float (per_req a -. per_req b) < 1.0));
     Alcotest.test_case "response carries the full 13KB page" `Quick (fun () ->
         let main =
           Runtime.package "main" ~imports:[ Httpd.pkg; "assets" ]
@@ -454,8 +490,8 @@ let failure_tests =
           [ [ "x" ] ]
           (Result.get_ok (Encl_apps.Minidb.decode_response (List.nth replies 2))));
     Alcotest.test_case "fasthttp under LB_LWC serves" `Quick (fun () ->
-        let r = Scenarios.fasthttp (Some Lb.Lwc) ~requests:8 ~conns:2 () in
-        Alcotest.(check int) "served" 8 r.Scenarios.h_requests);
+        let r = report (Scenarios.fasthttp (Some Lb.Lwc) ~requests:8 ~conns:2 ()) in
+        Alcotest.(check int) "served" 8 r.Scenarios.ops);
     Alcotest.test_case "wiki under LB_LWC roundtrips" `Quick (fun () ->
         Alcotest.(check bool) "ok" true
           (Result.is_ok (Scenarios.wiki_check (Some Lb.Lwc))));
@@ -474,8 +510,8 @@ let wiki_tests =
     Alcotest.test_case "roundtrip works under VTX" `Quick (fun () ->
         Alcotest.(check bool) "ok" true (Result.is_ok (Scenarios.wiki_check (Some Lb.Vtx))));
     Alcotest.test_case "wiki serves sustained load enclosed" `Quick (fun () ->
-        let r = Scenarios.wiki (Some Lb.Mpk) ~requests:40 ~conns:4 () in
-        Alcotest.(check int) "served" 40 r.Scenarios.h_requests);
+        let r = report (Scenarios.wiki (Some Lb.Mpk) ~requests:40 ~conns:4 ()) in
+        Alcotest.(check int) "served" 40 r.Scenarios.ops);
   ]
 
 (* ------------------------------------------------------------------ *)

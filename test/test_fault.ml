@@ -259,35 +259,39 @@ let sched_tests =
 (* ------------------------------------------------------------------ *)
 (* Chaos scenarios *)
 
+let tallies = function
+  | Ok (_rt, r) -> (r, Scenarios.metric r)
+  | Error e -> Alcotest.fail e
+
 let chaos_tests =
   [
     Alcotest.test_case "http chaos: contained, quarantined, available" `Quick
       (fun () ->
-        let _rt, r =
-          Scenarios.chaos_http (Some Lb.Mpk) ~seed:42L ~requests:150 ()
+        let _, m =
+          tallies (Scenarios.chaos_http (Some Lb.Mpk) ~seed:42L ~requests:150 ())
         in
         Alcotest.(check bool) "availability >= 0.9" true
-          (r.Scenarios.c_availability >= 0.9);
-        Alcotest.(check bool) "faults happened" true (r.Scenarios.c_faults > 0);
-        Alcotest.(check bool) "quarantined" true r.Scenarios.c_quarantined;
-        Alcotest.(check int) "faults = injected" r.Scenarios.c_injected
-          r.Scenarios.c_faults);
+          (m "availability" >= 0.9);
+        Alcotest.(check bool) "faults happened" true (m "faults" > 0.);
+        Alcotest.(check bool) "quarantined" true (m "quarantined" = 1.);
+        Alcotest.(check (float 0.)) "faults = injected" (m "injected")
+          (m "faults"));
     Alcotest.test_case "http chaos is deterministic" `Quick (fun () ->
         let run () =
-          snd (Scenarios.chaos_http (Some Lb.Mpk) ~seed:9L ~requests:120 ())
+          fst (tallies (Scenarios.chaos_http (Some Lb.Mpk) ~seed:9L ~requests:120 ()))
         in
         let a = Scenarios.pp_chaos_result (run ()) in
         let b = Scenarios.pp_chaos_result (run ()) in
         Alcotest.(check string) "identical metrics" a b);
     Alcotest.test_case "wiki chaos: retries and reconnects keep it up" `Quick
       (fun () ->
-        let _rt, r =
-          Scenarios.chaos_wiki (Some Lb.Mpk) ~seed:42L ~requests:120 ()
+        let _, m =
+          tallies (Scenarios.chaos_wiki (Some Lb.Mpk) ~seed:42L ~requests:120 ())
         in
         Alcotest.(check bool) "availability >= 0.9" true
-          (r.Scenarios.c_availability >= 0.9);
-        Alcotest.(check bool) "injection active" true (r.Scenarios.c_injected > 0);
-        Alcotest.(check bool) "pq reconnected" true (r.Scenarios.c_reconnects > 0));
+          (m "availability" >= 0.9);
+        Alcotest.(check bool) "injection active" true (m "injected" > 0.);
+        Alcotest.(check bool) "pq reconnected" true (m "reconnects" > 0.));
   ]
 
 (* ------------------------------------------------------------------ *)

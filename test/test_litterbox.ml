@@ -646,9 +646,40 @@ let cost_tests =
         Lb.epilog lb ~site:"enclosure:io_enc");
   ]
 
+(* ------------------------------------------------------------------ *)
+(* The "baseline or backend" argument every tool parses *)
+
+let backend_arg_tests =
+  [
+    Alcotest.test_case "every backend spelling round-trips, junk is refused"
+      `Quick (fun () ->
+        let module B = Encl_litterbox.Backend in
+        List.iter
+          (fun b ->
+            List.iter
+              (fun s ->
+                Alcotest.(check bool) s true (B.config_of_string s = Ok (Some b)))
+              [ B.arg_name b; B.name b; String.uppercase_ascii (B.arg_name b) ];
+            Alcotest.(check bool) "printed name parses back" true
+              (B.config_of_string (B.config_arg_name (Some b)) = Ok (Some b)))
+          B.all;
+        List.iter
+          (fun s -> Alcotest.(check bool) s true (B.config_of_string s = Ok None))
+          [ "baseline"; "none" ];
+        match B.config_of_string "bogus" with
+        | Ok _ -> Alcotest.fail "bogus accepted"
+        | Error e ->
+            List.iter
+              (fun choice ->
+                Alcotest.(check bool) ("lists " ^ choice) true
+                  (Fixtures.contains e choice))
+              ("baseline" :: List.map B.arg_name B.all));
+  ]
+
 let () =
   Alcotest.run "litterbox"
     [
+      ("backend-arg", backend_arg_tests);
       ("policy", policy_tests);
       ("view", view_tests);
       ("cluster", cluster_tests);

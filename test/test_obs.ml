@@ -128,6 +128,47 @@ let json_tests =
         match Json.parse {|{"a": [1, 2|} with
         | Error _ -> ()
         | Ok _ -> Alcotest.fail "expected a parse error");
+    Alcotest.test_case "non-finite floats are null, and the gate rejects them"
+      `Quick (fun () ->
+        Alcotest.(check string) "null" {|[null,null,null]|}
+          (Json.to_string
+             (Json.List [ Json.Float nan; Json.Float infinity; Json.Float (-.nan) ]));
+        let doc =
+          Json.Obj
+            [
+              ("quick", Json.Bool true);
+              ( "rows",
+                Json.List
+                  [
+                    Json.Obj
+                      [
+                        ("workload", Json.String "smp_http");
+                        ("backend", Json.String "LB_MPK");
+                        ("metric", Json.String "req_per_sec");
+                        ("value", Json.Float nan);
+                      ];
+                  ] );
+            ]
+        in
+        match Encl_obs.Gate.parse_doc (Json.to_string doc) with
+        | Error _ -> ()
+        | Ok _ -> Alcotest.fail "a NaN row value passed the gate's parser");
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"documents with arbitrary floats parse back"
+         ~count:300
+         QCheck.(
+           make
+             ~print:(fun v -> Json.to_string v)
+             Gen.(
+               let special =
+                 oneofl [ nan; -.nan; infinity; neg_infinity; -0.; 5e-324; max_float ]
+               in
+               let num = map (fun f -> Json.Float f) (oneof [ float; special ]) in
+               map2
+                 (fun fs key -> Json.Obj [ (key, Json.List fs); ("n", Json.Null) ])
+                 (list_size (int_range 0 8) num)
+                 (string_size ~gen:printable (int_range 0 6))))
+         (fun v -> Result.is_ok (Json.parse (Json.to_string v))));
   ]
 
 (* ------------------------------------------------------------------ *)

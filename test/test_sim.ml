@@ -680,9 +680,46 @@ let vtx_tests =
         Alcotest.(check int) "one exit" 1 (Vtx.vmexits vtx));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Knobs *)
+
+let knob_tests =
+  [
+    Alcotest.test_case "the knob registry is the CI product's three flags"
+      `Quick (fun () ->
+        (* bin/ci.sh's enforcement-pin loop runs every combination of
+           exactly these variables: a knob added to Knob.all without
+           joining that loop fails here. *)
+        Alcotest.(check (list string)) "env names"
+          [ "ENCL_FASTPATH"; "ENCL_SYSRING"; "ENCL_ZEROCOPY" ]
+          (List.map (fun (k : Knob.t) -> k.Knob.env) Knob.all);
+        Alcotest.(check (list bool)) "all default on" [ true; true; true ]
+          (List.map (fun (k : Knob.t) -> k.Knob.default) Knob.all));
+    Alcotest.test_case "views read and restore their knob" `Quick (fun () ->
+        List.iter
+          (fun (k, enabled, with_flag) ->
+            let before = k.Knob.value in
+            Knob.with_value k (not before) (fun () ->
+                Alcotest.(check bool) (k.Knob.name ^ " view") (not before)
+                  (enabled ()));
+            Alcotest.(check bool) (k.Knob.name ^ " restored") before (enabled ());
+            (try with_flag (not before) (fun () -> failwith "boom")
+             with Failure _ -> ());
+            Alcotest.(check bool) (k.Knob.name ^ " restored after raise") before
+              k.Knob.value;
+            Alcotest.(check bool) "found by name" true
+              (match Knob.find k.Knob.name with Some k' -> k' == k | None -> false))
+          [
+            (Knob.fastpath, Fastpath.enabled, Fastpath.with_flag);
+            (Knob.sysring, Sysring.enabled, Sysring.with_flag);
+            (Knob.zerocopy, Zerocopy.enabled, Zerocopy.with_flag);
+          ]);
+  ]
+
 let () =
   Alcotest.run "sim"
     [
+      ("knob", knob_tests);
       ("phys", phys_tests @ phys_props);
       ("pagetable", pagetable_tests);
       ("mpk", mpk_tests @ mpk_props);

@@ -278,21 +278,30 @@ let affinity_tests =
            cores must not multiply Execute switches — enclosure
            affinity became core affinity. Faults and syscall totals
            must not move at all. *)
-        let run cores =
-          Scenarios.smp_http (Some Lb.Mpk) ~cores ~requests:128 ~conns:16 ()
+        let scenario : Scenarios.runner =
+         fun c ?rcfg ?requests () ->
+          Scenarios.smp_http c ?rcfg ?requests ~conns:16 ()
         in
-        let one = run 1 and four = run 4 in
-        Alcotest.(check bool)
-          (Printf.sprintf "switches at 4 cores (%d) <= at 1 core (%d)"
-             four.Scenarios.s_switches one.Scenarios.s_switches)
-          true
-          (four.Scenarios.s_switches <= one.Scenarios.s_switches);
-        Alcotest.(check int) "faults identical" one.Scenarios.s_faults
-          four.Scenarios.s_faults;
-        Alcotest.(check int) "syscalls identical" one.Scenarios.s_syscalls
-          four.Scenarios.s_syscalls;
-        Alcotest.(check bool) "4 cores actually parallelize" true
-          (four.Scenarios.s_wall_ns < one.Scenarios.s_wall_ns));
+        match
+          Encl_apps.Ab.run ~requests:128 ~scenario:("smp_http", scenario)
+            ~backend:(Some Lb.Mpk) (Encl_apps.Ab.Cores (4, 1))
+        with
+        | Error e -> Alcotest.fail e
+        | Ok { Encl_apps.Ab.a = four; b = one; failures; _ } ->
+            (* The runner compares the enforcement summaries: served
+               requests, workload syscalls and faults. *)
+            Alcotest.(check (list string)) "enforcement identical" [] failures;
+            let switches side =
+              Sched.switch_count (Runtime.sched side.Encl_apps.Ab.rt)
+            in
+            Alcotest.(check bool)
+              (Printf.sprintf "switches at 4 cores (%d) <= at 1 core (%d)"
+                 (switches four) (switches one))
+              true
+              (switches four <= switches one);
+            let wall side = side.Encl_apps.Ab.report.Scenarios.wall_ns in
+            Alcotest.(check bool) "4 cores actually parallelize" true
+              (wall four < wall one));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -306,11 +315,15 @@ let attribution_tests =
         Obs.default_enabled := true;
         Fun.protect ~finally:(fun () -> Obs.default_enabled := saved)
         @@ fun () ->
-        let rt, r =
-          Scenarios.smp_http_rt (Some Lb.Mpk) ~cores:4 ~requests:64 ~conns:8
-            ()
+        let rt =
+          match
+            Scenarios.smp_http (Some Lb.Mpk) ~cores:4 ~requests:64 ~conns:8 ()
+          with
+          | Ok (rt, _) -> rt
+          | Error e -> Alcotest.fail e
         in
-        Alcotest.(check int) "ran on 4 cores" 4 r.Scenarios.s_cores;
+        Alcotest.(check int) "ran on 4 cores" 4
+          (Runtime.machine rt).Machine.cores;
         let attrib = Obs.attribution (Runtime.machine rt).Machine.obs in
         Alcotest.(check int) "one ledger per core" 4
           (Attrib.core_count attrib);
@@ -343,19 +356,20 @@ let chaos_tests =
           let rcfg =
             { (Runtime.with_backend Lb.Mpk) with Runtime.cores = 4 }
           in
-          let _rt, r = Scenarios.chaos_http (Some Lb.Mpk) ~rcfg () in
-          r
+          match Scenarios.chaos_http (Some Lb.Mpk) ~rcfg () with
+          | Ok (_rt, r) -> r
+          | Error e -> Alcotest.fail e
         in
         let a = run () and b = run () in
         Alcotest.(check string) "same-seed reruns identical"
           (Scenarios.pp_chaos_result a)
           (Scenarios.pp_chaos_result b);
+        let availability = Scenarios.metric a "availability" in
         Alcotest.(check bool)
-          (Printf.sprintf "availability %.3f >= 0.9" a.Scenarios.c_availability)
-          true
-          (a.Scenarios.c_availability >= 0.9);
+          (Printf.sprintf "availability %.3f >= 0.9" availability)
+          true (availability >= 0.9);
         Alcotest.(check bool) "faults were injected" true
-          (a.Scenarios.c_injected > 0));
+          (Scenarios.metric a "injected" > 0.));
   ]
 
 let () =

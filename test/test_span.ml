@@ -30,8 +30,10 @@ let run_obs name backend ?requests () =
   Fun.protect
     ~finally:(fun () -> Obs.default_enabled := false)
     (fun () ->
-      match Scenarios.run_named name backend ?requests () with
-      | Ok (rt, _line) -> Runtime.machine rt
+      match
+        Result.bind (Scenarios.find name) (fun run -> run backend ?requests ())
+      with
+      | Ok (rt, _report) -> Runtime.machine rt
       | Error e -> failwith ("scenario failed: " ^ e))
 
 (* ------------------------------------------------------------------ *)
