@@ -11,7 +11,7 @@ module Machine = Encl_litterbox.Machine
 module K = Encl_kernel.Kernel
 module Scenarios = Encl_apps.Scenarios
 module Ab = Encl_apps.Ab
-module Malice = Encl_apps.Malice
+module Legacy = Encl_attack.Legacy
 module Attack = Encl_attack.Attack
 module Backend = Encl_litterbox.Backend
 module Bild = Encl_apps.Bild
@@ -331,15 +331,15 @@ let security () =
       List.iter
         (fun mitigation ->
           let backend =
-            match mitigation with Malice.Unprotected -> None | _ -> Some Lb.Mpk
+            match mitigation with Legacy.Unprotected -> None | _ -> Some Lb.Mpk
           in
-          let o = Malice.run ~backend attack mitigation in
+          let o = Legacy.run ~backend attack mitigation in
           Printf.printf "%-14s %-20s %-6b %-8b %-6d\n%!"
-            (Malice.attack_name attack)
-            (Malice.mitigation_name mitigation)
-            o.Malice.legit_ok o.Malice.attack_blocked o.Malice.exfiltrated)
-        Malice.all_mitigations)
-    Malice.all_attacks;
+            (Legacy.attack_name attack)
+            (Legacy.mitigation_name mitigation)
+            o.Legacy.legit_ok o.Legacy.attack_blocked o.Legacy.exfiltrated)
+        Legacy.all_mitigations)
+    Legacy.all_attacks;
   Printf.printf
     "(ssh-decorator needs mitigation 1 or 2 to keep working while contained, \
      as in the paper)\n"
@@ -484,8 +484,8 @@ let bechamel_tests () =
           (Plot.run ~backend:Lb.Vtx ~mode:Pyrt.Conservative ~points:1_000 ()));
     test "section6.5/ssh-decorator-run" (fun () ->
         ignore
-          (Malice.run ~backend:(Some Lb.Mpk) Malice.Ssh_decorator
-             Malice.Default_policy));
+          (Legacy.run ~backend:(Some Lb.Mpk) Legacy.Ssh_decorator
+             Legacy.Default_policy));
   ]
 
 let run_bechamel () =

@@ -111,7 +111,6 @@ let outcome_json (a : Attack.t) (o : Attack.outcome) =
     ]
 
 let run_corpus backends seed disabled json_out =
-  Attack.reset_counters ();
   let per_backend =
     with_disabled_all disabled (fun () ->
         List.map
@@ -163,9 +162,16 @@ let run_corpus backends seed disabled json_out =
   (if disabled <> [] then
      Printf.printf "\n(defenses off: %s)\n"
        (String.concat ", " (List.map Defense.name disabled)));
+  let escaped_total =
+    List.fold_left
+      (fun acc (_, results, _) ->
+        acc + List.length (List.filter (fun (_, o) -> not o.Attack.contained) results))
+      0 per_backend
+  in
   (match json_out with
   | None -> ()
   | Some path ->
+      let runs = List.length backends * List.length Attack.all in
       let json =
         Json.Obj
           [
@@ -173,8 +179,8 @@ let run_corpus backends seed disabled json_out =
             ( "defenses_off",
               Json.List
                 (List.map (fun d -> Json.String (Defense.name d)) disabled) );
-            ("contained_total", Json.Int (Attack.contained_count ()));
-            ("escaped_total", Json.Int (Attack.escaped_count ()));
+            ("contained_total", Json.Int (runs - escaped_total));
+            ("escaped_total", Json.Int escaped_total);
             ( "backends",
               Json.List
                 (List.map
@@ -194,13 +200,7 @@ let run_corpus backends seed disabled json_out =
       in
       Cli.write_file path (Json.to_string json);
       Printf.printf "\nwrote %s\n" path);
-  let total_escaped =
-    List.fold_left
-      (fun acc (_, results, _) ->
-        acc + List.length (List.filter (fun (_, o) -> not o.Attack.contained) results))
-      0 per_backend
-  in
-  if total_escaped > 0 then 1 else 0
+  if escaped_total > 0 then 1 else 0
 
 (* ------------------------------------------------------------------ *)
 (* prove-defenses: every paired defense must be load-bearing.          *)

@@ -13,7 +13,6 @@
 
 module Runtime = Encl_golike.Runtime
 module Machine = Encl_litterbox.Machine
-module Lb = Encl_litterbox.Litterbox
 module Scenarios = Encl_apps.Scenarios
 module Fault = Encl_fault.Fault
 open Cmdliner
@@ -45,11 +44,9 @@ let run scenario backend seed rate budget requests conns threshold =
       (* The server must have stayed up: faults are contained, so with any
          fault activity the client still gets the bulk of its responses. *)
       if r.Scenarios.ops = 0 then fail "server served nothing";
-      (match Runtime.lb rt with
-      | Some lb
-        when int_of_float (Scenarios.metric r "faults") <> Lb.fault_count lb ->
-          fail "fault accounting diverged"
-      | _ -> ());
+      (match Scenarios.chaos_fault_accounting rt with
+      | Ok () -> ()
+      | Error e -> fail "%s" e);
       match !failures with
       | [] ->
           Printf.printf "chaos %s: ok\n" name;

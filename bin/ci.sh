@@ -2,7 +2,8 @@
 # CI pipeline: build, run the test suite, run the quick benchmark sweep,
 # check that every machine-readable artifact parses back as JSON, hold
 # the enforcement report and seeded chaos runs to a committed pin under
-# every knob and core-count combination, check each optimization claim
+# every knob and core-count combination, hold the counter export to a
+# committed pin, check each optimization claim
 # as an A/B line of data, hold fresh bench numbers to the committed
 # baseline, profile a workload under the isolation backends, run the
 # repository benchmark's self-checks on every workload, and hold its
@@ -96,14 +97,12 @@ dune exec bin/profile.exe -- gate
 
 stage "attack corpus (containment + load-bearing defenses)"
 # Every corpus attack must be contained on every backend (attacks.exe
-# exits non-zero on any escape), the JSON score matrix must parse, each
-# defense must be load-bearing (its paired attack escapes with the
-# defense off), and the obs containment counters must reconcile with
-# the harness tallies and the litterbox gate-violation count.
+# exits non-zero on any escape), the JSON score matrix must parse, and
+# each defense must be load-bearing (its paired attack escapes with the
+# defense off).
 dune exec bin/attacks.exe -- run --json "$tmp/attacks.json"
 dune exec bin/trace_dump.exe -- validate "$tmp/attacks.json"
 dune exec bin/attacks.exe -- prove-defenses
-dune exec bin/trace_dump.exe -- attacks > /dev/null
 
 # The stages below call the built executables directly: dune exec adds
 # a rebuild check to every call.
@@ -142,6 +141,23 @@ for fastpath in 0 1; do
     done
   done
 done
+
+stage "metrics pin (counter export vs bench/metrics_pin.txt)"
+# What a run counts, per scope, for short runs on every backend and a
+# 4-core run: the per-scope counter table, its TOTAL row and the
+# histogram lines of trace_dump --summary (bin/metrics_pin.sh pins the
+# knobs and ENCL_CORES itself). This covers the counters the
+# enforcement pin cannot see — seccomp cache, rx ring, coalescing, SFI
+# masking, ring IPIs, steals — and keeps the metrics.json key set
+# fixed. Runs in --quick too. After a change meant to move a counter,
+# regenerate with:
+#   sh bin/metrics_pin.sh > bench/metrics_pin.txt
+sh bin/metrics_pin.sh > "$tmp/metrics_pin.txt"
+if ! cmp -s bench/metrics_pin.txt "$tmp/metrics_pin.txt"; then
+  echo "ci: the counter export diverged from bench/metrics_pin.txt" >&2
+  diff bench/metrics_pin.txt "$tmp/metrics_pin.txt" >&2 || true
+  exit 1
+fi
 
 stage "optimization claims (profile ab)"
 # Each claim is one A/B line (A = the knob on, the first backend or the
@@ -210,8 +226,8 @@ for n in $smp_core_counts; do
 done
 
 stage "policy mining (mine -> verify -> drift)"
-# The witness ledger must reconcile with the kernel counters and the
-# obs mirrors on every backend x scenario pair.
+# The witness ledger must reconcile with the registry's verdict counters
+# and the kernel's per-syscall totals on every backend x scenario pair.
 dune exec bin/trace_dump.exe -- witness
 # Mined literals must agree across all four backends, prove sound
 # (zero faults when enforced) and minimal (every one-rung narrowing

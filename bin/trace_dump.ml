@@ -22,120 +22,54 @@ module Metrics = Encl_obs.Metrics
 module Export = Encl_obs.Export
 open Cmdliner
 
-(* The acceptance invariant: the sink's cross-scope totals must agree
-   exactly with LitterBox's own counters, the syscall ring must balance
-   (submitted = drained + pending), and the obs syscall totals must
-   reconcile with the kernel's count even when batching reordered the
-   drains: guest-side denials (VTX/LWC filter checks, ring entries
-   denied at drain) never enter the kernel, so
-   allowed + denied - guest_denied = kernel syscall_count. *)
+(* A counter's total in the machine's registry, by its metrics.json
+   name. *)
+let registry_total obs name =
+  Option.value ~default:0 (List.assoc_opt name (Metrics.totals (Obs.metrics obs)))
+
+(* Reconciliations between quantities derived independently: the
+   syscall ring balances (submitted = drained + pending); the rx view
+   ring's descriptor ledger balances (every granted slot is consumed by
+   its owner, force-reclaimed on close, or still in flight); the verdict
+   counts reconcile with the kernel's per-syscall tallies even when
+   batching reordered the drains — guest-side denials (VTX/LWC filter
+   checks, ring entries denied at drain) never enter the kernel, so
+   allowed + denied - guest denials = kernel syscall count; and the
+   machine's bytes_copied field, kept beside the registry for the
+   benchmark, equals its registry total. *)
 let cross_check lb machine obs =
   let kernel = machine.Machine.kernel in
-  let check name total lb_count =
-    if total <> lb_count then
-      Some
-        (Printf.sprintf "%s mismatch: obs total %d, litterbox %d" name total
-           lb_count)
-    else None
-  in
-  let m = Obs.metrics obs in
-  let ring_balance =
-    let submitted = Lb.ring_submitted_count lb in
-    let drained = Lb.ring_drained_count lb in
-    let pending = Lb.ring_pending lb in
-    if submitted <> drained + pending then
-      Some
-        (Printf.sprintf
-           "ring imbalance: submitted %d <> drained %d + pending %d" submitted
-           drained pending)
-    else None
-  in
-  (* The rx view ring's descriptor ledger: every granted slot is either
-     consumed by the owner or force-reclaimed (close), with the obs
-     mirrors exact; [rxring_inflight] covers a dump taken mid-flight. *)
-  let rxring_balance =
-    let granted, consumed, reclaimed = K.rxring_counters kernel in
-    let inflight = K.rxring_inflight kernel in
-    if granted <> consumed + reclaimed + inflight then
-      Some
-        (Printf.sprintf
-           "rx-ring imbalance: granted %d <> consumed %d + reclaimed %d + \
-            inflight %d"
-           granted consumed reclaimed inflight)
-    else None
-  in
-  (* Both halves of the bytes_copied ledger against their obs mirrors:
-     kernel user-memory passes and guest buffer-to-buffer copies. *)
-  let copy_ledger =
-    let k_obs = Metrics.total m "bytes_copied.kernel" in
-    let k_ledger = K.bytes_copied_count kernel in
-    let a_obs = Metrics.total m "bytes_copied.app" in
-    let a_ledger = machine.Machine.bytes_copied in
-    if k_obs <> k_ledger then
-      Some
-        (Printf.sprintf "bytes_copied.kernel mismatch: obs %d, kernel %d"
-           k_obs k_ledger)
-    else if a_obs <> a_ledger then
-      Some
-        (Printf.sprintf "bytes_copied.app mismatch: obs %d, machine %d" a_obs
-           a_ledger)
-    else None
-  in
-  let syscall_reconcile =
-    let allowed = Metrics.total m "syscall.allowed" in
-    let denied = Metrics.total m "syscall.denied" in
-    let guest = Lb.guest_denied_count lb in
-    let kernel_count = K.syscall_count kernel in
-    if allowed + denied - guest <> kernel_count then
-      Some
-        (Printf.sprintf
-           "syscall count mismatch: obs allowed %d + denied %d - guest \
-            denials %d <> kernel %d"
-           allowed denied guest kernel_count)
-    else None
-  in
-  List.filter_map Fun.id
-    [
-      check "switch" (Metrics.total m "switch") (Lb.switch_count lb);
-      check "switch_elided"
-        (Metrics.total m "switch_elided")
-        (Lb.switch_elided_count lb);
-      check "fault" (Metrics.total m "fault") (Lb.fault_count lb);
-      check "transfer" (Metrics.total m "transfer") (Lb.transfer_count lb);
-      check "transfer_coalesced"
-        (Metrics.total m "transfer_coalesced")
-        (Lb.transfer_coalesced_count lb);
-      check "ring_submitted"
-        (Metrics.total m "ring_submitted")
-        (Lb.ring_submitted_count lb);
-      check "ring_drained"
-        (Metrics.total m "ring_drained")
-        (Lb.ring_drained_count lb);
-      check "ring_batches"
-        (Metrics.total m "ring_batches")
-        (Lb.ring_batches_count lb);
-      check "sfi_masked_access"
-        (Metrics.total m "sfi_masked_access")
-        (Lb.sfi_masked_access_count lb);
-      check "tainted_verified"
-        (Metrics.total m "tainted_verified")
-        (Lb.tainted_verified_count lb);
-      check "tainted_rejected"
-        (Metrics.total m "tainted_rejected")
-        (Lb.tainted_rejected_count lb);
-      (let granted, _, _ = K.rxring_counters kernel in
-       check "ring.rx_granted" (Metrics.total m "ring.rx_granted") granted);
-      (let _, consumed, _ = K.rxring_counters kernel in
-       check "ring.rx_consumed" (Metrics.total m "ring.rx_consumed") consumed);
-      (let _, _, reclaimed = K.rxring_counters kernel in
-       check "ring.rx_reclaimed"
-         (Metrics.total m "ring.rx_reclaimed")
-         reclaimed);
-      ring_balance;
-      rxring_balance;
-      copy_ledger;
-      syscall_reconcile;
-    ]
+  let total = registry_total obs in
+  let problems = ref [] in
+  let fail fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
+  (let submitted = Lb.ring_submitted_count lb in
+   let drained = Lb.ring_drained_count lb in
+   let pending = Lb.ring_pending lb in
+   if submitted <> drained + pending then
+     fail "ring imbalance: submitted %d <> drained %d + pending %d" submitted
+       drained pending);
+  (let granted, consumed, reclaimed = K.rxring_counters kernel in
+   let inflight = K.rxring_inflight kernel in
+   if granted <> consumed + reclaimed + inflight then
+     fail
+       "rx-ring imbalance: granted %d <> consumed %d + reclaimed %d + \
+        inflight %d"
+       granted consumed reclaimed inflight);
+  (let field = machine.Machine.bytes_copied in
+   let registry = total "bytes_copied.app" in
+   if field <> registry then
+     fail "bytes_copied.app mismatch: machine field %d, registry %d" field
+       registry);
+  (let allowed = total "syscall.allowed" in
+   let denied = total "syscall.denied" in
+   let guest = Lb.guest_denied_count lb in
+   let kernel_count = K.syscall_count kernel in
+   if allowed + denied - guest <> kernel_count then
+     fail
+       "syscall count mismatch: allowed %d + denied %d - guest denials %d <> \
+        kernel %d"
+       allowed denied guest kernel_count);
+  List.rev !problems
 
 (* Conservation, re-checked over the written artifact: metrics.json
    used to carry one attribution ledger per machine; it now carries one
@@ -452,96 +386,30 @@ let enforcement () =
   0
 
 (* ------------------------------------------------------------------ *)
-(* Attack-corpus cross-check: the obs mirrors of the containment
-   counters must agree with the harness tallies, and each run's
-   "gate_violation" obs counter must equal the litterbox's own
-   gate-violation count (cpu forged-switch faults + kernel origin kills
-   + mm denials). Any escape is also a failure here. *)
-
-module Attack = Encl_attack.Attack
-
-let attacks_check () =
-  Obs.default_enabled := true;
-  Attack.reset_counters ();
-  let errors = ref [] in
-  let obs_contained = ref 0 and obs_escaped = ref 0 in
-  List.iter
-    (fun backend ->
-      List.iter
-        (fun (a : Attack.t) ->
-          let r = a.Attack.run ~backend ~seed:42 in
-          let m = Obs.metrics r.Attack.machine.Machine.obs in
-          let label =
-            Printf.sprintf "%s/%s" a.Attack.name
-              (Encl_litterbox.Backend.arg_name backend)
-          in
-          obs_contained := !obs_contained + Metrics.total m "attack_contained";
-          obs_escaped := !obs_escaped + Metrics.total m "attack_escaped";
-          let obs_gate = Metrics.total m "gate_violation" in
-          let lb_gate = Lb.gate_violation_count r.Attack.lb in
-          if obs_gate <> lb_gate then
-            errors :=
-              Printf.sprintf
-                "%s: gate_violation mismatch: obs %d, litterbox %d" label
-                obs_gate lb_gate
-              :: !errors;
-          if not r.Attack.outcome.Attack.contained then
-            errors :=
-              Printf.sprintf "%s: ESCAPED (%s)" label
-                r.Attack.outcome.Attack.detail
-              :: !errors;
-          Printf.printf "  %-28s contained=%b gate_violations=%d\n" label
-            r.Attack.outcome.Attack.contained lb_gate)
-        Attack.all)
-    Encl_litterbox.Backend.all;
-  if !obs_contained <> Attack.contained_count () then
-    errors :=
-      Printf.sprintf "attack_contained mismatch: obs %d, harness %d"
-        !obs_contained
-        (Attack.contained_count ())
-      :: !errors;
-  if !obs_escaped <> Attack.escaped_count () then
-    errors :=
-      Printf.sprintf "attack_escaped mismatch: obs %d, harness %d" !obs_escaped
-        (Attack.escaped_count ())
-      :: !errors;
-  match !errors with
-  | [] ->
-      Printf.printf
-        "attack counters reconcile: contained=%d escaped=%d across %d runs\n"
-        (Attack.contained_count ())
-        (Attack.escaped_count ())
-        (List.length Attack.all * List.length Encl_litterbox.Backend.all);
-      0
-  | es ->
-      List.iter (fun e -> Printf.printf "MISMATCH %s\n" e) (List.rev es);
-      1
-
-(* ------------------------------------------------------------------ *)
 (* Witness cross-check: the witness recorder's per-scope syscall
-   aggregates are a third, independently-fed ledger next to the obs
-   metric counters (fed from the kernel) and the kernel's own
-   per-syscall totals. For each backend x scenario the three must
+   aggregates are a third, independently-fed ledger next to the
+   registry's verdict counters (fed from the kernel) and the kernel's
+   own per-syscall totals. For each backend x scenario the three must
    reconcile exactly:
-     witness allowed/denied      == obs "syscall.allowed"/"syscall.denied"
+     witness allowed/denied      == "syscall.allowed"/"syscall.denied"
      kernel count - exits        == allowed + denied - guest denials
        (guest-side filter denials never enter the kernel;
         exit_program is recorded by the kernel but traps no filter)
-     witness per-category totals == obs "syscall.<category>" totals *)
+     witness per-category totals == "syscall.<category>" totals *)
 
 module Witness = Encl_obs.Witness
 
 let witness_scenario errors label lb kernel obs =
   let w = Lb.witness lb in
-  let m = Obs.metrics obs in
+  let total = registry_total obs in
   let fail fmt = Printf.ksprintf (fun s -> errors := (label ^ ": " ^ s) :: !errors) fmt in
   let w_allowed, w_denied = Witness.totals w in
-  let o_allowed = Metrics.total m "syscall.allowed" in
-  let o_denied = Metrics.total m "syscall.denied" in
-  if w_allowed <> o_allowed then
-    fail "allowed mismatch: witness %d, obs %d" w_allowed o_allowed;
-  if w_denied <> o_denied then
-    fail "denied mismatch: witness %d, obs %d" w_denied o_denied;
+  let r_allowed = total "syscall.allowed" in
+  let r_denied = total "syscall.denied" in
+  if w_allowed <> r_allowed then
+    fail "allowed mismatch: witness %d, registry %d" w_allowed r_allowed;
+  if w_denied <> r_denied then
+    fail "denied mismatch: witness %d, registry %d" w_denied r_denied;
   let kernel_count =
     K.syscall_count kernel - K.count_for kernel Sysno.Exit
   in
@@ -555,12 +423,13 @@ let witness_scenario errors label lb kernel obs =
     (fun cat ->
       let name = Sysno.category_name cat in
       let w_cat = Witness.category_total w ~category:name in
-      let o_cat = Metrics.total m ("syscall." ^ name) in
-      if w_cat <> o_cat then
-        fail "category %s mismatch: witness %d, obs %d" name w_cat o_cat)
+      let r_cat = total ("syscall." ^ name) in
+      if w_cat <> r_cat then
+        fail "category %s mismatch: witness %d, registry %d" name w_cat r_cat)
     Sysno.all_categories;
-  Printf.printf "  %-12s witness=%d+%d obs=%d+%d kernel=%d guest_denied=%d\n"
-    label w_allowed w_denied o_allowed o_denied kernel_count guest
+  Printf.printf
+    "  %-12s witness=%d+%d registry=%d+%d kernel=%d guest_denied=%d\n" label
+    w_allowed w_denied r_allowed r_denied kernel_count guest
 
 let witness_check () =
   let errors = ref [] in
@@ -588,8 +457,8 @@ let witness_check () =
   match List.rev !errors with
   | [] ->
       Printf.printf
-        "witness reconciles with the obs counters and the kernel totals \
-         across %d runs\n"
+        "witness reconciles with the registry counters and the kernel \
+         totals across %d runs\n"
         (3 * List.length Encl_litterbox.Backend.all);
       0
   | es ->
@@ -646,17 +515,8 @@ let witness_cmd =
        ~doc:
          "Run http, wiki and pq on every backend with the witness recorder \
           on and cross-check its per-scope syscall aggregates against the \
-          obs metric counters and the kernel's own totals.")
+          registry's counters and the kernel's own totals.")
     Term.(const witness_check $ const ())
-
-let attacks_cmd =
-  Cmd.v
-    (Cmd.info "attacks"
-       ~doc:
-         "Run the attack corpus on every backend and cross-check the obs \
-          containment counters against the harness tallies and the \
-          litterbox gate-violation count.")
-    Term.(const attacks_check $ const ())
 
 let () =
   let info =
@@ -665,6 +525,6 @@ let () =
   in
   let cmds =
     List.map (fun (sc, _) -> scenario_cmd sc) Scenarios.registry
-    @ [ validate_cmd; enforcement_cmd; attacks_cmd; witness_cmd ]
+    @ [ validate_cmd; enforcement_cmd; witness_cmd ]
   in
   exit (Cmd.eval' (Cmd.group info cmds))

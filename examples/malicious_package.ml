@@ -5,24 +5,24 @@
 
    Run with: dune exec examples/malicious_package.exe *)
 
-module Malice = Encl_apps.Malice
+module Legacy = Encl_attack.Legacy
 module Lb = Encl_litterbox.Litterbox
 
 let show mitigation =
   let backend =
-    match mitigation with Malice.Unprotected -> None | _ -> Some Lb.Mpk
+    match mitigation with Legacy.Unprotected -> None | _ -> Some Lb.Mpk
   in
-  let o = Malice.run ~backend Malice.Ssh_decorator mitigation in
+  let o = Legacy.run ~backend Legacy.Ssh_decorator mitigation in
   Format.printf "%-22s legit=%-5b contained=%-5b exfiltrated=%dB@."
-    (Malice.mitigation_name mitigation)
-    o.Malice.legit_ok o.Malice.attack_blocked o.Malice.exfiltrated
+    (Legacy.mitigation_name mitigation)
+    o.Legacy.legit_ok o.Legacy.attack_blocked o.Legacy.exfiltrated
 
 let () =
   Format.printf "== ssh-decorator: a backdoored public package ==@.@.";
   Format.printf
     "The package SSHes to your server and runs commands — and POSTs your@.\
      credentials to an attacker (the 2019 PyPI incident).@.@.";
-  List.iter show Malice.all_mitigations;
+  List.iter show Legacy.all_mitigations;
   Format.printf
     "@.- unprotected:        the backdoor wins@.\
      - default-policy:     contained, but the legitimate SSH use breaks too@.\

@@ -7,6 +7,8 @@ module Obs = Encl_obs.Obs
 let base_backoff_ns = 1_000
 let max_backoff_ns = 64_000
 
+let retry_counter = Encl_obs.Metrics.counter "retry"
+
 let transient = function K.Eintr | K.Eagain -> true | _ -> false
 
 let backoff rt ~op ~attempt =
@@ -15,10 +17,8 @@ let backoff rt ~op ~attempt =
      syscalls are denied under net-only enclosure filters. *)
   Clock.consume (Runtime.clock rt) Clock.Other ns;
   let obs = (Runtime.machine rt).Machine.obs in
-  if Obs.enabled obs then begin
-    Obs.incr obs "retry";
-    Obs.emit obs (Encl_obs.Event.Retry { op; attempt })
-  end
+  Encl_obs.Metrics.incr (Obs.metrics obs) retry_counter;
+  if Obs.enabled obs then Obs.emit obs (Encl_obs.Event.Retry { op; attempt })
 
 let with_backoff ?(attempts = 5) rt ~op f =
   let rec go attempt =

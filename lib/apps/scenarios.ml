@@ -511,8 +511,31 @@ let pp_chaos_result r =
    enclosure is quarantined once it exhausts its fault budget, and the
    handler then degrades to a trusted fallback page so availability
    recovers. *)
+(* A rate that is not a probability is input the scenario cannot
+   measure: refuse it. *)
+let check_rate rate k =
+  if Fault.valid_prob rate then k ()
+  else Error (Printf.sprintf "rate %g is not a probability in [0, 1]" rate)
+
+(* Every firing of cpu.spurious_fault is accounted as exactly one
+   LitterBox fault: the injector's own fire count and the fault counter
+   are derived independently. *)
+let chaos_fault_accounting rt =
+  let fired =
+    Fault.fired (Runtime.machine rt).Machine.inject "cpu.spurious_fault"
+  in
+  let faults = match Runtime.lb rt with Some lb -> Lb.fault_count lb | None -> 0 in
+  if faults = fired then Ok ()
+  else
+    Error
+      (Printf.sprintf
+         "fault accounting diverged: %d faults for %d cpu.spurious_fault \
+          firings"
+         faults fired)
+
 let chaos_http config ?rcfg ?(seed = 42L) ?(rate = 0.10) ?(budget = 5)
     ?(requests = 500) ?(conns = 8) () =
+  check_rate rate @@ fun () ->
   let rt = http_boot ?rcfg config in
   (* Trusted fallback body, staged in the server's own arena so the
      serving loop can read it once the enclosure is off-line. *)
@@ -530,6 +553,7 @@ let chaos_http config ?rcfg ?(seed = 42L) ?(rate = 0.10) ?(budget = 5)
    exercising the retry helpers and the pq -> minidb reconnect. *)
 let chaos_wiki config ?rcfg ?(seed = 42L) ?(rate = 0.05) ?(budget = 5)
     ?(requests = 400) ?(conns = 4) () =
+  check_rate rate @@ fun () ->
   let rt = wiki_boot ?rcfg config in
   Pq.reset_counters ();
   arm rt ~seed ~budget

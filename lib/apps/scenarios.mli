@@ -136,14 +136,21 @@ val chaos_http :
     [rate] per consultation. Each fault costs one connection; after
     [budget] faults the enclosure is quarantined and the handler serves a
     trusted fallback page, so availability recovers. Fully deterministic
-    under [seed]. *)
+    under [seed]. [Error] naming the rate unless it is a probability in
+    [[0, 1]] (the same check as {!Encl_fault.Fault.valid_prob}). *)
 
 val chaos_wiki :
   config -> ?rcfg:Encl_golike.Runtime.config -> ?seed:int64 -> ?rate:float ->
   ?budget:int -> ?requests:int -> ?conns:int -> unit -> outcome
 (** Network chaos over the wiki: dropped connections, short reads and
     writes, transient [EINTR]/[EAGAIN] — exercising the retry helpers
-    and the pq -> minidb reconnect path. *)
+    and the pq -> minidb reconnect path. The rate is checked as for
+    {!chaos_http}. *)
+
+val chaos_fault_accounting : Encl_golike.Runtime.t -> (unit, string) result
+(** Each firing of [cpu.spurious_fault] must be accounted as exactly one
+    LitterBox fault: the runtime's fault count equals the injector's
+    fire count for that point (both 0 without LitterBox). *)
 
 val pp_chaos_result : report -> string
 (** One deterministic [key=value] line of the chaos tallies (the chaos

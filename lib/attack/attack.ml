@@ -17,6 +17,7 @@ module Net = Encl_kernel.Net
 module Sysno = Encl_kernel.Sysno
 module Enclosure = Encl_enclosure.Enclosure
 module Obs = Encl_obs.Obs
+module Metrics = Encl_obs.Metrics
 
 type outcome = {
   contained : bool;
@@ -40,17 +41,9 @@ type t = {
   run : backend:Backend.t -> seed:int -> run_result;
 }
 
-(* Corpus-level tallies, mirrored into the per-machine obs counters
-   "attack_contained" / "attack_escaped" at the same point. *)
-let contained_total = ref 0
-let escaped_total = ref 0
-
-let reset_counters () =
-  contained_total := 0;
-  escaped_total := 0
-
-let contained_count () = !contained_total
-let escaped_count () = !escaped_total
+(* Each run's verdict, counted on its machine. *)
+let contained_counter = Metrics.counter "attack_contained"
+let escaped_counter = Metrics.counter "attack_escaped"
 
 (* ------------------------------------------------------------------ *)
 (* Shared harness: an application with in-memory secrets that imports
@@ -109,9 +102,8 @@ let benign_call rt =
 
 let conclude rt ~contained ~exfiltrated ~legit_ok ~detail =
   let m = Runtime.machine rt in
-  if contained then incr contained_total else incr escaped_total;
-  Obs.incr m.Machine.obs
-    (if contained then "attack_contained" else "attack_escaped");
+  Metrics.incr (Obs.metrics m.Machine.obs)
+    (if contained then contained_counter else escaped_counter);
   {
     outcome = { contained; exfiltrated; legit_ok; detail };
     machine = m;

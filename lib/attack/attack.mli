@@ -45,13 +45,3 @@ val paired_with : Defense.t -> t list
 val containment_score : (t * outcome) list -> float
 (** Severity-weighted containment percentage in [0, 100]; higher is
     better. 100.0 for the empty list. *)
-
-(** {2 Corpus-level counters}
-
-    Mirrored into the per-machine obs counters ["attack_contained"] /
-    ["attack_escaped"] at the same increment sites, so [trace_dump] can
-    cross-check the two tallies. *)
-
-val reset_counters : unit -> unit
-val contained_count : unit -> int
-val escaped_count : unit -> int

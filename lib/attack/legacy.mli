@@ -1,5 +1,4 @@
-(** The legacy §6.5 attack suite (moved here from [lib/apps/malice.ml];
-    [Malice] remains as a thin alias). Re-creations of the malicious
+(** The legacy §6.5 attack suite: re-creations of the malicious
     packages of paper §6.5.
 
     Each attack is a Go-like package offering legitimate functionality

@@ -41,7 +41,6 @@ type t = {
 let find_symbol t ~pkg name =
   List.find_opt (fun s -> s.ps_pkg = pkg && s.ps_name = name) t.symbols
 
-let sections_of_pkg t pkg = List.filter (fun (s : Section.t) -> s.owner = pkg) t.sections
 let section_at t addr = List.find_opt (fun s -> Section.contains s addr) t.sections
 let enclosure_named t name = List.find_opt (fun e -> e.ed_name = name) t.enclosures
 

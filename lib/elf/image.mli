@@ -41,7 +41,6 @@ type t = {
 }
 
 val find_symbol : t -> pkg:string -> string -> placed_sym option
-val sections_of_pkg : t -> string -> Section.t list
 val section_at : t -> int -> Section.t option
 val enclosure_named : t -> string -> enclosure_desc option
 val verif_allows : t -> site:string -> hook -> bool

@@ -19,13 +19,8 @@ type error =
 
 val error_message : error -> string
 
-val text_base : int
-val rodata_base : int
-val data_base : int
-val meta_base : int
-(** Region bases; the heap lives above all of them. *)
-
 val heap_base : int
+(** The heap lives above the text, rodata, data and meta regions. *)
 
 val link : objfiles:Objfile.t list -> entry:string -> (Image.t, error) result
 (** [entry] is the main package's name. Two synthetic packages,

@@ -72,8 +72,7 @@ module Tainted : sig
   val verify : 'a t -> check:('a -> bool) -> 'a
   (** The only gate: returns the payload if [check] accepts it, raises
       {!Rejected} otherwise. Every call moves the LitterBox
-      [tainted_verified] / [tainted_rejected] counters (obs mirrors of
-      the same names). *)
+      [tainted_verified] / [tainted_rejected] counters. *)
 
   val copy_and_verify : 'a t -> copy:('a -> 'a) -> check:('a -> bool) -> 'a
   (** Copy the payload with [copy], then {!verify} the private copy —

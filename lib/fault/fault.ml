@@ -30,7 +30,11 @@ type t = {
   mutable active : bool;
 }
 
+let valid_prob p = p >= 0.0 && p <= 1.0
+
 let rule ?(prob = 1.0) ?max_fires ?env_prefix point =
+  if not (valid_prob prob) then
+    invalid_arg (Printf.sprintf "Fault.rule: probability %g outside [0, 1]" prob);
   {
     r_point = point;
     r_prob = prob;
@@ -62,8 +66,6 @@ let create ?(seed = 1L) () =
     on_fire = None;
     active = false;
   }
-
-let seed t = t.seed
 
 let set_seed t seed =
   t.seed <- seed;
@@ -171,7 +173,7 @@ let parse_rule spec =
               go { r with r_env_prefix = Some value } rest
             else
               match float_of_string_opt field with
-              | Some p when p >= 0.0 && p <= 1.0 -> go { r with r_prob = p } rest
+              | Some p when valid_prob p -> go { r with r_prob = p } rest
               | Some _ -> Error (Printf.sprintf "probability out of range in %S" spec)
               | None -> Error (Printf.sprintf "bad field %S in %S" field spec))
       in

@@ -24,15 +24,18 @@ type rule = {
           this prefix (e.g. ["enc:"] to target enclosure code only) *)
 }
 
+val valid_prob : float -> bool
+(** [0 <= p <= 1]; false for NaN. The one range check of every firing
+    probability, in {!rule} and {!parse_plan} alike. *)
+
 val rule : ?prob:float -> ?max_fires:int -> ?env_prefix:string -> string -> rule
-(** [rule point] is a rule for [point]; [prob] defaults to [1.0]. *)
+(** [rule point] is a rule for [point]; [prob] defaults to [1.0].
+    [Invalid_argument] unless {!valid_prob} [prob]. *)
 
 val create : ?seed:int64 -> unit -> t
 (** A fresh injector with no armed rules. Consulting an unarmed point is
     a single hash lookup, so leaving an injector attached costs nothing
     measurable when no plan is armed. *)
-
-val seed : t -> int64
 
 val set_seed : t -> int64 -> unit
 (** Reset the injector to a pristine state under [seed]: clears fire and

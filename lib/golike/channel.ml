@@ -23,7 +23,6 @@ let rec recv c =
   Sched.wait_until ~internal:true c.sched (fun () -> not (Queue.is_empty c.q));
   match Queue.take_opt c.q with Some v -> v | None -> recv c
 
-let try_recv c = Queue.take_opt c.q
 let length c = Queue.length c.q
 
 type 'r case = Case : 'a t * ('a -> 'r) -> 'r case

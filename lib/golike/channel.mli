@@ -19,7 +19,6 @@ val send : 'a t -> 'a -> unit
 val recv : 'a t -> 'a
 (** Blocks while empty. *)
 
-val try_recv : 'a t -> 'a option
 val length : 'a t -> int
 
 (** {2 Select}

@@ -10,6 +10,7 @@ let chunk_bytes = 10 * span_bytes
 let alloc_fastpath_ns = 28
 
 type arena = {
+  scope : Encl_obs.Metrics.scope;  (** the package's, interned once *)
   mutable current : (int * int) option;  (** span address, bytes used *)
   mutable spans : int list;
 }
@@ -22,7 +23,6 @@ type t = {
   mutable free_spans : int list;
   mutable allocs : int;
   mutable transfers : int;
-  mutable chunks : int;
 }
 
 let create ~machine ~lb () =
@@ -34,7 +34,6 @@ let create ~machine ~lb () =
     free_spans = [];
     allocs = 0;
     transfers = 0;
-    chunks = 0;
   }
 
 let transfer_site = "runtime.mallocgc"
@@ -50,27 +49,29 @@ let mmap t len =
   | Ok addr -> addr
   | Error e -> failwith ("mallocgc: mmap failed: " ^ K.errno_name e)
 
-let note_alloc_span t ~pkg =
-  let obs = t.machine.Machine.obs in
-  if Encl_obs.Obs.enabled obs then begin
-    Encl_obs.Obs.incr obs ~scope:pkg "alloc_span";
-    Encl_obs.Obs.emit obs (Encl_obs.Event.Alloc_span { pkg; bytes = span_bytes })
-  end
+let alloc_span_counter = Encl_obs.Metrics.counter "alloc_span"
 
-let assign_span t ~pkg addr =
+let note_alloc_span t a ~pkg =
+  let obs = t.machine.Machine.obs in
+  Encl_obs.Metrics.incr_in (Encl_obs.Obs.metrics obs) ~scope:a.scope
+    alloc_span_counter;
+  if Encl_obs.Obs.enabled obs then
+    Encl_obs.Obs.emit obs (Encl_obs.Event.Alloc_span { pkg; bytes = span_bytes })
+
+let assign_span t a ~pkg addr =
   (match t.lb with
   | None -> ()
   | Some lb ->
       t.transfers <- t.transfers + 1;
       Lb.transfer lb ~addr ~len:span_bytes ~to_pkg:pkg ~site:transfer_site);
-  note_alloc_span t ~pkg;
+  note_alloc_span t a ~pkg;
   addr
 
 (* Hand [nspans] adjacent spans at [base] to [pkg] in one go: the fast
    path coalesces the per-span Transfer calls into a single batched
    hardware update (see [Litterbox.transfer_range]); per-span accounting
    — allocator transfer counts, obs alloc_span notes — is unchanged. *)
-let assign_span_run t ~pkg ~base ~nspans =
+let assign_span_run t a ~pkg ~base ~nspans =
   (match t.lb with
   | None -> ()
   | Some lb ->
@@ -78,32 +79,34 @@ let assign_span_run t ~pkg ~base ~nspans =
       Lb.transfer_range lb ~addr:base ~len:(nspans * span_bytes)
         ~chunk:span_bytes ~to_pkg:pkg ~site:transfer_site);
   for _ = 1 to nspans do
-    note_alloc_span t ~pkg
+    note_alloc_span t a ~pkg
   done
 
 (* Take one span from the free list or the current chunk, refilling the
    chunk from the OS if needed. *)
-let take_span t ~pkg =
+let take_span t a ~pkg =
   match t.free_spans with
   | addr :: rest ->
       t.free_spans <- rest;
-      assign_span t ~pkg addr
+      assign_span t a ~pkg addr
   | [] -> (
       match t.chunk with
       | Some (base, used) when used + span_bytes <= chunk_bytes ->
           t.chunk <- Some (base, used + span_bytes);
-          assign_span t ~pkg (base + used)
+          assign_span t a ~pkg (base + used)
       | Some _ | None ->
-          t.chunks <- t.chunks + 1;
           let base = mmap t chunk_bytes in
           t.chunk <- Some (base, span_bytes);
-          assign_span t ~pkg base)
+          assign_span t a ~pkg base)
 
 let arena t pkg =
   match Hashtbl.find_opt t.arenas pkg with
   | Some a -> a
   | None ->
-      let a = { current = None; spans = [] } in
+      let scope =
+        Encl_obs.Metrics.scope (Encl_obs.Obs.metrics t.machine.Machine.obs) pkg
+      in
+      let a = { scope; current = None; spans = [] } in
       Hashtbl.replace t.arenas pkg a;
       a
 
@@ -121,9 +124,8 @@ let alloc t ~pkg size =
        used here). Ownership is still transferred span by span, as the
        paper's runtime does when populating an arena. *)
     let nspans = (size + span_bytes - 1) / span_bytes in
-    t.chunks <- t.chunks + 1;
     let base = mmap t (nspans * span_bytes) in
-    assign_span_run t ~pkg ~base ~nspans;
+    assign_span_run t a ~pkg ~base ~nspans;
     for i = 0 to nspans - 1 do
       a.spans <- (base + (i * span_bytes)) :: a.spans
     done;
@@ -132,7 +134,7 @@ let alloc t ~pkg size =
   else begin
     let fits = match a.current with Some (_, used) -> used + size <= span_bytes | None -> false in
     if not fits then begin
-      let addr = take_span t ~pkg in
+      let addr = take_span t a ~pkg in
       a.spans <- addr :: a.spans;
       a.current <- Some (addr, 0)
     end;
@@ -152,4 +154,3 @@ let release_arena t ~pkg =
 let spans_of t ~pkg = List.length (arena t pkg).spans
 let alloc_count t = t.allocs
 let transfer_count t = t.transfers
-let os_chunks t = t.chunks

@@ -10,12 +10,8 @@
     excursion to the trusted environment (the runtime, not the enclosed
     code, owns the address space). *)
 
-val span_pages : int
-(** 4 pages (16 KiB) per span. *)
-
 val span_bytes : int
-val chunk_bytes : int
-(** 160 KiB per OS chunk (10 spans). *)
+(** 4 pages (16 KiB) per span; the OS hands out chunks of 10 spans. *)
 
 type t
 
@@ -43,6 +39,3 @@ val spans_of : t -> pkg:string -> int
 val alloc_count : t -> int
 val transfer_count : t -> int
 (** Transfers issued by this allocator (0 for the baseline). *)
-
-val os_chunks : t -> int
-(** Number of mmap chunk refills so far. *)

@@ -267,6 +267,8 @@ let absorb_fault t e =
 (* GC pass cost per live span, ns. *)
 let gc_span_ns = 210
 
+let gc_counter = Encl_obs.Metrics.counter "gc"
+
 let gc t =
   let spans =
     List.fold_left
@@ -290,10 +292,11 @@ let gc t =
     Encl_obs.Obs.span_exit obs sp
   in
   (match t.lb with None -> work () | Some lb -> Lb.with_trusted lb work);
+  Encl_obs.Metrics.incr_in (Encl_obs.Obs.metrics obs)
+    ~scope:Encl_obs.Metrics.trusted gc_counter;
   if Encl_obs.Obs.enabled obs then begin
     let dur = Clock.now t.machine.Machine.clock - t0 in
-    Encl_obs.Obs.incr obs ~scope:"trusted" "gc";
-    Encl_obs.Obs.observe obs ~scope:"trusted" "gc_ns" dur;
+    Encl_obs.Obs.observe obs ~scope:Encl_obs.Metrics.trusted "gc_ns" dur;
     Encl_obs.Obs.emit obs ~dur (Encl_obs.Event.Gc { spans })
   end
 

@@ -48,10 +48,6 @@ val with_backend : Lb.backend -> config
     explicitly so committed baselines never depend on the
     environment. *)
 
-val default_cores : unit -> int
-(** [ENCL_CORES] when it holds an int >= 1, else 1 — the core count the
-    scenario drivers use when the caller does not pin one. *)
-
 val boot :
   config -> packages:pkgdef list -> entry:string -> (t, string) result
 (** Compile (validating enclosure policies), link, create the machine,
@@ -72,8 +68,6 @@ val clock : t -> Clock.t
 val in_function : t -> pkg:string -> fn:string -> (unit -> 'a) -> 'a
 (** Instruction-fetch check on the function's symbol, then run the body
     with the allocation context set to [pkg]. *)
-
-val current_pkg : t -> string
 
 val alloc : t -> int -> Gbuf.t
 (** Allocate in the current package's arena (mallocgc tagged with the
@@ -159,8 +153,6 @@ val gc : t -> unit
 (** A stop-the-world collection pass: runs with full access to program
     resources in a trusted execution environment (paper §5.1); cost
     proportional to the number of live spans. *)
-
-val symbol_addr : t -> pkg:string -> string -> int
 
 val global : t -> pkg:string -> string -> Gbuf.t
 (** The buffer of a linked global/constant symbol. *)

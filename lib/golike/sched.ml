@@ -2,6 +2,7 @@ module Lb = Encl_litterbox.Litterbox
 module Machine = Encl_litterbox.Machine
 module K = Encl_kernel.Kernel
 module Obs = Encl_obs.Obs
+module Metrics = Encl_obs.Metrics
 
 type _ Effect.t +=
   | Yield : unit Effect.t
@@ -56,17 +57,20 @@ type t = {
           victim choices — the only nondeterminism-shaped decisions,
           made deterministic by the seed *)
   mutable exec_switches : int;
-  mutable affinity_hits : int;
   affinity_streaks : int array;
       (** per-core consecutive out-of-FIFO-order picks *)
   core_envs : Lb.env_ref option array;
       (** what each core last had installed; [None] = still the boot
           (trusted) environment *)
-  mutable steal_count : int;
   steals_per_core : int array;  (** steals performed by each thief core *)
   results : (int, exit_status) Hashtbl.t;
-  mutable kill_count : int;
 }
+
+(* The scheduler's counters in the machine's registry. *)
+let kill_counter = Metrics.counter "fiber.kill"
+let affinity_hit_counter = Metrics.counter "sched.affinity_hit"
+let steal_counter = Metrics.counter "sched.steal"
+let metrics t = Obs.metrics t.machine.Machine.obs
 
 let default_seed = 0x5317_ac3dL
 
@@ -82,13 +86,10 @@ let create ~machine ?(seed = default_seed) ~lb () =
     ids = Encl_util.Ids.make ();
     rng = Encl_util.Rng.make ~seed;
     exec_switches = 0;
-    affinity_hits = 0;
     affinity_streaks = Array.make cores 0;
     core_envs = Array.make cores None;
-    steal_count = 0;
     steals_per_core = Array.make cores 0;
     results = Hashtbl.create 16;
-    kill_count = 0;
   }
 
 let in_fiber t = t.current <> None
@@ -187,10 +188,9 @@ let kill_reason t e =
 
 let note_kill t fiber reason =
   Hashtbl.replace t.results fiber.fid (Killed reason);
-  t.kill_count <- t.kill_count + 1;
+  Metrics.incr (metrics t) kill_counter;
   let obs = t.machine.Machine.obs in
   if Obs.enabled obs then begin
-    Obs.incr obs "fiber.kill";
     Obs.emit obs (Encl_obs.Event.Fiber_kill { fid = fiber.fid; reason });
     Obs.span_mark obs
       ~name:(Printf.sprintf "fiber_kill:%d" fiber.fid)
@@ -310,9 +310,7 @@ let pick_next t core =
         match !chosen with
         | Some f ->
             t.affinity_streaks.(core) <- t.affinity_streaks.(core) + 1;
-            t.affinity_hits <- t.affinity_hits + 1;
-            let obs = t.machine.Machine.obs in
-            if Obs.enabled obs then Obs.incr obs "sched.affinity_hit";
+            Metrics.incr (metrics t) affinity_hit_counter;
             f
         | None ->
             t.affinity_streaks.(core) <- 0;
@@ -389,10 +387,8 @@ let steal t ~thief =
       let fiber = Queue.pop t.runqs.(victim) in
       fiber.core <- thief;
       Queue.push fiber t.runqs.(thief);
-      t.steal_count <- t.steal_count + 1;
       t.steals_per_core.(thief) <- t.steals_per_core.(thief) + 1;
-      let obs = t.machine.Machine.obs in
-      if Obs.enabled obs then Obs.incr obs "sched.steal"
+      Metrics.incr (metrics t) steal_counter
 
 (* Core hop: make [core]'s recorded environment the machine's current
    one before running a fiber there. Free — each core's PKRU, CR3 and
@@ -533,11 +529,11 @@ let kick t =
   schedule t
 
 let blocked_count t = Queue.length t.blocked
-let kill_count t = t.kill_count
+let kill_count t = Metrics.total (metrics t) kill_counter
 let machine t = t.machine
 let switch_count t = t.exec_switches
-let affinity_hit_count t = t.affinity_hits
+let affinity_hit_count t = Metrics.total (metrics t) affinity_hit_counter
 let core_count t = t.cores
-let steal_count t = t.steal_count
+let steal_count t = Metrics.total (metrics t) steal_counter
 
 let steals_by_core t = Array.copy t.steals_per_core

@@ -69,7 +69,8 @@ val result : t -> int -> exit_status option
     that finished normally). *)
 
 val kill_count : t -> int
-(** Fibers killed and reaped so far. *)
+(** Fibers killed and reaped so far: the registry's ["fiber.kill"]
+    total. *)
 
 val yield : t -> unit
 (** Cooperatively yield the current fiber. No-op outside fibers. *)
@@ -104,7 +105,7 @@ val affinity_hit_count : t -> int
     Bounded by a per-core starvation budget (a fiber is overtaken at
     most 8 times in a row on its core); 0 with the fast path disabled,
     and the pick order is exactly FIFO whenever the queue head already
-    matches. Mirrored in the obs "sched.affinity_hit" metric. *)
+    matches. The registry's ["sched.affinity_hit"] total. *)
 
 val core_count : t -> int
 (** Simulated cores this scheduler shards over (the machine's). *)
@@ -112,7 +113,7 @@ val core_count : t -> int
 val steal_count : t -> int
 (** Work-steal migrations performed so far: an idle core took the
     oldest runnable fiber from the longest victim queue. Always 0 on
-    one core. Mirrored in the obs "sched.steal" metric. *)
+    one core. The registry's ["sched.steal"] total. *)
 
 val steals_by_core : t -> int array
 (** Per-thief-core breakdown of {!steal_count} (a copy). *)

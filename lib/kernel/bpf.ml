@@ -123,34 +123,3 @@ let run_counted prog data =
 let run_count = run_counted
 
 let run prog data = fst (run_counted prog data)
-
-let pp_action ppf = function
-  | Allow -> Format.pp_print_string ppf "ALLOW"
-  | Kill -> Format.pp_print_string ppf "KILL"
-  | Errno e -> Format.fprintf ppf "ERRNO(%d)" e
-  | Trap -> Format.pp_print_string ppf "TRAP"
-
-let pp_insn ppf = function
-  | Ld F_nr -> Format.pp_print_string ppf "ld nr"
-  | Ld F_arch -> Format.pp_print_string ppf "ld arch"
-  | Ld (F_arg i) -> Format.fprintf ppf "ld arg%d" i
-  | Ld F_pkru -> Format.pp_print_string ppf "ld pkru"
-  | Ld_imm k -> Format.fprintf ppf "ld #%d" k
-  | Ldx_imm k -> Format.fprintf ppf "ldx #%d" k
-  | Tax -> Format.pp_print_string ppf "tax"
-  | Txa -> Format.pp_print_string ppf "txa"
-  | Alu_and k -> Format.fprintf ppf "and #%#x" k
-  | Alu_or k -> Format.fprintf ppf "or #%#x" k
-  | Alu_rsh k -> Format.fprintf ppf "rsh #%d" k
-  | Jmp k -> Format.fprintf ppf "jmp +%d" k
-  | Jeq (k, jt, jf) -> Format.fprintf ppf "jeq #%d, +%d, +%d" k jt jf
-  | Jgt (k, jt, jf) -> Format.fprintf ppf "jgt #%d, +%d, +%d" k jt jf
-  | Jset (k, jt, jf) -> Format.fprintf ppf "jset #%#x, +%d, +%d" k jt jf
-  | Jeq_x (jt, jf) -> Format.fprintf ppf "jeqx +%d, +%d" jt jf
-  | Ret a -> Format.fprintf ppf "ret %a" pp_action a
-  | Ret_a -> Format.pp_print_string ppf "ret A"
-
-let pp_program ppf prog =
-  Format.fprintf ppf "@[<v>";
-  Array.iteri (fun i insn -> Format.fprintf ppf "%3d: %a@ " i pp_insn insn) prog;
-  Format.fprintf ppf "@]"

@@ -56,6 +56,3 @@ val run_count : program -> data -> action * int
 (** Like {!run} but also returns the number of instructions executed
     (the kernel charges a fast-path cost when a filter decides within a
     few instructions — e.g. the trusted-PKRU branch). *)
-
-val pp_action : Format.formatter -> action -> unit
-val pp_program : Format.formatter -> program -> unit

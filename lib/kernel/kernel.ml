@@ -159,12 +159,30 @@ type rxring = {
   rx_slot_bytes : int;
   mutable rx_head : int;  (** next slot index to fill *)
   mutable rx_inflight : (int * int) list;  (** (slot, fd): granted, unconsumed *)
-  mutable rx_granted : int;
-  mutable rx_consumed : int;
-  mutable rx_reclaimed : int;
 }
 
 let ring_hdr_bytes = 8
+
+(* The kernel's counters in the machine's registry. The per-category
+   syscall counters are indexed by [Sysno.category_index]. *)
+module Metrics = Encl_obs.Metrics
+
+let allowed_counter = Metrics.counter "syscall.allowed"
+let denied_counter = Metrics.counter "syscall.denied"
+
+let category_counters =
+  Array.of_list
+    (List.map
+       (fun c -> Metrics.counter ("syscall." ^ Sysno.category_name c))
+       Sysno.all_categories)
+
+let gate_violation_counter = Metrics.counter "gate_violation"
+let copied_counter = Metrics.counter "bytes_copied.kernel"
+let rx_granted_counter = Metrics.counter "ring.rx_granted"
+let rx_consumed_counter = Metrics.counter "ring.rx_consumed"
+let rx_reclaimed_counter = Metrics.counter "ring.rx_reclaimed"
+let cache_hit_counter = Metrics.counter "seccomp.cache_hit"
+let cache_miss_counter = Metrics.counter "seccomp.cache_miss"
 
 let counts_len = 1 + List.fold_left (fun m nr -> max m (Sysno.number nr)) 0 Sysno.all
 
@@ -182,12 +200,10 @@ type t = {
   mutable next_fd : int;
   rng : Encl_util.Rng.t;
   counts : int array;  (** per-syscall tallies, indexed by [Sysno.number] *)
-  mutable total : int;
   mutable origin_kills : int;
-  mutable mm_denied : int;
-  mutable bytes_copied : int;
   mutable rxring : rxring option;
   obs : Encl_obs.Obs.t;
+  metrics : Metrics.t;  (** [obs]'s registry *)
   mutable inject : Encl_fault.Fault.t option;
 }
 
@@ -209,12 +225,10 @@ let create ~clock ~costs ~cpu ~trusted_env ~vfs ~net ~mm ~obs =
     next_fd = 3;
     rng = Encl_util.Rng.make ~seed:0x5eccf11eL;
     counts = Array.make counts_len 0;
-    total = 0;
     origin_kills = 0;
-    mm_denied = 0;
-    bytes_copied = 0;
     rxring = None;
     obs;
+    metrics = Encl_obs.Obs.metrics obs;
     inject = None;
   }
 
@@ -239,11 +253,17 @@ let net t = t.net
 let mm t = t.mm
 let clock t = t.clock
 let install_seccomp t prog = Seccomp.install t.seccomp prog
-let seccomp_installed t = Seccomp.installed t.seccomp
 let seccomp_invalidate t = Seccomp.invalidate t.seccomp
-let seccomp_cache_stats t = Seccomp.cache_stats t.seccomp
-let seccomp_cache_hit_rate t = Seccomp.cache_hit_rate t.seccomp
-let pkey_allocator t = t.pkeys
+
+let seccomp_cache_stats t =
+  (Metrics.total t.metrics cache_hit_counter,
+   Metrics.total t.metrics cache_miss_counter)
+
+(* Well-defined before any probe: 0 probes is "no hits yet", not NaN. *)
+let seccomp_cache_hit_rate t =
+  let hits, misses = seccomp_cache_stats t in
+  if hits + misses = 0 then 0.0
+  else float_of_int hits /. float_of_int (hits + misses)
 
 let with_trusted t f =
   (* Gate-wrapped: a syscall may execute while an enclosure environment
@@ -255,15 +275,9 @@ let with_trusted t f =
       Fun.protect ~finally:(fun () -> Cpu.set_env t.cpu saved) f)
 
 (* The bytes_copied ledger: every pass a payload makes through user
-   memory lands here, mirrored into obs at the same program point so
-   trace_dump can reconcile the two. Zero simulated time — the copy
-   cost is charged where the copy happens. *)
-let note_copied t n =
-  if n > 0 then begin
-    t.bytes_copied <- t.bytes_copied + n;
-    let module Obs = Encl_obs.Obs in
-    if Obs.enabled t.obs then Obs.incr t.obs ~by:n "bytes_copied.kernel"
-  end
+   memory counts as "bytes_copied.kernel". Zero simulated time — the
+   copy cost is charged where the copy happens. *)
+let note_copied t n = Metrics.add t.metrics copied_counter n
 
 let copy_to_user t ~addr data =
   note_copied t (Bytes.length data);
@@ -409,13 +423,7 @@ let execute t call =
                 List.partition (fun (_, owner) -> owner = fd) ring.rx_inflight
               in
               ring.rx_inflight <- rest;
-              let k = List.length mine in
-              if k > 0 then begin
-                ring.rx_reclaimed <- ring.rx_reclaimed + k;
-                let module Obs = Encl_obs.Obs in
-                if Obs.enabled t.obs then
-                  Obs.incr t.obs ~by:k "ring.rx_reclaimed"
-              end
+              Metrics.add t.metrics rx_reclaimed_counter (List.length mine)
           | None -> ());
           Hashtbl.remove t.fds fd;
           Ok 0)
@@ -572,10 +580,7 @@ let execute t call =
                         Cpu.write_bytes t.cpu ~addr:(addr + ring_hdr_bytes)
                           data);
                     ring.rx_inflight <- (slot, fd) :: ring.rx_inflight;
-                    ring.rx_granted <- ring.rx_granted + 1;
-                    (let module Obs = Encl_obs.Obs in
-                     if Obs.enabled t.obs then
-                       Obs.incr t.obs "ring.rx_granted");
+                    Metrics.incr t.metrics rx_granted_counter;
                     if Knob.zerocopy.Knob.value then
                       Clock.consume t.clock Clock.Syscall
                         t.costs.Costs.zc_grant
@@ -678,22 +683,22 @@ let execute t call =
       end
 
 let record t nr =
-  t.total <- t.total + 1;
   let i = Sysno.number nr in
   t.counts.(i) <- t.counts.(i) + 1
 
-(* Stamp the syscall's verdict into the machine's observability sink:
-   verdict counters, a per-category counter, the latency histogram, and a
-   ring event covering [t0, now]. All no-ops when the sink is disabled. *)
+(* Count the syscall's verdict (an allowed call also counts under its
+   category) and, when the sink is enabled, record the latency
+   histogram and a ring event covering [t0, now]. *)
 let obs_syscall t nr ~t0 ~verdict =
   let module Obs = Encl_obs.Obs in
+  let category = Sysno.category nr in
+  (match verdict with
+  | Encl_obs.Event.Allowed ->
+      Metrics.incr t.metrics allowed_counter;
+      Metrics.incr t.metrics
+        category_counters.(Sysno.category_index category)
+  | Encl_obs.Event.Denied -> Metrics.incr t.metrics denied_counter);
   if Obs.enabled t.obs then begin
-    let category = Sysno.category nr in
-    (match verdict with
-    | Encl_obs.Event.Allowed ->
-        Obs.incr t.obs "syscall.allowed";
-        Obs.incr t.obs ("syscall." ^ Sysno.category_name category)
-    | Encl_obs.Event.Denied -> Obs.incr t.obs "syscall.denied");
     let dur = Clock.now t.clock - t0 in
     Obs.observe t.obs "syscall_ns" dur;
     Obs.emit t.obs ~dur
@@ -728,7 +733,7 @@ let syscall_body t call nr ~trap_cost =
    if Cpu.untrusted_label env.Cpu.label && not (Cpu.in_gate t.cpu) then begin
      if Defense.enabled Defense.Syscall_origin then begin
        t.origin_kills <- t.origin_kills + 1;
-       if Obs.enabled t.obs then Obs.incr t.obs "gate_violation";
+       Metrics.incr t.metrics gate_violation_counter;
        obs_syscall t nr ~t0 ~verdict:Encl_obs.Event.Denied;
        raise
          (Syscall_killed { nr; env = env.Cpu.label ^ " (non-gate origin)" })
@@ -736,8 +741,7 @@ let syscall_body t call nr ~trap_cost =
    end;
    if Cpu.untrusted_label env.Cpu.label && mm_shaping call then
      if Defense.enabled Defense.Mm_guard then begin
-       t.mm_denied <- t.mm_denied + 1;
-       if Obs.enabled t.obs then Obs.incr t.obs "gate_violation";
+       Metrics.incr t.metrics gate_violation_counter;
        obs_syscall t nr ~t0 ~verdict:Encl_obs.Event.Denied;
        raise
          (Syscall_killed { nr; env = env.Cpu.label ^ " (mm privilege)" })
@@ -764,12 +768,13 @@ let syscall_body t call nr ~trap_cost =
     (match outcome with
     | Seccomp.Hit ->
         Clock.consume t.clock Clock.Syscall t.costs.Costs.seccomp_cached;
-        if Obs.enabled t.obs then Obs.incr t.obs "seccomp.cache_hit"
+        Metrics.incr t.metrics cache_hit_counter
     | Seccomp.Evaluated steps ->
         Clock.consume t.clock Clock.Syscall
           (if steps <= 4 then t.costs.Costs.seccomp_fast else t.costs.Costs.seccomp_eval);
-        if Obs.enabled t.obs && Knob.fastpath.Knob.value then
-          Obs.incr t.obs "seccomp.cache_miss");
+        (* With the fast path off there is no cache to miss. *)
+        if Knob.fastpath.Knob.value then
+          Metrics.incr t.metrics cache_miss_counter);
     if injected t "kernel.seccomp_delay" then
       (* Verdict unchanged, just late: a cold BPF JIT cache. *)
       Clock.consume t.clock Clock.Syscall (10 * t.costs.Costs.seccomp_eval);
@@ -851,20 +856,7 @@ let attach_rxring t ~base ~slots ~slot_bytes =
         rx_slot_bytes = slot_bytes;
         rx_head = 0;
         rx_inflight = [];
-        rx_granted = 0;
-        rx_consumed = 0;
-        rx_reclaimed = 0;
       }
-
-let rxring_attached t = t.rxring <> None
-
-let rxring_slot_addr t slot =
-  match t.rxring with
-  | None -> invalid_arg "Kernel.rxring_slot_addr: no ring attached"
-  | Some ring ->
-      if slot < 0 || slot >= ring.rx_slots then
-        invalid_arg "Kernel.rxring_slot_addr: slot out of range";
-      ring.rx_base + (slot * ring.rx_slot_bytes)
 
 let ring_consume t slot =
   match t.rxring with
@@ -873,21 +865,19 @@ let ring_consume t slot =
       if not (List.mem_assoc slot ring.rx_inflight) then
         invalid_arg "Kernel.ring_consume: descriptor not granted";
       ring.rx_inflight <- List.remove_assoc slot ring.rx_inflight;
-      ring.rx_consumed <- ring.rx_consumed + 1;
       (* A couple of shared-memory stores under either flag setting. *)
       Clock.consume t.clock Clock.Io t.costs.Costs.zc_consume;
-      let module Obs = Encl_obs.Obs in
-      if Obs.enabled t.obs then Obs.incr t.obs "ring.rx_consumed"
+      Metrics.incr t.metrics rx_consumed_counter
 
 let rxring_counters t =
-  match t.rxring with
-  | None -> (0, 0, 0)
-  | Some ring -> (ring.rx_granted, ring.rx_consumed, ring.rx_reclaimed)
+  ( Metrics.total t.metrics rx_granted_counter,
+    Metrics.total t.metrics rx_consumed_counter,
+    Metrics.total t.metrics rx_reclaimed_counter )
 
 let rxring_inflight t =
   match t.rxring with None -> 0 | Some ring -> List.length ring.rx_inflight
 
-let bytes_copied_count t = t.bytes_copied
+let bytes_copied_count t = Metrics.total t.metrics copied_counter
 
 let fd_readable t fd =
   match find_fd t fd with
@@ -900,10 +890,9 @@ let listener_pending t fd =
   | Some (Fd_sock_listen l) -> Net.pending t.net l > 0
   | Some _ | None -> false
 
-let syscall_count t = t.total
+let syscall_count t = Array.fold_left ( + ) 0 t.counts
 let count_for t nr = t.counts.(Sysno.number nr)
 let origin_kill_count t = t.origin_kills
-let mm_denied_count t = t.mm_denied
 
 let trace t =
   let acc = ref [] in
@@ -914,7 +903,3 @@ let trace t =
       | None -> ()
   done;
   !acc
-
-let reset_stats t =
-  t.total <- 0;
-  Array.fill t.counts 0 (Array.length t.counts) 0

@@ -107,9 +107,18 @@ val create :
   mm:Mm.t ->
   obs:Encl_obs.Obs.t ->
   t
-(** [obs] receives a counter, a latency observation, and a ring event per
-    system call (verdict [Allowed] or, on a seccomp kill, [Denied]) when
-    enabled; when disabled the dispatch path does not touch it. *)
+(** Every system call counts its verdict in [obs]'s registry
+    (["syscall.allowed"] plus ["syscall.<category>"], or
+    ["syscall.denied"] on a kill); when the sink is enabled it also
+    records a latency observation and a ring event. *)
+
+val denied_counter : Encl_obs.Metrics.counter
+(** ["syscall.denied"]. LitterBox counts its guest-side denials here
+    too. *)
+
+val gate_violation_counter : Encl_obs.Metrics.counter
+(** ["gate_violation"]: origin kills and mm-shaping denials here, and
+    the CPU's gate violations through the machine's hook. *)
 
 val vfs : t -> Vfs.t
 val net : t -> Net.t
@@ -119,21 +128,18 @@ val clock : t -> Clock.t
 val install_seccomp : t -> Bpf.program -> (unit, string) result
 (** Installing a program also flushes the seccomp verdict cache. *)
 
-val seccomp_installed : t -> bool
-
 val seccomp_invalidate : t -> unit
 (** Flush the seccomp verdict cache. LitterBox calls this on any transfer
     that changes a meta-package's rights vector (the PKRU no longer means
     what the cached verdicts assumed). *)
 
 val seccomp_cache_stats : t -> int * int
-(** [(hits, misses)] of the verdict cache; both zero with the fast path
-    disabled. *)
+(** [(hits, misses)] of the verdict cache, the registry's
+    ["seccomp.cache_hit"] / ["seccomp.cache_miss"] totals; both zero
+    with the fast path disabled. *)
 
 val seccomp_cache_hit_rate : t -> float
 (** hits / (hits + misses), and a well-defined 0.0 before any probe. *)
-
-val pkey_allocator : t -> Mpk.allocator
 
 val set_injector : t -> Encl_fault.Fault.t -> unit
 (** Attach a chaos injector and register the kernel's hook points:
@@ -194,17 +200,14 @@ val attach_rxring : t -> base:int -> slots:int -> slot_bytes:int -> unit
     guest memory at [base] (the runtime owns granting the R view).
     Raises [Invalid_argument] on bad geometry. *)
 
-val rxring_attached : t -> bool
-
-val rxring_slot_addr : t -> int -> int
-(** Guest address of a slot's header. *)
-
 val ring_consume : t -> int -> unit
 (** Release a granted descriptor (slot index) so the kernel may refill
     it. Raises [Invalid_argument] if the slot is not currently granted. *)
 
 val rxring_counters : t -> int * int * int
-(** [(granted, consumed, reclaimed)]; all zero with no ring attached. *)
+(** [(granted, consumed, reclaimed)], the registry's ["ring.rx_granted"],
+    ["ring.rx_consumed"] and ["ring.rx_reclaimed"] totals; all zero with
+    no ring attached. *)
 
 val rxring_inflight : t -> int
 (** Descriptors granted but not yet consumed or reclaimed. *)
@@ -212,8 +215,8 @@ val rxring_inflight : t -> int
 val bytes_copied_count : t -> int
 (** Total bytes the kernel moved through user memory: every
     [copy_to_user]/[copy_from_user] pass plus the flag-off bounce
-    passes of the zc-capable paths. Mirrored into obs as
-    ["bytes_copied.kernel"] at the same program points. *)
+    passes of the zc-capable paths: the registry's
+    ["bytes_copied.kernel"] total. *)
 
 (** {2 Netpoller helpers}
 
@@ -230,15 +233,12 @@ val listener_pending : t -> int -> bool
 (** {2 Introspection for tests and benchmarks} *)
 
 val syscall_count : t -> int
+(** The sum of the per-syscall counts. *)
+
 val count_for : t -> Sysno.t -> int
 
 val origin_kill_count : t -> int
 (** Syscalls killed by origin verification (non-gate trap sites). *)
 
-val mm_denied_count : t -> int
-(** Address-space-shaping syscalls denied to untrusted environments. *)
-
 val trace : t -> (Sysno.t * int) list
 (** Per-syscall counts, sorted by syscall number. *)
-
-val reset_stats : t -> unit

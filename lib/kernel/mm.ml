@@ -12,7 +12,6 @@ let create ~phys ~base =
 
 let phys t = t.phys
 let add_pt t pt = t.pts <- t.pts @ [ pt ]
-let pts t = t.pts
 
 let alloc_range t ~len =
   let len = max len Phys.page_size in

@@ -14,11 +14,6 @@ val create : phys:Phys.t -> base:int -> t
 
 val phys : t -> Phys.t
 val add_pt : t -> Pagetable.t -> unit
-val pts : t -> Pagetable.t list
-
-val alloc_range : t -> len:int -> int
-(** Reserve a page-aligned virtual range of at least [len] bytes; returns
-    its start address. Does not map anything. *)
 
 val map_at : t -> addr:int -> len:int -> perms:Pte.perms -> unit
 (** Back the (page-aligned) range with fresh zeroed frames and install

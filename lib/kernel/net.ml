@@ -49,7 +49,6 @@ type remote = {
   r_name : string;
   r_received : Buffer.t;
   r_respond : Bytes.t -> Bytes.t list;
-  mutable r_conns : int;
 }
 
 type ep = { inbox : Bytebuf.t; mutable peer : peer; mutable closed : bool }
@@ -162,11 +161,7 @@ let recv t ep n =
     | Peer_none -> Eof
     | Peer_ep _ | Peer_remote _ -> Would_block
 
-let close_ep _t ep =
-  ep.closed <- true;
-  match ep.peer with
-  | Peer_remote r -> r.r_conns <- r.r_conns - 1
-  | Peer_ep _ | Peer_none -> ()
+let close_ep _t ep = ep.closed <- true
 
 let ep_closed ep = ep.closed
 
@@ -187,7 +182,6 @@ let connect t ~ip ~port =
   | Some r ->
       let ep = fresh_ep () in
       ep.peer <- Peer_remote r;
-      r.r_conns <- r.r_conns + 1;
       Ok ep
   | None ->
       if ip = loopback then
@@ -208,10 +202,9 @@ let client_connect t ~port =
   | None -> Error "connection refused"
 
 let register_remote t ~ip ~port ?(respond = fun _ -> []) name =
-  let r = { r_name = name; r_received = Buffer.create 256; r_respond = respond; r_conns = 0 } in
+  let r = { r_name = name; r_received = Buffer.create 256; r_respond = respond } in
   Hashtbl.replace t.remotes (ip, port) r;
   r
 
 let remote_received r = Buffer.to_bytes r.r_received
-let remote_name r = r.r_name
-let remote_conn_count r = r.r_conns
+

@@ -85,6 +85,3 @@ val register_remote :
 
 val remote_received : remote -> Bytes.t
 (** Every byte this host has received so far (exfiltration detector). *)
-
-val remote_name : remote -> string
-val remote_conn_count : remote -> int

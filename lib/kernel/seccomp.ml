@@ -129,9 +129,8 @@ type t = {
   mutable caches : Bpf.action Vtbl.t array;
       (** one verdict cache per simulated core (a real per-CPU cache
           would be lock-free for the same reason): index = core,
-          grown on demand. Hit/miss tallies stay machine-wide. *)
-  mutable hits : int;
-  mutable misses : int;
+          grown on demand. The kernel counts hits and misses
+          machine-wide from {!check_memo}'s outcome. *)
   mutable invalidations : int;
 }
 
@@ -139,8 +138,6 @@ let create () =
   {
     prog = None;
     caches = [| Vtbl.create 128 |];
-    hits = 0;
-    misses = 0;
     invalidations = 0;
   }
 
@@ -180,9 +177,6 @@ let installed t = t.prog <> None
 let check t data =
   match t.prog with None -> Bpf.Allow | Some prog -> Bpf.run prog data
 
-let check_counted t data =
-  match t.prog with None -> (Bpf.Allow, 0) | Some prog -> Bpf.run_count prog data
-
 let key_of_data (data : Bpf.data) =
   {
     vk_pkru = pkru_key data.Bpf.pkru;
@@ -201,20 +195,10 @@ let check_memo ?(core = 0) t data =
         let cache = cache_for t core in
         let key = key_of_data data in
         (match Vtbl.find_opt cache key with
-        | Some action ->
-            t.hits <- t.hits + 1;
-            (action, Hit)
+        | Some action -> (action, Hit)
         | None ->
-            t.misses <- t.misses + 1;
             let action, steps = Bpf.run_count prog data in
             Vtbl.replace cache key action;
             (action, Evaluated steps))
-
-let cache_stats t = (t.hits, t.misses)
-
-(* Well-defined before any probe: 0 probes is "no hits yet", not NaN. *)
-let cache_hit_rate t =
-  let probes = t.hits + t.misses in
-  if probes = 0 then 0.0 else float_of_int t.hits /. float_of_int probes
 
 let invalidation_count t = t.invalidations

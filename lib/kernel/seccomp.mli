@@ -37,9 +37,6 @@ val installed : t -> bool
 val check : t -> Bpf.data -> Bpf.action
 (** [Allow] when no filter is installed. *)
 
-val check_counted : t -> Bpf.data -> Bpf.action * int
-(** Also returns how many BPF instructions ran (0 with no filter). *)
-
 (** {2 Verdict cache (fast path)}
 
     Memoizes [(PKRU, nr, arg0) -> action]. The key covers every field a
@@ -47,15 +44,16 @@ val check_counted : t -> Bpf.data -> Bpf.action * int
     a full evaluation would return — including the per-IP [connect]
     rules, which dispatch on argument 0. The cache is flushed whenever
     the installed program changes ({!install}) and on explicit
-    {!invalidate} (rights-vector changes). Inactive while
-    {!Encl_sim.Fastpath.enabled} is false: {!check_memo} then always
-    evaluates and records no hits or misses.
+    {!invalidate} (rights-vector changes). Inactive while the fastpath
+    knob is off: {!check_memo} then always evaluates, and its outcome is
+    neither a hit nor a miss.
 
     The cache is {e per simulated core} (like a real per-CPU cache, so
     no cross-core locking is being hand-waved away): the kernel passes
     the core the trap arrived on, each core warms its own verdicts, and
-    invalidation shoots down every core's cache at once. Hit/miss
-    statistics are machine-wide.
+    invalidation shoots down every core's cache at once. The kernel
+    counts hits and misses machine-wide from {!check_memo}'s outcome
+    ([Kernel.seccomp_cache_stats]).
 
     Each core's table is keyed exactly by the three fields — the PKRU
     as its 32-bit pattern, the syscall number and the whole of arg0, of
@@ -68,20 +66,14 @@ type outcome =
   | Evaluated of int  (** full evaluation; payload is BPF steps run *)
 
 val check_memo : ?core:int -> t -> Bpf.data -> Bpf.action * outcome
-(** Like {!check_counted} but consulting [core]'s verdict cache first
-    when the fast path is enabled (default core 0 — the single-core
-    machine). No filter installed: [(Allow, Evaluated 0)]. *)
+(** Evaluate the installed filter, consulting [core]'s verdict cache
+    first when the fast path is enabled (default core 0 — the
+    single-core machine). With the fast path on, [Hit] is a cache hit
+    and [Evaluated] a miss. No filter installed: [(Allow, Evaluated 0)]. *)
 
 val invalidate : t -> unit
 (** Drop every core's cached verdicts (counted once in
     {!invalidation_count}). *)
-
-val cache_stats : t -> int * int
-(** [(hits, misses)] accumulated since creation. *)
-
-val cache_hit_rate : t -> float
-(** hits / (hits + misses). Well-defined before any probe: 0 probes is
-    0.0, never NaN. *)
 
 val invalidation_count : t -> int
 

@@ -213,4 +213,12 @@ let all_categories =
 let category_of_name s =
   List.find_opt (fun c -> category_name c = s) all_categories
 
-let in_category c = List.filter (fun s -> category s = c) all
+let category_index = function
+  | Cat_io -> 0
+  | Cat_file -> 1
+  | Cat_net -> 2
+  | Cat_mem -> 3
+  | Cat_proc -> 4
+  | Cat_time -> 5
+  | Cat_sync -> 6
+  | Cat_rand -> 7

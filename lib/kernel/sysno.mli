@@ -77,4 +77,6 @@ val category : t -> category
 val category_name : category -> string
 val category_of_name : string -> category option
 val all_categories : category list
-val in_category : category -> t list
+
+val category_index : category -> int
+(** Position in {!all_categories}. *)

@@ -45,6 +45,3 @@ val readdir : t -> string -> (string list, errno) result
 (** Sorted entry names. *)
 
 val chmod : t -> string -> int -> (unit, errno) result
-
-val split_path : string -> string list
-(** Path components of an absolute path; exposed for tests. *)

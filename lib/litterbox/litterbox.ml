@@ -5,6 +5,7 @@ module Mm = Encl_kernel.Mm
 module Image = Encl_elf.Image
 module Section = Encl_elf.Section
 module Obs = Encl_obs.Obs
+module Metrics = Encl_obs.Metrics
 module Event = Encl_obs.Event
 module Span = Encl_obs.Span
 module Witness = Encl_obs.Witness
@@ -20,6 +21,23 @@ let log_src = Logs.Src.create "litterbox" ~doc:"LitterBox enclosure backend"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
+(* LitterBox's counters in the machine's registry. *)
+module C = struct
+  let switch = Metrics.counter "switch"
+  let switch_elided = Metrics.counter "switch_elided"
+  let transfer = Metrics.counter "transfer"
+  let transfer_coalesced = Metrics.counter "transfer_coalesced"
+  let fault = Metrics.counter "fault"
+  let quarantine = Metrics.counter "quarantine"
+  let ring_submitted = Metrics.counter "ring_submitted"
+  let ring_drained = Metrics.counter "ring_drained"
+  let ring_batches = Metrics.counter "ring_batches"
+  let ring_ipi = Metrics.counter "ring_ipi"
+  let tainted_verified = Metrics.counter "tainted_verified"
+  let tainted_rejected = Metrics.counter "tainted_rejected"
+  let sfi_masked_access = Metrics.counter "sfi_masked_access"
+end
+
 let super_pkg = "litterbox.super"
 let user_pkg = "litterbox.user"
 
@@ -29,6 +47,7 @@ type enc_rt = {
   e_deps : string list;
   e_policy : Policy.t;
   e_closure_addr : int;
+  e_scope : Metrics.scope;  (** interned once, at registration *)
   mutable e_view : View.t;
   mutable e_pkru : Mpk.pkru;
   mutable e_pt : Pagetable.t option;
@@ -82,52 +101,28 @@ type t = {
   clustering : bool;
   mutable app_trusted : Cpu.env;
   mutable stack : enc_rt list;
-  mutable switches : int;
-  mutable switch_elided : int;  (** subset of [switches] served by elision *)
-  mutable transfers : int;
-  mutable coalesced : int;  (** subset of [transfers] batched by {!transfer_range} *)
-  mutable faults : int;
   mutable fault_log : string list;
   mutable fault_budget : int;  (** per-enclosure; [max_int] = no quarantine *)
   mutable rings : sq_entry Queue.t array;
       (** one submission queue per simulated core (indexed by clock
           lane, grown on demand): each core batches its own traffic and
           drains it on its own lane. *)
-  mutable ring_submitted : int;
-  mutable ring_drained : int;
-  mutable ring_batches : int;  (** non-empty per-core drains *)
-  mutable ring_ipis : int;
-      (** IPI-style cross-core wakeups: remote non-empty rings flushed
-          because another core hit a drain point *)
   mutable denied_guest : int;
       (** guest-side denials (VTX/LWC filter checks, direct or drained):
           calls the kernel's own counters never saw *)
-  mutable tainted_verified : int;
-      (** Tainted-boundary validations that accepted the value *)
-  mutable tainted_rejected : int;
-      (** Tainted-boundary validations that rejected the value *)
 }
 
 let machine t = t.machine
 let backend t = t.backend
 let graph t = t.graph
 let obs t = t.machine.Machine.obs
+let metrics t = Obs.metrics (obs t)
+let count t c = Metrics.total (metrics t) c
 
-(* Observability taps. Counter increments must track t.switches/t.faults
-   exactly — one Obs increment per mutation, at the same program point —
-   so the per-scope totals reconcile with switch_count/fault_count even
-   when an operation aborts mid-switch. All are no-ops when disabled. *)
-
-let note_fault t reason =
-  let o = obs t in
-  if Obs.enabled o then begin
-    Obs.incr o "fault";
-    Obs.emit o (Event.Fault { reason })
-  end
-
-let note_switch t scope =
-  let o = obs t in
-  if Obs.enabled o then Obs.incr o ~scope "switch"
+(* A switch counts under the enclosure it enters, leaves or resumes,
+   before the switch happens, so an operation that aborts mid-switch is
+   still counted. *)
+let note_switch t scope = Metrics.incr_in (metrics t) ~scope C.switch
 
 let emit_switch t ~t0 kind =
   let o = obs t in
@@ -139,6 +134,7 @@ let emit_switch t ~t0 kind =
 
 let scope_name = function [] -> "trusted" | enc :: _ -> enc.e_name
 let env_scope = scope_name
+let stack_scope = function [] -> Metrics.trusted | enc :: _ -> enc.e_scope
 
 (* Which enclosure does an environment label ("enc:<name>") belong to?
    The kernel's origin/mm-guard kills annotate the label with a
@@ -155,14 +151,15 @@ let enc_of_env_label label =
 
 (* The single fault-accounting point: every fault — raised by [fault],
    caught from the CPU or from seccomp — flows through here exactly
-   once, keeping t.faults, t.fault_log, the obs "fault" counter and the
-   per-enclosure quarantine budget in lockstep. [trace] is the log-book
-   entry; [reason] is what the obs event carries. *)
+   once, keeping the "fault" counter, t.fault_log and the per-enclosure
+   quarantine budget in lockstep. [trace] is the log-book entry;
+   [reason] is what the obs event carries. *)
 let record_fault t ?enclosure ~trace reason =
-  t.faults <- t.faults + 1;
+  Metrics.incr (metrics t) C.fault;
   t.fault_log <- trace :: t.fault_log;
   Log.err (fun m -> m "%s" trace);
-  note_fault t reason;
+  (let o = obs t in
+   if Obs.enabled o then Obs.emit o (Event.Fault { reason }));
   match Option.bind enclosure (Hashtbl.find_opt t.encs) with
   | None -> ()
   | Some enc ->
@@ -171,12 +168,11 @@ let record_fault t ?enclosure ~trace reason =
         enc.e_quarantined <- true;
         Log.warn (fun m ->
             m "enclosure %s quarantined after %d faults" enc.e_name enc.e_faults);
+        Metrics.incr (metrics t) C.quarantine;
         let o = obs t in
-        if Obs.enabled o then begin
-          Obs.incr o "quarantine";
+        if Obs.enabled o then
           Obs.emit o
             (Event.Quarantine { enclosure = enc.e_name; faults = enc.e_faults })
-        end
       end
 
 let fault t ?enclosure reason =
@@ -635,10 +631,10 @@ let capture_site t =
    kernel, so the kernel's tap can't see it — record it here. *)
 let note_denied t call =
   t.denied_guest <- t.denied_guest + 1;
+  Metrics.incr (metrics t) K.denied_counter;
   let o = obs t in
   if Obs.enabled o then begin
     let nr = K.sysno_of_call call in
-    Obs.incr o "syscall.denied";
     Obs.emit o
       (Event.Syscall
          {
@@ -1086,6 +1082,7 @@ let make_enc t ~name ~owner ~deps ~policy ~closure_addr =
               e_deps = deps;
               e_policy = p;
               e_closure_addr = closure_addr;
+              e_scope = Metrics.scope (metrics t) name;
               e_view = view;
               e_pkru = Mpk.pkru_all_access;
               e_pt = None;
@@ -1115,21 +1112,10 @@ let init ~machine ~backend ~image ?(binary_scan = []) ?(clustering = true) () =
           clustering;
           app_trusted = machine.Machine.trusted_env;
           stack = [];
-          switches = 0;
-          switch_elided = 0;
-          transfers = 0;
-          coalesced = 0;
-          faults = 0;
           fault_log = [];
           fault_budget = max_int;
           rings = [| Queue.create () |];
-          ring_submitted = 0;
-          ring_drained = 0;
-          ring_batches = 0;
-          ring_ipis = 0;
           denied_guest = 0;
-          tainted_verified = 0;
-          tainted_rejected = 0;
         }
       in
       Obs.set_backend machine.Machine.obs (backend_name backend);
@@ -1224,13 +1210,9 @@ let init ~machine ~backend ~image ?(binary_scan = []) ?(clustering = true) () =
                    Sfi.create ~clock:machine.Machine.clock
                      ~costs:machine.Machine.costs
                  in
-                 (* Obs mirror in lockstep with the Sfi counter: one
-                    increment per masked access, at the same point. *)
+                 let m = metrics t in
                  Sfi.set_observer sfi
-                   (Some
-                      (fun () ->
-                        let o = machine.Machine.obs in
-                        if Obs.enabled o then Obs.incr o "sfi_masked_access"));
+                   (Some (fun () -> Metrics.incr m C.sfi_masked_access));
                  t.sfi <- Some sfi
                end);
               match recompute t with
@@ -1374,25 +1356,23 @@ let set_hw_env t env =
       Cpu.set_env t.machine.Machine.cpu env)
 
 (* Single point through which the enclosure stack changes: keeps the
-   hardware environment and the observability context in lockstep. *)
+   hardware environment and the registry's current scope in lockstep. *)
 let set_stack t stack =
   t.stack <- stack;
-  Obs.set_context (obs t)
-    (match stack with [] -> None | enc :: _ -> Some enc.e_name);
+  Metrics.set_current (metrics t) (stack_scope stack);
   set_hw_env t (env_of_stack t stack)
 
 (* Core hop (SMP): re-install the environment stack a core already had
    loaded when the interleaver last left it. On real hardware nothing is
    written — each core keeps its own PKRU register, CR3 and TLB — so
-   this is pure bookkeeping: the stack and the obs context move, the CPU
+   this is pure bookkeeping: the stack and the current scope move, the CPU
    model's notion of "current env" moves via {!Cpu.restore_env} (no TLB
    flush, no cost, no switch counted). Only the scheduler may call it,
    and only with a stack this core previously installed through the
    costed paths. *)
 let install_core_env t stack =
   t.stack <- stack;
-  Obs.set_context (obs t)
-    (match stack with [] -> None | enc :: _ -> Some enc.e_name);
+  Metrics.set_current (metrics t) (stack_scope stack);
   Cpu.with_gate t.machine.Machine.cpu ~name:"litterbox.gate" (fun () ->
       Cpu.restore_env t.machine.Machine.cpu (env_of_stack t stack))
 
@@ -1402,9 +1382,9 @@ let install_core_env t stack =
    below is the rdpkru-class comparison the real runtime would do, and
    when it holds the switch charges [switch_elided] instead of the
    backend's switch cost. Everything else is unchanged: the stack still
-   moves through [set_stack] (obs context, env install — a no-op write),
-   the switch still counts in [switches] and the obs "switch" metric (so
-   trace cross-checks reconcile), and validation/quarantine checks ran
+   moves through [set_stack] (current scope, env install — a no-op
+   write), the switch still counts as a "switch", and
+   validation/quarantine checks ran
    before we got here. Only the cost differs, which is what
    "semantics-preserving" means for this path. *)
 let hw_env_equal t (target : Cpu.env) =
@@ -1416,9 +1396,7 @@ let can_elide t stack =
   Knob.fastpath.Knob.value && hw_env_equal t (env_of_stack t stack)
 
 let note_elision t scope =
-  t.switch_elided <- t.switch_elided + 1;
-  let o = obs t in
-  if Obs.enabled o then Obs.incr o ~scope "switch_elided"
+  Metrics.incr_in (metrics t) ~scope C.switch_elided
 
 (* ------------------------------------------------------------------ *)
 (* Syscall ring                                                        *)
@@ -1435,13 +1413,9 @@ let note_elision t scope =
    {!Backend.S} implementations above. *)
 let drain_one_ring t ~entries =
   let n = List.length entries in
-  t.ring_batches <- t.ring_batches + 1;
-  t.ring_drained <- t.ring_drained + n;
+  Metrics.incr (metrics t) C.ring_batches;
+  Metrics.add (metrics t) C.ring_drained n;
   let o = obs t in
-  if Obs.enabled o then begin
-    Obs.incr o "ring_batches";
-    Obs.incr o ~by:n "ring_drained"
-  end;
   let sp =
     if Obs.enabled o then
       Obs.span_enter o
@@ -1466,11 +1440,7 @@ let drain t =
       if not (Queue.is_empty ring) then begin
         let entries = List.of_seq (Queue.to_seq ring) in
         Queue.clear ring;
-        if core <> initiator then begin
-          t.ring_ipis <- t.ring_ipis + 1;
-          let o = obs t in
-          if Obs.enabled o then Obs.incr o "ring_ipi"
-        end;
+        if core <> initiator then Metrics.incr (metrics t) C.ring_ipi;
         Clock.set_lane clock core;
         Fun.protect
           ~finally:(fun () -> Clock.set_lane clock initiator)
@@ -1504,11 +1474,9 @@ let submit t call =
       sq_comp = comp;
     }
     ring;
-  t.ring_submitted <- t.ring_submitted + 1;
   Clock.consume t.machine.Machine.clock Clock.Syscall
     t.machine.Machine.costs.Costs.ring_submit;
-  let o = obs t in
-  if Obs.enabled o then Obs.incr o "ring_submitted";
+  Metrics.incr (metrics t) C.ring_submitted;
   comp
 
 let completion_ready c =
@@ -1550,8 +1518,7 @@ let prolog t ~name ~site =
                  "switch into %s would escalate privileges (nested enclosures \
                   may only restrict)"
                  name));
-      t.switches <- t.switches + 1;
-      note_switch t enc.e_name;
+      note_switch t enc.e_scope;
       let o = obs t in
       let sp =
         if Obs.enabled o then
@@ -1565,7 +1532,7 @@ let prolog t ~name ~site =
          if can_elide t (enc :: t.stack) then begin
            Clock.consume t.machine.Machine.clock Clock.Switch
              c.Costs.switch_elided;
-           note_elision t enc.e_name
+           note_elision t enc.e_scope
          end
          else
            let (module B) = impl t in
@@ -1594,8 +1561,7 @@ let epilog t ~site =
   match t.stack with
   | [] -> fault t "epilog with no active enclosure"
   | top :: rest ->
-      t.switches <- t.switches + 1;
-      note_switch t top.e_name;
+      note_switch t top.e_scope;
       let o = obs t in
       let sp =
         if Obs.enabled o then
@@ -1609,7 +1575,7 @@ let epilog t ~site =
          if can_elide t rest then begin
            Clock.consume t.machine.Machine.clock Clock.Switch
              c.Costs.switch_elided;
-           note_elision t top.e_name
+           note_elision t top.e_scope
          end
          else
            let (module B) = impl t in
@@ -1677,8 +1643,7 @@ let transfer t ~addr ~len ~to_pkg ~site =
   check_site t site Image.Transfer;
   if not (Encl_pkg.Graph.mem t.graph to_pkg) then
     fault t (Printf.sprintf "transfer to unknown package %s" to_pkg);
-  t.transfers <- t.transfers + 1;
-  (if Obs.enabled (obs t) then Obs.incr (obs t) "transfer");
+  Metrics.incr (metrics t) C.transfer;
   (let w = witness t in
    if Witness.enabled w then Witness.transfer w ~scope:(scope_name t.stack));
   let sp =
@@ -1707,8 +1672,8 @@ let transfer t ~addr ~len ~to_pkg ~site =
    [mpk_recompute] re-tagging behave identically) — but with a single
    hardware update over the whole range: one pkey_mprotect syscall (MPK)
    or one page-table walk (VTX/LWC) instead of one per chunk. Counters
-   stay in lockstep with the slow path: [transfers] and the obs
-   "transfer" metric advance by the number of chunks. With the fast path
+   stay in lockstep with the slow path: "transfer" advances by the
+   number of chunks. With the fast path
    off (or a single chunk) this {e is} the loop of [transfer] calls. *)
 let transfer_range t ~addr ~len ~chunk ~to_pkg ~site =
   if chunk <= 0 then invalid_arg "Litterbox.transfer_range: chunk must be > 0";
@@ -1725,18 +1690,14 @@ let transfer_range t ~addr ~len ~chunk ~to_pkg ~site =
     check_site t site Image.Transfer;
     if not (Encl_pkg.Graph.mem t.graph to_pkg) then
       fault t (Printf.sprintf "transfer to unknown package %s" to_pkg);
-    t.transfers <- t.transfers + n;
-    t.coalesced <- t.coalesced + n;
     (let w = witness t in
      if Witness.enabled w then
        for _ = 1 to n do
          Witness.transfer w ~scope:(scope_name t.stack)
        done);
+    Metrics.add (metrics t) C.transfer n;
+    Metrics.add (metrics t) C.transfer_coalesced n;
     let o = obs t in
-    (if Obs.enabled o then begin
-       Obs.incr o ~by:n "transfer";
-       Obs.incr o ~by:n "transfer_coalesced"
-     end);
     let sp =
       if Obs.enabled o then
         Obs.span_enter o ~name:("transfer:" ^ to_pkg) ~category:Span.Transfer ()
@@ -1786,9 +1747,8 @@ let execute t env_ref ~site =
      | Some enc ->
          raise (Quarantined { enclosure = enc.e_name; faults = enc.e_faults })
      | None -> ());
-  t.switches <- t.switches + 1;
   let target_scope = scope_name env_ref in
-  note_switch t target_scope;
+  note_switch t (stack_scope env_ref);
   let o = obs t in
   let sp =
     if Obs.enabled o then
@@ -1801,7 +1761,7 @@ let execute t env_ref ~site =
   (match
      if can_elide t env_ref then begin
        Clock.consume t.machine.Machine.clock Clock.Switch c.Costs.switch_elided;
-       note_elision t target_scope
+       note_elision t (stack_scope env_ref)
      end
      else
        let (module B) = impl t in
@@ -1823,6 +1783,7 @@ let execute t env_ref ~site =
 let with_trusted t f =
   let saved = t.stack in
   let scope = scope_name saved in
+  let scope_id = stack_scope saved in
   (let w = witness t in
    if Witness.enabled w && saved <> [] then Witness.trusted_call w ~scope);
   let o = obs t in
@@ -1842,12 +1803,11 @@ let with_trusted t f =
   in
   (if can_elide t [] then begin
      Clock.consume t.machine.Machine.clock Clock.Switch c.Costs.switch_elided;
-     note_elision t scope
+     note_elision t scope_id
    end
    else Clock.consume t.machine.Machine.clock Clock.Switch switch_cost);
   Obs.span_exit o sp;
-  t.switches <- t.switches + 1;
-  note_switch t scope;
+  note_switch t scope_id;
   set_stack t [];
   Fun.protect
     ~finally:(fun () ->
@@ -1860,12 +1820,11 @@ let with_trusted t f =
       (if can_elide t saved then begin
          Clock.consume t.machine.Machine.clock Clock.Switch
            c.Costs.switch_elided;
-         note_elision t scope
+         note_elision t scope_id
        end
        else Clock.consume t.machine.Machine.clock Clock.Switch return_cost);
       Obs.span_exit o sp;
-      t.switches <- t.switches + 1;
-      note_switch t scope;
+      note_switch t scope_id;
       set_stack t saved)
     f
 
@@ -1879,67 +1838,48 @@ let current_access t pkg =
   | [] -> None
   | enc :: _ -> Some (View.access enc.e_view pkg)
 
-let pkru_of t name =
-  match t.backend with
-  | Vtx | Lwc | Sfi -> None
-  | Mpk -> Option.map (fun e -> e.e_pkru) (Hashtbl.find_opt t.encs name)
-
 let cluster t = t.clusters
 let enclosure_names t = t.enc_order
 
 let enclosure_deps t name =
   Option.map (fun e -> e.e_deps) (Hashtbl.find_opt t.encs name)
 
-let policy_of t name =
-  Option.map (fun e -> e.e_policy) (Hashtbl.find_opt t.encs name)
-let switch_count t = t.switches
-let switch_elided_count t = t.switch_elided
-let transfer_count t = t.transfers
-let transfer_coalesced_count t = t.coalesced
-let fault_count t = t.faults
+let switch_count t = count t C.switch
+let switch_elided_count t = count t C.switch_elided
+let transfer_count t = count t C.transfer
+let transfer_coalesced_count t = count t C.transfer_coalesced
+let fault_count t = count t C.fault
 let fault_log t = t.fault_log
-let ring_submitted_count t = t.ring_submitted
-let ring_drained_count t = t.ring_drained
-let ring_batches_count t = t.ring_batches
-let ring_ipi_count t = t.ring_ipis
+let ring_submitted_count t = count t C.ring_submitted
+let ring_drained_count t = count t C.ring_drained
+let ring_batches_count t = count t C.ring_batches
 let guest_denied_count t = t.denied_guest
 let vmexit_count t = match t.vtx with Some v -> Vtx.vmexits v | None -> 0
-
-let sfi_masked_access_count t =
-  match t.sfi with Some s -> Sfi.masked_accesses s | None -> 0
+let sfi_masked_access_count t = count t C.sfi_masked_access
 
 let sfi_guard_fault_count t =
   match t.sfi with Some s -> Sfi.guard_faults s | None -> 0
 
 (* Tainted-boundary accounting (see {!Enclosure.Tainted}): the boundary
    layer reports each verification here so the counters live next to
-   the rest of the enforcement telemetry, with obs mirrors moved at the
-   same program point. *)
-let note_tainted_verified t =
-  t.tainted_verified <- t.tainted_verified + 1;
+   the rest of the enforcement telemetry. *)
+let note_tainted t ~verified =
   (let w = witness t in
    if Witness.enabled w then
-     Witness.tainted w ~scope:(scope_name t.stack) ~verified:true);
-  if Obs.enabled (obs t) then Obs.incr (obs t) "tainted_verified"
+     Witness.tainted w ~scope:(scope_name t.stack) ~verified);
+  Metrics.incr (metrics t)
+    (if verified then C.tainted_verified else C.tainted_rejected)
 
-let note_tainted_rejected t =
-  t.tainted_rejected <- t.tainted_rejected + 1;
-  (let w = witness t in
-   if Witness.enabled w then
-     Witness.tainted w ~scope:(scope_name t.stack) ~verified:false);
-  if Obs.enabled (obs t) then Obs.incr (obs t) "tainted_rejected"
-
-let tainted_verified_count t = t.tainted_verified
-let tainted_rejected_count t = t.tainted_rejected
+let note_tainted_verified t = note_tainted t ~verified:true
+let note_tainted_rejected t = note_tainted t ~verified:false
+let tainted_verified_count t = count t C.tainted_verified
+let tainted_rejected_count t = count t C.tainted_rejected
 
 (* Gate violations across the layers: forged environment writes and
-   unregistered-gate entries (CPU), non-gate-origin syscall kills and
-   denied mm-shaping calls (kernel). The obs counter "gate_violation"
-   mirrors this sum — each layer increments it at the same point. *)
-let gate_violation_count t =
-  Cpu.gate_violation_count t.machine.Machine.cpu
-  + K.origin_kill_count t.machine.Machine.kernel
-  + K.mm_denied_count t.machine.Machine.kernel
+   unregistered-gate entries (CPU, through the machine's hook),
+   non-gate-origin syscall kills and denied mm-shaping calls (kernel),
+   all counted as "gate_violation". *)
+let gate_violation_count t = count t K.gate_violation_counter
 
 (* ------------------------------------------------------------------ *)
 (* Quarantine control                                                  *)
@@ -1947,8 +1887,6 @@ let gate_violation_count t =
 let set_fault_budget t n =
   if n < 1 then invalid_arg "Litterbox.set_fault_budget: budget must be >= 1";
   t.fault_budget <- n
-
-let fault_budget t = t.fault_budget
 
 let quarantined t name =
   match Hashtbl.find_opt t.encs name with

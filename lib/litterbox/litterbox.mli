@@ -246,9 +246,6 @@ val current_access : t -> string -> Types.access option
     metadata update (e.g. a reference count on a read-only object) needs
     a controlled switch to the trusted environment (paper §5.2). *)
 
-val pkru_of : t -> string -> Mpk.pkru option
-(** MPK backend only. *)
-
 val cluster : t -> Cluster.t
 val enclosure_names : t -> string list
 
@@ -256,55 +253,58 @@ val enclosure_deps : t -> string -> string list option
 (** Direct dependencies the named enclosure was declared with (the
     miner recomputes its base dependency-closure view from these). *)
 
-val policy_of : t -> string -> Policy.t option
-(** The parsed policy the named enclosure is currently enforcing
-    (after any {!set_policy_override}). *)
+(** {2 Counters}
+
+    Every [*_count] below that has a [metrics.json] name is a read of
+    that counter's total in the machine's registry
+    ({!Encl_obs.Metrics}), its only home; the registry counts whether or
+    not observability is enabled. *)
 
 val switch_count : t -> int
+(** ["switch"]. *)
 
 val switch_elided_count : t -> int
 (** How many of {!switch_count}'s switches took the elision fast path
     (target environment already installed; see {!Encl_sim.Fastpath}).
-    Always [<= switch_count]; 0 with the fast path disabled. Mirrored in
-    the obs "switch_elided" metric. *)
+    Always [<= switch_count]; 0 with the fast path disabled.
+    ["switch_elided"]. *)
 
 val transfer_count : t -> int
+(** ["transfer"]. *)
 
 val transfer_coalesced_count : t -> int
 (** How many of {!transfer_count}'s chunk transfers were batched by
-    {!transfer_range} into shared hardware updates. Mirrored in the obs
-    "transfer_coalesced" metric. *)
+    {!transfer_range} into shared hardware updates.
+    ["transfer_coalesced"]. *)
 
 val fault_count : t -> int
+(** ["fault"]. *)
 
 val ring_submitted_count : t -> int
 val ring_drained_count : t -> int
 (** Lifetime ring counters; [ring_submitted_count t =
-    ring_drained_count t + ring_pending t] always holds. Mirrored in the
-    obs "ring_submitted" / "ring_drained" metrics. *)
+    ring_drained_count t + ring_pending t] always holds.
+    ["ring_submitted"] / ["ring_drained"]. *)
 
 val ring_batches_count : t -> int
 (** Non-empty per-core drains so far: each paid exactly one privilege
-    crossing. Mirrored in the obs "ring_batches" metric. *)
-
-val ring_ipi_count : t -> int
-(** IPI-style cross-core wakeups: how many times a drain initiated on
-    one core flushed another core's non-empty ring (the interrupt a
-    real kernel would send to make the sibling flush). Always 0 on one
-    core. Mirrored in the obs "ring_ipi" metric. *)
+    crossing. ["ring_batches"]. A drain initiated on one core that
+    flushes another core's non-empty ring (the IPI a real kernel would
+    send) also counts ["ring_ipi"]; always 0 on one core. *)
 
 val guest_denied_count : t -> int
 (** Calls denied guest-side (VTX/LWC filter checks, direct or drained)
-    that therefore never reached the kernel's syscall counters. Counted
-    regardless of whether observability is enabled — trace cross-checks
-    use it to reconcile obs verdict totals with the kernel count. *)
+    that therefore never reached the kernel's syscall counters (each
+    also counts ["syscall.denied"]). Trace checks use it to reconcile
+    the verdict totals with the kernel count. *)
 
 val vmexit_count : t -> int
 (** VM EXITs taken so far (VTX backend; 0 elsewhere). *)
 
 val sfi_masked_access_count : t -> int
 (** Instrumented loads/stores executed so far (SFI backend; 0
-    elsewhere). Mirrored in the obs "sfi_masked_access" metric. *)
+    elsewhere). ["sfi_masked_access"], fed by the SFI backend's access
+    hook. *)
 
 val sfi_guard_fault_count : t -> int
 (** Masked accesses whose address escaped the sandbox and landed in a
@@ -314,8 +314,8 @@ val note_tainted_verified : t -> unit
 val note_tainted_rejected : t -> unit
 (** Called by the {!Enclosure.Tainted} boundary layer for each
     successful / failed verification of a tainted value, so the counts
-    sit with the rest of the enforcement telemetry (obs mirrors
-    "tainted_verified" / "tainted_rejected"). *)
+    sit with the rest of the enforcement telemetry
+    (["tainted_verified"] / ["tainted_rejected"]). *)
 
 val tainted_verified_count : t -> int
 val tainted_rejected_count : t -> int
@@ -331,15 +331,15 @@ val gate_violation_count : t -> int
 (** Gate-hardening violations across the layers: forged environment
     writes and unregistered-gate entries (CPU call-gate integrity),
     syscalls killed by origin verification and mm-shaping calls denied
-    to enclosures (kernel). Mirrored 1:1 into the obs counter
-    ["gate_violation"]; zero on benign traffic. *)
+    to enclosures (kernel). ["gate_violation"], which every layer
+    increments at its detection point; zero on benign traffic. *)
 
 val fault_log : t -> string list
 (** Root-cause traces of the faults seen so far, most recent first (the
     paper's LB_VTX "prints a trace of the root-cause"). Memory faults are
     annotated with the owning package of the offending address. Every
     fault — raised, CPU, or seccomp kill — contributes exactly one
-    entry, matching {!fault_count} and the obs ["fault"] total. *)
+    entry, matching {!fault_count}. *)
 
 (** {2 Quarantine}
 
@@ -352,7 +352,6 @@ val set_fault_budget : t -> int -> unit
 (** Set the per-enclosure fault budget (>= 1, else [Invalid_argument]).
     Applies to faults recorded from then on. *)
 
-val fault_budget : t -> int
 val quarantined : t -> string -> bool
 
 val enclosure_fault_count : t -> string -> int

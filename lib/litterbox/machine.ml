@@ -15,6 +15,9 @@ type t = {
   mutable bytes_copied : int;
 }
 
+let inject_counter = Encl_obs.Metrics.counter "inject"
+let copied_counter = Encl_obs.Metrics.counter "bytes_copied.app"
+
 let create ?(costs = Costs.default) ?(cores = 1) () =
   if cores < 1 then invalid_arg "Machine.create: cores must be >= 1";
   let phys = Phys.create () in
@@ -35,22 +38,21 @@ let create ?(costs = Costs.default) ?(cores = 1) () =
      (nothing armed, `active` false) unless a chaos plan arms it. *)
   let inject = Encl_fault.Fault.create () in
   (* The machine's own trusted excursions (loader, galloc) are a vetted
-     gate site; gate violations mirror into the obs counter so
-     trace_dump can reconcile them against the runtime's tally. *)
+     gate site; the CPU's gate violations count as "gate_violation",
+     next to the kernel's. *)
+  let metrics = Encl_obs.Obs.metrics obs in
   Cpu.register_gate cpu "machine.trusted";
   Cpu.set_gate_violation_hook cpu
     (Some
        (fun _reason ->
-         if Encl_obs.Obs.enabled obs then
-           Encl_obs.Obs.incr obs "gate_violation"));
+         Encl_obs.Metrics.incr metrics Encl_kernel.Kernel.gate_violation_counter));
   Cpu.set_injector cpu inject;
   Encl_kernel.Kernel.set_injector kernel inject;
   Encl_kernel.Net.set_injector net inject;
   Encl_fault.Fault.on_fire inject (fun ~point ~env:_ ->
-      if Encl_obs.Obs.enabled obs then begin
-        Encl_obs.Obs.incr obs "inject";
-        Encl_obs.Obs.emit obs (Encl_obs.Event.Inject { point })
-      end);
+      Encl_obs.Metrics.incr metrics inject_counter;
+      if Encl_obs.Obs.enabled obs then
+        Encl_obs.Obs.emit obs (Encl_obs.Event.Inject { point }));
   (* Attribution hooks, attached only when the sink is enabled at
      creation: the clock feeds every tick into the ledger, and CPU fault
      delivery leaves an instant span. Disabled machines keep both hooks
@@ -95,14 +97,13 @@ let create ?(costs = Costs.default) ?(cores = 1) () =
 
 (* The guest-side half of the bytes_copied ledger: buffer-to-buffer
    copies performed by guest code (Gbuf.blit response assembly, pylike
-   localcopy). Mirrored into obs at the same program point, like the
-   kernel's half. Zero simulated time — the copy's cost is charged by
-   the CPU accesses that perform it. *)
+   localcopy). The only writer of the [bytes_copied] field, which it
+   keeps equal to the "bytes_copied.app" total. Zero simulated time —
+   the copy's cost is charged by the CPU accesses that perform it. *)
 let note_copied t n =
   if n > 0 then begin
     t.bytes_copied <- t.bytes_copied + n;
-    if Encl_obs.Obs.enabled t.obs then
-      Encl_obs.Obs.incr t.obs ~by:n "bytes_copied.app"
+    Encl_obs.Metrics.add (Encl_obs.Obs.metrics t.obs) copied_counter n
   end
 
 let with_trusted t f =

@@ -28,13 +28,19 @@ type t = {
   inject : Encl_fault.Fault.t;
       (** The machine-wide chaos injector. CPU, kernel and network hook
           points are registered at creation; inert until a plan is armed.
-          Firings are mirrored into [obs] (counter ["inject"], event
-          [Inject]) when the sink is enabled. *)
+          Each firing counts ["inject"] in the registry under the
+          current scope (the per-scope export of the injector's own
+          per-point fire counts, which stay in {!Encl_fault.Fault}
+          because they enforce each point's [max_fires]) and, when the
+          sink is enabled, records an [Inject] event. *)
   mutable bytes_copied : int;
       (** Guest-side bytes_copied ledger: buffer-to-buffer copies guest
           code performs (response assembly, pylike localcopy). The
-          kernel keeps its own half for user-memory passes. Update via
-          {!note_copied} so the obs mirror stays exact. *)
+          kernel's half, for user-memory passes, lives only in the
+          registry. This half stays a field as well, because the
+          repository benchmark reads it as one; {!note_copied} is its
+          only writer and keeps it equal to the registry's
+          ["bytes_copied.app"] total. *)
 }
 
 val create : ?costs:Costs.t -> ?cores:int -> unit -> t
@@ -42,9 +48,9 @@ val create : ?costs:Costs.t -> ?cores:int -> unit -> t
     byte-for-byte the old single-core one. *)
 
 val note_copied : t -> int -> unit
-(** Charge [n] bytes to the guest-side copy ledger, mirrored into obs
-    as ["bytes_copied.app"]. Free of simulated time (the copy itself
-    pays through its CPU accesses). *)
+(** Charge [n] bytes to the guest-side copy ledger: the [bytes_copied]
+    field and the registry's ["bytes_copied.app"]. Free of simulated
+    time (the copy itself pays through its CPU accesses). *)
 
 val with_trusted : t -> (unit -> 'a) -> 'a
 (** Run [f] with the CPU temporarily in the trusted environment (used by

@@ -45,43 +45,3 @@ type pkg = {
 }
 
 type program = pkg list
-
-let binop_name = function
-  | Add -> "+"
-  | Sub -> "-"
-  | Mul -> "*"
-  | Div -> "/"
-  | Mod -> "%"
-  | Lt -> "<"
-  | Le -> "<="
-  | Gt -> ">"
-  | Ge -> ">="
-  | Eq -> "=="
-  | Ne -> "!="
-
-let rec pp_expr ppf = function
-  | Int n -> Format.pp_print_int ppf n
-  | Str s -> Format.fprintf ppf "%S" s
-  | Bool b -> Format.pp_print_bool ppf b
-  | Var x -> Format.pp_print_string ppf x
-  | Binop (op, a, b) ->
-      Format.fprintf ppf "(%a %s %a)" pp_expr a (binop_name op) pp_expr b
-  | Call (f, args) -> Format.fprintf ppf "%s(%a)" f pp_args args
-  | Pkg_call (p, f, args) -> Format.fprintf ppf "%s.%s(%a)" p f pp_args args
-  | Enclosure { policy; _ } ->
-      Format.fprintf ppf "with %S func() {...}" policy
-
-and pp_args ppf args =
-  Format.pp_print_list
-    ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-    pp_expr ppf args
-
-and pp_stmt ppf = function
-  | Define (x, e) -> Format.fprintf ppf "%s := %a" x pp_expr e
-  | Assign (x, e) -> Format.fprintf ppf "%s = %a" x pp_expr e
-  | Expr e -> pp_expr ppf e
-  | Return None -> Format.pp_print_string ppf "return"
-  | Return (Some e) -> Format.fprintf ppf "return %a" pp_expr e
-  | If (c, _, _) -> Format.fprintf ppf "if %a {...}" pp_expr c
-  | For (c, _) -> Format.fprintf ppf "for %a {...}" pp_expr c
-  | Go e -> Format.fprintf ppf "go %a" pp_expr e

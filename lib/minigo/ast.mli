@@ -49,6 +49,3 @@ type pkg = {
 }
 
 type program = pkg list
-
-val pp_expr : Format.formatter -> expr -> unit
-val pp_stmt : Format.formatter -> stmt -> unit

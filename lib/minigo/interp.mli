@@ -20,8 +20,6 @@ type value =
 
 and scope = (string, value) Hashtbl.t
 
-val value_to_string : value -> string
-
 type ctx
 
 exception Runtime_error of string

@@ -49,8 +49,6 @@ val kind_category : kind -> string
 (** Coarse grouping for trace viewers: "switch", "syscall", "transfer",
     "fault", "gc" or "alloc". *)
 
-val verdict_name : verdict -> string
-
 val args : kind -> (string * string) list
 (** The kind's payload as flat key/value pairs (for exporters). *)
 

@@ -480,9 +480,7 @@ let metrics_json obs =
           );
         ] )
   in
-  let totals =
-    List.map (fun n -> (n, Int (Metrics.total m n))) (Metrics.counter_names m)
-  in
+  let totals = List.map (fun (n, v) -> (n, Int v)) (Metrics.totals m) in
   let spans = Obs.spans obs in
   let attrib = Obs.attribution obs in
   to_string
@@ -670,8 +668,8 @@ let summary obs =
   Buffer.add_string buf
     (Printf.sprintf "observability: backend=%s events=%d dropped=%d\n"
        (Obs.backend obs) (Obs.total_events obs) (Obs.dropped_events obs));
-  let names = Metrics.counter_names m in
-  if names <> [] then begin
+  let totals = Metrics.totals m in
+  if totals <> [] then begin
     let scope_w =
       List.fold_left
         (fun acc s -> max acc (String.length s))
@@ -679,22 +677,23 @@ let summary obs =
     in
     Buffer.add_string buf (Printf.sprintf "%-*s" scope_w "scope");
     List.iter
-      (fun n -> Buffer.add_string buf (Printf.sprintf " %*s" (max 8 (String.length n)) n))
-      names;
+      (fun (n, _) -> Buffer.add_string buf (Printf.sprintf " %*s" (max 8 (String.length n)) n))
+      totals;
     Buffer.add_char buf '\n';
-    let row scope lookup =
+    let row scope counts =
       Buffer.add_string buf (Printf.sprintf "%-*s" scope_w scope);
       List.iter
-        (fun n ->
+        (fun (n, _) ->
           Buffer.add_string buf
-            (Printf.sprintf " %*d" (max 8 (String.length n)) (lookup n)))
-        names;
+            (Printf.sprintf " %*d" (max 8 (String.length n))
+               (Option.value ~default:0 (List.assoc_opt n counts))))
+        totals;
       Buffer.add_char buf '\n'
     in
     List.iter
-      (fun scope -> row scope (fun n -> Metrics.counter m ~scope n))
+      (fun scope -> row scope (Metrics.counters m ~scope))
       (Metrics.scopes m);
-    row "TOTAL" (fun n -> Metrics.total m n)
+    row "TOTAL" totals
   end;
   List.iter
     (fun scope ->

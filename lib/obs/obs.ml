@@ -5,14 +5,14 @@ type t = {
   spans : Span.t;
   attrib : Attrib.t;
   witness : Witness.t;
-  mutable enabled : bool;
+  enabled : bool;
   mutable backend : string;
-  mutable context : string option;
+  mutable sig_scope : Metrics.scope;
   mutable user_sig : string;
-      (** memoized ["<scope>;user"] for ticks outside any span *)
+      (** memoized ["<scope>;user"] of [sig_scope], for ticks outside
+          any span *)
 }
 
-let default_capacity = 65_536
 let default_enabled = ref false
 
 let with_default ?(witness = false) b f =
@@ -25,7 +25,7 @@ let with_default ?(witness = false) b f =
 
 let trusted_scope = "trusted"
 
-let create ?(capacity = default_capacity) ?enabled ~now () =
+let create ?(capacity = 65_536) ?enabled ~now () =
   {
     now;
     ring = Ring.create ~capacity;
@@ -35,26 +35,23 @@ let create ?(capacity = default_capacity) ?enabled ~now () =
     witness = Witness.create ();
     enabled = (match enabled with Some e -> e | None -> !default_enabled);
     backend = "baseline";
-    context = None;
+    sig_scope = Metrics.trusted;
     user_sig = trusted_scope ^ ";user";
   }
 
 let enabled t = t.enabled
-let enable t = t.enabled <- true
-let disable t = t.enabled <- false
 let set_backend t b = t.backend <- b
 let backend t = t.backend
 
-let set_context t ctx =
-  t.context <- ctx;
-  t.user_sig <-
-    (match ctx with Some e -> e ^ ";user" | None -> trusted_scope ^ ";user")
-
-let context t = t.context
+(* The current scope has one home, the registry; the event context and
+   the default span lane are its name. *)
+let context t =
+  let s = Metrics.current t.metrics in
+  if s = Metrics.trusted then None else Some (Metrics.scope_name t.metrics s)
 
 let scope_of t = function
   | Some s -> s
-  | None -> ( match t.context with Some e -> e | None -> trusted_scope)
+  | None -> Metrics.scope_name t.metrics (Metrics.current t.metrics)
 
 let emit t ?(dur = 0) kind =
   if t.enabled then
@@ -63,15 +60,16 @@ let emit t ?(dur = 0) kind =
         Event.ts = t.now () - dur;
         dur;
         backend = t.backend;
-        enclosure = t.context;
+        enclosure = context t;
         kind;
       }
 
-let incr t ?scope ?by name =
-  if t.enabled then Metrics.incr t.metrics ~scope:(scope_of t scope) ?by name
-
 let observe t ?scope name v =
-  if t.enabled then Metrics.observe t.metrics ~scope:(scope_of t scope) name v
+  if t.enabled then
+    let scope =
+      match scope with Some s -> s | None -> Metrics.current t.metrics
+    in
+    Metrics.observe t.metrics ~scope name v
 
 (* Spans: callers hold the returned id and must exit it on every path.
    Disabled sink => [-1], which [span_exit] ignores, so instrumented
@@ -97,9 +95,14 @@ let clock_tick ?(core = 0) t ns =
           ~category:(Span.category_name sp.Span.category)
           ~stack:sig_ ns
     | None ->
-        let scope = scope_of t None in
-        Attrib.charge ~core t.attrib ~scope ~category:"user" ~stack:t.user_sig
-          ns
+        let scope = Metrics.current t.metrics in
+        if scope <> t.sig_scope then begin
+          t.sig_scope <- scope;
+          t.user_sig <- Metrics.scope_name t.metrics scope ^ ";user"
+        end;
+        Attrib.charge ~core t.attrib
+          ~scope:(Metrics.scope_name t.metrics scope)
+          ~category:"user" ~stack:t.user_sig ns
 
 let witness t = t.witness
 
@@ -110,10 +113,3 @@ let attribution t = t.attrib
 let total_events t = Ring.pushed t.ring
 let dropped_events t = Ring.dropped t.ring
 let capacity t = Ring.capacity t.ring
-
-let reset t =
-  Ring.clear t.ring;
-  Metrics.clear t.metrics;
-  Span.clear t.spans;
-  Attrib.clear t.attrib;
-  Witness.reset t.witness

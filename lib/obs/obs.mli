@@ -1,17 +1,18 @@
 (** The observability sink: one per simulated machine.
 
-    Always compiled in, {e disabled by default}: every emission point
-    checks {!enabled} first and does nothing (no clock cost, no
-    allocation) when the sink is off, so benchmark numbers with
-    observability disabled are identical to a build without it.
+    Counters always count. They live in the machine's registry
+    ({!metrics}), which every layer increments whether or not the sink
+    is enabled. Events, spans, histograms and the attribution ledger
+    are always compiled in but {e disabled by default}: a disabled sink
+    records none of them (no clock cost, no allocation), so benchmark
+    numbers with observability off are identical to a build without
+    it.
 
     Timestamps come from the caller-supplied [now] closure, which reads
     the {e simulated} clock — traces of deterministic workloads are
     byte-for-byte reproducible (DESIGN.md, "Telemetry"). *)
 
 type t
-
-val default_capacity : int
 
 val default_enabled : bool ref
 (** Consulted once, when a machine creates its sink. Tools that want a
@@ -27,8 +28,6 @@ val create : ?capacity:int -> ?enabled:bool -> now:(unit -> int) -> unit -> t
 (** [enabled] defaults to [!default_enabled]. *)
 
 val enabled : t -> bool
-val enable : t -> unit
-val disable : t -> unit
 
 val set_backend : t -> string -> unit
 (** Stamp subsequent events with a backend name (default ["baseline"];
@@ -36,12 +35,11 @@ val set_backend : t -> string -> unit
 
 val backend : t -> string
 
-val set_context : t -> string option -> unit
-(** The innermost active enclosure; maintained by LitterBox on every
-    environment switch, stamped onto events and used as the default
-    metric scope. *)
-
 val context : t -> string option
+(** The innermost active enclosure: the registry's current scope
+    ({!Metrics.current}, which LitterBox maintains on every environment
+    switch), [None] in the trusted scope. Stamped onto events; its name
+    is the default span lane. *)
 
 (** {2 Emission (no-ops while disabled)} *)
 
@@ -49,12 +47,9 @@ val emit : t -> ?dur:int -> Event.kind -> unit
 (** Record an event that {e ended} now and took [dur] simulated ns
     (default 0: an instant event). *)
 
-val incr : t -> ?scope:string -> ?by:int -> string -> unit
-(** Bump a counter. [scope] defaults to the current context, or
-    ["trusted"] outside any enclosure. *)
-
-val observe : t -> ?scope:string -> string -> int -> unit
-(** Record a latency sample into a per-scope histogram. *)
+val observe : t -> ?scope:Metrics.scope -> string -> int -> unit
+(** Record a latency sample into a per-scope histogram. [scope]
+    defaults to the current scope. *)
 
 (** {2 Spans and attribution} *)
 
@@ -96,11 +91,8 @@ val events : t -> Event.t list
 (** Retained events, oldest first. *)
 
 val metrics : t -> Metrics.t
+(** The machine's counter registry; always counting. *)
+
 val total_events : t -> int
 val dropped_events : t -> int
 val capacity : t -> int
-
-val reset : t -> unit
-(** Drop all events, metrics, spans, and attribution (the ledger
-    re-epochs at the current clock value); keeps
-    enabled/backend/context. *)

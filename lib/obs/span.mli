@@ -39,7 +39,6 @@ type span = {
 
 type t
 
-val default_capacity : int
 val create : ?capacity:int -> now:(unit -> int) -> unit -> t
 
 val enter : t -> lane:string -> name:string -> category:category -> int

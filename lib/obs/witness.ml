@@ -16,8 +16,6 @@
 
 type mode = R | W | X
 
-let mode_name = function R -> "R" | W -> "W" | X -> "X"
-
 type mem_counts = {
   mutable reads : int;
   mutable writes : int;
@@ -56,8 +54,6 @@ let create ?enabled () =
   }
 
 let enabled t = t.enabled
-let enable t = t.enabled <- true
-let disable t = t.enabled <- false
 
 let reset t = Hashtbl.reset t.scopes
 

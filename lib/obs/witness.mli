@@ -19,8 +19,6 @@ type t
 
 type mode = R | W | X
 
-val mode_name : mode -> string
-
 type mem_counts = {
   mutable reads : int;
   mutable writes : int;
@@ -47,8 +45,6 @@ val create : ?enabled:bool -> unit -> t
 (** [enabled] defaults to [!default_enabled]. *)
 
 val enabled : t -> bool
-val enable : t -> unit
-val disable : t -> unit
 val reset : t -> unit
 
 (** {2 Recording (no-ops while disabled)} *)

@@ -21,6 +21,7 @@ let localcopy_ns_per_byte = 1
 
 type modul = {
   m_name : string;
+  m_scope : Encl_obs.Metrics.scope;  (** interned once, at import *)
   m_code_addr : int;
   m_arena_addr : int;
   m_arena_len : int;
@@ -37,7 +38,6 @@ type t = {
   modules : (string, modul) Hashtbl.t;
   mutable import_order : string list;
   declared : (string, unit) Hashtbl.t;  (** registered enclosures *)
-  mutable switches : int;
   young : (int, pyobj) Hashtbl.t;  (** generation 0, tracked by address *)
   old : (int, pyobj) Hashtbl.t;  (** promoted survivors *)
   side_refcounts : (int, int) Hashtbl.t;
@@ -46,14 +46,9 @@ type t = {
           never needs an environment switch. *)
   mutable allocs_since_gc : int;
   mutable collections : int;
-  mutable copy_elided : int;
-      (** localcopy calls satisfied by a refcounted read-only share of
-          the source span instead of a deep copy (see {!localcopy}) *)
   shares : (int, pyobj list) Hashtbl.t;
       (** source address -> elided shares not yet materialized; a write
           to either side detaches them (see {!materialize_share}) *)
-  mutable cow_materialized : int;
-      (** elided shares that later turned into the deferred deep copy *)
 }
 
 and pyobj = {
@@ -66,6 +61,13 @@ and pyobj = {
 and cow = { cow_src : pyobj; cow_dst : string }
 
 let machine t = t.machine
+let metrics t = Encl_obs.Obs.metrics t.machine.Machine.obs
+
+(* The runtime's counters in the machine's registry. *)
+let refcount_excursion = Encl_obs.Metrics.counter "refcount_excursion"
+let gc_excursion = Encl_obs.Metrics.counter "gc_excursion"
+let copy_elided = Encl_obs.Metrics.counter "copy_elided"
+let cow_materialized = Encl_obs.Metrics.counter "cow_materialized"
 let lb t = t.lb
 let mode t = t.mode
 
@@ -102,15 +104,12 @@ let boot ?backend ?gc_threshold ~mode () =
               modules = Hashtbl.create 16;
               import_order = [];
               declared = Hashtbl.create 8;
-              switches = 0;
               young = Hashtbl.create 4096;
               old = Hashtbl.create 4096;
               side_refcounts = Hashtbl.create 4096;
               allocs_since_gc = 0;
               collections = 0;
-              copy_elided = 0;
               shares = Hashtbl.create 64;
-              cow_materialized = 0;
             }
           in
           (* __main__'s own object arena. *)
@@ -121,6 +120,7 @@ let boot ?backend ?gc_threshold ~mode () =
           Hashtbl.replace t.modules main_module
             {
               m_name = main_module;
+              m_scope = Encl_obs.Metrics.scope (metrics t) main_module;
               m_code_addr = 0;
               m_arena_addr = arena_addr;
               m_arena_len = default_arena_bytes;
@@ -186,6 +186,7 @@ let import_module t ~name ?(imports = []) ?(arena_bytes = default_arena_bytes) ?
             Hashtbl.replace t.modules name
               {
                 m_name = name;
+                m_scope = Encl_obs.Metrics.scope (metrics t) name;
                 m_code_addr = code_addr;
                 m_arena_addr = arena_addr;
                 m_arena_len = arena_bytes;
@@ -210,10 +211,6 @@ let charge t cat ns = Clock.consume t.machine.Machine.clock cat ns
    the page read-only it needs a controlled switch to the trusted
    environment and back. Decoupled mode never calls this: its metadata
    lives in {!t.side_refcounts}, outside the protected pages. *)
-let note_excursion t ~modul name =
-  let obs = t.machine.Machine.obs in
-  if Encl_obs.Obs.enabled obs then Encl_obs.Obs.incr obs ~scope:modul name
-
 let header_write t ~modul f =
   charge t Clock.Gc refcount_op_ns;
   match t.lb with
@@ -221,9 +218,8 @@ let header_write t ~modul f =
   | Some lb -> (
       match Lb.current_access lb modul with
       | Some Types.R | Some Types.U ->
-          (* One controlled excursion = two switches (in and out). *)
-          t.switches <- t.switches + 2;
-          note_excursion t ~modul "refcount_excursion";
+          Encl_obs.Metrics.incr_in (metrics t)
+            ~scope:(find_module t modul).m_scope refcount_excursion;
           Lb.with_trusted lb f
       | Some Types.RW | Some Types.RWX | None -> f ())
 
@@ -233,8 +229,8 @@ let header_read t ~modul f =
   | Some lb -> (
       match Lb.current_access lb modul with
       | Some Types.U ->
-          t.switches <- t.switches + 2;
-          note_excursion t ~modul "refcount_excursion";
+          Encl_obs.Metrics.incr_in (metrics t)
+            ~scope:(find_module t modul).m_scope refcount_excursion;
           Lb.with_trusted lb f
       | Some Types.R | Some Types.RW | Some Types.RWX | None -> f ())
 
@@ -285,8 +281,8 @@ let sweep t ~major =
       (* GC bookkeeping is outside the protected pages too. *)
       work ()
   | Some lb, Conservative ->
-      t.switches <- t.switches + 2;
-      note_excursion t ~modul:"trusted" "gc_excursion";
+      Encl_obs.Metrics.incr_in (metrics t) ~scope:Encl_obs.Metrics.trusted
+        gc_excursion;
       Lb.with_trusted lb work);
   !freed
 
@@ -387,10 +383,7 @@ let materialize_share t share =
       share.o_addr <- priv.o_addr;
       share.o_module <- priv.o_module;
       share.o_cow <- None;
-      t.cow_materialized <- t.cow_materialized + 1;
-      (let obs = t.machine.Machine.obs in
-       if Encl_obs.Obs.enabled obs then
-         Encl_obs.Obs.incr obs "cow_materialized");
+      Encl_obs.Metrics.incr (metrics t) cow_materialized;
       decref t cow_src
 
 let write_payload t obj data =
@@ -426,9 +419,7 @@ let localcopy t obj ~dst_module =
     | Some lb -> Lb.current_access lb obj.o_module = Some Types.R
   in
   if elide then begin
-    t.copy_elided <- t.copy_elided + 1;
-    (let obs = t.machine.Machine.obs in
-     if Encl_obs.Obs.enabled obs then Encl_obs.Obs.incr obs "copy_elided");
+    Encl_obs.Metrics.incr (metrics t) copy_elided;
     (* The share keeps the source alive until released or
        materialized. *)
     incref t obj;
@@ -483,6 +474,14 @@ let with_enclosure t ~name ~owner ~deps ~policy body =
               Lb.prolog lb ~name ~site;
               Fun.protect ~finally:(fun () -> Lb.epilog lb ~site) body))
 
-let trusted_switches t = t.switches
-let copy_elided_count t = t.copy_elided
-let cow_materialized_count t = t.cow_materialized
+(* One controlled excursion is two switches (in and out). *)
+let trusted_switches t =
+  let m = metrics t in
+  2
+  * (Encl_obs.Metrics.total m refcount_excursion
+    + Encl_obs.Metrics.total m gc_excursion)
+
+let copy_elided_count t = Encl_obs.Metrics.total (metrics t) copy_elided
+
+let cow_materialized_count t =
+  Encl_obs.Metrics.total (metrics t) cow_materialized

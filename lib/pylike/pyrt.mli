@@ -127,12 +127,13 @@ val with_enclosure :
 val trusted_switches : t -> int
 (** Environment switches performed for metadata updates so far (each
     controlled excursion to the trusted environment counts twice: in and
-    out, as the paper counts them). *)
+    out, as the paper counts them): twice the registry's
+    ["refcount_excursion"] plus ["gc_excursion"] totals. *)
 
 val copy_elided_count : t -> int
 (** [localcopy] calls satisfied by a copy-on-write share instead of an
-    eager deep copy (mirrored into obs as ["copy_elided"]). *)
+    eager deep copy: the registry's ["copy_elided"] total. *)
 
 val cow_materialized_count : t -> int
 (** Elided shares that a later write turned into the deferred deep copy
-    (mirrored into obs as ["cow_materialized"]). *)
+    (the registry's ["cow_materialized"] total). *)

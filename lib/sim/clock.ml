@@ -61,7 +61,6 @@ let create () =
 let now t = t.time
 let set_observer t f = t.observer <- f
 let lane t = t.lane
-let lane_count t = t.lane_count
 
 let set_lane t i =
   assert (i >= 0);

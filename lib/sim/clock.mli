@@ -58,10 +58,6 @@ val set_lane : t -> int -> unit
 val lane : t -> int
 (** The currently selected lane (0 outside any fiber slice). *)
 
-val lane_count : t -> int
-(** Number of lanes ever selected — 1 until someone calls
-    [set_lane] with a higher index. *)
-
 val lane_ns : t -> int -> int
 (** Nanoseconds consumed while the given lane was selected; 0 for
     lanes never selected. *)

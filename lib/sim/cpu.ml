@@ -49,7 +49,6 @@ type t = {
      kernel's copy gate. *)
   gates : (string, unit) Hashtbl.t;
   mutable gate_depth : int;
-  mutable gate_violations : int;
   mutable on_gate_violation : (string -> unit) option;
   mutable buf : Bytes.t;  (** staging buffer of [copy], grown on demand *)
 }
@@ -65,7 +64,6 @@ let create ~phys ~clock env =
     on_access = None;
     gates = Hashtbl.create 8;
     gate_depth = 0;
-    gate_violations = 0;
     on_gate_violation = None;
     buf = Bytes.empty;
   }
@@ -115,11 +113,9 @@ let untrusted_label label =
 
 let register_gate t name = Hashtbl.replace t.gates name ()
 let in_gate t = t.gate_depth > 0
-let gate_violation_count t = t.gate_violations
 let set_gate_violation_hook t f = t.on_gate_violation <- f
 
 let gate_violation t reason =
-  t.gate_violations <- t.gate_violations + 1;
   (match t.on_gate_violation with None -> () | Some hook -> hook reason);
   fault t Exec 0 reason
 

@@ -100,13 +100,10 @@ val in_gate : t -> bool
 (** Is execution currently inside a registered gate? The kernel's
     syscall-origin check consults this at trap time. *)
 
-val gate_violation_count : t -> int
-(** Forged environment writes and unregistered-gate entries observed. *)
-
 val set_gate_violation_hook : t -> (string -> unit) option -> unit
-(** Observer called (before the fault is raised) on each gate
-    violation; the machine mirrors these into the obs counter
-    ["gate_violation"]. Must not raise. *)
+(** Observer called (before the fault is raised) on each forged
+    environment write or unregistered-gate entry; the machine counts
+    these as ["gate_violation"]. Must not raise. *)
 
 val tlb : t -> Tlb.t
 (** The {e current core's} translation cache (statistics only; see

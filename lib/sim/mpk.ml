@@ -77,8 +77,3 @@ let pkey_free a key =
     a.in_use.(key) <- false;
     Ok ())
 
-let allocated a =
-  let rec collect k acc =
-    if k < 0 then acc else collect (k - 1) (if a.in_use.(k) then k :: acc else acc)
-  in
-  collect (nr_keys - 1) []

@@ -43,4 +43,3 @@ val pkey_alloc : allocator -> (int, string) result
 (** Allocate an unused key, or [Error] when all 16 are in use. *)
 
 val pkey_free : allocator -> int -> (unit, string) result
-val allocated : allocator -> int list

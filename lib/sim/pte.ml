@@ -8,9 +8,6 @@ let pp_perms ppf p =
     (if p.w then 'w' else '-')
     (if p.x then 'x' else '-')
 
-let perms_subset a b =
-  (not a.r || b.r) && (not a.w || b.w) && (not a.x || b.x)
-
 type t = { ppn : int; mutable present : bool; mutable perms : perms; mutable pkey : int }
 
 let make ~ppn ~perms = { ppn; present = true; perms; pkey = 0 }

@@ -3,11 +3,6 @@
 type perms = { r : bool; w : bool; x : bool }
 
 val no_perms : perms
-val pp_perms : Format.formatter -> perms -> unit
-
-val perms_subset : perms -> perms -> bool
-(** [perms_subset a b] is [true] when [a] grants nothing that [b] does
-    not grant. *)
 
 type t = {
   ppn : int;  (** backing physical frame *)

@@ -19,12 +19,11 @@
 type t = {
   clock : Clock.t;
   costs : Costs.t;
-  mutable masked_accesses : int;
   mutable guard_faults : int;
   mutable switches : int;
   mutable observer : (unit -> unit) option;
-      (** called once per masked access, after the counter moves — the
-          obs mirror stays in lockstep with {!masked_accesses} *)
+      (** called once per masked access; LitterBox counts these as
+          "sfi_masked_access" *)
 }
 
 let create ~clock ~costs =
@@ -33,7 +32,6 @@ let create ~clock ~costs =
   {
     clock;
     costs;
-    masked_accesses = 0;
     guard_faults = 0;
     switches = 0;
     observer = None;
@@ -47,7 +45,6 @@ let set_observer t f = t.observer <- f
    fault. The cost is charged either way: the mask runs before the
    outcome is known. *)
 let masked_access t ~allowed =
-  t.masked_accesses <- t.masked_accesses + 1;
   Clock.consume t.clock Clock.Access t.costs.Costs.sfi_mask_access;
   (match t.observer with None -> () | Some f -> f ());
   if not allowed then t.guard_faults <- t.guard_faults + 1;
@@ -58,6 +55,5 @@ let switch t =
   t.switches <- t.switches + 1;
   Clock.consume t.clock Clock.Switch t.costs.Costs.sfi_switch
 
-let masked_accesses t = t.masked_accesses
 let guard_faults t = t.guard_faults
 let switches t = t.switches

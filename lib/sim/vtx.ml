@@ -7,7 +7,6 @@ type t = {
   mutable mode : mode;
   mutable cr3 : Pagetable.t;
   mutable vmexits : int;
-  mutable guest_syscalls : int;
 }
 
 let create ~clock ~costs ~trusted_pt =
@@ -19,7 +18,6 @@ let create ~clock ~costs ~trusted_pt =
     mode = Root;
     cr3 = trusted_pt;
     vmexits = 0;
-    guest_syscalls = 0;
   }
 
 let mode t = t.mode
@@ -30,7 +28,6 @@ let enter_vm t =
   t.cr3 <- t.trusted_pt
 
 let guest_syscall t ~validate ~target =
-  t.guest_syscalls <- t.guest_syscalls + 1;
   Clock.consume t.clock Clock.Switch t.costs.Costs.vtx_guest_syscall;
   if validate () then begin
     t.cr3 <- target;
@@ -39,7 +36,6 @@ let guest_syscall t ~validate ~target =
   else Error "guest OS refused the transition (call-site verification failed)"
 
 let guest_sysret t ~validate ~target =
-  t.guest_syscalls <- t.guest_syscalls + 1;
   Clock.consume t.clock Clock.Switch t.costs.Costs.vtx_guest_sysret;
   if validate () then begin
     t.cr3 <- target;
@@ -55,4 +51,3 @@ let hypercall t f =
   Fun.protect ~finally:(fun () -> t.mode <- saved) f
 
 let vmexits t = t.vmexits
-let guest_syscalls t = t.guest_syscalls

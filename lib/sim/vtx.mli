@@ -40,4 +40,3 @@ val hypercall : t -> (unit -> 'a) -> 'a
     VM-exit round-trip cost and counts one exit. *)
 
 val vmexits : t -> int
-val guest_syscalls : t -> int

@@ -23,6 +23,5 @@ let float t bound =
   let raw = Int64.to_float (Int64.shift_right_logical (next64 t) 11) in
   bound *. (raw /. 9007199254740992.0)
 
-let bool t = Int64.logand (next64 t) 1L = 1L
 let byte t = Char.chr (int t 256)
 let split t = { state = next64 t }

@@ -18,9 +18,6 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
-val bool : t -> bool
-(** [bool t] is a fair coin flip. *)
-
 val byte : t -> char
 (** [byte t] is a uniform byte. *)
 

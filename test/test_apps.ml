@@ -10,7 +10,7 @@ module Mux = Encl_apps.Mux
 module Bild = Encl_apps.Bild
 module Httpd = Encl_apps.Httpd
 module Scenarios = Encl_apps.Scenarios
-module Malice = Encl_apps.Malice
+module Legacy = Encl_attack.Legacy
 module Deps = Encl_apps.Deps
 
 (* A scenario's report; a refusal to run fails the test. *)
@@ -519,49 +519,49 @@ let wiki_tests =
 
 let attack_tests =
   let run ?(backend = Some Lb.Mpk) attack mitigation =
-    Malice.run ~backend attack mitigation
+    Legacy.run ~backend attack mitigation
   in
   [
     Alcotest.test_case "unprotected ssh-decorator exfiltrates" `Quick (fun () ->
-        let o = run ~backend:None Malice.Ssh_decorator Malice.Unprotected in
-        Alcotest.(check bool) "legit" true o.Malice.legit_ok;
-        Alcotest.(check bool) "stolen" true (o.Malice.exfiltrated > 0));
+        let o = run ~backend:None Legacy.Ssh_decorator Legacy.Unprotected in
+        Alcotest.(check bool) "legit" true o.Legacy.legit_ok;
+        Alcotest.(check bool) "stolen" true (o.Legacy.exfiltrated > 0));
     Alcotest.test_case "default policy contains every attack" `Quick (fun () ->
         List.iter
           (fun attack ->
-            let o = run attack Malice.Default_policy in
+            let o = run attack Legacy.Default_policy in
             Alcotest.(check bool)
-              (Malice.attack_name attack ^ " blocked")
-              true o.Malice.attack_blocked;
+              (Legacy.attack_name attack ^ " blocked")
+              true o.Legacy.attack_blocked;
             Alcotest.(check int)
-              (Malice.attack_name attack ^ " exfil")
-              0 o.Malice.exfiltrated)
-          Malice.all_attacks);
+              (Legacy.attack_name attack ^ " exfil")
+              0 o.Legacy.exfiltrated)
+          Legacy.all_attacks);
     Alcotest.test_case "default policy breaks legitimate ssh use" `Quick (fun () ->
-        let o = run Malice.Ssh_decorator Malice.Default_policy in
-        Alcotest.(check bool) "legit broken" false o.Malice.legit_ok);
+        let o = run Legacy.Ssh_decorator Legacy.Default_policy in
+        Alcotest.(check bool) "legit broken" false o.Legacy.legit_ok);
     Alcotest.test_case "preallocated socket keeps ssh working, contained" `Quick
       (fun () ->
-        let o = run Malice.Ssh_decorator Malice.Preallocated_socket in
-        Alcotest.(check bool) "legit" true o.Malice.legit_ok;
-        Alcotest.(check bool) "blocked" true o.Malice.attack_blocked);
+        let o = run Legacy.Ssh_decorator Legacy.Preallocated_socket in
+        Alcotest.(check bool) "legit" true o.Legacy.legit_ok;
+        Alcotest.(check bool) "blocked" true o.Legacy.attack_blocked);
     Alcotest.test_case "connect list keeps ssh working, contained" `Quick (fun () ->
-        let o = run Malice.Ssh_decorator Malice.Connect_list in
-        Alcotest.(check bool) "legit" true o.Malice.legit_ok;
-        Alcotest.(check bool) "blocked" true o.Malice.attack_blocked);
+        let o = run Legacy.Ssh_decorator Legacy.Connect_list in
+        Alcotest.(check bool) "legit" true o.Legacy.legit_ok;
+        Alcotest.(check bool) "blocked" true o.Legacy.attack_blocked);
     Alcotest.test_case "connect list cannot stop a backdoor listener" `Quick
       (fun () ->
         (* An honest limitation: granting the net category for the
            legitimate connection also allows bind/listen. *)
-        let o = run Malice.Backdoor Malice.Connect_list in
-        Alcotest.(check bool) "not blocked" false o.Malice.attack_blocked);
+        let o = run Legacy.Backdoor Legacy.Connect_list in
+        Alcotest.(check bool) "not blocked" false o.Legacy.attack_blocked);
     Alcotest.test_case "memory snoop faults under both backends" `Quick (fun () ->
         List.iter
           (fun backend ->
             let o =
-              run ~backend:(Some backend) Malice.Memory_snoop Malice.Default_policy
+              run ~backend:(Some backend) Legacy.Memory_snoop Legacy.Default_policy
             in
-            Alcotest.(check bool) "blocked" true o.Malice.attack_blocked)
+            Alcotest.(check bool) "blocked" true o.Legacy.attack_blocked)
           Fixtures.all_backends);
   ]
 

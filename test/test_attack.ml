@@ -7,17 +7,14 @@
    - load-bearing defenses: disabling a single defense lets each of its
      paired attacks escape on the demo backend — no defense is dead
      code, and no attack is contained "by accident" by another layer;
-   - accounting: the obs mirrors (attack_contained / attack_escaped /
-     gate_violation) reconcile with the harness tallies and the
-     litterbox's own gate-violation count. *)
+   - accounting: a forged switch counts a gate violation and a raw
+     syscall is killed at the trap. *)
 
 module Attack = Encl_attack.Attack
 module Legacy = Encl_attack.Legacy
 module Backend = Encl_litterbox.Backend
 module Lb = Encl_litterbox.Litterbox
 module Machine = Encl_litterbox.Machine
-module Obs = Encl_obs.Obs
-module Metrics = Encl_obs.Metrics
 
 let run a ~backend ~seed = a.Attack.run ~backend ~seed
 
@@ -87,36 +84,10 @@ let load_bearing_tests =
     Defense.all
 
 (* ------------------------------------------------------------------ *)
-(* Obs accounting *)
-
-let with_obs f =
-  let saved = !Obs.default_enabled in
-  Obs.default_enabled := true;
-  Fun.protect ~finally:(fun () -> Obs.default_enabled := saved) f
+(* Accounting *)
 
 let accounting_tests =
   [
-    Alcotest.test_case "harness tallies mirror the obs counters" `Quick
-      (fun () ->
-        with_obs (fun () ->
-            Attack.reset_counters ();
-            let obs_contained = ref 0 in
-            List.iter
-              (fun (a : Attack.t) ->
-                let r = run a ~backend:Backend.Mpk ~seed:42 in
-                let m = Obs.metrics r.Attack.machine.Machine.obs in
-                obs_contained :=
-                  !obs_contained + Metrics.total m "attack_contained";
-                Alcotest.(check int)
-                  (a.Attack.name ^ ": obs gate_violation = litterbox count")
-                  (Lb.gate_violation_count r.Attack.lb)
-                  (Metrics.total m "gate_violation"))
-              Attack.all;
-            Alcotest.(check int)
-              "attack_contained mirror"
-              (Attack.contained_count ())
-              !obs_contained;
-            Alcotest.(check int) "no escapes" 0 (Attack.escaped_count ())));
     Alcotest.test_case "forged gate switch is counted as a gate violation"
       `Quick
       (fun () ->

@@ -1,9 +1,9 @@
 (* Tests of the robustness layer: the deterministic fault injector
    (stream determinism, per-point independence, plans), enclosure
    quarantine (budget crossing, fail-fast Prolog, unquarantine),
-   supervised-fiber reaping and the deadlock detector, and qcheck
-   properties reconciling injector fires with the observability
-   counters. *)
+   supervised-fiber reaping and the deadlock detector, the chaos
+   scenarios' input and fault-accounting checks, and qcheck properties
+   reconciling injector fires with the registry's counters. *)
 
 module Fault = Encl_fault.Fault
 module Lb = Encl_litterbox.Litterbox
@@ -292,10 +292,54 @@ let chaos_tests =
           (m "availability" >= 0.9);
         Alcotest.(check bool) "injection active" true (m "injected" > 0.);
         Alcotest.(check bool) "pq reconnected" true (m "reconnects" > 0.));
+    Alcotest.test_case "fault accounting catches a fault the injector never fired"
+      `Quick (fun () ->
+        match Scenarios.chaos_http (Some Lb.Mpk) ~seed:42L ~requests:150 () with
+        | Error e -> Alcotest.fail e
+        | Ok (rt, _) ->
+            Alcotest.(check (result unit string))
+              "one fault per firing" (Ok ())
+              (Scenarios.chaos_fault_accounting rt);
+            let lb = Option.get (Runtime.lb rt) in
+            (* A prolog from an unregistered call site faults without
+               the injector. *)
+            (try Lb.prolog lb ~name:"handler_enc" ~site:"not-a-gate"
+             with Lb.Fault _ -> ());
+            Alcotest.(check bool)
+              "an extra fault diverges" true
+              (Result.is_error (Scenarios.chaos_fault_accounting rt)));
+    Alcotest.test_case "a rate outside [0, 1] is refused" `Quick (fun () ->
+        let http rate =
+          Result.map ignore
+            (Scenarios.chaos_http (Some Lb.Mpk) ~seed:42L ~rate ~requests:16 ())
+        and wiki rate =
+          Result.map ignore
+            (Scenarios.chaos_wiki (Some Lb.Mpk) ~seed:42L ~rate ~requests:16 ())
+        in
+        List.iter
+          (fun rate ->
+            Alcotest.(check bool)
+              (Printf.sprintf "http refuses %g" rate) true
+              (Result.is_error (http rate));
+            Alcotest.(check bool)
+              (Printf.sprintf "wiki refuses %g" rate) true
+              (Result.is_error (wiki rate)))
+          [ nan; -0.5; 1.5 ];
+        (* The bounds are probabilities. (wiki at rate 1 drops every
+           connection it opens and never finishes, so only http runs
+           it.) *)
+        Alcotest.(check (result unit string)) "http accepts 0" (Ok ()) (http 0.);
+        Alcotest.(check (result unit string)) "http accepts 1" (Ok ()) (http 1.);
+        Alcotest.(check (result unit string)) "wiki accepts 0" (Ok ()) (wiki 0.);
+        (match Fault.rule ~prob:nan "p" with
+        | exception Invalid_argument _ -> ()
+        | _ -> Alcotest.fail "Fault.rule accepted a NaN probability");
+        Alcotest.(check bool) "plans share the check" true
+          (Result.is_error (Fault.parse_plan "p:nan")));
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Properties: injector fires reconcile with the obs counters *)
+(* Properties: injector fires reconcile with the registry's counters *)
 
 let prop_tests =
   [
@@ -305,25 +349,24 @@ let prop_tests =
             QCheck.Gen.(
               triple (int_range 0 1000) (int_range 0 100) (int_range 1 200)))
          (fun (seed, prob_pct, consults) ->
-           Obs.default_enabled := true;
-           Fun.protect
-             ~finally:(fun () -> Obs.default_enabled := false)
-             (fun () ->
-               let machine = Machine.create () in
-               let inj = machine.Machine.inject in
-               Fault.set_seed inj (Int64.of_int seed);
-               Fault.arm inj
-                 (Fault.rule
-                    ~prob:(float_of_int prob_pct /. 100.)
-                    "cpu.spurious_fault");
-               for _ = 1 to consults do
-                 ignore (Fault.fires inj ~env:"trusted" "cpu.spurious_fault")
-               done;
-               let obs_total =
-                 Metrics.total (Obs.metrics machine.Machine.obs) "inject"
-               in
-               Fault.total_fired inj = obs_total
-               && List.length (Fault.log inj) = obs_total)));
+           (* The sink stays disabled: the registry counts regardless. *)
+           let machine = Machine.create () in
+           let inj = machine.Machine.inject in
+           Fault.set_seed inj (Int64.of_int seed);
+           Fault.arm inj
+             (Fault.rule
+                ~prob:(float_of_int prob_pct /. 100.)
+                "cpu.spurious_fault");
+           for _ = 1 to consults do
+             ignore (Fault.fires inj ~env:"trusted" "cpu.spurious_fault")
+           done;
+           let registry_total =
+             Option.value ~default:0
+               (List.assoc_opt "inject"
+                  (Metrics.totals (Obs.metrics machine.Machine.obs)))
+           in
+           Fault.total_fired inj = registry_total
+           && List.length (Fault.log inj) = registry_total));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"fire counts replay exactly under a seed"
          ~count:50

@@ -209,13 +209,11 @@ module Verdict_model = struct
   type t = {
     mutable prog : Bpf.program option;
     mutable caches : (key, Bpf.action) Hashtbl.t array;
-    mutable hits : int;
-    mutable misses : int;
     mutable invalidations : int;
   }
 
   let create () =
-    { prog = None; caches = [| Hashtbl.create 128 |]; hits = 0; misses = 0; invalidations = 0 }
+    { prog = None; caches = [| Hashtbl.create 128 |]; invalidations = 0 }
 
   let cache_for t core =
     if core >= Array.length t.caches then begin
@@ -252,11 +250,8 @@ module Verdict_model = struct
             }
           in
           match Hashtbl.find_opt cache key with
-          | Some action ->
-              t.hits <- t.hits + 1;
-              (action, Seccomp.Hit)
+          | Some action -> (action, Seccomp.Hit)
           | None ->
-              t.misses <- t.misses + 1;
               let action, steps = Bpf.run_count prog data in
               Hashtbl.replace cache key action;
               (action, Seccomp.Evaluated steps)
@@ -353,7 +348,6 @@ let verdict_props =
                      Seccomp.check_memo ~core s data = Verdict_model.check_memo ~core m data
                in
                same_step
-               && Seccomp.cache_stats s = (m.Verdict_model.hits, m.Verdict_model.misses)
                && Seccomp.invalidation_count s = m.Verdict_model.invalidations)
              ops));
   ]
@@ -750,9 +744,7 @@ let kernel_tests =
         ignore (K.syscall k K.Getuid);
         ignore (K.syscall k K.Getpid);
         Alcotest.(check int) "total" 3 (K.syscall_count k);
-        Alcotest.(check int) "getuid" 2 (K.count_for k Sysno.Getuid);
-        K.reset_stats k;
-        Alcotest.(check int) "reset" 0 (K.syscall_count k));
+        Alcotest.(check int) "getuid" 2 (K.count_for k Sysno.Getuid));
     Alcotest.test_case "seccomp kill raises" `Quick (fun () ->
         let m = kernel_fixture () in
         let k = m.Machine.kernel in
@@ -859,10 +851,6 @@ module Counts_model = struct
   let trace t =
     Hashtbl.fold (fun nr n acc -> (nr, n) :: acc) t.counts []
     |> List.sort (fun (a, _) (b, _) -> compare (Sysno.number a) (Sysno.number b))
-
-  let reset t =
-    t.total <- 0;
-    Hashtbl.reset t.counts
 end
 
 (* Calls that are cheap and harmless on a bare machine, over many
@@ -881,7 +869,7 @@ let cheap_calls =
     K.Accept 99; K.Nanosleep 0; K.Getcwd { buf = 0; len = 0 }; K.Pkey_free 99;
   |]
 
-type count_op = Call of int | Exit | Reset
+type count_op = Call of int | Exit
 
 let count_arb =
   let open QCheck.Gen in
@@ -890,13 +878,11 @@ let count_arb =
       [
         (12, map (fun i -> Call i) (int_range 0 (Array.length cheap_calls - 1)));
         (1, return Exit);
-        (1, return Reset);
       ]
   in
   let print = function
     | Call i -> Sysno.name (K.sysno_of_call cheap_calls.(i))
     | Exit -> "exit"
-    | Reset -> "reset"
   in
   QCheck.make ~print:(QCheck.Print.list print) (list_size (int_range 0 150) op)
 
@@ -929,10 +915,7 @@ let kernel_props =
                       ignore (K.syscall k cheap_calls.(i))
                   | Exit -> (
                       Counts_model.record model Sysno.Exit;
-                      match K.exit_program k 0 with _ -> () | exception K.Exited _ -> ())
-                  | Reset ->
-                      Counts_model.reset model;
-                      K.reset_stats k);
+                      match K.exit_program k 0 with _ -> () | exception K.Exited _ -> ()));
                   agree ())
                 ops));
     QCheck_alcotest.to_alcotest

@@ -1,9 +1,8 @@
 (* Tests of the observability layer: the ring buffer, the histogram and
-   metric registries, the JSON emit/parse pair, exporter well-formedness
-   (the emitted documents are parsed back and cross-checked against
-   LitterBox's own counters), and a property test that the Obs counter
-   totals reconcile with switch_count/fault_count under arbitrary
-   prolog/epilog sequences. *)
+   the counter registry, the JSON emit/parse pair, exporter
+   well-formedness (the emitted documents are parsed back), and a
+   property test that the registry agrees with a string-keyed model of
+   the store it replaced. *)
 
 module Obs = Encl_obs.Obs
 module Ring = Encl_obs.Ring
@@ -15,6 +14,11 @@ module Json = Encl_obs.Export.Json
 module Lb = Encl_litterbox.Litterbox
 module Machine = Encl_litterbox.Machine
 module K = Encl_kernel.Kernel
+
+(* Counters owned by this test, declared once like a layer's. *)
+let test_a = Metrics.counter "test.a"
+let test_b = Metrics.counter "test.b"
+let test_c = Metrics.counter "test.c"
 
 (* Boot the Figure-1 program with the machine's sink enabled. *)
 let boot_obs backend =
@@ -86,13 +90,41 @@ let hist_tests =
         Alcotest.(check bool) "p99 >= 99" true (Hist.quantile h 0.99 >= 99));
     Alcotest.test_case "metrics totals span scopes" `Quick (fun () ->
         let m = Metrics.create () in
-        Metrics.incr m ~scope:"a" "switch";
-        Metrics.incr m ~scope:"b" ~by:2 "switch";
-        Metrics.incr m ~scope:"b" "fault";
-        Alcotest.(check int) "total switch" 3 (Metrics.total m "switch");
-        Alcotest.(check int) "total fault" 1 (Metrics.total m "fault");
-        Alcotest.(check int) "missing" 0 (Metrics.total m "nope");
-        Alcotest.(check (list string)) "scope order" [ "a"; "b" ] (Metrics.scopes m));
+        (* Interned in the other order: reports follow first touch. *)
+        let b = Metrics.scope m "b" and a = Metrics.scope m "a" in
+        Metrics.incr_in m ~scope:a test_a;
+        Metrics.set_current m b;
+        Metrics.add m test_a 2;
+        Metrics.incr m test_b;
+        Alcotest.(check int) "total a" 3 (Metrics.total m test_a);
+        Alcotest.(check int) "total b" 1 (Metrics.total m test_b);
+        Alcotest.(check int) "never counted" 0 (Metrics.total m test_c);
+        Alcotest.(check (list string)) "scope order" [ "a"; "b" ] (Metrics.scopes m);
+        Alcotest.(check (list (pair string int)))
+          "scope b" [ ("test.a", 2); ("test.b", 1) ] (Metrics.counters m ~scope:"b"));
+    Alcotest.test_case "a name is declared once" `Quick (fun () ->
+        match Metrics.counter "test.a" with
+        | exception Invalid_argument _ -> ()
+        | _ -> Alcotest.fail "a second declaration of test.a was accepted");
+    Alcotest.test_case "increments do not allocate" `Quick (fun () ->
+        let m = Metrics.create () in
+        let s = Metrics.scope m "enc" in
+        Metrics.set_current m s;
+        Metrics.incr m test_a;
+        Metrics.incr_in m ~scope:Metrics.trusted test_b;
+        let before = Gc.minor_words () in
+        for _ = 1 to 2_500 do
+          Metrics.incr m test_a;
+          Metrics.incr_in m ~scope:Metrics.trusted test_b;
+          Metrics.add m test_c 3;
+          Metrics.incr_in m ~scope:s test_c
+        done;
+        let words = Gc.minor_words () -. before in
+        Alcotest.(check int) "counted" 2_501 (Metrics.total m test_a);
+        (* Reading Gc.minor_words allocates a boxed float itself. *)
+        Alcotest.(check bool)
+          (Printf.sprintf "10 000 increments allocated %.0f words" words)
+          true (words < 16.));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -228,21 +260,6 @@ let exporter_tests =
                 Alcotest.(check int) "span count"
                   (Encl_obs.Span.total (Obs.spans obs))
                   (List.length span_events)));
-    Alcotest.test_case "metrics_json reconciles with litterbox" `Quick (fun () ->
-        let machine, _image, lb = boot_obs Lb.Vtx in
-        drive_figure1 lb;
-        let obs = machine.Machine.obs in
-        match Json.parse (Export.metrics_json obs) with
-        | Error e -> Alcotest.fail e
-        | Ok doc ->
-            let total name =
-              Option.bind (Json.member "totals" doc) (fun t ->
-                  Option.bind (Json.member name t) Json.to_int)
-            in
-            Alcotest.(check (option int))
-              "switch total" (Some (Lb.switch_count lb)) (total "switch");
-            Alcotest.(check (option int))
-              "fault total" (Some (Lb.fault_count lb)) (total "fault"));
     Alcotest.test_case "summary names every scope" `Quick (fun () ->
         let machine, _image, lb = boot_obs Lb.Mpk in
         drive_figure1 lb;
@@ -257,61 +274,254 @@ let exporter_tests =
             Alcotest.(check bool) (scope ^ " present") true (contains scope))
           (Metrics.scopes (Obs.metrics machine.Machine.obs)));
     Alcotest.test_case "disabled sink records nothing" `Quick (fun () ->
+        (* Nothing of its own: no events, spans or histograms. Counters
+           are the registry's and still count. *)
         let machine, _image, lb = Fixtures.boot Lb.Mpk in
         drive_figure1 lb;
         let obs = machine.Machine.obs in
+        let m = Obs.metrics obs in
         Alcotest.(check bool) "disabled" false (Obs.enabled obs);
         Alcotest.(check int) "no events" 0 (Obs.total_events obs);
-        Alcotest.(check (list string)) "no scopes" []
-          (Metrics.scopes (Obs.metrics obs));
+        Alcotest.(check int) "no spans" 0 (Encl_obs.Span.total (Obs.spans obs));
+        Alcotest.(check int) "no histograms" 0
+          (List.length (List.concat_map (fun scope -> Metrics.hists m ~scope) (Metrics.scopes m)));
         Alcotest.(check bool) "switches still counted" true
-          (Lb.switch_count lb > 0));
+          (Lb.switch_count lb > 0);
+        Alcotest.(check (option int))
+          "registry switch total" (Some (Lb.switch_count lb))
+          (List.assoc_opt "switch" (Metrics.totals m)));
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Property: Obs totals == LitterBox counters *)
+(* Property: the registry agrees with the string-keyed store it
+   replaced, kept here as the oracle: counters and histograms in
+   per-scope hash tables created on first use, scopes in first-use
+   order. *)
 
-type op = P_rcl | P_io | Epi | P_unknown | P_bad_site
+module Metrics_model = struct
+  type scope_data = {
+    counters : (string, int ref) Hashtbl.t;
+    hists : (string, Hist.t) Hashtbl.t;
+  }
 
-let op_name = function
-  | P_rcl -> "prolog rcl"
-  | P_io -> "prolog io_enc"
-  | Epi -> "epilog"
-  | P_unknown -> "prolog unknown"
-  | P_bad_site -> "prolog bad site"
+  type t = {
+    by_scope : (string, scope_data) Hashtbl.t;
+    mutable order : string list;  (** first-use order, reversed *)
+  }
 
-let apply lb op =
-  try
-    match op with
-    | P_rcl -> Lb.prolog lb ~name:"rcl" ~site:"enclosure:rcl"
-    | P_io -> Lb.prolog lb ~name:"io_enc" ~site:"enclosure:io_enc"
-    | Epi -> Lb.epilog lb ~site:"enclosure:rcl"
-    | P_unknown -> Lb.prolog lb ~name:"nope" ~site:"enclosure:rcl"
-    | P_bad_site -> Lb.prolog lb ~name:"rcl" ~site:"not-in-verif"
-  with Lb.Fault _ -> ()
+  let create () = { by_scope = Hashtbl.create 16; order = [] }
 
-let ops_arb =
-  QCheck.make
-    ~print:(fun (backend, ops) ->
-      Lb.backend_name backend ^ ": "
-      ^ String.concat ", " (List.map op_name ops))
-    QCheck.Gen.(
-      pair
-        (oneofl Fixtures.all_backends)
-        (list_size (int_range 0 30)
-           (oneofl [ P_rcl; P_io; Epi; P_unknown; P_bad_site ])))
+  let scope_data t scope =
+    match Hashtbl.find_opt t.by_scope scope with
+    | Some d -> d
+    | None ->
+        let d = { counters = Hashtbl.create 16; hists = Hashtbl.create 8 } in
+        Hashtbl.replace t.by_scope scope d;
+        t.order <- scope :: t.order;
+        d
+
+  let incr t ~scope ~by name =
+    let d = scope_data t scope in
+    match Hashtbl.find_opt d.counters name with
+    | Some r -> r := !r + by
+    | None -> Hashtbl.replace d.counters name (ref by)
+
+  let observe t ~scope name v =
+    let d = scope_data t scope in
+    let h =
+      match Hashtbl.find_opt d.hists name with
+      | Some h -> h
+      | None ->
+          let h = Hist.create () in
+          Hashtbl.replace d.hists name h;
+          h
+    in
+    Hist.record h v
+
+  let scopes t = List.rev t.order
+
+  let sorted_bindings tbl value =
+    Hashtbl.fold (fun k v acc -> (k, value v) :: acc) tbl []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+
+  let counters t ~scope =
+    match Hashtbl.find_opt t.by_scope scope with
+    | None -> []
+    | Some d -> sorted_bindings d.counters ( ! )
+
+  let hists t ~scope =
+    match Hashtbl.find_opt t.by_scope scope with
+    | None -> []
+    | Some d -> sorted_bindings d.hists Fun.id
+
+  let counter t ~scope name =
+    Option.value ~default:0 (List.assoc_opt name (counters t ~scope))
+
+  let total t name =
+    List.fold_left (fun acc scope -> acc + counter t ~scope name) 0 (scopes t)
+
+  let counter_names t =
+    List.concat_map (fun scope -> List.map fst (counters t ~scope)) (scopes t)
+    |> List.sort_uniq compare
+
+  (* The text summary as Export rendered it from this store. *)
+  let summary t ~backend =
+    let buf = Buffer.create 1024 in
+    Buffer.add_string buf
+      (Printf.sprintf "observability: backend=%s events=0 dropped=0\n" backend);
+    let names = counter_names t in
+    if names <> [] then begin
+      let scope_w =
+        List.fold_left
+          (fun acc s -> max acc (String.length s))
+          (String.length "scope") (scopes t)
+      in
+      Buffer.add_string buf (Printf.sprintf "%-*s" scope_w "scope");
+      List.iter
+        (fun n ->
+          Buffer.add_string buf (Printf.sprintf " %*s" (max 8 (String.length n)) n))
+        names;
+      Buffer.add_char buf '\n';
+      let row scope lookup =
+        Buffer.add_string buf (Printf.sprintf "%-*s" scope_w scope);
+        List.iter
+          (fun n ->
+            Buffer.add_string buf
+              (Printf.sprintf " %*d" (max 8 (String.length n)) (lookup n)))
+          names;
+        Buffer.add_char buf '\n'
+      in
+      List.iter (fun scope -> row scope (counter t ~scope)) (scopes t);
+      row "TOTAL" (total t)
+    end;
+    List.iter
+      (fun scope ->
+        List.iter
+          (fun (name, h) ->
+            Buffer.add_string buf
+              (Printf.sprintf
+                 "hist %s/%s: n=%d min=%dns p50<=%dns p99<=%dns max=%dns \
+                  mean=%.0fns\n"
+                 scope name (Hist.count h) (Hist.min_value h)
+                 (Hist.quantile h 0.5) (Hist.quantile h 0.99) (Hist.max_value h)
+                 (Hist.mean h)))
+          (hists t ~scope))
+      (scopes t);
+    Buffer.contents buf
+end
+
+let model_scopes = [| "trusted"; "handler_enc"; "net_http"; "secret"; "__main__"; "io" |]
+let model_hists = [| "switch_ns"; "syscall_ns"; "gc_ns" |]
+
+(* [Incr (s, c, by, how)]: counter [c] by [by] under scope [s], through
+   {!Metrics.incr_in} ([how = 0]), or as the current scope through
+   {!Metrics.incr}/{!Metrics.add} (otherwise) — with the current scope
+   left wherever the previous op put it. *)
+type model_op =
+  | Incr of int * int * int * int
+  | Observe of int * int * int
+
+let model_arb =
+  let counters = Array.of_list (Metrics.declared ()) in
+  let open QCheck.Gen in
+  let nscopes = Array.length model_scopes in
+  let op =
+    frequency
+      [
+        ( 4,
+          map
+            (fun (s, c, by, how) -> Incr (s, c, by, how))
+            (quad (int_bound (nscopes - 1))
+               (int_bound (Array.length counters - 1))
+               (frequency [ (3, return 1); (1, int_range 2 5000) ])
+               (int_bound 1)) );
+        ( 1,
+          map3
+            (fun s h v -> Observe (s, h, v))
+            (int_bound (nscopes - 1))
+            (int_bound (Array.length model_hists - 1))
+            (int_range 0 100_000) );
+      ]
+  in
+  let print (intern, ops) =
+    Printf.sprintf "intern [%s]; %s"
+      (String.concat " " (List.map (fun i -> model_scopes.(i)) intern))
+      (String.concat "; "
+         (List.map
+            (function
+              | Incr (s, c, by, how) ->
+                  Printf.sprintf "%s %s/%s +%d"
+                    (if how = 0 then "incr_in" else "current")
+                    model_scopes.(s)
+                    (Metrics.counter_name counters.(c))
+                    by
+              | Observe (s, h, v) ->
+                  Printf.sprintf "observe %s/%s %d" model_scopes.(s)
+                    model_hists.(h) v)
+            ops))
+  in
+  (* Scopes are interned up front in a random order, as registration
+     order need not be first-touch order. *)
+  QCheck.make ~print
+    (pair
+       (shuffle_l (List.init nscopes Fun.id))
+       (list_size (int_range 0 60) op))
+
+let run_model (intern, ops) =
+  let counters = Array.of_list (Metrics.declared ()) in
+  let obs = Obs.create ~enabled:true ~now:(fun () -> 0) () in
+  let m = Obs.metrics obs in
+  let ids = Array.make (Array.length model_scopes) Metrics.trusted in
+  List.iter (fun i -> ids.(i) <- Metrics.scope m model_scopes.(i)) intern;
+  let model = Metrics_model.create () in
+  List.iter
+    (function
+      | Incr (s, c, by, how) ->
+          let c = counters.(c) in
+          Metrics_model.incr model ~scope:model_scopes.(s) ~by
+            (Metrics.counter_name c);
+          if how = 0 then
+            for _ = 1 to by do
+              Metrics.incr_in m ~scope:ids.(s) c
+            done
+          else begin
+            Metrics.set_current m ids.(s);
+            if by = 1 then Metrics.incr m c else Metrics.add m c by
+          end
+      | Observe (s, h, v) ->
+          Metrics_model.observe model ~scope:model_scopes.(s) model_hists.(h) v;
+          Obs.observe obs ~scope:ids.(s) model_hists.(h) v)
+    ops;
+  (obs, m, model)
 
 let prop_tests =
   [
     QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"obs totals match litterbox counters" ~count:30
-         ops_arb
-         (fun (backend, ops) ->
-           let machine, _image, lb = boot_obs backend in
-           List.iter (apply lb) ops;
-           let m = Obs.metrics machine.Machine.obs in
-           Metrics.total m "switch" = Lb.switch_count lb
-           && Metrics.total m "fault" = Lb.fault_count lb));
+      (QCheck.Test.make ~name:"registry agrees with the string-keyed model"
+         ~count:300 model_arb (fun case ->
+           let obs, m, model = run_model case in
+           let scopes = Metrics_model.scopes model in
+           let fail what = QCheck.Test.fail_reportf "%s differ" what in
+           if Metrics.scopes m <> scopes then fail "scope orders";
+           List.iter
+             (fun scope ->
+               if Metrics.counters m ~scope <> Metrics_model.counters model ~scope
+               then fail ("counters of " ^ scope))
+             scopes;
+           let names = Metrics_model.counter_names model in
+           if List.map fst (Metrics.totals m) <> names then fail "counter names";
+           if
+             Metrics.totals m
+             <> List.map (fun n -> (n, Metrics_model.total model n)) names
+           then fail "totals";
+           List.iter
+             (fun c ->
+               if Metrics.total m c <> Metrics_model.total model (Metrics.counter_name c)
+               then fail ("the total of " ^ Metrics.counter_name c))
+             (Metrics.declared ());
+           if Export.summary obs <> Metrics_model.summary model ~backend:"baseline"
+           then fail "summaries";
+           true));
   ]
 
 let () =

@@ -11,10 +11,7 @@
 module Runtime = Encl_golike.Runtime
 module Sched = Encl_golike.Sched
 module Lb = Encl_litterbox.Litterbox
-module Machine = Encl_litterbox.Machine
 module K = Encl_kernel.Kernel
-module Obs = Encl_obs.Obs
-module Metrics = Encl_obs.Metrics
 
 let packages () =
   [
@@ -147,12 +144,9 @@ type outcome = {
 
 (* Execute the op sequence on a fresh runtime. While we're at it,
    cross-check the ring's own invariants: the submit/drain/pending
-   balance, the obs metric mirrors, and — with the flag off — that
-   nothing touched the ring at all. *)
+   balance and — with the flag off — that nothing touched the ring at
+   all. *)
 let run_ops backend ops =
-  let saved = !Obs.default_enabled in
-  Obs.default_enabled := true;
-  Fun.protect ~finally:(fun () -> Obs.default_enabled := saved) @@ fun () ->
   let rt = boot backend in
   let lb = Option.get (Runtime.lb rt) in
   Lb.set_fault_budget lb 3;
@@ -166,17 +160,6 @@ let run_ops backend ops =
       "%d entries still pending after the sequence (awaits and epilogs \
        should have drained everything)"
       (Lb.ring_pending lb);
-  let m = Obs.metrics (Runtime.machine rt).Machine.obs in
-  let check name total counter =
-    if total <> counter then
-      QCheck.Test.fail_reportf "%s: obs total %d <> counter %d" name total
-        counter
-  in
-  check "ring_submitted" (Metrics.total m "ring_submitted") submitted;
-  check "ring_drained" (Metrics.total m "ring_drained")
-    (Lb.ring_drained_count lb);
-  check "ring_batches" (Metrics.total m "ring_batches")
-    (Lb.ring_batches_count lb);
   ( {
       o_results = results;
       o_faults = Lb.fault_count lb;

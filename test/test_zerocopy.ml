@@ -220,12 +220,9 @@ type outcome = {
 
 (* Execute the op sequence on a fresh machine, closing the connection at
    the end so held descriptors reclaim. While we're at it, cross-check
-   the ring's own invariants: the descriptor balance, the obs metric
-   mirrors, and both halves of the bytes_copied ledger. *)
+   the ring's descriptor balance, and the guest-side bytes_copied field
+   against its registry total. *)
 let run_ops backend ops =
-  let saved = !Obs.default_enabled in
-  Obs.default_enabled := true;
-  Fun.protect ~finally:(fun () -> Obs.default_enabled := saved) @@ fun () ->
   let env = setup backend in
   let lb = Option.get (Runtime.lb env.rt) in
   Lb.set_fault_budget lb 3;
@@ -243,21 +240,13 @@ let run_ops backend ops =
   if K.rxring_inflight kernel <> 0 then
     QCheck.Test.fail_reportf "%d descriptors inflight after close"
       (K.rxring_inflight kernel);
-  let mt = Obs.metrics m.Machine.obs in
-  let check name total counter =
-    if total <> counter then
-      QCheck.Test.fail_reportf "%s: obs total %d <> counter %d" name total
-        counter
-  in
-  check "ring.rx_granted" (Metrics.total mt "ring.rx_granted") granted;
-  check "ring.rx_consumed" (Metrics.total mt "ring.rx_consumed") consumed;
-  check "ring.rx_reclaimed" (Metrics.total mt "ring.rx_reclaimed") reclaimed;
-  check "bytes_copied.kernel"
-    (Metrics.total mt "bytes_copied.kernel")
-    (K.bytes_copied_count kernel);
-  check "bytes_copied.app"
-    (Metrics.total mt "bytes_copied.app")
-    m.Machine.bytes_copied;
+  (let registry =
+     Option.value ~default:0
+       (List.assoc_opt "bytes_copied.app" (Metrics.totals (Obs.metrics m.Machine.obs)))
+   in
+   if registry <> m.Machine.bytes_copied then
+     QCheck.Test.fail_reportf "bytes_copied.app: registry %d <> field %d"
+       registry m.Machine.bytes_copied);
   ( {
       o_results = results;
       o_faults = Lb.fault_count lb;
