@@ -6,8 +6,9 @@
 # committed pin, check each optimization claim
 # as an A/B line of data, hold fresh bench numbers to the committed
 # baseline, profile a workload under the isolation backends, run the
-# repository benchmark's self-checks on every workload, and hold its
-# simulated figures to the committed pin.
+# repository benchmark's self-checks on every workload, hold its
+# simulated figures to the committed pin, and self-check the
+# alternating-pairs runner.
 #
 # Run from the repository root:
 #   sh bin/ci.sh              full pipeline (the CI default)
@@ -305,8 +306,15 @@ if [ "$quick" = 0 ]; then
     diff bench/perfbench_pin.txt "$tmp/perfbench_pin.txt" >&2 || true
     exit 1
   fi
+
+  stage "perfbench pairs (self-check)"
+  # The alternating-pairs runner that host-cost claims are measured
+  # with, on one short pair of this checkout against itself: it exits 1
+  # unless both runs pass their checks and their simulated metrics are
+  # identical.
+  sh bin/perfbench_pairs.sh . . http_vtx 1 1
 else
-  echo "ci: --quick: skipping profile smoke, chaos smoke, perfbench smoke and perfbench pin"
+  echo "ci: --quick: skipping profile smoke, chaos smoke, perfbench smoke, perfbench pin and perfbench pairs"
 fi
 
 now=$(date +%s)

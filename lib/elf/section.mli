@@ -19,7 +19,11 @@ val default_perms : kind -> Pte.perms
 (** RX for text, R for rodata/rstrct/pkgs/verif, RW for data/arena. *)
 
 type t = {
-  name : string;  (** e.g. ["img.text"] or ["libFx.rcl.text"] *)
+  name : string;
+      (** e.g. ["img.text"] or ["libFx.rcl.text"]; a label for messages
+          and dumps, never a key. The arena section a transfer makes
+          for a range is named after its new owner, so several may share
+          one name. *)
   owner : string;  (** owning package *)
   kind : kind;
   addr : int;  (** page-aligned start *)

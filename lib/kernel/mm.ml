@@ -43,9 +43,12 @@ let check_mapped t name ~first ~last =
 let map_at t ~addr ~len ~perms =
   check_aligned "Mm.map_at" addr;
   let first, last = page_span ~addr ~len in
+  (* Whole range first, as for [check_mapped]: a failed map maps nothing. *)
   for vpn = first to last do
     if Itbl.mem t.frames vpn then
-      invalid_arg (Printf.sprintf "Mm.map_at: vpn %d already mapped" vpn);
+      invalid_arg (Printf.sprintf "Mm.map_at: vpn %d already mapped" vpn)
+  done;
+  for vpn = first to last do
     let ppn = Phys.alloc_page t.phys in
     Itbl.replace t.frames vpn ppn;
     List.iter (fun pt -> Pagetable.map pt ~vpn (Pte.make ~ppn ~perms)) t.pts

@@ -1616,12 +1616,12 @@ let syscall t call =
    over the range are not what any cached verdict could have assumed).
    Only the MPK backend populates [t.keys]; elsewhere every package
    maps to key 0, so a transfer never flushes the verdict cache there
-   (non-MPK filters do not dispatch on PKRU or the SFI tag). *)
+   (non-MPK filters do not dispatch on PKRU or the SFI tag). The
+   section is named after its owner: nothing reads an arena section's
+   name, and this runs on every transfer. *)
 let rehome_range t ~addr ~len ~to_pkg =
   let sec =
-    Section.make
-      ~name:(Printf.sprintf "%s.arena@%#x" to_pkg addr)
-      ~owner:to_pkg ~kind:Section.Arena ~addr ~size:len
+    Section.make ~name:to_pkg ~owner:to_pkg ~kind:Section.Arena ~addr ~size:len
   in
   let key_changed =
     match owner_of t ~addr with

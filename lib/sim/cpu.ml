@@ -50,7 +50,6 @@ type t = {
   gates : (string, unit) Hashtbl.t;
   mutable gate_depth : int;
   mutable on_gate_violation : (string -> unit) option;
-  mutable buf : Bytes.t;  (** staging buffer of [copy], grown on demand *)
 }
 
 let create ~phys ~clock env =
@@ -65,7 +64,6 @@ let create ~phys ~clock env =
     gates = Hashtbl.create 8;
     gate_depth = 0;
     on_gate_violation = None;
-    buf = Bytes.empty;
   }
 
 let set_fault_hook t f = t.on_fault <- f
@@ -94,8 +92,11 @@ let tlb t =
 
 let env t = t.current
 
-let vpn_of_addr addr = addr / Phys.page_size
-let addr_of_vpn vpn = vpn * Phys.page_size
+(* Floor page arithmetic: a negative address lies on a negative page,
+   which no page table maps, never on page 0. *)
+let vpn_of_addr addr = addr asr Phys.page_shift
+let addr_of_vpn vpn = vpn lsl Phys.page_shift
+let page_off addr = addr land (Phys.page_size - 1)
 
 let fault t kind vaddr reason =
   let f = { kind; vaddr; env = t.current.label; reason } in
@@ -235,17 +236,17 @@ let check t kind ~addr ~len =
 
 let read8 t addr =
   let pte = check_page t Read addr in
-  Phys.read8 t.phys ~ppn:pte.Pte.ppn ~off:(addr mod Phys.page_size)
+  Phys.read8 t.phys ~ppn:pte.Pte.ppn ~off:(page_off addr)
 
 let write8 t addr v =
   let pte = check_page t Write addr in
-  Phys.write8 t.phys ~ppn:pte.Pte.ppn ~off:(addr mod Phys.page_size) v
+  Phys.write8 t.phys ~ppn:pte.Pte.ppn ~off:(page_off addr) v
 
 let read64 t addr =
-  if addr mod Phys.page_size <= Phys.page_size - 8 then begin
+  if page_off addr <= Phys.page_size - 8 then begin
     let pte = check_page t Read addr in
     ignore (check_page t Read (addr + 7));
-    Phys.read64 t.phys ~ppn:pte.Pte.ppn ~off:(addr mod Phys.page_size)
+    Phys.read64 t.phys ~ppn:pte.Pte.ppn ~off:(page_off addr)
   end
   else begin
     (* Crosses a page boundary: assemble byte by byte. *)
@@ -257,10 +258,10 @@ let read64 t addr =
   end
 
 let write64 t addr v =
-  if addr mod Phys.page_size <= Phys.page_size - 8 then begin
+  if page_off addr <= Phys.page_size - 8 then begin
     let pte = check_page t Write addr in
     ignore (check_page t Write (addr + 7));
-    Phys.write64 t.phys ~ppn:pte.Pte.ppn ~off:(addr mod Phys.page_size) v
+    Phys.write64 t.phys ~ppn:pte.Pte.ppn ~off:(page_off addr) v
   end
   else
     for i = 0 to 7 do
@@ -268,24 +269,27 @@ let write64 t addr v =
         (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff)
     done
 
+(* The frame behind [addr] in the current page table; the caller has
+   already checked the access. *)
+let ppn_at t addr =
+  (Option.get (Pagetable.walk t.current.pt ~vpn:(vpn_of_addr addr))).Pte.ppn
+
 (* Move [len] bytes between guest memory at [addr] and [b] at [pos], one
    page at a time through the current page table; the caller has already
    checked the range. *)
 let rec blit_out t ~addr b ~pos ~len =
   if len > 0 then begin
-    let off = addr mod Phys.page_size in
+    let off = page_off addr in
     let chunk = min len (Phys.page_size - off) in
-    let pte = Option.get (Pagetable.walk t.current.pt ~vpn:(vpn_of_addr addr)) in
-    Phys.blit_to_bytes t.phys ~ppn:pte.Pte.ppn ~off b pos chunk;
+    Phys.blit_to_bytes t.phys ~ppn:(ppn_at t addr) ~off b pos chunk;
     blit_out t ~addr:(addr + chunk) b ~pos:(pos + chunk) ~len:(len - chunk)
   end
 
 let rec blit_in t ~addr b ~pos ~len =
   if len > 0 then begin
-    let off = addr mod Phys.page_size in
+    let off = page_off addr in
     let chunk = min len (Phys.page_size - off) in
-    let pte = Option.get (Pagetable.walk t.current.pt ~vpn:(vpn_of_addr addr)) in
-    Phys.blit_of_bytes t.phys ~ppn:pte.Pte.ppn ~off b pos chunk;
+    Phys.blit_of_bytes t.phys ~ppn:(ppn_at t addr) ~off b pos chunk;
     blit_in t ~addr:(addr + chunk) b ~pos:(pos + chunk) ~len:(len - chunk)
   end
 
@@ -300,14 +304,45 @@ let write_bytes t ~addr src =
   check t Write ~addr ~len;
   blit_in t ~addr src ~pos:0 ~len
 
+(* One piece of a copy, inside one page on each side: a whole page on
+   both sides shares the source frame's storage, anything else is one
+   frame-to-frame blit. *)
+let copy_piece t ~src ~dst n =
+  let src_ppn = ppn_at t src and dst_ppn = ppn_at t dst in
+  if n = Phys.page_size then Phys.share_page t.phys ~src:src_ppn ~dst:dst_ppn
+  else
+    Phys.blit t.phys ~src:src_ppn ~src_off:(page_off src) ~dst:dst_ppn
+      ~dst_off:(page_off dst) n
+
+(* Walk up from the starts: each piece runs to the nearer of the next
+   source and destination page boundaries. *)
+let rec copy_up t ~src ~dst ~len =
+  if len > 0 then begin
+    let n = min len (Phys.page_size - max (page_off src) (page_off dst)) in
+    copy_piece t ~src ~dst n;
+    copy_up t ~src:(src + n) ~dst:(dst + n) ~len:(len - n)
+  end
+
+(* Walk down from the (exclusive) ends: each piece runs back to the
+   nearer of the previous source and destination page boundaries. *)
+let rec copy_down t ~src_end ~dst_end ~len =
+  if len > 0 then begin
+    let n = min len (1 + min (page_off (src_end - 1)) (page_off (dst_end - 1))) in
+    let src = src_end - n and dst = dst_end - n in
+    copy_piece t ~src ~dst n;
+    copy_down t ~src_end:src ~dst_end:dst ~len:(len - n)
+  end
+
 let copy t ~src ~dst ~len ~note =
   check t Read ~addr:src ~len;
   note len;
   check t Write ~addr:dst ~len;
-  if Bytes.length t.buf < len then
-    t.buf <- Bytes.create (max len (2 * Bytes.length t.buf));
-  (* Staging the whole source first keeps overlapping copies exact. *)
-  blit_out t ~addr:src t.buf ~pos:0 ~len;
-  blit_in t ~addr:dst t.buf ~pos:0 ~len
+  (* Within one page table every page has its own frame, so ranges that
+     do not overlap virtually share no byte. When they overlap with the
+     destination above, walking down (memmove order) never reads a byte
+     an earlier piece has overwritten. *)
+  if dst > src && dst < src + len then
+    copy_down t ~src_end:(src + len) ~dst_end:(dst + len) ~len
+  else copy_up t ~src ~dst ~len
 
 let fetch t ~addr = ignore (check_page t Exec addr)

@@ -144,13 +144,15 @@ val read_bytes : t -> addr:int -> len:int -> Bytes.t
 val write_bytes : t -> addr:int -> Bytes.t -> unit
 
 val copy : t -> src:int -> dst:int -> len:int -> note:(int -> unit) -> unit
-(** Copy [len] bytes of guest memory from [src] to [dst], staged through
-    one buffer the CPU reuses. It is [read_bytes] at [src], then
-    [note len], then [write_bytes] at [dst] of what was read, without
-    allocating: the source is checked for reading, [note] runs, the
-    destination is checked for writing, and only then do bytes move. A
-    fault in either check raises before any byte moves. Overlapping
-    ranges copy as [memmove] does. *)
+(** Copy [len] bytes of guest memory from [src] to [dst]. It behaves
+    as [read_bytes] at [src], then [note len], then [write_bytes] at
+    [dst] of what was read, but stages nothing: the source is checked
+    for reading, [note] runs, the destination is checked for writing,
+    and only then do bytes move, frame to frame. A fault in either check
+    raises before any byte moves. A piece that is a whole
+    page on both sides moves no byte: the destination frame shares the
+    source frame's storage ({!Phys.share_page}) until either is written.
+    Overlapping ranges copy as [memmove] does. *)
 
 val fetch : t -> addr:int -> unit
 (** Instruction-fetch check at [addr] (entering a function). *)

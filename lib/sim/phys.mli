@@ -4,18 +4,29 @@
     every virtual address space in the simulation; page tables map virtual
     page numbers to PPNs allocated here.
 
-    Frames are demand-zero, as Linux anonymous mappings are: allocating a
-    frame only reserves its PPN, and the frame reads as zeros until its
-    first write gives it its own zeroed 4 KiB. Nothing but host memory
-    tells an untouched frame from a written one: every access to an
-    allocated frame behaves the same either way.
+    Frames share storage until written. A frame may read through another
+    frame's bytes; its first write gives it its own copy, so a write to
+    one frame never shows in any other. Two cases make frames share:
+
+    - {!alloc_page}: a new frame shares one page of zeros, as the zero
+      page backs Linux anonymous mappings, so allocating reserves only a
+      PPN and the frame gets its own zeroed 4 KiB at its first write;
+    - {!share_page}: a whole-page copy makes the destination share the
+      source's storage instead of moving its bytes.
+
+    Nothing but host memory tells a sharing frame from one with its own
+    storage: every access to an allocated frame behaves the same either
+    way.
 
     Every access raises [Invalid_argument] for a PPN never allocated, a
-    freed PPN, or a byte range outside the frame (for an untouched frame
+    freed PPN, or a byte range outside the frame (for a sharing frame
     too). *)
 
 val page_size : int
 (** 4096 bytes. *)
+
+val page_shift : int
+(** 12: [page_size = 1 lsl page_shift]. *)
 
 type t
 
@@ -31,7 +42,7 @@ val free_page : t -> int -> unit
 
 val page_count : t -> int
 (** Number of frames currently allocated (live, not freed), whether
-    written or not. *)
+    sharing storage or not. *)
 
 val read8 : t -> ppn:int -> off:int -> int
 val write8 : t -> ppn:int -> off:int -> int -> unit
@@ -47,3 +58,14 @@ val blit_to_bytes : t -> ppn:int -> off:int -> Bytes.t -> int -> int -> unit
 
 val blit_of_bytes : t -> ppn:int -> off:int -> Bytes.t -> int -> int -> unit
 (** Copy bytes into one frame; same boundary rule. *)
+
+val blit : t -> src:int -> src_off:int -> dst:int -> dst_off:int -> int -> unit
+(** [blit t ~src ~src_off ~dst ~dst_off len] copies [len] bytes from
+    frame [src] to frame [dst]; neither range may cross its frame's
+    boundary. With [src = dst] the ranges may overlap and move as
+    [memmove] does. *)
+
+val share_page : t -> src:int -> dst:int -> unit
+(** From now on frame [dst] reads exactly as frame [src] does, until
+    either is written: a whole-page copy that moves no byte. [src = dst]
+    is a no-op. *)

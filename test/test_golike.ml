@@ -419,7 +419,10 @@ let runtime_tests =
 (* Gbuf.blit against the sequence it replaced: read the source into a
    fresh buffer, note the copy, write the buffer out. Both run on their
    own fresh machine: four read-write pages, then one read-only page,
-   then nothing mapped. Everything observable must match. *)
+   then nothing mapped. Everything observable must match, also after a
+   copy that succeeded is followed by writes into both of its ranges: a
+   copy that shares a page's storage must not let either write show in
+   the other range. *)
 let reference_blit m ~(src : Gbuf.t) ~(dst : Gbuf.t) =
   let len = min src.Gbuf.len dst.Gbuf.len in
   let data = Cpu.read_bytes m.Machine.cpu ~addr:src.Gbuf.addr ~len in
@@ -452,6 +455,24 @@ let run_blit blit (src, dst, len) =
   in
   let hits = Tlb.hits tlb - hits and misses = Tlb.misses tlb - misses in
   Cpu.set_access_hook m.Machine.cpu None;
+  if fault = None then
+    List.iter
+      (fun start ->
+        (* Flip the first byte of every page the range touches and its
+           last byte, within the four writable pages. *)
+        let flip a =
+          if a >= 0 && a < 4 * Phys.page_size then
+            let a = base + a in
+            Cpu.write8 m.Machine.cpu a (Cpu.read8 m.Machine.cpu a lxor 0xff)
+        in
+        if len > 0 then begin
+          flip start;
+          for p = (start / Phys.page_size) + 1 to (start + len - 1) / Phys.page_size do
+            flip (p * Phys.page_size)
+          done;
+          flip (start + len - 1)
+        end)
+      [ dst; src ];
   let memory = Cpu.read_bytes m.Machine.cpu ~addr:base ~len:copy_region in
   (memory, m.Machine.bytes_copied, hits, misses, List.rev !accesses, fault)
 
@@ -475,17 +496,27 @@ let gbuf_copy_tests =
     case "destination not writable" ~faults:true (0, (4 * page) - 100, 200);
     case "source not mapped" ~faults:true ((5 * page) - 8, 0, 16);
     case "destination not mapped" ~faults:true (0, (5 * page) - 8, 16);
+    case "whole pages, disjoint" ~faults:false (0, 2 * page, 2 * page);
+    case "whole pages, destination above the source" ~faults:false (0, page, 3 * page);
+    case "whole pages, destination below the source" ~faults:false (page, 0, 3 * page);
+    case "whole pages and a tail" ~faults:false (2 * page, 0, page + 100);
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"blit matches the reference on random ranges" ~count:300
          QCheck.(
            make
              ~print:Print.(triple int int int)
              Gen.(
-               let off = int_range 0 (copy_region + 64) in
+               (* Page-aligned offsets and page-multiple lengths often,
+                  so that whole pages on both sides (shared, not
+                  copied) come up in many cases. *)
+               let pages lo hi = map (fun k -> k * page) (int_range lo hi) in
+               let off = frequency [ (2, int_range 0 (copy_region + 64)); (1, pages 0 5) ] in
                let near s = map (fun d -> max 0 (s + d)) (int_range (-5000) 5000) in
+               let near_pages s = map (fun d -> max 0 (s + d)) (pages (-3) 3) in
                off >>= fun src ->
-               frequency [ (1, off); (2, near src) ] >>= fun dst ->
-               frequency [ (1, int_range 0 16); (3, int_range 0 (3 * page)) ]
+               frequency [ (1, off); (2, near src); (1, near_pages src) ] >>= fun dst ->
+               frequency
+                 [ (1, int_range 0 16); (3, int_range 0 (3 * page)); (2, pages 1 4) ]
                >|= fun len -> (src, dst, len)))
          blit_matches_reference);
   ]

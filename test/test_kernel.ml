@@ -974,6 +974,25 @@ let mm_tests =
         match Encl_kernel.Mm.map_at mm ~addr ~len:4096 ~perms:{ Pte.r = true; w = true; x = false } with
         | exception Invalid_argument _ -> ()
         | () -> Alcotest.fail "double map accepted");
+    Alcotest.test_case "a map over a mapped page changes nothing" `Quick (fun () ->
+        let m = kernel_fixture () in
+        let mm = m.Machine.mm in
+        let rw = { Pte.r = true; w = true; x = false } in
+        let page = Phys.page_size in
+        (* A 3-page hole with only its middle page mapped. *)
+        let addr = Encl_kernel.Mm.map mm ~len:(3 * page) ~perms:rw in
+        Encl_kernel.Mm.unmap mm ~addr ~len:(3 * page);
+        Encl_kernel.Mm.map_at mm ~addr:(addr + page) ~len:page ~perms:rw;
+        let frames = Phys.page_count (Encl_kernel.Mm.phys mm) in
+        (match Encl_kernel.Mm.map_at mm ~addr ~len:(3 * page) ~perms:rw with
+        | exception Invalid_argument _ -> ()
+        | () -> Alcotest.fail "map over a mapped page accepted");
+        Alcotest.(check bool) "first page still unmapped" false
+          (Encl_kernel.Mm.is_mapped mm ~addr);
+        Alcotest.(check bool) "first page absent from the page table" true
+          (Pagetable.walk m.Machine.trusted_pt ~vpn:(addr / page) = None);
+        Alcotest.(check int) "no frame allocated" frames
+          (Phys.page_count (Encl_kernel.Mm.phys mm)));
   ]
 
 let () =

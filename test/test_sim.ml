@@ -61,8 +61,9 @@ let phys_tests =
         Alcotest.(check int) "still zero" 0 (Phys.read8 p ~ppn ~off:4095));
   ]
 
-(* The reference store: one zeroed [Bytes] per frame, made at allocation.
-   The demand-zero store is checked against it. *)
+(* The reference store: one zeroed [Bytes] per frame, made at allocation,
+   and copies that move bytes. The shared-frame store is checked against
+   it. *)
 module Phys_model = struct
   type t = {
     mutable frames : Bytes.t option array;
@@ -115,6 +116,16 @@ module Phys_model = struct
 
   let blit_of_bytes t ~ppn ~off src src_off len =
     Bytes.blit src src_off (frame t ppn) off len
+
+  (* These two check their frames in the order the store does, so a bad
+     pair of PPNs raises the same message. *)
+  let share_page t ~src ~dst =
+    let s = frame t src in
+    Bytes.blit s 0 (frame t dst) 0 Phys.page_size
+
+  let blit t ~src ~src_off ~dst ~dst_off len =
+    let d = frame t dst in
+    Bytes.blit (frame t src) src_off d dst_off len
 end
 
 type phys_op =
@@ -126,6 +137,8 @@ type phys_op =
   | Write64 of int * int * int64
   | Blit_to of int * int * int * int  (** ppn, off, dst_off, len *)
   | Blit_of of int * int * int * int  (** ppn, off, src_off, len *)
+  | Share of int * int  (** src, dst *)
+  | Blit of (int * int) * (int * int) * int  (** (src, off), (dst, off), len *)
 
 let phys_op_arb =
   let open QCheck.Gen in
@@ -152,6 +165,8 @@ let phys_op_arb =
         (2, map3 (fun p o v -> Write64 (p, o, v)) ppn off ui64);
         (2, map3 (fun (p, o) d l -> Blit_to (p, o, d, l)) (pair ppn off) (int_range 0 8) len);
         (2, map3 (fun (p, o) d l -> Blit_of (p, o, d, l)) (pair ppn off) (int_range 0 8) len);
+        (2, map2 (fun s d -> Share (s, d)) ppn ppn);
+        (2, map3 (fun s d l -> Blit (s, d, l)) (pair ppn off) (pair ppn off) len);
       ]
   in
   let print = function
@@ -163,6 +178,8 @@ let phys_op_arb =
     | Write64 (p, o, v) -> Printf.sprintf "write64 %d %d %Ld" p o v
     | Blit_to (p, o, d, l) -> Printf.sprintf "blit_to %d %d %d %d" p o d l
     | Blit_of (p, o, d, l) -> Printf.sprintf "blit_of %d %d %d %d" p o d l
+    | Share (s, d) -> Printf.sprintf "share %d %d" s d
+    | Blit ((s, so), (d, dof), l) -> Printf.sprintf "blit %d %d %d %d %d" s so d dof l
   in
   QCheck.make ~print:(QCheck.Print.list print) (list_size (int_range 0 200) op)
 
@@ -212,6 +229,14 @@ let phys_step p m op =
       both
         (fun () -> Phys.blit_of_bytes p ~ppn ~off blit_src src_off len; "")
         (fun () -> Phys_model.blit_of_bytes m ~ppn ~off blit_src src_off len; "")
+  | Share (src, dst) ->
+      both
+        (fun () -> Phys.share_page p ~src ~dst; "")
+        (fun () -> Phys_model.share_page m ~src ~dst; "")
+  | Blit ((src, src_off), (dst, dst_off), len) ->
+      both
+        (fun () -> Phys.blit p ~src ~src_off ~dst ~dst_off len; "")
+        (fun () -> Phys_model.blit m ~src ~src_off ~dst ~dst_off len; "")
 
 let phys_props =
   [
@@ -382,6 +407,15 @@ let cpu_tests =
         Cpu.set_env cpu
           { Cpu.label = "x2"; pt; pkru = Mpk.pkru_all_access; exec_ok = Some (fun ~vpn:_ -> false); sfi = None };
         expect_fault (fun () -> Cpu.fetch cpu ~addr:Phys.page_size));
+    Alcotest.test_case "negative addresses fault, never reach page 0" `Quick (fun () ->
+        (* Page 0 is mapped read-write: an address just below it must
+           land on the unmapped page -1, not on page 0. *)
+        let cpu, _ = cpu_fixture () in
+        expect_fault (fun () -> Cpu.read8 cpu (-1));
+        expect_fault (fun () -> Cpu.write8 cpu (-1) 1);
+        expect_fault (fun () -> Cpu.read64 cpu (-8));
+        expect_fault (fun () -> Cpu.read_bytes cpu ~addr:(-8) ~len:16);
+        expect_fault (fun () -> Cpu.copy cpu ~src:(-8) ~dst:16 ~len:16 ~note:ignore));
     Alcotest.test_case "non-present page faults" `Quick (fun () ->
         let cpu, pt = cpu_fixture () in
         Pagetable.set_present pt ~vpn:0 false;
