@@ -143,15 +143,17 @@ for fastpath in 0 1; do
   done
 done
 
-stage "metrics pin (counter export vs bench/metrics_pin.txt)"
+stage "metrics pin (counter export + attribution vs bench/metrics_pin.txt)"
 # What a run counts, per scope, for short runs on every backend and a
 # 4-core run: the per-scope counter table, its TOTAL row and the
 # histogram lines of trace_dump --summary (bin/metrics_pin.sh pins the
 # knobs and ENCL_CORES itself). This covers the counters the
 # enforcement pin cannot see — seccomp cache, rx ring, coalescing, SFI
 # masking, ring IPIs, steals — and keeps the metrics.json key set
-# fixed. Runs in --quick too. After a change meant to move a counter,
-# regenerate with:
+# fixed. Each run also prints its profile attribution table (scope x
+# category ns), so a switch or trap whose nanoseconds land in another
+# span fails here. Runs in --quick too. After a change meant to move a
+# counter or the ledger, regenerate with:
 #   sh bin/metrics_pin.sh > bench/metrics_pin.txt
 sh bin/metrics_pin.sh > "$tmp/metrics_pin.txt"
 if ! cmp -s bench/metrics_pin.txt "$tmp/metrics_pin.txt"; then

@@ -255,14 +255,7 @@ let kick t = Sched.kick t.sched
 let absorb_fault t e =
   match t.lb with
   | Some lb -> Lb.absorb_fault lb e
-  | None -> (
-      match e with
-      | Cpu.Fault info -> Some (Format.asprintf "%a" Cpu.pp_fault info)
-      | K.Syscall_killed { nr; env } ->
-          Some
-            (Printf.sprintf "seccomp killed system call %s in %s"
-               (Encl_kernel.Sysno.name nr) env)
-      | _ -> None)
+  | None -> Lb.describe_fault e
 
 (* GC pass cost per live span, ns. *)
 let gc_span_ns = 210

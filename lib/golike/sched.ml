@@ -175,14 +175,7 @@ let kill_reason t e =
   let described =
     match t.lb with
     | Some lb -> Lb.absorb_fault lb e
-    | None -> (
-        match e with
-        | Cpu.Fault info -> Some (Format.asprintf "%a" Cpu.pp_fault info)
-        | K.Syscall_killed { nr; env } ->
-            Some
-              (Printf.sprintf "seccomp killed system call %s in %s"
-                 (Encl_kernel.Sysno.name nr) env)
-        | _ -> None)
+    | None -> Lb.describe_fault e
   in
   match described with Some r -> r | None -> Printexc.to_string e
 

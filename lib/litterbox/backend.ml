@@ -7,8 +7,10 @@
    trace_dump, the qcheck differentials) iterates — adding a backend
    here is the one-line change that propagates everywhere — and
    {!module-type-S} is the signature each backend implements inside
-   {!Litterbox}: the install/switch/access/transfer/filter hooks, each
-   paying its own {!Costs} entries. *)
+   {!Litterbox}: mechanism only — the install, switch, syscall, drain
+   and transfer hooks, each paying its own {!Costs} entries. The
+   protocol around each hook (counters, spans, elision, stack and event
+   bookkeeping) has one body in {!Litterbox}, shared by all four. *)
 
 type t = Mpk | Vtx | Lwc | Sfi
 
@@ -51,43 +53,41 @@ let config_arg_name = function None -> "baseline" | Some b -> arg_name b
     state ([ctx] = the LitterBox instance, [enc] = per-enclosure
     runtime descriptor, [entry] = a submitted syscall-ring entry) so
     the four implementations live next to the machinery they program
-    while this signature pins down the shape they share. *)
+    while this signature pins down the shape they share. A stack
+    ([enc list]) is innermost first; [[]] is trusted code. *)
 module type S = sig
   type ctx
   type enc
   type entry
 
-  val id : t
-
-  val install : ctx -> (unit, string) result
-  (** (Re)program the hardware from the current views: tag pages and
+  val install : ctx -> enc list -> Cluster.t -> (Mpk.pkru, string) result
+  (** (Re)program the hardware for the enclosures (registration order)
+      and the meta-package clustering of their views: tag pages and
       compile the seccomp program (MPK/SFI), rebuild per-enclosure page
-      tables (VTX/LWC). Called at init and after every registration. *)
+      tables (VTX/LWC), and build each enclosure's environment. Returns
+      the PKRU (SFI: tag) that application-trusted code runs under.
+      Called at init and after every registration; a configuration the
+      hardware cannot hold is refused before anything is assigned. *)
 
-  val env_of : ctx -> enc -> Cpu.env
-  (** The hardware environment enforcing [enc]'s view: trusted page
-      table + PKRU (MPK), per-enclosure page table (VTX/LWC), trusted
-      page table + instrumentation context (SFI). *)
+  val enter : ctx -> enc list -> unit
+  (** Prolog-side switch mechanism and cost toward the target stack,
+      whose head is the enclosure entered (elision already ruled out).
+      May raise the LitterBox fault on a refused transition. *)
 
-  val enter : ctx -> enc -> unit
-  (** Prolog-side switch mechanism and cost (elision already ruled
-      out). May raise the LitterBox fault on a refused transition. *)
+  val leave : ctx -> enc list -> unit
+  (** Epilog-side switch toward the target stack. *)
 
-  val leave : ctx -> enc option -> unit
-  (** Epilog-side switch toward the target environment ([None] =
-      trusted). *)
-
-  val resume : ctx -> enc option -> unit
-  (** Scheduler switch ([Execute] hook) to a captured environment. *)
+  val resume : ctx -> enc list -> unit
+  (** Scheduler switch ([Execute] hook) to a captured stack. *)
 
   val excursion_costs : ctx -> int * int
   (** (enter, return) switch costs of a trusted excursion, in ns. *)
 
   val syscall :
-    ctx -> enc option -> Encl_kernel.Kernel.call ->
+    ctx -> enc list -> Encl_kernel.Kernel.call ->
     (int, Encl_kernel.Kernel.errno) result
-  (** Direct-path system call under the current environment's filter.
-      Raises the LitterBox fault on a denial/kill. *)
+  (** Direct-path system call from the given (current) stack, under its
+      filter. Raises the LitterBox fault on a denial/kill. *)
 
   val drain : ctx -> entry list -> unit
   (** Complete a batch of ring entries: one privilege crossing for the

@@ -124,14 +124,6 @@ let count t c = Metrics.total (metrics t) c
    still counted. *)
 let note_switch t scope = Metrics.incr_in (metrics t) ~scope C.switch
 
-let emit_switch t ~t0 kind =
-  let o = obs t in
-  if Obs.enabled o then begin
-    let dur = Clock.now t.machine.Machine.clock - t0 in
-    Obs.observe o "switch_ns" dur;
-    Obs.emit o ~dur kind
-  end
-
 let scope_name = function [] -> "trusted" | enc :: _ -> enc.e_name
 let env_scope = scope_name
 let stack_scope = function [] -> Metrics.trusted | enc :: _ -> enc.e_scope
@@ -183,6 +175,22 @@ let fault t ?enclosure reason =
   in
   record_fault t ?enclosure ~trace reason;
   raise (Fault { reason; enclosure })
+
+(* The one text of a seccomp kill, whichever path caught it. *)
+let kill_reason nr env =
+  Printf.sprintf "seccomp killed system call %s in %s" (Sysno.name nr) env
+
+(* Account a seccomp kill as a fault of [enclosure] (the log-book entry
+   is the reason itself) and return the reason. *)
+let record_kill t ?enclosure nr env =
+  let reason = kill_reason nr env in
+  record_fault t ?enclosure ~trace:reason reason;
+  reason
+
+let describe_fault = function
+  | Cpu.Fault info -> Some (Format.asprintf "%a" Cpu.pp_fault info)
+  | K.Syscall_killed { nr; env } -> Some (kill_reason nr env)
+  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Section registry                                                    *)
@@ -289,6 +297,58 @@ let build_env t enc =
   | Sfi -> sfi_env t enc
 
 (* ------------------------------------------------------------------ *)
+(* LitterBox's own page-tagging calls (install and transfer)           *)
+
+(* Witness taps. Exactly one record per syscall attempt, at the layer
+   that decides its fate: the direct-path wrapper ([syscall] below)
+   records on return/raise, the drain paths record per entry under the
+   submit-time stack. All are branch-only no-ops while witnessing is
+   off, and none consume simulated time, so witnessed runs stay
+   byte-identical to unwitnessed ones. *)
+
+let witness t = Obs.witness (obs t)
+
+let witness_syscall t ~scope ~site call ~allowed =
+  let w = witness t in
+  if Witness.enabled w then begin
+    let nr = K.sysno_of_call call in
+    Witness.syscall w ~scope
+      ~category:(Sysno.category_name (Sysno.category nr))
+      ~site ~allowed;
+    match call with
+    | K.Connect { ip; _ } when allowed -> Witness.connect w ~scope ~ip
+    | _ -> ()
+  end
+
+(* LitterBox's own pkey_mprotect, issued from the trusted environment
+   whatever environment is current: the whole excursion is the retag
+   gate, so the env writes and the trap are the runtime's, never an
+   enclosure's. Both LB_MPK's install and its transfer path tag through
+   here. Witnessed under the trusted scope at [site] so witness totals
+   reconcile exactly with the kernel's counters. *)
+let trusted_pkey_mprotect t ~site ~addr ~len ~key =
+  let call = K.Pkey_mprotect { addr; len; key } in
+  let cpu = t.machine.Machine.cpu in
+  let result =
+    Cpu.with_gate cpu ~name:"litterbox.retag" (fun () ->
+        let saved = Cpu.env cpu in
+        Cpu.set_env cpu t.machine.Machine.trusted_env;
+        Fun.protect
+          ~finally:(fun () -> Cpu.set_env cpu saved)
+          (fun () -> K.syscall t.machine.Machine.kernel call))
+  in
+  witness_syscall t ~scope:"trusted" ~site call ~allowed:true;
+  result
+
+(* Page-table side of a view (VTX/LWC): the range gets the rights
+   [access] grants on a [kind] section, and is unmapped when it grants
+   none. *)
+let set_access t ~pt ~addr ~len access kind =
+  let mm = t.machine.Machine.mm in
+  Mm.protect mm ~pt ~addr ~len (Types.page_perms access kind);
+  Mm.set_present mm ~pt ~addr ~len (access <> Types.U)
+
+(* ------------------------------------------------------------------ *)
 (* MPK backend                                                         *)
 
 let rules_of_filter (f : Policy.sys_filter) =
@@ -331,17 +391,11 @@ let intersect_rules (r1 : Seccomp.rule list) (r2 : Seccomp.rule list) =
           Some { a with Seccomp.arg0_allowed = arg0 })
     r1
 
-let mpk_recompute t =
-  let encs = ordered_encs t in
-  let views = List.map (fun e -> e.e_view) encs in
-  let packages = Encl_pkg.Graph.packages t.graph in
-  (* Ablation: without clustering, every package is its own
-     meta-package and needs its own protection key. *)
-  let pinned = if t.clustering then [ super_pkg ] else packages in
-  t.clusters <- Cluster.compute ~packages ~views ~pinned;
-  let n = Cluster.count t.clusters in
+let mpk_recompute t encs clusters =
+  let n = Cluster.count clusters in
   (* One key is reserved as the enclosure marker (below), one is the
-     default key 0: 14 remain for meta-packages. *)
+     default key 0: 14 remain for meta-packages. Checked before
+     anything is assigned, so a refused configuration changes nothing. *)
   if n > Mpk.nr_keys - 2 then
     Error
       (Printf.sprintf
@@ -349,7 +403,8 @@ let mpk_recompute t =
           (libmpk-style virtualization not implemented)"
          n (Mpk.nr_keys - 2))
   else begin
-    t.keys <- Array.init n (fun i -> i + 1);
+    let keys = Array.init n (fun i -> i + 1) in
+    t.keys <- keys;
     (* Tag every package section with its cluster's key. *)
     for i = 0 to n - 1 do
       List.iter
@@ -357,29 +412,18 @@ let mpk_recompute t =
           List.iter
             (fun (s : Section.t) ->
               match
-                K.syscall t.machine.Machine.kernel
-                  (K.Pkey_mprotect
-                     {
-                       addr = s.Section.addr;
-                       len = Section.pages s * Phys.page_size;
-                       key = t.keys.(i);
-                     })
+                trusted_pkey_mprotect t ~site:"trusted;litterbox.mpk_recompute"
+                  ~addr:s.Section.addr
+                  ~len:(Section.pages s * Phys.page_size)
+                  ~key:keys.(i)
               with
-              | Ok _ ->
-                  (* The runtime's own tagging call: witnessed under the
-                     trusted scope so witness totals reconcile with the
-                     kernel's counters. *)
-                  let w = Obs.witness (obs t) in
-                  if Witness.enabled w then
-                    Witness.syscall w ~scope:"trusted"
-                      ~category:(Sysno.category_name Sysno.Cat_mem)
-                      ~site:"trusted;litterbox.mpk_recompute" ~allowed:true
+              | Ok _ -> ()
               | Error e ->
                   invalid_arg
                     (Printf.sprintf "LB_MPK init: pkey_mprotect failed (%s)"
                        (K.errno_name e)))
             (sections_of t pkg))
-        (Cluster.members t.clusters i)
+        (Cluster.members clusters i)
     done;
     (* Per-enclosure PKRU values. The highest key is a {e marker}: it
        tags no page, but every enclosure PKRU denies it while the
@@ -393,27 +437,19 @@ let mpk_recompute t =
       (fun enc ->
         let pkru = ref (Mpk.set_key Mpk.pkru_all_access ~key:marker Mpk.No_access) in
         for i = 0 to n - 1 do
-          let rep = List.hd (Cluster.members t.clusters i) in
+          let rep = List.hd (Cluster.members clusters i) in
           let rights = Types.key_rights (View.access enc.e_view rep) in
-          pkru := Mpk.set_key !pkru ~key:t.keys.(i) rights
+          pkru := Mpk.set_key !pkru ~key:keys.(i) rights
         done;
         enc.e_pkru <- !pkru;
         enc.e_env <- Some (build_env t enc))
       encs;
     (* Application-trusted environment: everything but super. *)
     let app_pkru =
-      match Cluster.cluster_of t.clusters super_pkg with
-      | Some i -> Mpk.set_key Mpk.pkru_all_access ~key:t.keys.(i) Mpk.No_access
+      match Cluster.cluster_of clusters super_pkg with
+      | Some i -> Mpk.set_key Mpk.pkru_all_access ~key:keys.(i) Mpk.No_access
       | None -> Mpk.pkru_all_access
     in
-    t.app_trusted <-
-      {
-        Cpu.label = "app-trusted";
-        pt = t.machine.Machine.trusted_pt;
-        pkru = app_pkru;
-        exec_ok = None;
-        sfi = None;
-      };
     (* Seccomp program: dispatch on PKRU. Distinct enclosures that share a
        PKRU value but declare different filters are merged fail-closed
        (rule intersection). *)
@@ -435,12 +471,10 @@ let mpk_recompute t =
       |> List.rev
     in
     let prog =
-      Seccomp.compile
-        ~trusted_pkrus:[ Mpk.pkru_all_access; t.app_trusted.Cpu.pkru ]
-        env_filters
+      Seccomp.compile ~trusted_pkrus:[ Mpk.pkru_all_access; app_pkru ] env_filters
     in
     match K.install_seccomp t.machine.Machine.kernel prog with
-    | Ok () -> Ok ()
+    | Ok () -> Ok app_pkru
     | Error e -> Error ("LB_MPK: seccomp install failed: " ^ e)
   end
 
@@ -454,30 +488,19 @@ let vtx_apply_view t enc =
       let access = View.access enc.e_view pkg in
       List.iter
         (fun (s : Section.t) ->
-          let len = Section.pages s * Phys.page_size in
-          Mm.protect t.machine.Machine.mm ~pt ~addr:s.Section.addr ~len
-            (Types.page_perms access s.Section.kind);
-          Mm.set_present t.machine.Machine.mm ~pt ~addr:s.Section.addr ~len
-            (access <> Types.U))
+          set_access t ~pt ~addr:s.Section.addr
+            ~len:(Section.pages s * Phys.page_size)
+            access s.Section.kind)
         (sections_of t pkg))
     (Encl_pkg.Graph.packages t.graph);
   (* Keep the closure's own text section executable in its environment. *)
-  if enc.e_closure_addr <> 0 then begin
-    let addr =
-      Encl_util.Bitops.align_down enc.e_closure_addr Phys.page_size
-    in
-    Mm.protect t.machine.Machine.mm ~pt ~addr ~len:Phys.page_size
-      { Pte.r = true; w = false; x = true };
-    Mm.set_present t.machine.Machine.mm ~pt ~addr ~len:Phys.page_size true
-  end
+  if enc.e_closure_addr <> 0 then
+    set_access t ~pt
+      ~addr:(Encl_util.Bitops.align_down enc.e_closure_addr Phys.page_size)
+      ~len:Phys.page_size Types.RWX Section.Text
 
-let vtx_recompute t =
-  (* Clustering is still computed (it drives reporting and the shared
-     meta-package abstraction), but VTX enforcement is per page table. *)
-  let encs = ordered_encs t in
-  let views = List.map (fun e -> e.e_view) encs in
-  let packages = Encl_pkg.Graph.packages t.graph in
-  t.clusters <- Cluster.compute ~packages ~views ~pinned:[ super_pkg ];
+(* VTX and LWC enforcement is the per-enclosure page table. *)
+let vtx_recompute t encs _clusters =
   List.iter
     (fun enc ->
       (match enc.e_pt with
@@ -499,15 +522,7 @@ let vtx_recompute t =
         ~len:(Section.pages s * Phys.page_size)
         Pte.no_perms)
     (sections_of t super_pkg);
-  t.app_trusted <-
-    {
-      Cpu.label = "app-trusted";
-      pt = t.machine.Machine.trusted_pt;
-      pkru = Mpk.pkru_all_access;
-      exec_ok = None;
-      sfi = None;
-    };
-  Ok ()
+  Ok Mpk.pkru_all_access
 
 (* ------------------------------------------------------------------ *)
 (* SFI backend                                                         *)
@@ -521,27 +536,14 @@ let vtx_recompute t =
    backend could compute. *)
 let sfi_tag i = Int32.of_int (0x5F100 lor (i lsl 2))
 
-let sfi_recompute t =
-  let encs = ordered_encs t in
-  let views = List.map (fun e -> e.e_view) encs in
-  let packages = Encl_pkg.Graph.packages t.graph in
-  (* Clustering still drives reporting and the meta-package
-     abstraction, but SFI enforcement is page-granular via the section
-     registry — no protection keys, hence no key-count ceiling. *)
-  t.clusters <- Cluster.compute ~packages ~views ~pinned:[ super_pkg ];
+(* SFI enforcement is page-granular via the section registry: no
+   protection keys, hence no key-count ceiling. *)
+let sfi_recompute t encs _clusters =
   List.iteri
     (fun i enc ->
       enc.e_pkru <- sfi_tag i;
       enc.e_env <- Some (build_env t enc))
     encs;
-  t.app_trusted <-
-    {
-      Cpu.label = "app-trusted";
-      pt = t.machine.Machine.trusted_pt;
-      pkru = Mpk.pkru_all_access;
-      exec_ok = None;
-      sfi = None;
-    };
   (* Syscall filtering rides the ordinary trap path: the seccomp
      program dispatches on the sandbox tag exactly as it dispatches on
      MPK PKRU values, so verdicts, the verdict cache and the sysring
@@ -557,21 +559,24 @@ let sfi_recompute t =
   in
   let prog = Seccomp.compile ~trusted_pkrus:[ Mpk.pkru_all_access ] env_filters in
   match K.install_seccomp t.machine.Machine.kernel prog with
-  | Ok () -> Ok ()
+  | Ok () -> Ok Mpk.pkru_all_access
   | Error e -> Error ("LB_SFI: seccomp install failed: " ^ e)
 
 (* ------------------------------------------------------------------ *)
 (* Backend dispatch: shared mechanism helpers, then one module per
-   backend implementing {!Backend.S}. Everything above this point is
-   policy computation; everything below a backend module is generic
-   bookkeeping (stacks, counters, spans, elision) that calls through
-   {!impl}. *)
+   backend implementing {!Backend.S}, mechanism only. Everything after
+   {!impl} is the one generic body of each LitterBox operation (stacks,
+   counters, spans, elision), calling through it. *)
 
 let env_of_stack t = function
   | [] -> t.app_trusted
   | enc :: _ -> Option.get enc.e_env
 
-let stack_top t = match t.stack with [] -> None | enc :: _ -> Some enc
+let set_hw_env t env =
+  (* Every runtime-driven switch runs inside the switch gate, so the
+     gate-integrity check can tell it from a forged wrpkru/CR3 write. *)
+  Cpu.with_gate t.machine.Machine.cpu ~name:"litterbox.gate" (fun () ->
+      Cpu.set_env t.machine.Machine.cpu env)
 
 let charge_switch t ns = Clock.consume t.machine.Machine.clock Clock.Switch ns
 
@@ -580,15 +585,6 @@ let filter_allows_call (f : Policy.sys_filter) (call : K.call) =
   | K.Connect { ip; _ } -> Policy.filter_allows_connect f ~ip
   | _ -> Policy.filter_allows_cat f (Sysno.category (K.sysno_of_call call))
 
-(* Witness taps. Exactly one record per syscall attempt, at the layer
-   that decides its fate: the direct-path wrapper ([syscall] below)
-   records on return/raise, the drain paths record per entry under the
-   submit-time stack. All are branch-only no-ops while witnessing is
-   off, and none consume simulated time, so witnessed runs stay
-   byte-identical to unwitnessed ones. *)
-
-let witness t = Obs.witness (obs t)
-
 (* Call-site context: the collapsed signature of the innermost open
    span ("lane;outer;...;name"), or the scope's bare "user" frame when
    no span is open (e.g. the event ring is disabled). *)
@@ -596,18 +592,6 @@ let witness_site t =
   match Span.top (Obs.spans (obs t)) with
   | Some (_, sig_) -> sig_
   | None -> scope_name t.stack ^ ";user"
-
-let witness_syscall t ~scope ~site call ~allowed =
-  let w = witness t in
-  if Witness.enabled w then begin
-    let nr = K.sysno_of_call call in
-    Witness.syscall w ~scope
-      ~category:(Sysno.category_name (Sysno.category nr))
-      ~site ~allowed;
-    match call with
-    | K.Connect { ip; _ } when allowed -> Witness.connect w ~scope ~ip
-    | _ -> ()
-  end
 
 (* Direct path: the caller is whoever is on the stack right now. *)
 let witness_call t call ~allowed =
@@ -655,6 +639,45 @@ let deny_entry t entry ~enclosure reason =
   record_fault t ~enclosure ~trace reason;
   entry.sq_comp.c_state <- Faulted (Fault { reason; enclosure = Some enclosure })
 
+(* Which enclosure stack polices a drained entry: the submitter's,
+   recorded in the SQE (ring integrity), or — with the defense off —
+   whichever stack happens to be current at drain time, the
+   confused-deputy window the corpus drives through. *)
+let drain_filter_env t e =
+  if Defense.enabled Defense.Ring_integrity then e.sq_env else t.stack
+
+(* The guest-side filter of LB_VTX and LB_LWC: the innermost
+   enclosure's policy must admit the call before it leaves the guest
+   (VT-x) or passes the kernel's per-context check (LWC). [filter] names
+   the filter in the fault text. One check for the direct path, which
+   raises, and one admit for the drain, which stores the fault on the
+   entry and keeps it out of the batch. *)
+let denial call ~filter =
+  Printf.sprintf "system call %s denied by %s"
+    (Sysno.name (K.sysno_of_call call))
+    filter
+
+let guest_check t stack call ~filter =
+  match stack with
+  | enc :: _ when not (filter_allows_call enc.e_policy.Policy.filter call) ->
+      note_denied t call;
+      fault t ~enclosure:enc.e_name (denial call ~filter)
+  | _ -> ()
+
+let guest_admit t ~filter e =
+  match drain_filter_env t e with
+  | enc :: _ when not (filter_allows_call enc.e_policy.Policy.filter e.sq_call)
+    ->
+      deny_entry t e ~enclosure:enc.e_name (denial e.sq_call ~filter);
+      false
+  | _ -> true
+
+(* An admitted entry runs inside the batch's crossing. *)
+let run_entry t e =
+  let r = K.syscall_in_batch t.machine.Machine.kernel e.sq_call in
+  witness_entry t e ~allowed:true;
+  e.sq_comp.c_state <- Done r
+
 (* Only the MPK backend populates [t.keys]; elsewhere every package
    maps to key 0, so a transfer never flushes the verdict cache there
    (non-MPK filters do not dispatch on PKRU). *)
@@ -663,25 +686,11 @@ let mpk_key_of t pkg =
   | Some i when i < Array.length t.keys -> t.keys.(i)
   | Some _ | None -> 0
 
-(* The trusted-context pkey_mprotect of the MPK transfer path. The
-   whole excursion is a registered gate: the env writes and the trap
-   are LitterBox's own, not the enclosure's. *)
 let mpk_retag t ~addr ~pages ~key =
-  let call = K.Pkey_mprotect { addr; len = pages * Phys.page_size; key } in
-  let result =
-    Cpu.with_gate t.machine.Machine.cpu ~name:"litterbox.retag" (fun () ->
-        let saved = Cpu.env t.machine.Machine.cpu in
-        Cpu.set_env t.machine.Machine.cpu t.machine.Machine.trusted_env;
-        Fun.protect
-          ~finally:(fun () -> Cpu.set_env t.machine.Machine.cpu saved)
-          (fun () -> K.syscall t.machine.Machine.kernel call))
-  in
-  (* The runtime's own kernel call, not the enclosure's: witnessed under
-     the trusted scope so witness totals reconcile exactly with the
-     kernel's counters. *)
-  witness_syscall t ~scope:"trusted" ~site:"trusted;litterbox.retag" call
-    ~allowed:true;
-  match result with
+  match
+    trusted_pkey_mprotect t ~site:"trusted;litterbox.retag" ~addr
+      ~len:(pages * Phys.page_size) ~key
+  with
   | Ok _ -> ()
   | Error e ->
       fault t (Printf.sprintf "transfer: pkey_mprotect failed (%s)" (K.errno_name e))
@@ -695,35 +704,32 @@ let pt_retag t ~addr ~bytes ~to_pkg =
       match enc.e_pt with
       | None -> ()
       | Some pt ->
-          let access = View.access enc.e_view to_pkg in
-          Mm.protect t.machine.Machine.mm ~pt ~addr ~len:bytes
-            (Types.page_perms access Section.Arena);
-          Mm.set_present t.machine.Machine.mm ~pt ~addr ~len:bytes
-            (access <> Types.U))
+          set_access t ~pt ~addr ~len:bytes (View.access enc.e_view to_pkg)
+            Section.Arena)
     (ordered_encs t);
   Mm.protect t.machine.Machine.mm ~pt:t.machine.Machine.trusted_pt ~addr
     ~len:bytes
     { Pte.r = true; w = true; x = false }
+
+(* A kill on the trap path is a fault of the calling stack's innermost
+   enclosure — for a drained entry, the submitter's. *)
+let kill_fault t stack nr env =
+  let enclosure = match stack with [] -> None | enc :: _ -> Some enc.e_name in
+  Fault { reason = record_kill t ?enclosure nr env; enclosure }
 
 (* The trap path (MPK and SFI): the call enters the kernel normally
    and the installed seccomp program dispatches on the environment's
    PKRU — a real PKRU under MPK, the synthetic sandbox tag under SFI.
    Killed calls surface as faults attributed to the calling
    enclosure. *)
-let trap_syscall t top call =
+let trap_syscall t stack call =
   try
     (* The trap site is LitterBox's syscall gate: origin verification
        sees a registered gate, and the seccomp program still dispatches
        on the caller's PKRU/tag. *)
     Cpu.with_gate t.machine.Machine.cpu ~name:"litterbox.syscall" (fun () ->
         K.syscall t.machine.Machine.kernel call)
-  with K.Syscall_killed { nr; env } ->
-    let reason =
-      Printf.sprintf "seccomp killed system call %s in %s" (Sysno.name nr) env
-    in
-    let enclosure = Option.map (fun e -> e.e_name) top in
-    record_fault t ?enclosure ~trace:reason reason;
-    raise (Fault { reason; enclosure })
+  with K.Syscall_killed { nr; env } -> raise (kill_fault t stack nr env)
 
 (* Trap-path drain (MPK and SFI): one kernel trap for the batch, then
    per-entry dispatch under the submit-time environment — installed per
@@ -753,23 +759,8 @@ let trap_drain t entries =
           e.sq_comp.c_state <- Done r
       | exception K.Syscall_killed { nr; env } ->
           witness_entry t e ~allowed:false;
-          let reason =
-            Printf.sprintf "seccomp killed system call %s in %s" (Sysno.name nr)
-              env
-          in
-          let enclosure =
-            match e.sq_env with [] -> None | enc :: _ -> Some enc.e_name
-          in
-          record_fault t ?enclosure ~trace:reason reason;
-          e.sq_comp.c_state <- Faulted (Fault { reason; enclosure }))
+          e.sq_comp.c_state <- Faulted (kill_fault t e.sq_env nr env))
     entries
-
-(* Which enclosure stack polices a drained entry: the submitter's,
-   recorded in the SQE (ring integrity), or — with the defense off —
-   whichever stack happens to be current at drain time, the
-   confused-deputy window the corpus drives through. *)
-let drain_filter_env t e =
-  if Defense.enabled Defense.Ring_integrity then e.sq_env else t.stack
 
 module type IMPL =
   Backend.S with type ctx = t and type enc = enc_rt and type entry = sq_entry
@@ -779,16 +770,10 @@ module MpkB : IMPL = struct
   type enc = enc_rt
   type entry = sq_entry
 
-  let id = Backend.Mpk
   let install = mpk_recompute
-  let env_of = mpk_env
-  let enter t (_ : enc) = charge_switch t t.machine.Machine.costs.Costs.mpk_prolog
-
-  let leave t (_ : enc option) =
-    charge_switch t t.machine.Machine.costs.Costs.mpk_epilog
-
-  let resume t (_ : enc option) =
-    charge_switch t t.machine.Machine.costs.Costs.wrpkru
+  let enter t _ = charge_switch t t.machine.Machine.costs.Costs.mpk_prolog
+  let leave t _ = charge_switch t t.machine.Machine.costs.Costs.mpk_epilog
+  let resume t _ = charge_switch t t.machine.Machine.costs.Costs.wrpkru
 
   let excursion_costs t =
     let c = t.machine.Machine.costs in
@@ -812,118 +797,77 @@ module VtxB : IMPL = struct
   type enc = enc_rt
   type entry = sq_entry
 
-  let id = Backend.Vtx
   let install = vtx_recompute
-  let env_of = vtx_env
+  let filter = "enclosure filter"
 
-  let target_pt t = function
-    | None -> t.machine.Machine.trusted_pt
-    | Some enc -> Option.get enc.e_pt
-
-  let enter t enc =
-    let vtx = Option.get t.vtx in
-    match
-      Vtx.guest_syscall vtx
-        ~validate:(fun () -> true)
-        ~target:(Option.get enc.e_pt)
-    with
+  (* A switch is a guest system call (in) or return (out) loading the
+     target stack's page table; a refused entry is the entered
+     enclosure's fault. *)
+  let guest t op target ~blame =
+    let pt =
+      match target with
+      | [] -> t.machine.Machine.trusted_pt
+      | enc :: _ -> Option.get enc.e_pt
+    in
+    match op (Option.get t.vtx) ~validate:(fun () -> true) ~target:pt with
     | Ok () -> ()
-    | Error e -> fault t ~enclosure:enc.e_name e
+    | Error e -> if blame then fault t ~enclosure:(scope_name target) e else fault t e
 
-  let leave t target =
-    let vtx = Option.get t.vtx in
-    match
-      Vtx.guest_sysret vtx ~validate:(fun () -> true) ~target:(target_pt t target)
-    with
-    | Ok () -> ()
-    | Error e -> fault t e
-
-  let resume t target =
-    let vtx = Option.get t.vtx in
-    match
-      Vtx.guest_syscall vtx
-        ~validate:(fun () -> true)
-        ~target:(target_pt t target)
-    with
-    | Ok () -> ()
-    | Error e -> fault t e
+  let enter t target = guest t Vtx.guest_syscall target ~blame:true
+  let leave t target = guest t Vtx.guest_sysret target ~blame:false
+  let resume t target = guest t Vtx.guest_syscall target ~blame:false
 
   let excursion_costs t =
     let c = t.machine.Machine.costs in
     (c.Costs.vtx_guest_syscall, c.Costs.vtx_guest_sysret)
 
-  let syscall t top call =
-    match top with
-    | Some enc when not (filter_allows_call enc.e_policy.Policy.filter call) ->
-        note_denied t call;
-        fault t ~enclosure:enc.e_name
-          (Printf.sprintf "system call %s denied by enclosure filter"
-             (Sysno.name (K.sysno_of_call call)))
-    | _ -> (
-        let vtx = Option.get t.vtx in
-        let o = obs t in
-        (* The VM-exit round-trip is paid here, outside the kernel's
-           own syscall span: bracket it so the exit cost lands in the
-           syscall category rather than in the caller's cell. *)
-        let sp =
-          if Obs.enabled o then
-            Obs.span_enter o
-              ~name:("hypercall:" ^ Sysno.name (K.sysno_of_call call))
-              ~category:Span.Syscall ()
-          else -1
-        in
-        match
-          Vtx.hypercall vtx (fun () ->
-              Cpu.with_gate t.machine.Machine.cpu ~name:"litterbox.syscall"
-                (fun () -> K.syscall t.machine.Machine.kernel call))
-        with
-        | r ->
-            Obs.span_exit o sp;
-            r
-        | exception e ->
-            Obs.span_exit o sp;
-            raise e)
+  let syscall t stack call =
+    guest_check t stack call ~filter;
+    let vtx = Option.get t.vtx in
+    let o = obs t in
+    (* The VM-exit round-trip is paid here, outside the kernel's
+       own syscall span: bracket it so the exit cost lands in the
+       syscall category rather than in the caller's cell. *)
+    let sp =
+      if Obs.enabled o then
+        Obs.span_enter o
+          ~name:("hypercall:" ^ Sysno.name (K.sysno_of_call call))
+          ~category:Span.Syscall ()
+      else -1
+    in
+    match
+      Vtx.hypercall vtx (fun () ->
+          Cpu.with_gate t.machine.Machine.cpu ~name:"litterbox.syscall"
+            (fun () -> K.syscall t.machine.Machine.kernel call))
+    with
+    | r ->
+        Obs.span_exit o sp;
+        r
+    | exception e ->
+        Obs.span_exit o sp;
+        raise e
 
   let drain t entries =
     (* Guest-side filter checks never leave the VM; only entries that
        pass share the batch's single VM EXIT. *)
-    let o = obs t in
-    let allowed =
-      List.filter
-        (fun e ->
-          match drain_filter_env t e with
-          | top :: _
-            when not (filter_allows_call top.e_policy.Policy.filter e.sq_call)
-            ->
-              deny_entry t e ~enclosure:top.e_name
-                (Printf.sprintf "system call %s denied by enclosure filter"
-                   (Sysno.name (K.sysno_of_call e.sq_call)));
-              false
-          | _ -> true)
-        entries
-    in
-    match allowed with
+    match List.filter (guest_admit t ~filter) entries with
     | [] -> ()
-    | _ :: _ ->
+    | allowed ->
         let vtx = Option.get t.vtx in
-        let sp2 =
+        let o = obs t in
+        let sp =
           if Obs.enabled o then
             Obs.span_enter o ~name:"hypercall:ring_drain" ~category:Span.Syscall
               ()
           else -1
         in
-        Fun.protect ~finally:(fun () -> Obs.span_exit (obs t) sp2) @@ fun () ->
+        Fun.protect ~finally:(fun () -> Obs.span_exit (obs t) sp) @@ fun () ->
         Vtx.hypercall vtx (fun () ->
             Cpu.with_gate t.machine.Machine.cpu ~name:"litterbox.drain"
             @@ fun () ->
             Clock.consume t.machine.Machine.clock Clock.Syscall
               t.machine.Machine.costs.Costs.syscall_base;
-            List.iter
-              (fun e ->
-                let r = K.syscall_in_batch t.machine.Machine.kernel e.sq_call in
-                witness_entry t e ~allowed:true;
-                e.sq_comp.c_state <- Done r)
-              allowed)
+            List.iter (run_entry t) allowed)
 
   let transfer t ~addr ~pages ~to_pkg ~key_changed:_ =
     let c = t.machine.Machine.costs in
@@ -937,18 +881,14 @@ module LwcB : IMPL = struct
   type enc = enc_rt
   type entry = sq_entry
 
-  let id = Backend.Lwc
   let install = vtx_recompute
-  let env_of = vtx_env
+  let filter = "the context's filter"
 
   (* lwSwitch: an ordinary system call that installs the context's
      memory view. *)
-  let enter t (_ : enc) = charge_switch t t.machine.Machine.costs.Costs.lwc_switch
-  let leave t (_ : enc option) =
-    charge_switch t t.machine.Machine.costs.Costs.lwc_switch
-
-  let resume t (_ : enc option) =
-    charge_switch t t.machine.Machine.costs.Costs.lwc_switch
+  let enter t _ = charge_switch t t.machine.Machine.costs.Costs.lwc_switch
+  let leave = enter
+  let resume = enter
 
   let excursion_costs t =
     let c = t.machine.Machine.costs in
@@ -956,37 +896,18 @@ module LwcB : IMPL = struct
 
   (* The kernel holds the per-context filter: checked in the normal
      syscall path, no extra crossing. *)
-  let syscall t top call =
-    match top with
-    | Some enc when not (filter_allows_call enc.e_policy.Policy.filter call) ->
-        note_denied t call;
-        fault t ~enclosure:enc.e_name
-          (Printf.sprintf "system call %s denied by the context's filter"
-             (Sysno.name (K.sysno_of_call call)))
-    | _ ->
-        Cpu.with_gate t.machine.Machine.cpu ~name:"litterbox.syscall"
-          (fun () -> K.syscall t.machine.Machine.kernel call)
+  let syscall t stack call =
+    guest_check t stack call ~filter;
+    Cpu.with_gate t.machine.Machine.cpu ~name:"litterbox.syscall" (fun () ->
+        K.syscall t.machine.Machine.kernel call)
 
   (* One ordinary trap enters the kernel; the per-context filter is
      checked there per entry, as in the direct path. *)
   let drain t entries =
-    let kernel = t.machine.Machine.kernel in
     Clock.consume t.machine.Machine.clock Clock.Syscall
       t.machine.Machine.costs.Costs.syscall_base;
     Cpu.with_gate t.machine.Machine.cpu ~name:"litterbox.drain" @@ fun () ->
-    List.iter
-      (fun e ->
-        match drain_filter_env t e with
-        | top :: _
-          when not (filter_allows_call top.e_policy.Policy.filter e.sq_call) ->
-            deny_entry t e ~enclosure:top.e_name
-              (Printf.sprintf "system call %s denied by the context's filter"
-                 (Sysno.name (K.sysno_of_call e.sq_call)))
-        | _ ->
-            let r = K.syscall_in_batch kernel e.sq_call in
-            witness_entry t e ~allowed:true;
-            e.sq_comp.c_state <- Done r)
-      entries
+    List.iter (fun e -> if guest_admit t ~filter e then run_entry t e) entries
 
   let transfer t ~addr ~pages ~to_pkg ~key_changed:_ =
     let c = t.machine.Machine.costs in
@@ -1001,17 +922,15 @@ module SfiB : IMPL = struct
   type enc = enc_rt
   type entry = sq_entry
 
-  let id = Backend.Sfi
   let install = sfi_recompute
-  let env_of = sfi_env
 
   (* Crossing the sandbox boundary is a trampoline call, either
      direction: no PKRU write, no CR3 move, no kernel crossing. The
      whole memory policy is paid per access instead (see
      {!Cpu.check_page} and {!Sfi.masked_access}). *)
-  let enter t (_ : enc) = Sfi.switch (Option.get t.sfi)
-  let leave t (_ : enc option) = Sfi.switch (Option.get t.sfi)
-  let resume t (_ : enc option) = Sfi.switch (Option.get t.sfi)
+  let enter t _ = Sfi.switch (Option.get t.sfi)
+  let leave = enter
+  let resume = enter
 
   let excursion_costs t =
     let c = t.machine.Machine.costs in
@@ -1038,9 +957,38 @@ let impl t : (module IMPL) =
   | Lwc -> (module LwcB)
   | Sfi -> (module SfiB)
 
+(* Reprogram the backend from the current views. The clustering is
+   computed here for every backend — under LB_MPK it assigns the
+   protection keys; elsewhere it drives reporting and the meta-package
+   abstraction — and nothing is assigned unless the backend accepts it.
+   After an install the current stack's environment is re-installed
+   through the switch gate: the install rebuilt it (a new PKRU for the
+   enclosure or for application-trusted code), and the CPU must not go
+   on running a value the new seccomp program no longer knows. *)
 let recompute t =
+  let encs = ordered_encs t in
+  let packages = Encl_pkg.Graph.packages t.graph in
+  (* Ablation: without clustering, every package is its own
+     meta-package (under LB_MPK, with its own protection key). *)
+  let pinned = if t.clustering then [ super_pkg ] else packages in
+  let clusters =
+    Cluster.compute ~packages ~views:(List.map (fun e -> e.e_view) encs) ~pinned
+  in
   let (module B) = impl t in
-  B.install t
+  match B.install t encs clusters with
+  | Error e -> Error e
+  | Ok app_pkru ->
+      t.clusters <- clusters;
+      t.app_trusted <-
+        {
+          Cpu.label = "app-trusted";
+          pt = t.machine.Machine.trusted_pt;
+          pkru = app_pkru;
+          exec_ok = None;
+          sfi = None;
+        };
+      set_hw_env t (env_of_stack t t.stack);
+      Ok ()
 
 (* ------------------------------------------------------------------ *)
 (* Initialization                                                      *)
@@ -1221,7 +1169,6 @@ let init ~machine ~backend ~image ?(binary_scan = []) ?(clustering = true) () =
                   charge_init t
                     ~packages:(List.length (Encl_pkg.Graph.packages t.graph))
                     ~enclosures:(Hashtbl.length t.encs);
-                  Cpu.set_env machine.Machine.cpu t.app_trusted;
                   Log.info (fun m ->
                       m "%s initialized: %d packages, %d enclosures, %d meta-packages"
                         (backend_name backend)
@@ -1233,68 +1180,91 @@ let init ~machine ~backend ~image ?(binary_scan = []) ?(clustering = true) () =
 (* ------------------------------------------------------------------ *)
 (* Dynamic registration                                                *)
 
+(* Reprogram after a registration. A refusal (LB_MPK out of keys: the
+   install refuses before assigning anything) runs [undo], which
+   reverts the registration's own bookkeeping, so a refused
+   registration changes nothing. *)
+let reprogram t ~packages ~enclosures ~undo =
+  match recompute t with
+  | Ok () ->
+      charge_init t ~packages ~enclosures;
+      Ok ()
+  | Error e ->
+      undo ();
+      Error e
+
+(* Recompute every view over the grown graph — new packages become
+   visible per the default policy unless explicitly restricted — then
+   reprogram; a refusal restores the views too. *)
+let refresh_views t ~packages ~undo =
+  let encs = ordered_encs t in
+  let saved = List.map (fun enc -> enc.e_view) encs in
+  let undo () =
+    List.iter2 (fun enc view -> enc.e_view <- view) encs saved;
+    undo ()
+  in
+  let rec update = function
+    | [] -> reprogram t ~packages ~enclosures:0 ~undo
+    | enc :: rest -> (
+        match View.compute ~graph:t.graph ~deps:enc.e_deps ~policy:enc.e_policy with
+        | Error e ->
+            undo ();
+            Error e
+        | Ok view ->
+            enc.e_view <- view;
+            update rest)
+  in
+  update encs
+
+let vpns (s : Section.t) =
+  (s.Section.addr / Phys.page_size, (Section.end_addr s - 1) / Phys.page_size)
+
 let register_package t ~name ~imports ~sections =
-  if Hashtbl.mem t.pkg_sections name && Encl_pkg.Graph.mem t.graph name then
+  if Encl_pkg.Graph.mem t.graph name then
     Error (Printf.sprintf "package %s already registered" name)
-  else begin
-    Encl_pkg.Graph.add_package t.graph name;
-    match
-      List.find_opt (fun i -> not (Encl_pkg.Graph.mem t.graph i)) imports
-    with
+  else
+    match List.find_opt (fun i -> not (Encl_pkg.Graph.mem t.graph i)) imports with
     | Some missing ->
         Error (Printf.sprintf "package %s imports unknown package %s" name missing)
     | None -> (
-      (* Layout assumption (paper 2.3): packages cannot share pages.
-         Verify the new sections against everything already registered. *)
-      let conflict =
-        List.find_map
-          (fun (s : Section.t) ->
-            let first = s.Section.addr / Phys.page_size in
-            let last = (Section.end_addr s - 1) / Phys.page_size in
-            let rec scan vpn =
-              if vpn > last then None
-              else
-                match Itbl.find_opt t.registry vpn with
-                | Some (owner, _) when owner <> name ->
-                    Some (s.Section.name, owner)
-                | Some _ | None -> scan (vpn + 1)
-            in
-            scan first)
-          sections
-      in
-      match conflict with
-      | Some (sec, owner) ->
-          Error
-            (Printf.sprintf
-               "package %s: section %s shares a page with package %s" name sec
-               owner)
-      | None ->
-        List.iter
-          (fun imported -> Encl_pkg.Graph.add_import t.graph ~importer:name ~imported)
-          imports;
-        List.iter (register_section t) sections;
-        (* Recompute views: new packages become visible per the default
-           policy unless explicitly restricted. *)
-        let rec update = function
-          | [] -> Ok ()
-          | enc :: rest -> (
-              match
-                View.compute ~graph:t.graph ~deps:enc.e_deps ~policy:enc.e_policy
-              with
-              | Error e -> Error e
-              | Ok view ->
-                  enc.e_view <- view;
-                  update rest)
+        (* Layout assumption (paper 2.3): packages cannot share pages.
+           Verify the new sections against everything already registered. *)
+        let conflict =
+          List.find_map
+            (fun (s : Section.t) ->
+              let first, last = vpns s in
+              let rec scan vpn =
+                if vpn > last then None
+                else
+                  match Itbl.find_opt t.registry vpn with
+                  | Some (owner, _) -> Some (s.Section.name, owner)
+                  | None -> scan (vpn + 1)
+              in
+              scan first)
+            sections
         in
-        (match update (ordered_encs t) with
-        | Error e -> Error e
-        | Ok () -> (
-            match recompute t with
-            | Error e -> Error e
-            | Ok () ->
-                charge_init t ~packages:1 ~enclosures:0;
-                Ok ())))
-  end
+        match conflict with
+        | Some (sec, owner) ->
+            Error
+              (Printf.sprintf
+                 "package %s: section %s shares a page with package %s" name sec
+                 owner)
+        | None ->
+            Encl_pkg.Graph.add_package t.graph name;
+            List.iter
+              (fun imported -> Encl_pkg.Graph.add_import t.graph ~importer:name ~imported)
+              imports;
+            List.iter (register_section t) sections;
+            refresh_views t ~packages:1 ~undo:(fun () ->
+                List.iter
+                  (fun s ->
+                    let first, last = vpns s in
+                    for vpn = first to last do
+                      Itbl.remove t.registry vpn
+                    done)
+                  sections;
+                Hashtbl.remove t.pkg_sections name;
+                Encl_pkg.Graph.remove_package t.graph name))
 
 let register_enclosure t ~name ~owner ~deps ~policy ~closure_addr =
   if Hashtbl.mem t.encs name then
@@ -1302,17 +1272,18 @@ let register_enclosure t ~name ~owner ~deps ~policy ~closure_addr =
   else
     match make_enc t ~name ~owner ~deps ~policy ~closure_addr with
     | Error e -> Error e
-    | Ok enc -> (
-        Hashtbl.replace t.encs name enc;
-        t.enc_order <- t.enc_order @ [ name ];
+    | Ok enc ->
+        let order = t.enc_order in
         let site = "enclosure:" ^ name in
+        Hashtbl.replace t.encs name enc;
+        t.enc_order <- order @ [ name ];
         Hashtbl.replace t.verif (site, Image.Prolog) ();
         Hashtbl.replace t.verif (site, Image.Epilog) ();
-        match recompute t with
-        | Error e -> Error e
-        | Ok () ->
-            charge_init t ~packages:0 ~enclosures:1;
-            Ok ())
+        reprogram t ~packages:0 ~enclosures:1 ~undo:(fun () ->
+            Hashtbl.remove t.encs name;
+            t.enc_order <- order;
+            Hashtbl.remove t.verif (site, Image.Prolog);
+            Hashtbl.remove t.verif (site, Image.Epilog))
 
 let add_import t ~importer ~imported =
   if not (Encl_pkg.Graph.mem t.graph importer) then
@@ -1320,24 +1291,12 @@ let add_import t ~importer ~imported =
   else if not (Encl_pkg.Graph.mem t.graph imported) then
     Error (Printf.sprintf "unknown imported package %s" imported)
   else begin
-    Encl_pkg.Graph.add_import t.graph ~importer ~imported;
-    let rec update = function
-      | [] -> Ok ()
-      | enc :: rest -> (
-          match View.compute ~graph:t.graph ~deps:enc.e_deps ~policy:enc.e_policy with
-          | Error e -> Error e
-          | Ok view ->
-              enc.e_view <- view;
-              update rest)
+    let fresh =
+      not (List.mem imported (Encl_pkg.Graph.direct_deps t.graph importer))
     in
-    match update (ordered_encs t) with
-    | Error e -> Error e
-    | Ok () -> (
-        match recompute t with
-        | Error e -> Error e
-        | Ok () ->
-            charge_init t ~packages:0 ~enclosures:0;
-            Ok ())
+    Encl_pkg.Graph.add_import t.graph ~importer ~imported;
+    refresh_views t ~packages:0 ~undo:(fun () ->
+        if fresh then Encl_pkg.Graph.remove_import t.graph ~importer ~imported)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1348,12 +1307,6 @@ let check_site t site hook =
     fault t
       (Printf.sprintf "call-site %s not in the .verif list for %s" site
          (Image.hook_name hook))
-
-let set_hw_env t env =
-  (* Every runtime-driven switch runs inside the switch gate, so the
-     gate-integrity check can tell it from a forged wrpkru/CR3 write. *)
-  Cpu.with_gate t.machine.Machine.cpu ~name:"litterbox.gate" (fun () ->
-      Cpu.set_env t.machine.Machine.cpu env)
 
 (* Single point through which the enclosure stack changes: keeps the
    hardware environment and the registry's current scope in lockstep. *)
@@ -1397,6 +1350,89 @@ let can_elide t stack =
 
 let note_elision t scope =
   Metrics.incr_in (metrics t) ~scope C.switch_elided
+
+(* How a switch that is not elided pays: the backend's prolog, epilog
+   or scheduler hook, or one half of a trusted excursion at the cost
+   given. Constant constructors, so a switch allocates nothing. *)
+type pay = Enter | Leave | Resume | Excursion_enter | Excursion_exit
+
+(* Pay for a switch to [target]: [switch_elided] when its environment
+   is already installed, the backend's cost otherwise. *)
+let pay_switch t pay ~cost ~scope target =
+  if can_elide t target then begin
+    Clock.consume t.machine.Machine.clock Clock.Switch
+      t.machine.Machine.costs.Costs.switch_elided;
+    note_elision t scope
+  end
+  else
+    match pay with
+    | Enter ->
+        let (module B) = impl t in
+        B.enter t target
+    | Leave ->
+        let (module B) = impl t in
+        B.leave t target
+    | Resume ->
+        let (module B) = impl t in
+        B.resume t target
+    | Excursion_enter | Excursion_exit -> charge_switch t cost
+
+(* The one switch protocol behind prolog, epilog, execute and both
+   halves of with_trusted: count the switch under its scope (first, so
+   an aborted switch still counts), open its span, pay, install the
+   target stack, emit the event (an excursion emits none). A switch
+   belongs to its enclosure side: the enclosure entered or resumed, the
+   one left, or the one taking the excursion; its span is on that lane.
+   [site] is the event's call-site. *)
+let switch t pay ~cost ~site target =
+  let side =
+    match pay with
+    | Leave | Excursion_enter -> t.stack
+    | Enter | Resume | Excursion_exit -> target
+  in
+  let scope = stack_scope side in
+  note_switch t scope;
+  let o = obs t in
+  if not (Obs.enabled o) then begin
+    pay_switch t pay ~cost ~scope target;
+    set_stack t target
+  end
+  else
+    let lane = scope_name side in
+    let name, category =
+      match pay with
+      | Enter -> ("prolog:" ^ lane, Span.Prolog)
+      | Leave -> ("epilog:" ^ lane, Span.Epilog)
+      | Resume -> ("execute:" ^ lane, Span.Sched)
+      | Excursion_enter -> ("excursion:enter", Span.Prolog)
+      | Excursion_exit -> ("excursion:exit", Span.Epilog)
+    in
+    let sp = Obs.span_enter o ~lane ~name ~category () in
+    let clock = t.machine.Machine.clock in
+    let t0 = Clock.now clock in
+    match pay_switch t pay ~cost ~scope target with
+    | () ->
+        set_stack t target;
+        let emit kind =
+          let dur = Clock.now clock - t0 in
+          Obs.observe o "switch_ns" dur;
+          Obs.emit o ~dur kind
+        in
+        (match pay with
+        | Enter -> emit (Event.Prolog { enclosure = scope_name target; site })
+        | Leave -> emit (Event.Epilog { site })
+        | Resume ->
+            emit
+              (Event.Execute
+                 {
+                   target =
+                     (match target with [] -> None | enc :: _ -> Some enc.e_name);
+                 })
+        | Excursion_enter | Excursion_exit -> ());
+        Obs.span_exit o sp
+    | exception e ->
+        Obs.span_exit o sp;
+        raise e
 
 (* ------------------------------------------------------------------ *)
 (* Syscall ring                                                        *)
@@ -1518,33 +1554,7 @@ let prolog t ~name ~site =
                  "switch into %s would escalate privileges (nested enclosures \
                   may only restrict)"
                  name));
-      note_switch t enc.e_scope;
-      let o = obs t in
-      let sp =
-        if Obs.enabled o then
-          Obs.span_enter o ~lane:name ~name:("prolog:" ^ name)
-            ~category:Span.Prolog ()
-        else -1
-      in
-      let t0 = Clock.now t.machine.Machine.clock in
-      let c = t.machine.Machine.costs in
-      (match
-         if can_elide t (enc :: t.stack) then begin
-           Clock.consume t.machine.Machine.clock Clock.Switch
-             c.Costs.switch_elided;
-           note_elision t enc.e_scope
-         end
-         else
-           let (module B) = impl t in
-           B.enter t enc
-       with
-      | () ->
-          set_stack t (enc :: t.stack);
-          emit_switch t ~t0 (Event.Prolog { enclosure = name; site });
-          Obs.span_exit o sp
-      | exception e ->
-          Obs.span_exit o sp;
-          raise e)
+      switch t Enter ~cost:0 ~site (enc :: t.stack)
 
 let epilog t ~site =
   check_site t site Image.Epilog;
@@ -1560,34 +1570,7 @@ let epilog t ~site =
   if Defense.enabled Defense.Ring_integrity then drain t;
   match t.stack with
   | [] -> fault t "epilog with no active enclosure"
-  | top :: rest ->
-      note_switch t top.e_scope;
-      let o = obs t in
-      let sp =
-        if Obs.enabled o then
-          Obs.span_enter o ~lane:top.e_name ~name:("epilog:" ^ top.e_name)
-            ~category:Span.Epilog ()
-        else -1
-      in
-      let t0 = Clock.now t.machine.Machine.clock in
-      let c = t.machine.Machine.costs in
-      (match
-         if can_elide t rest then begin
-           Clock.consume t.machine.Machine.clock Clock.Switch
-             c.Costs.switch_elided;
-           note_elision t top.e_scope
-         end
-         else
-           let (module B) = impl t in
-           B.leave t (match rest with [] -> None | e :: _ -> Some e)
-       with
-      | () ->
-          set_stack t rest;
-          emit_switch t ~t0 (Event.Epilog { site });
-          Obs.span_exit o sp
-      | exception e ->
-          Obs.span_exit o sp;
-          raise e)
+  | _ :: rest -> switch t Leave ~cost:0 ~site rest
 
 let in_enclosure t = match t.stack with [] -> None | e :: _ -> Some e.e_name
 
@@ -1596,7 +1579,7 @@ let in_enclosure t = match t.stack with [] -> None | e :: _ -> Some e.e_name
 
 let syscall t call =
   let (module B) = impl t in
-  match B.syscall t (stack_top t) call with
+  match B.syscall t t.stack call with
   | r ->
       witness_call t call ~allowed:true;
       r
@@ -1638,89 +1621,67 @@ let rehome_range t ~addr ~len ~to_pkg =
   register_section t sec;
   key_changed
 
-let transfer t ~addr ~len ~to_pkg ~site =
-  Log.debug (fun m -> m "transfer %#x+%d -> %s" addr len to_pkg);
+(* The one transfer body: hand [len] bytes at [addr] to [to_pkg] in [n]
+   [chunk]-sized pieces. The section registry gets one Arena section
+   per piece — exactly what a loop of one-piece transfers over the
+   adjacent sub-ranges would leave, so later exact-address
+   re-transfers and install-time re-tagging behave identically — but
+   the hardware gets one update over the whole range: one
+   pkey_mprotect (MPK) or one page-table walk (VTX/LWC). "transfer"
+   advances by [n], and so does "transfer_coalesced" when [n > 1]. *)
+let transfer_pieces t ~addr ~len ~chunk ~n ~to_pkg ~site =
+  Log.debug (fun m -> m "transfer %#x+%d -> %s (%d pieces)" addr len to_pkg n);
   check_site t site Image.Transfer;
   if not (Encl_pkg.Graph.mem t.graph to_pkg) then
     fault t (Printf.sprintf "transfer to unknown package %s" to_pkg);
-  Metrics.incr (metrics t) C.transfer;
   (let w = witness t in
-   if Witness.enabled w then Witness.transfer w ~scope:(scope_name t.stack));
+   if Witness.enabled w then
+     for _ = 1 to n do
+       Witness.transfer w ~scope:(scope_name t.stack)
+     done);
+  Metrics.add (metrics t) C.transfer n;
+  if n > 1 then Metrics.add (metrics t) C.transfer_coalesced n;
+  let o = obs t in
   let sp =
-    let o = obs t in
     if Obs.enabled o then
       Obs.span_enter o ~name:("transfer:" ^ to_pkg) ~category:Span.Transfer ()
     else -1
   in
   Fun.protect ~finally:(fun () -> Obs.span_exit (obs t) sp) @@ fun () ->
   let t0 = Clock.now t.machine.Machine.clock in
-  let pages = (max len 1 + Phys.page_size - 1) / Phys.page_size in
-  let key_changed = rehome_range t ~addr ~len ~to_pkg in
+  let key_changed = ref false in
+  let pages = ref 0 in
+  for i = 0 to n - 1 do
+    let piece = min chunk (len - (i * chunk)) in
+    if rehome_range t ~addr:(addr + (i * chunk)) ~len:piece ~to_pkg then
+      key_changed := true;
+    pages := !pages + ((max piece 1 + Phys.page_size - 1) / Phys.page_size)
+  done;
   let (module B) = impl t in
-  B.transfer t ~addr ~pages ~to_pkg ~key_changed;
-  let o = obs t in
+  B.transfer t ~addr ~pages:!pages ~to_pkg ~key_changed:!key_changed;
   if Obs.enabled o then begin
     let dur = Clock.now t.machine.Machine.clock - t0 in
     Obs.observe o "transfer_ns" dur;
-    Obs.emit o ~dur (Event.Transfer { to_pkg; pages })
+    Obs.emit o ~dur (Event.Transfer { to_pkg; pages = !pages })
   end
 
-(* Coalesced transfer (fast path): hand [len] bytes at [addr] to
-   [to_pkg] in [chunk]-sized pieces — exactly what a loop of [transfer]
-   calls over the adjacent sub-ranges would do to the section registry
-   (one Arena section per chunk, so later exact-address re-transfers and
-   [mpk_recompute] re-tagging behave identically) — but with a single
-   hardware update over the whole range: one pkey_mprotect syscall (MPK)
-   or one page-table walk (VTX/LWC) instead of one per chunk. Counters
-   stay in lockstep with the slow path: "transfer" advances by the
-   number of chunks. With the fast path
-   off (or a single chunk) this {e is} the loop of [transfer] calls. *)
+let transfer t ~addr ~len ~to_pkg ~site =
+  transfer_pieces t ~addr ~len ~chunk:len ~n:1 ~to_pkg ~site
+
+(* With the fast path on, the pieces share one hardware update; off, this
+   {e is} the loop of one-piece transfers. *)
 let transfer_range t ~addr ~len ~chunk ~to_pkg ~site =
   if chunk <= 0 then invalid_arg "Litterbox.transfer_range: chunk must be > 0";
   if len <= 0 then invalid_arg "Litterbox.transfer_range: len must be > 0";
   let n = (len + chunk - 1) / chunk in
-  let chunk_len i = min chunk (len - (i * chunk)) in
-  if (not Knob.fastpath.Knob.value) || n <= 1 then
+  if Knob.fastpath.Knob.value then
+    transfer_pieces t ~addr ~len ~chunk ~n ~to_pkg ~site
+  else
     for i = 0 to n - 1 do
-      transfer t ~addr:(addr + (i * chunk)) ~len:(chunk_len i) ~to_pkg ~site
+      transfer t ~addr:(addr + (i * chunk))
+        ~len:(min chunk (len - (i * chunk)))
+        ~to_pkg ~site
     done
-  else begin
-    Log.debug (fun m ->
-        m "transfer %#x+%d -> %s (coalesced, %d chunks)" addr len to_pkg n);
-    check_site t site Image.Transfer;
-    if not (Encl_pkg.Graph.mem t.graph to_pkg) then
-      fault t (Printf.sprintf "transfer to unknown package %s" to_pkg);
-    (let w = witness t in
-     if Witness.enabled w then
-       for _ = 1 to n do
-         Witness.transfer w ~scope:(scope_name t.stack)
-       done);
-    Metrics.add (metrics t) C.transfer n;
-    Metrics.add (metrics t) C.transfer_coalesced n;
-    let o = obs t in
-    let sp =
-      if Obs.enabled o then
-        Obs.span_enter o ~name:("transfer:" ^ to_pkg) ~category:Span.Transfer ()
-      else -1
-    in
-    Fun.protect ~finally:(fun () -> Obs.span_exit (obs t) sp) @@ fun () ->
-    let t0 = Clock.now t.machine.Machine.clock in
-    let key_changed = ref false in
-    let pages = ref 0 in
-    for i = 0 to n - 1 do
-      let clen = chunk_len i in
-      if rehome_range t ~addr:(addr + (i * chunk)) ~len:clen ~to_pkg then
-        key_changed := true;
-      pages := !pages + ((max clen 1 + Phys.page_size - 1) / Phys.page_size)
-    done;
-    let (module B) = impl t in
-    B.transfer t ~addr ~pages:!pages ~to_pkg ~key_changed:!key_changed;
-    if Obs.enabled o then begin
-      let dur = Clock.now t.machine.Machine.clock - t0 in
-      Obs.observe o "transfer_ns" dur;
-      Obs.emit o ~dur (Event.Transfer { to_pkg; pages = !pages })
-    end
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Execute (scheduler switches) and trusted excursions                 *)
@@ -1728,13 +1689,11 @@ let transfer_range t ~addr ~len ~chunk ~to_pkg ~site =
 let capture_env t = t.stack
 let trusted_env_ref _t = []
 
-let env_matches t env_ref =
-  List.length t.stack = List.length env_ref
-  && List.for_all2 (fun a b -> a.e_name = b.e_name) t.stack env_ref
-
 let env_refs_equal a b =
   List.length a = List.length b
   && List.for_all2 (fun x y -> x.e_name = y.e_name) a b
+
+let env_matches t env_ref = env_refs_equal t.stack env_ref
 
 let execute t env_ref ~site =
   check_site t site Image.Execute;
@@ -1747,85 +1706,23 @@ let execute t env_ref ~site =
      | Some enc ->
          raise (Quarantined { enclosure = enc.e_name; faults = enc.e_faults })
      | None -> ());
-  let target_scope = scope_name env_ref in
-  note_switch t (stack_scope env_ref);
-  let o = obs t in
-  let sp =
-    if Obs.enabled o then
-      Obs.span_enter o ~lane:target_scope ~name:("execute:" ^ target_scope)
-        ~category:Span.Sched ()
-    else -1
-  in
-  let t0 = Clock.now t.machine.Machine.clock in
-  let c = t.machine.Machine.costs in
-  (match
-     if can_elide t env_ref then begin
-       Clock.consume t.machine.Machine.clock Clock.Switch c.Costs.switch_elided;
-       note_elision t (stack_scope env_ref)
-     end
-     else
-       let (module B) = impl t in
-       B.resume t (match env_ref with [] -> None | e :: _ -> Some e)
-   with
-  | () ->
-      set_stack t env_ref;
-      emit_switch t ~t0
-        (Event.Execute
-           {
-             target =
-               (match env_ref with [] -> None | enc :: _ -> Some enc.e_name);
-           });
-      Obs.span_exit o sp
-  | exception e ->
-      Obs.span_exit o sp;
-      raise e)
+  switch t Resume ~cost:0 ~site env_ref
 
+(* The excursion's switch costs are attributed to the enclosure that
+   requested it (two short spans); the work inside [f] stays in the
+   caller's cell — usually gc, which opens its own span. *)
 let with_trusted t f =
   let saved = t.stack in
-  let scope = scope_name saved in
-  let scope_id = stack_scope saved in
   (let w = witness t in
-   if Witness.enabled w && saved <> [] then Witness.trusted_call w ~scope);
-  let o = obs t in
-  let c = t.machine.Machine.costs in
-  let switch_cost, return_cost =
+   if Witness.enabled w && saved <> [] then
+     Witness.trusted_call w ~scope:(scope_name saved));
+  let enter_cost, return_cost =
     let (module B) = impl t in
     B.excursion_costs t
   in
-  (* The excursion's switch costs are attributed to the enclosure that
-     requested it (two short spans); the work inside [f] stays in the
-     caller's cell — usually gc, which opens its own span. *)
-  let sp =
-    if Obs.enabled o then
-      Obs.span_enter o ~lane:scope ~name:"excursion:enter"
-        ~category:Span.Prolog ()
-    else -1
-  in
-  (if can_elide t [] then begin
-     Clock.consume t.machine.Machine.clock Clock.Switch c.Costs.switch_elided;
-     note_elision t scope_id
-   end
-   else Clock.consume t.machine.Machine.clock Clock.Switch switch_cost);
-  Obs.span_exit o sp;
-  note_switch t scope_id;
-  set_stack t [];
+  switch t Excursion_enter ~cost:enter_cost ~site:"" [];
   Fun.protect
-    ~finally:(fun () ->
-      let sp =
-        if Obs.enabled o then
-          Obs.span_enter o ~lane:scope ~name:"excursion:exit"
-            ~category:Span.Epilog ()
-        else -1
-      in
-      (if can_elide t saved then begin
-         Clock.consume t.machine.Machine.clock Clock.Switch
-           c.Costs.switch_elided;
-         note_elision t scope_id
-       end
-       else Clock.consume t.machine.Machine.clock Clock.Switch return_cost);
-      Obs.span_exit o sp;
-      note_switch t scope_id;
-      set_stack t saved)
+    ~finally:(fun () -> switch t Excursion_exit ~cost:return_cost ~site:"" saved)
     f
 
 (* ------------------------------------------------------------------ *)
@@ -1936,11 +1833,7 @@ let absorb_fault t = function
         ~trace trace;
       Some trace
   | K.Syscall_killed { nr; env } ->
-      let reason =
-        Printf.sprintf "seccomp killed system call %s in %s" (Sysno.name nr) env
-      in
-      record_fault t ?enclosure:(enc_of_env_label env) ~trace:reason reason;
-      Some reason
+      Some (record_kill t ?enclosure:(enc_of_env_label env) nr env)
   | _ -> None
 
 let run_protected t f =

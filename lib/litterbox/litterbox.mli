@@ -67,7 +67,19 @@ val machine : t -> Machine.t
 val backend : t -> backend
 val graph : t -> Encl_pkg.Graph.t
 
-(** {2 Dynamic registration (Python-style frontends)} *)
+(** {2 Dynamic registration (Python-style frontends)}
+
+    Each registration reprograms the backend, and either succeeds or
+    changes nothing: its arguments are checked before anything is
+    recorded, LB_MPK checks its protection-key budget before it assigns
+    a cluster or a key, and a refused registration is rolled back.
+    LB_MPK reprograms from the trusted side whatever environment is
+    current — a lazy import inside an enclosure included: its page
+    tagging goes through LitterBox's retag gate under the trusted
+    environment, and once the new seccomp program is installed the
+    current stack's rebuilt environment is re-installed through the
+    switch gate, so no code keeps running under a PKRU the program no
+    longer knows. *)
 
 val register_package :
   t ->
@@ -79,7 +91,8 @@ val register_package :
     Existing enclosure views are recomputed: by default new packages
     become available to executing enclosures unless their policies
     restrict them (paper §5.2). Counts toward the delayed-initialization
-    cost. *)
+    cost. Refused for a name already in the package graph, an import
+    that is not, or a section sharing a page with a registered one. *)
 
 val register_enclosure :
   t ->
@@ -372,6 +385,13 @@ val absorb_fault : t -> exn -> string option
     to the enclosure named by the faulting environment label; [Fault]
     and [Quarantined] were already accounted at their raise site. The
     supervisor layers (scheduler, [run_protected]) are its callers. *)
+
+val describe_fault : exn -> string option
+(** The baseline's description of a fault-family exception that can
+    arise with no LitterBox at all ({!Cpu.Fault},
+    {!Encl_kernel.Kernel.Syscall_killed}); [None] otherwise. Accounts
+    nothing. The frontends' unprotected configuration uses it, so a
+    seccomp kill reads the same with and without a backend. *)
 
 val run_protected : t -> (unit -> 'a) -> ('a, string) result
 (** Run [f], mapping enclosure faults ({!Fault}, {!Quarantined},

@@ -15,6 +15,15 @@ let add_import t ~importer ~imported =
   let deps = Hashtbl.find t.imports importer in
   Hashtbl.replace t.imports importer (Sset.add imported deps)
 
+let remove_package t name =
+  Hashtbl.remove t.imports name;
+  Hashtbl.filter_map_inplace (fun _ deps -> Some (Sset.remove name deps)) t.imports
+
+let remove_import t ~importer ~imported =
+  match Hashtbl.find_opt t.imports importer with
+  | Some deps -> Hashtbl.replace t.imports importer (Sset.remove imported deps)
+  | None -> ()
+
 let packages t =
   Hashtbl.fold (fun name _ acc -> name :: acc) t.imports [] |> List.sort compare
 

@@ -17,6 +17,11 @@ val add_import : t -> importer:string -> imported:string -> unit
 (** Adds both nodes if needed. Self-imports are rejected with
     [Invalid_argument]. *)
 
+val remove_package : t -> string -> unit
+(** Remove the package and every import edge to or from it. *)
+
+val remove_import : t -> importer:string -> imported:string -> unit
+
 val packages : t -> string list
 (** Sorted. *)
 

@@ -128,18 +128,13 @@ let boot ?backend ?gc_threshold ~mode () =
               m_gc_head = 0;
               m_gc_tail = 0;
             };
-          (match lb with
-          | Some lb ->
-              let sec =
-                Section.make ~name:(main_module ^ ".objs") ~owner:main_module
-                  ~kind:Section.Arena ~addr:arena_addr ~size:default_arena_bytes
-              in
-              (* __main__ is already linked; only its dynamic arena needs
-                 ownership. *)
+          (* __main__ is already linked; only its dynamic arena needs
+             ownership. *)
+          Option.iter
+            (fun lb ->
               Lb.transfer lb ~addr:arena_addr ~len:default_arena_bytes
-                ~to_pkg:main_module ~site:"runtime.mallocgc";
-              ignore sec
-          | None -> ());
+                ~to_pkg:main_module ~site:"runtime.mallocgc")
+            lb;
           t.import_order <- [ main_module ];
           Ok t)
 

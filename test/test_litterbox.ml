@@ -578,6 +578,72 @@ let dynamic_tests =
         Lb.prolog lb ~name:"plug_enc" ~site:"enclosure:plug_enc";
         Cpu.write8 machine.Machine.cpu sec.Encl_elf.Section.addr 9;
         Lb.epilog lb ~site:"enclosure:plug_enc");
+    Alcotest.test_case "a package registration refused for want of keys is undone"
+      `Quick (fun () ->
+        (* Without clustering every package needs its own key, so
+           registering packages soon runs LB_MPK out of them. *)
+        let machine = Machine.create () in
+        let lb =
+          Result.get_ok
+            (Lb.init ~machine ~backend:Lb.Mpk ~image:(Fixtures.figure1_image ())
+               ~clustering:false ())
+        in
+        let rec register i =
+          let name = Printf.sprintf "p%d" i in
+          let sec =
+            mmap_section machine ~name:(name ^ ".objs") ~owner:name
+              ~kind:Section.Arena ~len:4096
+          in
+          let packages = Encl_pkg.Graph.packages (Lb.graph lb) in
+          match
+            Lb.register_package lb ~name ~imports:[ "os" ] ~sections:[ sec ]
+          with
+          | Ok () -> register (i + 1)
+          | Error _ ->
+              Alcotest.(check (list string)) "graph unchanged" packages
+                (Encl_pkg.Graph.packages (Lb.graph lb));
+              Alcotest.(check (option string)) "section unregistered" None
+                (Lb.owner_of lb ~addr:sec.Section.addr);
+              Alcotest.(check bool) "name free again" true
+                (Result.is_error
+                   (Lb.register_package lb ~name ~imports:[ "os" ]
+                      ~sections:[ sec ])
+                && not (Encl_pkg.Graph.mem (Lb.graph lb) name))
+        in
+        register 0);
+  ]
+
+(* LB_MPK reprograms from the trusted side: a registration that moves
+   super's key (the late enclosure's view of os is a new meta-package)
+   neither strands trusted code on a stale PKRU nor, from inside an
+   enclosure, issues its page tagging outside a gate. *)
+let reprogram_tests =
+  let register_late lb =
+    Lb.register_enclosure lb ~name:"late" ~owner:"main" ~deps:[ "os" ]
+      ~policy:"; sys=none" ~closure_addr:0
+  in
+  let on_every_backend name f =
+    Alcotest.test_case name `Quick (fun () ->
+        List.iter
+          (fun backend ->
+            let tag = Lb.backend_name backend in
+            let _, _, lb = Fixtures.boot backend in
+            match f lb with
+            | Ok () -> ()
+            | Error e -> Alcotest.failf "%s: %s" tag e
+            | exception e -> Alcotest.failf "%s: %s" tag (Printexc.to_string e))
+          Fixtures.all_backends)
+  in
+  [
+    on_every_backend "a trusted syscall right after register_enclosure" (fun lb ->
+        Result.bind (register_late lb) (fun () ->
+            Result.map ignore
+              (Result.map_error K.errno_name (Lb.syscall lb K.Getpid))));
+    on_every_backend "register_enclosure inside an enclosure" (fun lb ->
+        Lb.prolog lb ~name:"io_enc" ~site:"enclosure:io_enc";
+        let r = register_late lb in
+        Lb.epilog lb ~site:"enclosure:io_enc";
+        r);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -647,6 +713,111 @@ let cost_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* The one switch protocol: prolog, epilog, execute and both halves of
+   with_trusted, on every backend with the fast path on and off *)
+
+let switch_protocol_tests =
+  let module Obs = Encl_obs.Obs in
+  let module Span = Encl_obs.Span in
+  let module Metrics = Encl_obs.Metrics in
+  let c = Costs.default in
+  (* The backend's cost of a switch that is not elided: prolog, epilog,
+     execute, excursion enter, excursion return. *)
+  let costs = function
+    | Lb.Mpk -> (c.mpk_prolog, c.mpk_epilog, c.wrpkru, c.mpk_prolog, c.mpk_epilog)
+    | Lb.Vtx ->
+        ( c.vtx_guest_syscall, c.vtx_guest_sysret, c.vtx_guest_syscall,
+          c.vtx_guest_syscall, c.vtx_guest_sysret )
+    | Lb.Lwc ->
+        (c.lwc_switch, c.lwc_switch, c.lwc_switch, c.lwc_switch, c.lwc_switch)
+    | Lb.Sfi ->
+        (c.sfi_switch, c.sfi_switch, c.sfi_switch, c.sfi_switch, c.sfi_switch)
+  in
+  let run backend fastpath () =
+    Knob.with_value Knob.fastpath fastpath @@ fun () ->
+    Obs.with_default true @@ fun () ->
+    let machine, _, lb = Fixtures.boot backend in
+    let obs = machine.Machine.obs in
+    let counter scope name =
+      Option.value ~default:0
+        (List.assoc_opt name (Metrics.counters (Obs.metrics obs) ~scope))
+    in
+    let prolog, epilog, resume, out, back = costs backend in
+    let elided cost = if fastpath then c.switch_elided else cost in
+    (* [op] must make one switch per expected span, each counted under
+       [scope] (and elided under it when its cost is [switch_elided]),
+       each in a span of the given name, category and lane lasting
+       exactly its cost, and charge nothing else. *)
+    let expect what ~scope spans op =
+      let closed0 = List.length (Span.closed (Obs.spans obs)) in
+      let switches0 = Lb.switch_count lb and here0 = counter scope "switch" in
+      let elided0 = counter scope "switch_elided" in
+      let t0 = Clock.now machine.Machine.clock in
+      op ();
+      let n = List.length spans in
+      let check_int label = Alcotest.(check int) (what ^ ": " ^ label) in
+      check_int "switches" n (Lb.switch_count lb - switches0);
+      check_int ("switches under " ^ scope) n (counter scope "switch" - here0);
+      check_int "elided"
+        (List.length
+           (List.filter (fun (_, _, _, cost) -> fastpath && cost = c.switch_elided) spans))
+        (counter scope "switch_elided" - elided0);
+      check_int "charged"
+        (List.fold_left (fun acc (_, _, _, cost) -> acc + cost) 0 spans)
+        (Clock.now machine.Machine.clock - t0);
+      let opened =
+        List.filteri (fun i _ -> i >= closed0) (Span.closed (Obs.spans obs))
+      in
+      check_int "spans" n (List.length opened);
+      List.iter2
+        (fun (sp : Span.span) (name, category, lane, cost) ->
+          Alcotest.(check string) (what ^ ": span") name sp.Span.name;
+          Alcotest.(check string) (what ^ ": category")
+            (Span.category_name category)
+            (Span.category_name sp.Span.category);
+          Alcotest.(check string) (what ^ ": lane") lane sp.Span.lane;
+          check_int (name ^ " lasts its cost") cost (sp.Span.stop - sp.Span.start))
+        opened spans
+    in
+    let excursion ~lane ~out ~back =
+      [
+        ("excursion:enter", Span.Prolog, lane, out);
+        ("excursion:exit", Span.Epilog, lane, back);
+      ]
+    in
+    expect "prolog" ~scope:"rcl" [ ("prolog:rcl", Span.Prolog, "rcl", prolog) ]
+      (fun () -> Lb.prolog lb ~name:"rcl" ~site:"enclosure:rcl");
+    let inside = Lb.capture_env lb in
+    expect "execute (installed)" ~scope:"rcl"
+      [ ("execute:rcl", Span.Sched, "rcl", elided resume) ]
+      (fun () -> Lb.execute lb inside ~site:"runtime.scheduler");
+    expect "with_trusted (enclosed)" ~scope:"rcl"
+      (excursion ~lane:"rcl" ~out ~back)
+      (fun () -> Lb.with_trusted lb ignore);
+    expect "execute (to trusted)" ~scope:"trusted"
+      [ ("execute:trusted", Span.Sched, "trusted", resume) ]
+      (fun () -> Lb.execute lb (Lb.trusted_env_ref lb) ~site:"runtime.scheduler");
+    expect "execute (back)" ~scope:"rcl"
+      [ ("execute:rcl", Span.Sched, "rcl", resume) ]
+      (fun () -> Lb.execute lb inside ~site:"runtime.scheduler");
+    expect "epilog" ~scope:"rcl" [ ("epilog:rcl", Span.Epilog, "rcl", epilog) ]
+      (fun () -> Lb.epilog lb ~site:"enclosure:rcl");
+    expect "with_trusted (trusted)" ~scope:"trusted"
+      (excursion ~lane:"trusted" ~out:(elided out) ~back:(elided back))
+      (fun () -> Lb.with_trusted lb ignore)
+  in
+  List.concat_map
+    (fun backend ->
+      List.map
+        (fun fastpath ->
+          Alcotest.test_case
+            (Printf.sprintf "%s, fast path %s" (Lb.backend_name backend)
+               (if fastpath then "on" else "off"))
+            `Quick (run backend fastpath))
+        [ true; false ])
+    Fixtures.all_backends
+
+(* ------------------------------------------------------------------ *)
 (* The "baseline or backend" argument every tool parses *)
 
 let backend_arg_tests =
@@ -688,7 +859,9 @@ let () =
       ("enforce-vtx", enforcement_tests Lb.Vtx "vtx");
       ("enforce-lwc", enforcement_tests Lb.Lwc "lwc");
       ("dynamic", dynamic_tests);
+      ("reprogram", reprogram_tests);
       ("marker-key", marker_tests);
       ("init-errors", init_error_tests);
       ("costs", cost_tests);
+      ("switch", switch_protocol_tests);
     ]

@@ -4,6 +4,7 @@ module Pyrt = Encl_pylike.Pyrt
 module Plot = Encl_pylike.Plot_experiment
 module Lb = Encl_litterbox.Litterbox
 module Machine = Encl_litterbox.Machine
+module Cluster = Encl_litterbox.Cluster
 
 let boot ?backend ?(mode = Pyrt.Conservative) () =
   match Pyrt.boot ?backend ~mode () with
@@ -212,6 +213,62 @@ let enclosure_tests =
         Alcotest.(check int) "no switches" 0 (Pyrt.trusted_switches rt - s0));
   ]
 
+(* Registrations at run time: a lazy import inside an enclosure, and a
+   registration LB_MPK has no key left for. *)
+let registration_tests =
+  let enclose rt name deps =
+    Pyrt.with_enclosure rt ~name ~owner:"__main__" ~deps ~policy:"; sys=none"
+      (fun () -> ())
+  in
+  [
+    Alcotest.test_case "a lazy import inside an enclosure works on every backend"
+      `Quick (fun () ->
+        List.iter
+          (fun backend ->
+            let tag = Lb.backend_name backend in
+            let rt = boot ~backend () in
+            (match
+               Pyrt.with_enclosure rt ~name:"e0" ~owner:"__main__" ~deps:[]
+                 ~policy:"; sys=none" (fun () ->
+                   Pyrt.import_module rt ~name:"m1" ())
+             with
+            | Ok (Ok ()) -> ()
+            | Ok (Error e) | Error e -> Alcotest.failf "%s: %s" tag e);
+            Alcotest.(check int) (tag ^ " faults") 0
+              (Lb.fault_count (Option.get (Pyrt.lb rt))))
+          Encl_litterbox.Backend.all);
+    Alcotest.test_case "a registration refused for want of keys changes nothing"
+      `Quick (fun () ->
+        let rt = boot ~backend:Lb.Mpk () in
+        let lb = Option.get (Pyrt.lb rt) in
+        let modules = List.init 20 (Printf.sprintf "m%d") in
+        List.iter (import rt) modules;
+        (* One enclosure per module: each view is a new meta-package. *)
+        let rec first_refused = function
+          | [] -> Alcotest.fail "every registration fitted"
+          | m :: rest -> (
+              let clusters = Cluster.count (Lb.cluster lb) in
+              match enclose rt ("e_" ^ m) [ m ] with
+              | Ok () -> first_refused rest
+              | Error e ->
+                  Alcotest.(check bool) ("out of keys: " ^ e) true
+                    (Fixtures.contains e "protection keys");
+                  ("e_" ^ m, clusters))
+        in
+        let refused, clusters = first_refused modules in
+        Alcotest.(check bool) "refused name absent" false
+          (List.mem refused (Lb.enclosure_names lb));
+        Alcotest.(check int) "clustering unchanged" clusters
+          (Cluster.count (Lb.cluster lb));
+        (match enclose rt "e_m0_twin" [ "m0" ] with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "same view as e_m0: %s" e);
+        match Lb.prolog lb ~name:refused ~site:("enclosure:" ^ refused) with
+        | exception Lb.Fault _ -> ()
+        | exception e -> Alcotest.failf "raised %s" (Printexc.to_string e)
+        | () -> Alcotest.fail "entered a refused enclosure");
+  ]
+
 let experiment_tests =
   [
     Alcotest.test_case "plot experiment functional under all configs" `Quick
@@ -239,5 +296,6 @@ let () =
       ("import", import_tests);
       ("objects", object_tests);
       ("enclosures", enclosure_tests);
+      ("register", registration_tests);
       ("experiment", experiment_tests);
     ]
