@@ -1,6 +1,5 @@
 (* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation (§6) on the simulated machine, then runs one
-   Bechamel micro-benchmark per table measuring the harness itself.
+   paper's evaluation (§6) on the simulated machine.
 
    Set ENCL_BENCH_QUICK=1 to shrink workload sizes (CI mode). *)
 
@@ -92,39 +91,10 @@ let write_results () =
 (* ------------------------------------------------------------------ *)
 (* Micro-benchmark program (Table 1)                                   *)
 
-let micro_packages () =
-  [
-    Runtime.package "main" ~imports:[ "libFx" ]
-      ~functions:[ ("main", 128); ("empty_body", 64); ("io_body", 64) ]
-      ~enclosures:
-        [
-          {
-            Encl_elf.Objfile.enc_name = "empty";
-            enc_policy = "; sys=none";
-            enc_closure = "empty_body";
-            enc_deps = [ "libFx" ];
-          };
-          {
-            (* A distinct memory view from "empty" so the two enclosures
-               get distinct PKRU values: LB_MPK's seccomp program
-               dispatches on PKRU and merges filters of identical views
-               fail-closed. *)
-            Encl_elf.Objfile.enc_name = "io_enc";
-            enc_policy = "img:U; sys=all";
-            enc_closure = "io_body";
-            enc_deps = [ "libFx" ];
-          };
-        ]
-      ();
-    Runtime.package "libFx" ~imports:[ "img" ]
-      ~functions:[ ("invert", 256) ]
-      ();
-    Runtime.package "img" ~functions:[ ("decode", 128) ] ();
-  ]
-
 let micro_boot config =
   get
-    (Runtime.boot (rcfg_of config) ~packages:(micro_packages ()) ~entry:"main")
+    (Runtime.boot (rcfg_of config) ~packages:(Scenarios.table1_packages ())
+       ~entry:"main")
 
 let median values =
   let sorted = List.sort compare values in
@@ -145,7 +115,7 @@ let median_ns rt n f =
 let micro_call config =
   let rt = micro_boot config in
   median_ns rt iters (fun () ->
-      Runtime.with_enclosure rt "empty" (fun () -> ()))
+      Runtime.with_enclosure rt "enc" (fun () -> ()))
 
 (* Transfer of a 4-page memory section. *)
 let micro_transfer config =
@@ -157,7 +127,7 @@ let micro_transfer config =
       let addr = Runtime.syscall_exn rt (K.Mmap { len = 4 * Phys.page_size }) in
       let flip = ref false in
       median_ns rt (min iters 20_000) (fun () ->
-          let to_pkg = if !flip then "img" else "libFx" in
+          let to_pkg = if !flip then "img" else "lib" in
           flip := not !flip;
           Lb.transfer lb ~addr ~len:(4 * Phys.page_size) ~to_pkg
             ~site:"runtime.mallocgc")
@@ -170,7 +140,7 @@ let micro_syscall config =
   in
   match config with
   | None -> measure ()
-  | Some _ -> Runtime.with_enclosure rt "io_enc" measure
+  | Some _ -> Runtime.with_enclosure rt "io" measure
 
 let table1 () =
   section "Table 1: Microbenchmarks (ns, median)";
@@ -433,7 +403,7 @@ let ablations () =
     let cpu = (Runtime.machine rt).Machine.cpu in
     let f0 = Tlb.flushes (Cpu.tlb cpu) in
     for _ = 1 to 100 do
-      Runtime.with_enclosure rt "empty" (fun () -> ())
+      Runtime.with_enclosure rt "enc" (fun () -> ())
     done;
     Tlb.flushes (Cpu.tlb cpu) - f0
   in
@@ -457,64 +427,6 @@ let ablations () =
          them across upgrades)
 "
         nat)
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel: harness wall-clock, one Test.make per table               *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  let mpk_rt = micro_boot (Some Lb.Mpk) in
-  let vtx_rt = micro_boot (Some Lb.Vtx) in
-  let test name f = Test.make ~name (Staged.stage f) in
-  [
-    test "table1/mpk-enclosure-call" (fun () ->
-        Runtime.with_enclosure mpk_rt "empty" (fun () -> ()));
-    test "table1/vtx-syscall" (fun () ->
-        ignore (Runtime.syscall vtx_rt K.Getuid));
-    test "table2/bild-64x64-invert" (fun () ->
-        ignore
-          (Scenarios.bild (Some Lb.Mpk) ~rcfg:(rcfg_of (Some Lb.Mpk)) ~width:64
-             ~height:64 ~iters:1 ()));
-    test "figure5/wiki-24-requests" (fun () ->
-        ignore
-          (Scenarios.wiki (Some Lb.Vtx) ~rcfg:(rcfg_of (Some Lb.Vtx))
-             ~requests:24 ~conns:4 ()));
-    test "section6.4/python-1k-points" (fun () ->
-        ignore
-          (Plot.run ~backend:Lb.Vtx ~mode:Pyrt.Conservative ~points:1_000 ()));
-    test "section6.5/ssh-decorator-run" (fun () ->
-        ignore
-          (Legacy.run ~backend:(Some Lb.Mpk) Legacy.Ssh_decorator
-             Legacy.Default_policy));
-  ]
-
-let run_bechamel () =
-  section "Bechamel: harness wall-clock cost (one Test.make per table)";
-  let open Bechamel in
-  let open Toolkit in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let instance = Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:200
-      ~quota:(Time.second (if quick then 0.1 else 0.5))
-      ~kde:None ()
-  in
-  List.iter
-    (fun test ->
-      List.iter
-        (fun elt ->
-          let raw = Benchmark.run cfg [ instance ] elt in
-          let est = Analyze.one ols instance raw in
-          match Analyze.OLS.estimates est with
-          | Some [ ns ] ->
-              Printf.printf "%-34s %12.1f ns/run (wall clock)\n%!"
-                (Test.Elt.name elt) ns
-          | Some _ | None ->
-              Printf.printf "%-34s (no estimate)\n%!" (Test.Elt.name elt))
-        (Test.elements test))
-    (bechamel_tests ())
 
 (* ------------------------------------------------------------------ *)
 (* Optimization A/B sections                                           *)
@@ -778,6 +690,5 @@ let () =
   attacks ();
   policy_mining ();
   smp ();
-  run_bechamel ();
   write_results ();
   print_newline ()

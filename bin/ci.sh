@@ -5,14 +5,15 @@
 # every knob and core-count combination, hold the counter export to a
 # committed pin, check each optimization claim
 # as an A/B line of data, hold fresh bench numbers to the committed
-# baseline, profile a workload under the isolation backends, run the
-# repository benchmark's self-checks on every workload, hold its
-# simulated figures to the committed pin, and self-check the
-# alternating-pairs runner.
+# baseline, run the enforcement oracle long, profile a workload under
+# the isolation backends, run the repository benchmark's self-checks on
+# every workload, hold its simulated figures to the committed pin, and
+# self-check the alternating-pairs runner.
 #
 # Run from the repository root:
 #   sh bin/ci.sh              full pipeline (the CI default)
-#   sh bin/ci.sh --quick      skip the chaos smoke, profile and perfbench stages
+#   sh bin/ci.sh --quick      skip the long oracle, chaos smoke, profile and
+#                             perfbench stages
 #   sh bin/ci.sh --cores N    run the test suite, the SMP determinism stage
 #                             and the enforcement pin on an N-core
 #                             simulated machine too
@@ -115,8 +116,10 @@ stage "enforcement pin (every knob x core count vs bench/enforcement_pin.txt)"
 # combination of the knobs in Knob.all (test_sim pins the list to these
 # three variables) and of 1, 4 and the matrix's cores, the timing-free
 # enforcement report and two seeded chaos runs (http, and wiki's
-# network faults) must print exactly the committed pin. Runs in --quick
-# too. After a change meant to move one of them, regenerate with:
+# network faults) must print exactly the committed pin. The test stage's
+# enforcement oracle checks the same rule over random op sequences, and
+# across backends. Runs in --quick too. After a change meant to move one
+# of them, regenerate with:
 #   { dune exec bin/trace_dump.exe -- enforcement
 #     dune exec bin/chaos.exe -- http --seed 42
 #     dune exec bin/chaos.exe -- wiki --rate 0.1
@@ -253,6 +256,14 @@ if dune exec bin/policyminer.exe -- drift http \
 fi
 
 if [ "$quick" = 0 ]; then
+  stage "enforcement oracle (long)"
+  # The test stage's oracle property with four times the cases: random
+  # op sequences under random knobs, obs, witness and core counts must
+  # decide as the reference configuration does, which in turn decides
+  # alike on every backend. A failure prints its seed; replay it with
+  # QCHECK_SEED=N (README, "Testing").
+  QCHECK_LONG=1 _build/default/test/test_oracle.exe
+
   stage "profile smoke (attribution + determinism)"
   # Attribution must conserve every simulated nanosecond under both
   # backends, the emitted profiles must parse, and two runs of the same
@@ -316,7 +327,7 @@ if [ "$quick" = 0 ]; then
   # identical.
   sh bin/perfbench_pairs.sh . . http_vtx 1 1
 else
-  echo "ci: --quick: skipping profile smoke, chaos smoke, perfbench smoke, perfbench pin and perfbench pairs"
+  echo "ci: --quick: skipping enforcement oracle (long), profile smoke, chaos smoke, perfbench smoke, perfbench pin and perfbench pairs"
 fi
 
 now=$(date +%s)

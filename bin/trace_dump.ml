@@ -228,38 +228,12 @@ let validate path =
    per-syscall totals, request counts); nothing timing-bearing (req/s,
    simulated ns) appears. *)
 
-let enforcement_packages () =
-  [
-    Runtime.package "main" ~imports:[ "lib" ]
-      ~functions:[ ("main", 64); ("body", 32); ("io_body", 32) ]
-      ~enclosures:
-        [
-          {
-            Encl_elf.Objfile.enc_name = "enc";
-            enc_policy = "; sys=none";
-            enc_closure = "body";
-            enc_deps = [ "lib" ];
-          };
-          {
-            (* A distinct memory view from "enc" so the two enclosures
-               get distinct PKRU values under LB_MPK. *)
-            Encl_elf.Objfile.enc_name = "io";
-            enc_policy = "img:U; sys=all";
-            enc_closure = "io_body";
-            enc_deps = [ "lib" ];
-          };
-        ]
-      ();
-    Runtime.package "lib" ~imports:[ "img" ] ~functions:[ ("work", 64) ] ();
-    Runtime.package "img" ~functions:[ ("decode", 64) ] ();
-  ]
-
 let enforcement_ops backend =
   let rt =
     match
       Runtime.boot
         (Runtime.with_backend backend)
-        ~packages:(enforcement_packages ()) ~entry:"main"
+        ~packages:(Scenarios.table1_packages ()) ~entry:"main"
     with
     | Ok rt -> rt
     | Error e -> failwith ("trace-dump enforcement boot: " ^ e)

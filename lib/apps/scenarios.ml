@@ -73,6 +73,34 @@ let main_package ~imports ~body:(closure, size) ~enc ~policy ~deps =
       ]
     ()
 
+let table1_packages () =
+  [
+    Runtime.package "main" ~imports:[ "lib" ]
+      ~functions:[ ("main", 64); ("body", 32); ("io_body", 32) ]
+      ~enclosures:
+        [
+          {
+            Encl_elf.Objfile.enc_name = "enc";
+            enc_policy = "; sys=none";
+            enc_closure = "body";
+            enc_deps = [ "lib" ];
+          };
+          {
+            (* A distinct memory view from "enc" so the two enclosures
+               get distinct PKRU values: LB_MPK's seccomp program
+               dispatches on PKRU and merges filters of identical views
+               fail-closed. *)
+            Encl_elf.Objfile.enc_name = "io";
+            enc_policy = "img:U; sys=all";
+            enc_closure = "io_body";
+            enc_deps = [ "lib" ];
+          };
+        ]
+      ();
+    Runtime.package "lib" ~imports:[ "img" ] ~functions:[ ("work", 64) ] ();
+    Runtime.package "img" ~functions:[ ("decode", 64) ] ();
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* bild                                                                *)
 
@@ -542,7 +570,10 @@ let chaos_http config ?rcfg ?(seed = 42L) ?(rate = 0.10) ?(budget = 5)
   let fallback = Runtime.alloc_in rt ~pkg:Httpd.pkg 512 in
   Gbuf.fill (Runtime.machine rt) fallback 0x66;
   arm rt ~seed ~budget
-    [ Fault.rule ~prob:rate ~env_prefix:"enc:" "cpu.spurious_fault" ];
+    [
+      Fault.rule ~prob:rate ~env_prefix:(Cpu.enclosure_label "")
+        "cpu.spurious_fault";
+    ];
   http_serve rt ~port:8080 ~fallback;
   chaos_drive rt ~port:8080 ~requests ~conns
     ~conns_failed:Httpd.connections_failed ~enclosure:(Some "handler_enc")

@@ -48,6 +48,13 @@ val with_cores :
 (** The configuration a scenario boots: [rcfg] (else the [config]
     backend's default) with [cores] pinned on top when given. *)
 
+val table1_packages : unit -> Encl_golike.Runtime.pkgdef list
+(** Table 1's program: [main] imports [lib], which imports [img]. Two
+    enclosures over [lib]: [enc] may make no system call, [io] may make
+    any but cannot touch [img] (so the two views, and their PKRU values
+    under LB_MPK, differ). The bench's microbenchmarks and
+    [trace_dump enforcement] boot it. *)
+
 (** {2 Scenarios}
 
     The [?rcfg] parameter overrides the full runtime configuration

@@ -128,19 +128,6 @@ let scope_name = function [] -> "trusted" | enc :: _ -> enc.e_name
 let env_scope = scope_name
 let stack_scope = function [] -> Metrics.trusted | enc :: _ -> enc.e_scope
 
-(* Which enclosure does an environment label ("enc:<name>") belong to?
-   The kernel's origin/mm-guard kills annotate the label with a
-   parenthesized cause after a space; stop there so attribution still
-   lands on the right enclosure. *)
-let enc_of_env_label label =
-  if String.length label > 4 && String.sub label 0 4 = "enc:" then begin
-    let rest = String.sub label 4 (String.length label - 4) in
-    match String.index_opt rest ' ' with
-    | None -> Some rest
-    | Some i -> Some (String.sub rest 0 i)
-  end
-  else None
-
 (* The single fault-accounting point: every fault — raised by [fault],
    caught from the CPU or from seccomp — flows through here exactly
    once, keeping the "fault" counter, t.fault_log and the per-enclosure
@@ -252,7 +239,7 @@ let sfi_filter t enc ~write ~vpn =
 
 let mpk_env t enc =
   {
-    Cpu.label = "enc:" ^ enc.e_name;
+    Cpu.label = Cpu.enclosure_label enc.e_name;
     pt = t.machine.Machine.trusted_pt;
     pkru = enc.e_pkru;
     exec_ok = Some (fun ~vpn -> exec_filter t enc ~vpn);
@@ -262,7 +249,7 @@ let mpk_env t enc =
 (* Shared by VTX and LWC: enforcement is the per-enclosure page table. *)
 let vtx_env _t enc =
   {
-    Cpu.label = "enc:" ^ enc.e_name;
+    Cpu.label = Cpu.enclosure_label enc.e_name;
     pt = Option.get enc.e_pt;
     pkru = Mpk.pkru_all_access;
     exec_ok = None;
@@ -278,7 +265,7 @@ let vtx_env _t enc =
    verbatim for SFI. *)
 let sfi_env t enc =
   {
-    Cpu.label = "enc:" ^ enc.e_name;
+    Cpu.label = Cpu.enclosure_label enc.e_name;
     pt = t.machine.Machine.trusted_pt;
     pkru = enc.e_pkru;
     exec_ok = Some (fun ~vpn -> exec_filter t enc ~vpn);
@@ -1098,7 +1085,7 @@ let init ~machine ~backend ~image ?(binary_scan = []) ?(clustering = true) () =
                | Some pkg ->
                    let scope =
                      match
-                       enc_of_env_label
+                       Cpu.enclosure_of_label
                          (Cpu.env machine.Machine.cpu).Cpu.label
                      with
                      | Some e -> e
@@ -1829,11 +1816,11 @@ let absorb_fault t = function
       in
       let trace = Format.asprintf "%a%s" Cpu.pp_fault info owner in
       record_fault t
-        ?enclosure:(enc_of_env_label info.Cpu.env)
+        ?enclosure:(Cpu.enclosure_of_label info.Cpu.env)
         ~trace trace;
       Some trace
   | K.Syscall_killed { nr; env } ->
-      Some (record_kill t ?enclosure:(enc_of_env_label env) nr env)
+      Some (record_kill t ?enclosure:(Cpu.enclosure_of_label env) nr env)
   | _ -> None
 
 let run_protected t f =

@@ -69,10 +69,7 @@ let create ?(costs = Costs.default) ?(cores = 1) () =
       (Some
          (fun (f : Cpu.fault) ->
            let lane =
-             let label = f.Cpu.env in
-             if String.length label > 4 && String.sub label 0 4 = "enc:" then
-               String.sub label 4 (String.length label - 4)
-             else "trusted"
+             Option.value (Cpu.enclosure_of_label f.Cpu.env) ~default:"trusted"
            in
            Encl_obs.Obs.span_mark obs ~lane
              ~name:("cpu_fault:" ^ Cpu.access_kind_name f.Cpu.kind)

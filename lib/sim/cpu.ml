@@ -108,9 +108,19 @@ let fault t kind vaddr reason =
    has proven they restore the environment on every exit path, so only
    code running inside one may write PKRU / move CR3 / retag. *)
 
+let enclosure_label name = "enc:" ^ name
+
 let untrusted_label label =
   String.length label > 4
   && label.[0] = 'e' && label.[1] = 'n' && label.[2] = 'c' && label.[3] = ':'
+
+let enclosure_of_label label =
+  if untrusted_label label then
+    let stop =
+      Option.value (String.index_opt label ' ') ~default:(String.length label)
+    in
+    Some (String.sub label 4 (stop - 4))
+  else None
 
 let register_gate t name = Hashtbl.replace t.gates name ()
 let in_gate t = t.gate_depth > 0

@@ -82,11 +82,21 @@ val restore_env : t -> env -> unit
     environment on every exit, so only code dynamically inside one may
     change the environment or trap to the kernel. *)
 
+val enclosure_label : string -> string
+(** The label every backend gives the named enclosure's environment:
+    ["enc:"] followed by the name. [enclosure_label ""] is the prefix
+    all of them share. *)
+
 val untrusted_label : string -> bool
 (** Is [label] an untrusted (enclosure) environment? True exactly for
-    the ["enc:"] prefix every backend gives its enclosure envs, followed
-    by at least one character (the bare ["enc:"] is trusted). Allocates
-    nothing: the kernel asks on every trap. *)
+    the ["enc:"] prefix of {!enclosure_label}, followed by at least one
+    character (the bare ["enc:"] is trusted). Allocates nothing: the
+    kernel asks on every trap. *)
+
+val enclosure_of_label : string -> string option
+(** The enclosure an {!untrusted_label} names, [None] for any other
+    label. The name stops at the first space: the kernel annotates the
+    label of a killed call with a parenthesized cause after one. *)
 
 val register_gate : t -> string -> unit
 (** Mark [name] as a vetted gate site (done once at runtime init). *)

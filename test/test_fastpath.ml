@@ -1,11 +1,11 @@
 (* Tests for the fast paths: switch elision, the seccomp verdict cache,
    transfer coalescing and enclosure-affinity scheduling.
 
-   The core property is differential: the fast paths may change what a
-   run *costs*, never what it *does*. Random op sequences are executed
-   twice — ENCL_FASTPATH on and off — and every enforcement outcome
-   (fault log, fault and kill counts, syscall results, quarantine
-   state) must be identical. *)
+   The fast paths may change what a run *costs*, never what it *does*:
+   the enforcement oracle (oracle.ml) checks that over random op
+   sequences, and the property below with only the fast path on. The
+   directed tests pin what each fast path saves, on the oracle's
+   program. *)
 
 module Runtime = Encl_golike.Runtime
 module Galloc = Encl_golike.Galloc
@@ -16,167 +16,15 @@ module Seccomp = Encl_kernel.Seccomp
 module Sysno = Encl_kernel.Sysno
 module Bpf = Encl_kernel.Bpf
 
-let packages () =
-  [
-    Runtime.package "main" ~imports:[ "lib" ]
-      ~functions:[ ("main", 64); ("body", 32); ("io_body", 32) ]
-      ~enclosures:
-        [
-          {
-            Encl_elf.Objfile.enc_name = "enc";
-            enc_policy = "; sys=none";
-            enc_closure = "body";
-            enc_deps = [ "lib" ];
-          };
-          {
-            (* A distinct memory view from "enc" so the two enclosures
-               get distinct PKRU values under LB_MPK. *)
-            Encl_elf.Objfile.enc_name = "io";
-            enc_policy = "img:U; sys=all";
-            enc_closure = "io_body";
-            enc_deps = [ "lib" ];
-          };
-        ]
-      ();
-    Runtime.package "lib" ~imports:[ "img" ] ~functions:[ ("work", 64) ] ();
-    Runtime.package "img" ~functions:[ ("decode", 64) ] ();
-  ]
-
-let boot backend =
-  (* Pinned to one core regardless of ENCL_CORES: these tests assert
-     exact single-core schedules and counter values (affinity hits,
-     elision counts); test_smp owns the multi-core differential. *)
-  let rcfg = { (Runtime.with_backend backend) with Runtime.cores = 1 } in
-  match Runtime.boot rcfg ~packages:(packages ()) ~entry:"main" with
-  | Ok rt -> rt
-  | Error e -> failwith ("test_fastpath boot: " ^ e)
-
 (* ------------------------------------------------------------------ *)
 (* The differential property *)
 
-type op =
-  | Call_empty  (** enter/leave the sys=none enclosure *)
-  | Io_syscall  (** getuid from inside the sys=all enclosure *)
-  | Denied_syscall  (** getuid from inside sys=none: a fault *)
-  | Trusted_syscall  (** getpid from the trusted environment *)
-  | Alloc_small of string  (** one span's worth, for [pkg] *)
-  | Alloc_large  (** multi-span: exercises transfer coalescing *)
-  | Gc  (** trusted excursion *)
-
-let op_name = function
-  | Call_empty -> "call_empty"
-  | Io_syscall -> "io_syscall"
-  | Denied_syscall -> "denied"
-  | Trusted_syscall -> "trusted"
-  | Alloc_small p -> "alloc_small:" ^ p
-  | Alloc_large -> "alloc_large"
-  | Gc -> "gc"
-
-(* Run one op, returning a stable outcome string. Fault-family
-   exceptions are part of the observable behaviour, not errors: their
-   descriptions (no addresses involved for these ops) must match
-   between fast and slow runs. *)
-let run_op rt op =
-  let result = function Ok v -> Printf.sprintf "ok:%d" v | Error e -> "errno:" ^ K.errno_name e in
-  match
-    match op with
-    | Call_empty ->
-        Runtime.with_enclosure rt "enc" (fun () -> ());
-        "ok"
-    | Io_syscall ->
-        Runtime.with_enclosure rt "io" (fun () ->
-            result (Runtime.syscall rt K.Getuid))
-    | Denied_syscall ->
-        Runtime.with_enclosure rt "enc" (fun () ->
-            result (Runtime.syscall rt K.Getuid))
-    | Trusted_syscall -> result (Runtime.syscall rt K.Getpid)
-    | Alloc_small pkg ->
-        ignore (Galloc.alloc (Runtime.galloc rt) ~pkg 64);
-        "ok"
-    | Alloc_large ->
-        ignore
-          (Galloc.alloc (Runtime.galloc rt) ~pkg:"lib"
-             ((3 * Galloc.span_bytes) + 100));
-        "ok"
-    | Gc ->
-        Runtime.gc rt;
-        "ok"
-  with
-  | outcome -> outcome
-  | exception Lb.Fault { reason; _ } -> "fault:" ^ reason
-  | exception Lb.Quarantined { enclosure; _ } -> "quarantined:" ^ enclosure
-
-type outcome = {
-  o_results : string list;
-  o_faults : int;
-  o_fault_log : string list;
-  o_quarantined : bool * bool;  (** enc, io *)
-}
-
-(* Execute the op sequence on a fresh runtime. *)
-let run_ops backend ops =
-  let rt = boot backend in
-  let lb = Option.get (Runtime.lb rt) in
-  Lb.set_fault_budget lb 3;
-  let results = List.map (run_op rt) ops in
-  ( {
-      o_results = results;
-      o_faults = Lb.fault_count lb;
-      o_fault_log = Lb.fault_log lb;
-      o_quarantined = (Lb.quarantined lb "enc", Lb.quarantined lb "io");
-    },
-    Lb.switch_elided_count lb )
-
-let pp_outcome o =
-  Printf.sprintf "results=[%s] faults=%d log=[%s] quar=(%b,%b)"
-    (String.concat "; " o.o_results)
-    o.o_faults
-    (String.concat "; " o.o_fault_log)
-    (fst o.o_quarantined) (snd o.o_quarantined)
-
-let op_gen =
-  QCheck.Gen.(
-    frequency
-      [
-        (3, return Call_empty);
-        (3, return Io_syscall);
-        (2, return Denied_syscall);
-        (3, return Trusted_syscall);
-        (2, return (Alloc_small "lib"));
-        (1, return (Alloc_small "img"));
-        (2, return Alloc_large);
-        (1, return Gc);
-      ])
-
-let backend_gen = QCheck.Gen.oneofl Fixtures.all_backends
-
-let scenario_arb =
-  QCheck.make
-    ~print:(fun (backend, ops) ->
-      Printf.sprintf "%s: %s"
-        (Lb.backend_name backend)
-        (String.concat ", " (List.map op_name ops)))
-    QCheck.Gen.(pair backend_gen (list_size (int_range 1 30) op_gen))
-
-let differential_prop (backend, ops) =
-  let fast, elided = Fastpath.with_flag true (fun () -> run_ops backend ops) in
-  let slow, elided_off =
-    Fastpath.with_flag false (fun () -> run_ops backend ops)
-  in
-  if elided_off <> 0 then
-    QCheck.Test.fail_reportf "fast path off still elided %d switches"
-      elided_off;
-  ignore elided;
-  if fast <> slow then
-    QCheck.Test.fail_reportf "outcomes diverged:\n  fast: %s\n  slow: %s"
-      (pp_outcome fast) (pp_outcome slow);
-  true
-
+(* The oracle's product with only the fast path on. *)
 let differential_tests =
   [
     QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"fast path preserves enforcement outcomes"
-         ~count:320 scenario_arb differential_prop);
+      (Oracle.axis ~name:"fast path preserves enforcement outcomes" ~count:320
+         (QCheck.Gen.return (Oracle.knob_on Knob.fastpath)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -187,7 +35,7 @@ let elision_tests =
     Alcotest.test_case "trusted excursion from trusted is elided" `Quick
       (fun () ->
         Fastpath.with_flag true @@ fun () ->
-        let rt = boot Lb.Mpk in
+        let rt = Oracle.boot Lb.Mpk in
         let lb = Option.get (Runtime.lb rt) in
         let s0 = Lb.switch_count lb and e0 = Lb.switch_elided_count lb in
         Runtime.gc rt;
@@ -198,20 +46,20 @@ let elision_tests =
     Alcotest.test_case "cross-environment switches are never elided" `Quick
       (fun () ->
         Fastpath.with_flag true @@ fun () ->
-        let rt = boot Lb.Mpk in
+        let rt = Oracle.boot Lb.Mpk in
         let lb = Option.get (Runtime.lb rt) in
         Runtime.with_enclosure rt "enc" (fun () -> ());
         Alcotest.(check int) "no elision" 0 (Lb.switch_elided_count lb));
     Alcotest.test_case "elision is off with the flag down" `Quick (fun () ->
         Fastpath.with_flag false @@ fun () ->
-        let rt = boot Lb.Vtx in
+        let rt = Oracle.boot Lb.Vtx in
         let lb = Option.get (Runtime.lb rt) in
         Runtime.gc rt;
         Alcotest.(check int) "none" 0 (Lb.switch_elided_count lb));
     Alcotest.test_case "elision charges less simulated time" `Quick (fun () ->
         let elapsed flag =
           Fastpath.with_flag flag @@ fun () ->
-          let rt = boot Lb.Vtx in
+          let rt = Oracle.boot Lb.Vtx in
           let t0 = Clock.now (Runtime.clock rt) in
           for _ = 1 to 10 do
             Runtime.gc rt
@@ -358,7 +206,7 @@ let coalescing_tests =
         let spans = 5 in
         let run flag =
           Fastpath.with_flag flag @@ fun () ->
-          let rt = boot Lb.Mpk in
+          let rt = Oracle.boot Lb.Mpk in
           let lb = Option.get (Runtime.lb rt) in
           let addr =
             Runtime.syscall_exn rt (K.Mmap { len = spans * Galloc.span_bytes })
@@ -387,7 +235,7 @@ let coalescing_tests =
           (fun backend ->
             let cost flag =
               Fastpath.with_flag flag @@ fun () ->
-              let rt = boot backend in
+              let rt = Oracle.boot backend in
               let lb = Option.get (Runtime.lb rt) in
               let len = 8 * Galloc.span_bytes in
               let addr = Runtime.syscall_exn rt (K.Mmap { len }) in
@@ -418,7 +266,7 @@ let coalescing_tests =
            chunk individually must re-home exactly that chunk — the
            registry granularity is per chunk, as in the slow path. *)
         Fastpath.with_flag true @@ fun () ->
-        let rt = boot Lb.Mpk in
+        let rt = Oracle.boot Lb.Mpk in
         let lb = Option.get (Runtime.lb rt) in
         let len = 4 * Galloc.span_bytes in
         let addr = Runtime.syscall_exn rt (K.Mmap { len }) in
@@ -442,7 +290,7 @@ let affinity_tests =
       (fun () ->
         let run flag =
           Fastpath.with_flag flag @@ fun () ->
-          let rt = boot Lb.Mpk in
+          let rt = Oracle.boot Lb.Mpk in
           let order = ref [] in
           Runtime.run_main rt (fun () ->
               Runtime.go rt (fun () ->
@@ -477,7 +325,7 @@ let affinity_tests =
            that keep re-queueing: affinity prefers the trusted ones, but
            the budget must still let the enclosure fiber finish. *)
         Fastpath.with_flag true @@ fun () ->
-        let rt = boot Lb.Mpk in
+        let rt = Oracle.boot Lb.Mpk in
         let enc_done = ref false in
         Runtime.run_main rt (fun () ->
             Runtime.go rt (fun () ->
@@ -495,7 +343,7 @@ let affinity_tests =
       (fun () ->
         let run flag =
           Fastpath.with_flag flag @@ fun () ->
-          let rt = boot Lb.Mpk in
+          let rt = Oracle.boot Lb.Mpk in
           let order = ref [] in
           Runtime.run_main rt (fun () ->
               for i = 1 to 5 do

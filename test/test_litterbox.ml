@@ -9,6 +9,9 @@ module Types = Encl_litterbox.Types
 module Cluster = Encl_litterbox.Cluster
 module K = Encl_kernel.Kernel
 module Image = Encl_elf.Image
+module Runtime = Encl_golike.Runtime
+module Galloc = Encl_golike.Galloc
+module Scenarios = Encl_apps.Scenarios
 
 let check_fails name f =
   Alcotest.test_case name `Quick (fun () ->
@@ -622,28 +625,57 @@ let reprogram_tests =
     Lb.register_enclosure lb ~name:"late" ~owner:"main" ~deps:[ "os" ]
       ~policy:"; sys=none" ~closure_addr:0
   in
-  let on_every_backend name f =
+  let on_every_backend boot name f =
     Alcotest.test_case name `Quick (fun () ->
         List.iter
           (fun backend ->
             let tag = Lb.backend_name backend in
-            let _, _, lb = Fixtures.boot backend in
-            match f lb with
+            match f (boot backend) with
             | Ok () -> ()
             | Error e -> Alcotest.failf "%s: %s" tag e
             | exception e -> Alcotest.failf "%s: %s" tag (Printexc.to_string e))
           Fixtures.all_backends)
   in
+  let figure1 backend =
+    let _, _, lb = Fixtures.boot backend in
+    lb
+  in
+  let table1 backend =
+    let rcfg = { (Runtime.with_backend backend) with Runtime.cores = 1 } in
+    match
+      Runtime.boot rcfg ~packages:(Scenarios.table1_packages ()) ~entry:"main"
+    with
+    | Ok rt -> rt
+    | Error e -> failwith e
+  in
   [
-    on_every_backend "a trusted syscall right after register_enclosure" (fun lb ->
+    on_every_backend figure1 "a trusted syscall right after register_enclosure"
+      (fun lb ->
         Result.bind (register_late lb) (fun () ->
             Result.map ignore
               (Result.map_error K.errno_name (Lb.syscall lb K.Getpid))));
-    on_every_backend "register_enclosure inside an enclosure" (fun lb ->
+    on_every_backend figure1 "register_enclosure inside an enclosure" (fun lb ->
         Lb.prolog lb ~name:"io_enc" ~site:"enclosure:io_enc";
         let r = register_late lb in
         Lb.epilog lb ~site:"enclosure:io_enc";
         r);
+    (* The allocation comes first: its retag replaces the boot
+       environment with app-trusted's PKRU, which the registration then
+       moves. From the boot environment, whose PKRU every program
+       trusts, a missing re-install would go unnoticed. *)
+    on_every_backend table1 "a registration re-installs the current environment"
+      (fun rt ->
+        ignore (Galloc.alloc (Runtime.galloc rt) ~pkg:"lib" 64);
+        Result.bind
+          (Lb.register_enclosure
+             (Option.get (Runtime.lb rt))
+             ~name:"late" ~owner:"main" ~deps:[ "img" ] ~policy:"; sys=none"
+             ~closure_addr:0)
+          (fun () ->
+            match Runtime.syscall rt K.Getpid with
+            | Ok 4217 -> Ok ()
+            | Ok pid -> Error (Printf.sprintf "getpid returned %d" pid)
+            | Error e -> Error (K.errno_name e)));
   ]
 
 (* ------------------------------------------------------------------ *)

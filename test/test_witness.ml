@@ -1,20 +1,15 @@
 (* Tests for the witness recorder and the policy miner.
 
-   Two properties anchor the subsystem:
-
-   - {e transparency}: recording is free — a run with the witness on is
-     behaviorally identical to the same run with it off (same syscall
-     results, fault logs, quarantine state). The recorder charges no
-     simulated time and never changes an enforcement verdict.
-
-   - {e soundness}: the mined policy is sufficient — re-running the
-     very behavior it was mined from, with the mined literal enforced
-     in place of the hand-written one, produces zero faults and
-     identical results.
-
-   Both are checked as qcheck properties over random op sequences on
-   all four backends, plus deterministic cases for exact mined literals
-   and the drift gate's no-widening comparison. *)
+   The recorder is free: a witnessed run decides exactly what the same
+   run unwitnessed decides. The enforcement oracle (oracle.ml) checks
+   that, with the witness drawn on or off, and so does the first
+   property here, with only the witness on. The second is
+   {e soundness}: the mined policy is sufficient — re-running the very
+   behavior it was mined from, with the mined literal enforced in place
+   of the hand-written one, produces zero faults and identical results.
+   It is checked over random op sequences on all four backends, plus
+   deterministic cases for exact mined literals and the drift gate's
+   no-widening comparison. *)
 
 module Runtime = Encl_golike.Runtime
 module Gbuf = Encl_golike.Gbuf
@@ -145,25 +140,13 @@ let op_gen =
   QCheck.Gen.oneofl
     [ Read_data; Write_data; Sys_proc; Sys_net; Batched_proc; Nowait_time ]
 
-let scenario_arb =
+let mined_arb =
   QCheck.make
     ~print:(fun (backend, ops) ->
       Printf.sprintf "%s: %s"
         (Lb.backend_name backend)
         (String.concat ", " (List.map op_name ops)))
     QCheck.Gen.(pair backend_gen (list_size (int_range 1 20) op_gen))
-
-(* ------------------------------------------------------------------ *)
-(* Transparency: witness on/off is behavior-identical *)
-
-let transparency_prop (backend, ops) =
-  let on_, _ = run_ops ~witness:true backend ops in
-  let off, _ = run_ops ~witness:false backend ops in
-  if on_ <> off then
-    QCheck.Test.fail_reportf
-      "witness changed behavior:\n  on:  %s\n  off: %s" (pp_outcome on_)
-      (pp_outcome off);
-  true
 
 (* ------------------------------------------------------------------ *)
 (* Soundness: enforcing the mined policy reproduces the run *)
@@ -198,12 +181,13 @@ let soundness_prop (backend, ops) =
 
 let property_tests =
   [
+    (* The oracle's product with only the recorder on. *)
     QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"recording is behaviorally invisible" ~count:120
-         scenario_arb transparency_prop);
+      (Oracle.axis ~name:"recording is behaviorally invisible" ~count:120
+         (QCheck.Gen.return { Oracle.reference with witness = true }));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"the mined policy reproduces the run" ~count:120
-         scenario_arb soundness_prop);
+         mined_arb soundness_prop);
   ]
 
 (* ------------------------------------------------------------------ *)
