@@ -5,14 +5,15 @@
 # every knob and core-count combination, hold the counter export to a
 # committed pin, check each optimization claim
 # as an A/B line of data, hold fresh bench numbers to the committed
-# baseline, run the enforcement oracle long, profile a workload under
-# the isolation backends, run the repository benchmark's self-checks on
-# every workload, hold its simulated figures to the committed pin, and
-# self-check the alternating-pairs runner.
+# baseline, check that traced runs write complete, valid and
+# rerun-identical artifacts, run the enforcement oracle long, run the
+# repository benchmark's self-checks on every workload, hold its
+# simulated figures to the committed pin, and self-check the
+# alternating-pairs runner.
 #
 # Run from the repository root:
 #   sh bin/ci.sh              full pipeline (the CI default)
-#   sh bin/ci.sh --quick      skip the long oracle, chaos smoke, profile and
+#   sh bin/ci.sh --quick      skip the long oracle, chaos smoke and
 #                             perfbench stages
 #   sh bin/ci.sh --cores N    run the test suite, the SMP determinism stage
 #                             and the enforcement pin on an N-core
@@ -153,9 +154,9 @@ stage "metrics pin (counter export + attribution vs bench/metrics_pin.txt)"
 # knobs and ENCL_CORES itself). This covers the counters the
 # enforcement pin cannot see — seccomp cache, rx ring, coalescing, SFI
 # masking, ring IPIs, steals — and keeps the metrics.json key set
-# fixed. Each run also prints its profile attribution table (scope x
-# category ns), so a switch or trap whose nanoseconds land in another
-# span fails here. Runs in --quick too. After a change meant to move a
+# fixed. Each run also prints its attribution table (scope x category
+# ns), so a switch or trap whose nanoseconds land in another span fails
+# here. Runs in --quick too. After a change meant to move a
 # counter or the ledger, regenerate with:
 #   sh bin/metrics_pin.sh > bench/metrics_pin.txt
 sh bin/metrics_pin.sh > "$tmp/metrics_pin.txt"
@@ -193,20 +194,37 @@ ab --scenario bild --axis backend:sfi,mpk --expect access_ns:higher
 # section checks 2, 8 and 16 cores against 1.
 ab --scenario smp_http --backend mpk --axis cores:4,1 --expect req_per_sec:higher:2.5
 
-stage "trace artifacts"
-dune exec bin/trace_dump.exe -- wiki --requests 200 --out-dir "$tmp"
-dune exec bin/trace_dump.exe -- validate "$tmp/trace.json"
-dune exec bin/trace_dump.exe -- validate "$tmp/metrics.json"
-dune exec bin/trace_dump.exe -- validate "$tmp/witness.json"
-# Witnessing is deterministic: rerunning the same workload must produce
-# a byte-identical witness artifact.
-mkdir "$tmp/rerun-witness"
-dune exec bin/trace_dump.exe -- wiki --requests 200 \
-  --out-dir "$tmp/rerun-witness" > /dev/null
-if ! cmp -s "$tmp/witness.json" "$tmp/rerun-witness/witness.json"; then
-  echo "ci: witness.json diverged between identical runs" >&2
-  exit 1
-fi
+stage "trace artifacts (complete, valid, rerun-identical)"
+# One traced run writes five artifacts and exits 1 on a dropped span, a
+# ledger that does not conserve every simulated nanosecond, or counters
+# that do not reconcile. The JSON ones must parse, every folded-stack
+# line must be "STACK NS", and a rerun of the same workload must write
+# byte-identical artifacts (the simulated clock makes traces
+# deterministic). Runs in --quick too.
+n=0
+for args in "wiki --requests 200" "http --backend vtx"; do
+  n=$((n + 1))
+  $bin/trace_dump.exe $args --out-dir "$tmp/trace-$n"
+  $bin/trace_dump.exe $args --out-dir "$tmp/trace-$n-rerun" > /dev/null
+  for f in trace.json metrics.json witness.json profile.speedscope.json; do
+    $bin/trace_dump.exe validate "$tmp/trace-$n/$f"
+  done
+  if ! awk 'NF < 2 || $NF !~ /^[0-9]+$/ { bad = 1 } END { exit bad || NR == 0 }' \
+       "$tmp/trace-$n/flamegraph.folded"; then
+    echo "ci: trace_dump $args wrote a malformed flamegraph.folded" >&2
+    exit 1
+  fi
+  for f in trace.json metrics.json witness.json flamegraph.folded \
+           profile.speedscope.json; do
+    if ! cmp -s "$tmp/trace-$n/$f" "$tmp/trace-$n-rerun/$f"; then
+      echo "ci: $f of trace_dump $args diverged between identical runs" >&2
+      exit 1
+    fi
+  done
+done
+# Every registry scenario's default size fits the span ring; smp_http
+# on LB_VTX is among the largest traces.
+$bin/trace_dump.exe smp_http --backend vtx --out-dir "$tmp/trace-smp" > /dev/null
 
 stage "smp determinism (rerun diff)"
 # Sharding the machine must never cost determinism. Two same-seed runs
@@ -264,21 +282,6 @@ if [ "$quick" = 0 ]; then
   # QCHECK_SEED=N (README, "Testing").
   QCHECK_LONG=1 _build/default/test/test_oracle.exe
 
-  stage "profile smoke (attribution + determinism)"
-  # Attribution must conserve every simulated nanosecond under both
-  # backends, the emitted profiles must parse, and two runs of the same
-  # workload must produce byte-identical artifacts.
-  dune exec bin/profile.exe -- http --backend mpk --out-dir "$tmp"
-  dune exec bin/profile.exe -- http --backend vtx --out-dir "$tmp"
-  dune exec bin/trace_dump.exe -- validate "$tmp/profile.speedscope.json"
-  mkdir "$tmp/rerun"
-  dune exec bin/profile.exe -- http --backend vtx --out-dir "$tmp/rerun" > /dev/null
-  if ! cmp -s "$tmp/flamegraph.folded" "$tmp/rerun/flamegraph.folded" ||
-     ! cmp -s "$tmp/profile.speedscope.json" "$tmp/rerun/profile.speedscope.json"; then
-    echo "ci: profile runs of the same workload diverged" >&2
-    exit 1
-  fi
-
   stage "chaos smoke (availability + determinism)"
   # The server must stay up under fault injection (exit 1 below 90%
   # availability), and the run must be deterministic — two runs with
@@ -327,7 +330,7 @@ if [ "$quick" = 0 ]; then
   # identical.
   sh bin/perfbench_pairs.sh . . http_vtx 1 1
 else
-  echo "ci: --quick: skipping enforcement oracle (long), profile smoke, chaos smoke, perfbench smoke, perfbench pin and perfbench pairs"
+  echo "ci: --quick: skipping enforcement oracle (long), chaos smoke, perfbench smoke, perfbench pin and perfbench pairs"
 fi
 
 now=$(date +%s)

@@ -5,10 +5,10 @@
 # 4-core smp_http run. Together they touch every counter metrics.json
 # exports, including the ones the enforcement pin cannot see (seccomp
 # cache, rx ring, transfer coalescing, SFI masking, ring IPIs, steals).
-# Each run is followed by the attribution ledger of the same run under
-# profile (scope x category ns), which pins the span every simulated
-# nanosecond lands in: a switch, trap or transfer that moves to another
-# scope or category changes the pin even when every counter stays.
+# Each block is followed by the same run's attribution table (scope x
+# category ns), which pins the span every simulated nanosecond lands
+# in: a switch, trap or transfer that moves to another scope or
+# category changes the pin even when every counter stays.
 # bin/ci.sh compares the output with bench/metrics_pin.txt.
 #
 # Run from the repository root after `dune build`. After a change meant
@@ -23,8 +23,8 @@ trap 'rm -rf "$out"' EXIT INT TERM
 # The knobs and the core count are pinned; the pin holds the defaults.
 unset ENCL_FASTPATH ENCL_SYSRING ENCL_ZEROCOPY ENCL_DEFENSES_OFF
 
-# run CORES SCENARIO ARGS...: one trace_dump run, summary block only,
-# then the same run's attribution table from profile.
+# run CORES SCENARIO ARGS...: one trace_dump run; its summary block,
+# then its attribution table.
 run() {
   cores=$1
   shift
@@ -32,9 +32,7 @@ run() {
   ENCL_CORES=$cores $bin/trace_dump.exe "$@" --summary --out-dir "$out" \
     > "$out/stdout.txt"
   awk '/^observability: /{p=1} /^counters reconcile/{p=0} p' "$out/stdout.txt"
-  echo "== ENCL_CORES=$cores profile $*"
-  ENCL_CORES=$cores $bin/profile.exe "$@" --out-dir "$out" > "$out/profile.txt"
-  awk '/^attribution /{p=1} /^fast path: /{p=0} p' "$out/profile.txt"
+  awk '/^attribution /{p=1} /^[0-9]+ spans /{p=0} p' "$out/stdout.txt"
 }
 
 for scenario in http wiki pq bild zerocopy_http; do

@@ -23,6 +23,7 @@ module Policy = Encl_litterbox.Policy
 module Enclosure = Encl_enclosure.Enclosure
 module Scenarios = Encl_apps.Scenarios
 module Obs = Encl_obs.Obs
+module Span = Encl_obs.Span
 module Witness = Encl_obs.Witness
 module Json = Encl_obs.Export.Json
 open Cmdliner
@@ -33,8 +34,8 @@ let mineable =
 (* ------------------------------------------------------------------ *)
 (* Scenario runs *)
 
-(* One run of [name] under [backend]. [witnessed] turns the event sink
-   and the witness recorder on (mining); verification re-runs enforce
+(* One run of [name] under [backend]. [witnessed] turns the sink's
+   spans and the witness recorder on (mining); verification re-runs enforce
    only, so they skip the recording. A workload that died mid-run — the
    probe runs are expected to — is an [Error]. *)
 let run_scenario ?(witnessed = false) name backend requests =
@@ -47,21 +48,20 @@ let run_scenario ?(witnessed = false) name backend requests =
 let fault_count rt =
   match Runtime.lb rt with Some lb -> Lb.fault_count lb | None -> 0
 
-(* A mining run must see everything: the event ring is lossy under
+(* A mining run must see everything: the span ring is lossy under
    overflow, and a lossy trace is a blind spot the miner must not paper
-   over with a warning (satellite of the witness issue). The witness
-   aggregates themselves are exact hash-table counts, but an overflowed
-   ring means the run was big enough that the operator should size the
-   ring up and re-mine with the full trace available for audit. *)
+   over with a warning. The witness aggregates themselves are exact
+   hash-table counts, but the trace that audits them is not, so an
+   overflowed ring refuses the run: mine a smaller workload. *)
 let check_ring rt =
-  let obs = (Runtime.machine rt).Machine.obs in
-  let dropped = Obs.dropped_events obs in
+  let spans = Obs.spans (Runtime.machine rt).Machine.obs in
+  let dropped = Span.dropped spans in
   if dropped > 0 then
     Error
       (Printf.sprintf
-         "event ring overflowed: %d of %d events evicted — refusing to mine \
-          from a lossy trace; raise the ring capacity or shrink the workload"
-         dropped (Obs.total_events obs))
+         "span ring overflowed: %d of %d spans evicted — refusing to mine \
+          from a lossy trace; shrink the workload (--requests)"
+         dropped (Span.total spans))
   else Ok ()
 
 (* Mine one backend's run: per-enclosure literals, each validated. *)

@@ -1,91 +1,21 @@
-(* profile: causal-span profiler for the simulated machine.
-
-   Runs a named scenario with observability enabled and answers "where
-   did every simulated nanosecond go?" — the attribution ledger charges
-   each clock tick to the innermost open span's (enclosure x category)
-   cell, so the breakdown is exact (conservation is checked, not
-   assumed) and byte-identical across runs.
+(* profile: A/B runs and the bench regression gate.
 
    Usage:
-     dune exec bin/profile.exe -- http --backend mpk
-     dune exec bin/profile.exe -- wiki --backend vtx --top 20
      dune exec bin/profile.exe -- ab --scenario http --backend vtx \
        --axis knob:sysring --expect req_per_sec:higher:1.15
      dune exec bin/profile.exe -- gate                # bench regression gate
      dune exec bin/profile.exe -- gate --write-baseline
 
-   Scenario runs write flamegraph.folded (collapsed stacks, feed to
-   flamegraph.pl) and profile.speedscope.json (load at speedscope.app)
-   into --out-dir. [ab] runs one scenario under two configurations
-   (Encl_apps.Ab) and exits 1 unless enforcement is identical and every
-   --expect holds. *)
+   [ab] runs one scenario under two configurations (Encl_apps.Ab) and
+   exits 1 unless enforcement is identical and every --expect holds.
+   [gate] diffs fresh bench rows against the committed baseline. A
+   single scenario's attribution table, flamegraph.folded and
+   profile.speedscope.json come from `trace_dump <scenario>`. *)
 
-module Runtime = Encl_golike.Runtime
-module Machine = Encl_litterbox.Machine
-module Lb = Encl_litterbox.Litterbox
-module K = Encl_kernel.Kernel
 module Scenarios = Encl_apps.Scenarios
 module Ab = Encl_apps.Ab
-module Obs = Encl_obs.Obs
-module Span = Encl_obs.Span
-module Export = Encl_obs.Export
 module Gate = Encl_obs.Gate
 open Cmdliner
-
-let span_drop_warning obs =
-  let spans = Obs.spans obs in
-  if Span.dropped spans > 0 then
-    Printf.eprintf
-      "profile: warning: span ring overflowed, %d of %d spans evicted \
-       (attribution and close counts remain exact)\n"
-      (Span.dropped spans) (Span.total spans)
-
-(* ------------------------------------------------------------------ *)
-(* Scenario subcommands *)
-
-let run name backend requests out_dir top =
-  Obs.default_enabled := true;
-  match
-    Result.bind (Scenarios.find name) (fun run -> run backend ?requests ())
-  with
-  | Error e ->
-      prerr_endline ("profile: " ^ e);
-      1
-  | Ok (rt, report) -> (
-      let obs = (Runtime.machine rt).Machine.obs in
-      Printf.printf "%s under %s: %s\n" name
-        (Scenarios.config_name backend)
-        (Scenarios.pp_report report);
-      print_string (Export.attrib_table ~top obs);
-      (match Runtime.lb rt with
-      | Some lb when Fastpath.enabled () ->
-          let hits, misses =
-            K.seccomp_cache_stats (Runtime.machine rt).Machine.kernel
-          in
-          Printf.printf
-            "fast path: %d/%d switches elided, %d/%d transfers coalesced, \
-             seccomp cache %d/%d hits\n"
-            (Lb.switch_elided_count lb) (Lb.switch_count lb)
-            (Lb.transfer_coalesced_count lb)
-            (Lb.transfer_count lb) hits (hits + misses)
-      | Some _ | None -> ());
-      let folded_path = Filename.concat out_dir "flamegraph.folded" in
-      let speedscope_path =
-        Filename.concat out_dir "profile.speedscope.json"
-      in
-      Cli.write_file folded_path (Export.flamegraph_folded obs);
-      Cli.write_file speedscope_path (Export.speedscope_json obs);
-      let spans = Obs.spans obs in
-      Printf.printf "%d spans (%d dropped from ring) -> %s, %s\n"
-        (Span.total spans) (Span.dropped spans) folded_path speedscope_path;
-      span_drop_warning obs;
-      (* Exit non-zero if any simulated nanosecond went missing or a ring
-         was left unbalanced. *)
-      match Ab.problems rt report with
-      | [] -> 0
-      | problems ->
-          List.iter (fun p -> prerr_endline ("profile: " ^ p)) problems;
-          1)
 
 (* ------------------------------------------------------------------ *)
 (* ab: one scenario, two configurations *)
@@ -171,30 +101,6 @@ let gate baseline_path results_path write =
 (* ------------------------------------------------------------------ *)
 (* Cmdliner wiring *)
 
-let out_dir_arg =
-  Arg.(
-    value
-    & opt string "."
-    & info [ "out-dir" ] ~docv:"DIR"
-        ~doc:
-          "Directory receiving flamegraph.folded and \
-           profile.speedscope.json (created if missing).")
-
-let top_arg =
-  Arg.(
-    value
-    & opt int 12
-    & info [ "top" ] ~docv:"N"
-        ~doc:"Attribution cells to print before folding the rest.")
-
-let scenario_cmd sc =
-  Cmd.v
-    (Cmd.info sc
-       ~doc:("Profile the " ^ sc ^ " scenario: attribution table + stacks."))
-    Term.(
-      const (run sc) $ Cli.backend_arg $ Cli.requests_arg $ out_dir_arg
-      $ top_arg)
-
 let ab_cmd =
   let scenario_arg =
     Arg.(
@@ -265,10 +171,6 @@ let gate_cmd =
 let () =
   let info =
     Cmd.info "profile" ~version:"1.0"
-      ~doc:"Attribute every simulated nanosecond to (enclosure x category)"
+      ~doc:"A/B runs of one scenario and the bench regression gate"
   in
-  let cmds =
-    List.map (fun (sc, _) -> scenario_cmd sc) Scenarios.registry
-    @ [ ab_cmd; gate_cmd ]
-  in
-  exit (Cmd.eval' (Cmd.group info cmds))
+  exit (Cmd.eval' (Cmd.group info [ ab_cmd; gate_cmd ]))

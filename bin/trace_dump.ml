@@ -1,5 +1,5 @@
-(* trace-dump: run a named scenario with observability enabled and write
-   the machine's event ring and metric registry to disk.
+(* trace-dump: run a named scenario with observability enabled and
+   write everything the run recorded to disk.
 
    Usage:
      dune exec bin/trace_dump.exe -- wiki
@@ -7,8 +7,14 @@
      dune exec bin/trace_dump.exe -- bild --summary
      dune exec bin/trace_dump.exe -- validate trace.json
 
-   trace.json is Chrome trace_event format (load it in chrome://tracing
-   or Perfetto); metrics.json is a flat per-enclosure dump. Both carry
+   One run writes five artifacts: trace.json (Chrome trace_event
+   format: load it in chrome://tracing or Perfetto), metrics.json (a
+   flat per-enclosure dump), witness.json (the per-scope capability
+   sets), flamegraph.folded (collapsed stacks, feed to flamegraph.pl)
+   and profile.speedscope.json (load at speedscope.app). It prints the
+   attribution table, which answers "where did every simulated
+   nanosecond go?": the ledger charges each clock tick to the innermost
+   open span's (enclosure x category) cell. Everything carries
    simulated-clock timestamps, so reruns produce identical files. *)
 
 module Runtime = Encl_golike.Runtime
@@ -17,7 +23,9 @@ module Lb = Encl_litterbox.Litterbox
 module K = Encl_kernel.Kernel
 module Sysno = Encl_kernel.Sysno
 module Scenarios = Encl_apps.Scenarios
+module Ab = Encl_apps.Ab
 module Obs = Encl_obs.Obs
+module Span = Encl_obs.Span
 module Metrics = Encl_obs.Metrics
 module Export = Encl_obs.Export
 open Cmdliner
@@ -71,7 +79,7 @@ let cross_check lb machine obs =
        allowed denied guest kernel_count);
   List.rev !problems
 
-(* Conservation, re-checked over the written artifact: metrics.json
+(* Conservation, re-checked over the metrics.json text: metrics.json
    used to carry one attribution ledger per machine; it now carries one
    per core. Each core's cells must sum to that core's attributed
    total, the core totals must sum to the machine-wide attributed
@@ -135,6 +143,32 @@ let per_core_conservation ~cores:machine_cores contents =
               | _ -> ()))));
   List.rev !problems
 
+(* The run's checks, one list: the trace is complete, the written
+   ledger conserves per core, the run alone passes {!Ab.problems}, and
+   with LitterBox attached its counters reconcile. *)
+let problems rt report ~metrics =
+  let machine = Runtime.machine rt in
+  let obs = machine.Machine.obs in
+  let spans = Obs.spans obs in
+  (* A lossy trace is a blind spot, not a footnote: every consumer of
+     these artifacts (the CI cross-checks, the miner, a human in
+     Perfetto) must be able to trust that what is absent did not
+     happen. *)
+  (if Span.dropped spans > 0 then
+     [
+       Printf.sprintf
+         "span ring overflowed, %d of %d spans evicted: the trace is \
+          incomplete (metric totals remain exact); shrink the workload \
+          (--requests)"
+         (Span.dropped spans) (Span.total spans);
+     ]
+   else [])
+  @ per_core_conservation ~cores:machine.Machine.cores metrics
+  @ Ab.problems rt report
+  @ Option.fold ~none:[]
+      ~some:(fun lb -> cross_check lb machine obs)
+      (Runtime.lb rt)
+
 let run name backend requests out_dir summary =
   Obs.default_enabled := true;
   Encl_obs.Witness.default_enabled := true;
@@ -146,62 +180,48 @@ let run name backend requests out_dir summary =
       1
   | Ok (rt, report) -> (
       let obs = (Runtime.machine rt).Machine.obs in
-      let trace_path = Filename.concat out_dir "trace.json" in
-      let metrics_path = Filename.concat out_dir "metrics.json" in
-      let witness_path = Filename.concat out_dir "witness.json" in
-      Cli.write_file trace_path (Export.trace_json obs);
-      Cli.write_file metrics_path (Export.metrics_json obs);
-      Cli.write_file witness_path (Export.witness_json obs);
       Printf.printf "%s under %s: %s\n" name
         (Scenarios.config_name backend)
         (Scenarios.pp_report report);
-      Printf.printf "%d events (%d dropped) -> %s, %s, %s\n"
-        (Obs.total_events obs) (Obs.dropped_events obs) trace_path metrics_path
-        witness_path;
-      (* A lossy trace is a blind spot, not a footnote: every consumer of
-         these artifacts (the CI cross-checks, the miner, a human in
-         Perfetto) must be able to trust that what is absent did not
-         happen. Overflow is a hard failure — size the ring up or shrink
-         the workload. *)
-      if Obs.dropped_events obs > 0 then begin
-        Printf.eprintf
-          "trace-dump: event ring overflowed, %d of %d events evicted — the \
-           trace is truncated (metric totals remain exact); raise the ring \
-           capacity or shrink the workload\n"
-          (Obs.dropped_events obs)
-          (Obs.total_events obs);
-        exit 1
-      end;
-      (match
-         per_core_conservation
-           ~cores:(Runtime.machine rt).Machine.cores
-           (In_channel.with_open_bin metrics_path In_channel.input_all)
-       with
-      | [] -> ()
-      | problems ->
-          List.iter (fun p -> prerr_endline ("trace-dump: " ^ p)) problems;
-          exit 1);
+      print_string (Export.attrib_table obs);
+      let metrics = Export.metrics_json obs in
+      let paths =
+        List.map
+          (fun (file, render) ->
+            let path = Filename.concat out_dir file in
+            Cli.write_file path (render obs);
+            path)
+          [
+            ("trace.json", Export.trace_json);
+            ("metrics.json", Fun.const metrics);
+            ("witness.json", Export.witness_json);
+            ("flamegraph.folded", Export.flamegraph_folded);
+            ("profile.speedscope.json", Export.speedscope_json);
+          ]
+      in
+      let spans = Obs.spans obs in
+      Printf.printf "%d spans (%d dropped) -> %s\n" (Span.total spans)
+        (Span.dropped spans)
+        (String.concat ", " paths);
       if summary then print_string (Export.summary obs);
-      match Runtime.lb rt with
-      | None -> 0
-      | Some lb -> (
-          match cross_check lb (Runtime.machine rt) obs with
-          | [] ->
-              Printf.printf
-                "counters reconcile: switches=%d (%d elided) transfers=%d \
-                 (%d coalesced) faults=%d ring=%d/%d in %d batches\n"
-                (Lb.switch_count lb)
-                (Lb.switch_elided_count lb)
-                (Lb.transfer_count lb)
-                (Lb.transfer_coalesced_count lb)
-                (Lb.fault_count lb)
-                (Lb.ring_drained_count lb)
-                (Lb.ring_submitted_count lb)
-                (Lb.ring_batches_count lb);
-              0
-          | problems ->
-              List.iter (fun p -> prerr_endline ("trace-dump: " ^ p)) problems;
-              1))
+      match (problems rt report ~metrics, Runtime.lb rt) with
+      | [], None -> 0
+      | [], Some lb ->
+          Printf.printf
+            "counters reconcile: switches=%d (%d elided) transfers=%d (%d \
+             coalesced) faults=%d ring=%d/%d in %d batches\n"
+            (Lb.switch_count lb)
+            (Lb.switch_elided_count lb)
+            (Lb.transfer_count lb)
+            (Lb.transfer_coalesced_count lb)
+            (Lb.fault_count lb)
+            (Lb.ring_drained_count lb)
+            (Lb.ring_submitted_count lb)
+            (Lb.ring_batches_count lb);
+          0
+      | problems, _ ->
+          List.iter (fun p -> prerr_endline ("trace-dump: " ^ p)) problems;
+          1)
 
 let validate path =
   match In_channel.with_open_bin path In_channel.input_all with
@@ -449,8 +469,10 @@ let out_dir_arg =
     value
     & opt string "_build/trace"
     & info [ "out-dir" ] ~docv:"DIR"
-        ~doc:"Directory receiving trace.json and metrics.json (created if \
-              missing).")
+        ~doc:
+          "Directory receiving trace.json, metrics.json, witness.json, \
+           flamegraph.folded and profile.speedscope.json (created if \
+           missing).")
 
 let summary_arg =
   Arg.(
@@ -459,7 +481,11 @@ let summary_arg =
 
 let scenario_cmd sc =
   Cmd.v
-    (Cmd.info sc ~doc:("Run the " ^ sc ^ " scenario and export its trace."))
+    (Cmd.info sc
+       ~doc:
+         ("Run the " ^ sc
+        ^ " scenario traced: print its attribution table, write its five \
+           artifacts, and exit 1 on a dropped span or a failed check."))
     Term.(
       const (run sc) $ Cli.backend_arg $ Cli.requests_arg $ out_dir_arg
       $ summary_arg)
@@ -495,7 +521,7 @@ let witness_cmd =
 let () =
   let info =
     Cmd.info "trace-dump" ~version:"1.0"
-      ~doc:"Run a scenario and export its trace and metrics"
+      ~doc:"Run a scenario traced and export everything it recorded"
   in
   let cmds =
     List.map (fun (sc, _) -> scenario_cmd sc) Scenarios.registry

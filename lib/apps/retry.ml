@@ -18,7 +18,10 @@ let backoff rt ~op ~attempt =
   Clock.consume (Runtime.clock rt) Clock.Other ns;
   let obs = (Runtime.machine rt).Machine.obs in
   Encl_obs.Metrics.incr (Obs.metrics obs) retry_counter;
-  if Obs.enabled obs then Obs.emit obs (Encl_obs.Event.Retry { op; attempt })
+  if Obs.enabled obs then
+    Obs.span_mark obs
+      ~name:(Printf.sprintf "retry:%s attempt=%d" op attempt)
+      ~category:Encl_obs.Span.Syscall ()
 
 let with_backoff ?(attempts = 5) rt ~op f =
   let rec go attempt =

@@ -6,8 +6,8 @@
     is simulated time consumed directly off the clock — [nanosleep(2)] is
     in the time syscall category, which net-only enclosure filters deny,
     so these helpers are safe to call from inside an enclosure. Each
-    retry increments the ["retry"] observability counter and emits an
-    [Event.Retry] record. *)
+    retry increments the ["retry"] counter and, when the machine's sink
+    is enabled, records a ["retry:<op> attempt=<n>"] mark. *)
 
 val transient : Encl_kernel.Kernel.errno -> bool
 (** [EINTR] or [EAGAIN]. *)

@@ -56,7 +56,9 @@ let note_alloc_span t a ~pkg =
   Encl_obs.Metrics.incr_in (Encl_obs.Obs.metrics obs) ~scope:a.scope
     alloc_span_counter;
   if Encl_obs.Obs.enabled obs then
-    Encl_obs.Obs.emit obs (Encl_obs.Event.Alloc_span { pkg; bytes = span_bytes })
+    Encl_obs.Obs.span_mark obs
+      ~name:(Printf.sprintf "alloc_span:%s bytes=%d" pkg span_bytes)
+      ~category:Encl_obs.Span.Transfer ()
 
 let assign_span t a ~pkg addr =
   (match t.lb with

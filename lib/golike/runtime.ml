@@ -287,11 +287,9 @@ let gc t =
   (match t.lb with None -> work () | Some lb -> Lb.with_trusted lb work);
   Encl_obs.Metrics.incr_in (Encl_obs.Obs.metrics obs)
     ~scope:Encl_obs.Metrics.trusted gc_counter;
-  if Encl_obs.Obs.enabled obs then begin
-    let dur = Clock.now t.machine.Machine.clock - t0 in
-    Encl_obs.Obs.observe obs ~scope:Encl_obs.Metrics.trusted "gc_ns" dur;
-    Encl_obs.Obs.emit obs ~dur (Encl_obs.Event.Gc { spans })
-  end
+  if Encl_obs.Obs.enabled obs then
+    Encl_obs.Obs.observe obs ~scope:Encl_obs.Metrics.trusted "gc_ns"
+      (Clock.now t.machine.Machine.clock - t0)
 
 let stats t =
   let k = t.machine.Machine.kernel in

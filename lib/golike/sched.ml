@@ -183,12 +183,10 @@ let note_kill t fiber reason =
   Hashtbl.replace t.results fiber.fid (Killed reason);
   Metrics.incr (metrics t) kill_counter;
   let obs = t.machine.Machine.obs in
-  if Obs.enabled obs then begin
-    Obs.emit obs (Encl_obs.Event.Fiber_kill { fid = fiber.fid; reason });
+  if Obs.enabled obs then
     Obs.span_mark obs
-      ~name:(Printf.sprintf "fiber_kill:%d" fiber.fid)
-      ~category:Encl_obs.Span.Sched ()
-  end;
+      ~name:(Printf.sprintf "fiber_kill:%d %s" fiber.fid reason)
+      ~category:Encl_obs.Span.Sched ();
   restore_trusted t
 
 let run_step (_ : t) fiber =

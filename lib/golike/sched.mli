@@ -52,10 +52,11 @@ val go : t -> (unit -> unit) -> unit
     {b Fault containment}: a fiber that dies of an enclosure fault
     ([Litterbox.Fault], [Litterbox.Quarantined], [Cpu.Fault], a seccomp
     kill) is killed and reaped — the fault is accounted with LitterBox,
-    the trusted environment restored, the exit recorded — and the
-    scheduler carries on with the remaining fibers. Any other exception
-    still tears the scheduler down (a runtime bug, not a contained
-    fault). *)
+    the trusted environment restored, the exit recorded (with the
+    machine's sink enabled, as a ["fiber_kill:<fid> <reason>"] mark) —
+    and the scheduler carries on with the remaining fibers. Any other
+    exception still tears the scheduler down (a runtime bug, not a
+    contained fault). *)
 
 val spawn_supervised : t -> (unit -> unit) -> int
 (** Like {!go}, but panic/recover-style: {e any} exception (except the

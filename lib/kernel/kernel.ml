@@ -688,23 +688,17 @@ let record t nr =
 
 (* Count the syscall's verdict (an allowed call also counts under its
    category) and, when the sink is enabled, record the latency
-   histogram and a ring event covering [t0, now]. *)
-let obs_syscall t nr ~t0 ~verdict =
+   histogram over [t0, now]. The caller's span covers the call. *)
+let obs_syscall t nr ~t0 ~allowed =
   let module Obs = Encl_obs.Obs in
-  let category = Sysno.category nr in
-  (match verdict with
-  | Encl_obs.Event.Allowed ->
-      Metrics.incr t.metrics allowed_counter;
-      Metrics.incr t.metrics
-        category_counters.(Sysno.category_index category)
-  | Encl_obs.Event.Denied -> Metrics.incr t.metrics denied_counter);
-  if Obs.enabled t.obs then begin
-    let dur = Clock.now t.clock - t0 in
-    Obs.observe t.obs "syscall_ns" dur;
-    Obs.emit t.obs ~dur
-      (Encl_obs.Event.Syscall
-         { name = Sysno.name nr; category = Sysno.category_name category; verdict })
+  if allowed then begin
+    Metrics.incr t.metrics allowed_counter;
+    Metrics.incr t.metrics
+      category_counters.(Sysno.category_index (Sysno.category nr))
   end
+  else Metrics.incr t.metrics denied_counter;
+  if Obs.enabled t.obs then
+    Obs.observe t.obs "syscall_ns" (Clock.now t.clock - t0)
 
 (* The trap + seccomp + service portion, bracketed by the caller's span.
    [trap_cost] is the entry cost into the kernel: the full trap+return
@@ -734,7 +728,7 @@ let syscall_body t call nr ~trap_cost =
      if Defense.enabled Defense.Syscall_origin then begin
        t.origin_kills <- t.origin_kills + 1;
        Metrics.incr t.metrics gate_violation_counter;
-       obs_syscall t nr ~t0 ~verdict:Encl_obs.Event.Denied;
+       obs_syscall t nr ~t0 ~allowed:false;
        raise
          (Syscall_killed { nr; env = env.Cpu.label ^ " (non-gate origin)" })
      end
@@ -742,7 +736,7 @@ let syscall_body t call nr ~trap_cost =
    if Cpu.untrusted_label env.Cpu.label && mm_shaping call then
      if Defense.enabled Defense.Mm_guard then begin
        Metrics.incr t.metrics gate_violation_counter;
-       obs_syscall t nr ~t0 ~verdict:Encl_obs.Event.Denied;
+       obs_syscall t nr ~t0 ~allowed:false;
        raise
          (Syscall_killed { nr; env = env.Cpu.label ^ " (mm privilege)" })
      end);
@@ -782,7 +776,7 @@ let syscall_body t call nr ~trap_cost =
     match action with
     | Bpf.Allow -> ()
     | Bpf.Kill | Bpf.Trap ->
-        obs_syscall t nr ~t0 ~verdict:Encl_obs.Event.Denied;
+        obs_syscall t nr ~t0 ~allowed:false;
         raise (Syscall_killed { nr; env = env.Cpu.label })
     | Bpf.Errno _ -> ()
   end;
@@ -800,7 +794,7 @@ let syscall_body t call nr ~trap_cost =
   let result =
     match transient with Some e -> Error e | None -> execute t call
   in
-  obs_syscall t nr ~t0 ~verdict:Encl_obs.Event.Allowed;
+  obs_syscall t nr ~t0 ~allowed:true;
   result
 
 let syscall_with t call ~trap_cost =

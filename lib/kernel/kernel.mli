@@ -110,7 +110,7 @@ val create :
 (** Every system call counts its verdict in [obs]'s registry
     (["syscall.allowed"] plus ["syscall.<category>"], or
     ["syscall.denied"] on a kill); when the sink is enabled it also
-    records a latency observation and a ring event. *)
+    records a latency observation, and the call gets a span. *)
 
 val denied_counter : Encl_obs.Metrics.counter
 (** ["syscall.denied"]. LitterBox counts its guest-side denials here

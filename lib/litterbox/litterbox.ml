@@ -6,7 +6,6 @@ module Image = Encl_elf.Image
 module Section = Encl_elf.Section
 module Obs = Encl_obs.Obs
 module Metrics = Encl_obs.Metrics
-module Event = Encl_obs.Event
 module Span = Encl_obs.Span
 module Witness = Encl_obs.Witness
 
@@ -132,13 +131,15 @@ let stack_scope = function [] -> Metrics.trusted | enc :: _ -> enc.e_scope
    caught from the CPU or from seccomp — flows through here exactly
    once, keeping the "fault" counter, t.fault_log and the per-enclosure
    quarantine budget in lockstep. [trace] is the log-book entry;
-   [reason] is what the obs event carries. *)
+   [reason] is what the fault mark carries, on the enclosure's lane. *)
 let record_fault t ?enclosure ~trace reason =
   Metrics.incr (metrics t) C.fault;
   t.fault_log <- trace :: t.fault_log;
   Log.err (fun m -> m "%s" trace);
   (let o = obs t in
-   if Obs.enabled o then Obs.emit o (Event.Fault { reason }));
+   if Obs.enabled o then
+     Obs.span_mark o ?lane:enclosure ~name:("fault:" ^ reason)
+       ~category:Span.Fault ());
   match Option.bind enclosure (Hashtbl.find_opt t.encs) with
   | None -> ()
   | Some enc ->
@@ -150,8 +151,10 @@ let record_fault t ?enclosure ~trace reason =
         Metrics.incr (metrics t) C.quarantine;
         let o = obs t in
         if Obs.enabled o then
-          Obs.emit o
-            (Event.Quarantine { enclosure = enc.e_name; faults = enc.e_faults })
+          Obs.span_mark o ~lane:enc.e_name
+            ~name:
+              (Printf.sprintf "quarantine:%s faults=%d" enc.e_name enc.e_faults)
+            ~category:Span.Fault ()
       end
 
 let fault t ?enclosure reason =
@@ -574,7 +577,7 @@ let filter_allows_call (f : Policy.sys_filter) (call : K.call) =
 
 (* Call-site context: the collapsed signature of the innermost open
    span ("lane;outer;...;name"), or the scope's bare "user" frame when
-   no span is open (e.g. the event ring is disabled). *)
+   no span is open (e.g. the sink is disabled). *)
 let witness_site t =
   match Span.top (Obs.spans (obs t)) with
   | Some (_, sig_) -> sig_
@@ -600,20 +603,9 @@ let capture_site t =
 
 (* Guest-side denial (LB_VTX / LB_LWC): the call never reaches the
    kernel, so the kernel's tap can't see it — record it here. *)
-let note_denied t call =
+let note_denied t =
   t.denied_guest <- t.denied_guest + 1;
-  Metrics.incr (metrics t) K.denied_counter;
-  let o = obs t in
-  if Obs.enabled o then begin
-    let nr = K.sysno_of_call call in
-    Obs.emit o
-      (Event.Syscall
-         {
-           name = Sysno.name nr;
-           category = Sysno.category_name (Sysno.category nr);
-           verdict = Event.Denied;
-         })
-  end
+  Metrics.incr (metrics t) K.denied_counter
 
 (* A guest-filter denial found while draining: same accounting as the
    direct path's [fault t ~enclosure reason] — denial tap, fault log
@@ -621,7 +613,7 @@ let note_denied t call =
    completion instead of raised; the awaiting caller re-raises it. *)
 let deny_entry t entry ~enclosure reason =
   witness_entry t entry ~allowed:false;
-  note_denied t entry.sq_call;
+  note_denied t;
   let trace = Printf.sprintf "fault in %s: %s" enclosure reason in
   record_fault t ~enclosure ~trace reason;
   entry.sq_comp.c_state <- Faulted (Fault { reason; enclosure = Some enclosure })
@@ -647,7 +639,7 @@ let denial call ~filter =
 let guest_check t stack call ~filter =
   match stack with
   | enc :: _ when not (filter_allows_call enc.e_policy.Policy.filter call) ->
-      note_denied t call;
+      note_denied t;
       fault t ~enclosure:enc.e_name (denial call ~filter)
   | _ -> ()
 
@@ -1367,11 +1359,11 @@ let pay_switch t pay ~cost ~scope target =
 (* The one switch protocol behind prolog, epilog, execute and both
    halves of with_trusted: count the switch under its scope (first, so
    an aborted switch still counts), open its span, pay, install the
-   target stack, emit the event (an excursion emits none). A switch
-   belongs to its enclosure side: the enclosure entered or resumed, the
-   one left, or the one taking the excursion; its span is on that lane.
-   [site] is the event's call-site. *)
-let switch t pay ~cost ~site target =
+   target stack. A switch belongs to its enclosure side: the enclosure
+   entered or resumed, the one left, or the one taking the excursion;
+   its span is on that lane. Prolog, epilog and execute also record
+   their latency in the "switch_ns" histogram. *)
+let switch t pay ~cost target =
   let side =
     match pay with
     | Leave | Excursion_enter -> t.stack
@@ -1400,21 +1392,9 @@ let switch t pay ~cost ~site target =
     match pay_switch t pay ~cost ~scope target with
     | () ->
         set_stack t target;
-        let emit kind =
-          let dur = Clock.now clock - t0 in
-          Obs.observe o "switch_ns" dur;
-          Obs.emit o ~dur kind
-        in
         (match pay with
-        | Enter -> emit (Event.Prolog { enclosure = scope_name target; site })
-        | Leave -> emit (Event.Epilog { site })
-        | Resume ->
-            emit
-              (Event.Execute
-                 {
-                   target =
-                     (match target with [] -> None | enc :: _ -> Some enc.e_name);
-                 })
+        | Enter | Leave | Resume ->
+            Obs.observe o "switch_ns" (Clock.now clock - t0)
         | Excursion_enter | Excursion_exit -> ());
         Obs.span_exit o sp
     | exception e ->
@@ -1541,7 +1521,7 @@ let prolog t ~name ~site =
                  "switch into %s would escalate privileges (nested enclosures \
                   may only restrict)"
                  name));
-      switch t Enter ~cost:0 ~site (enc :: t.stack)
+      switch t Enter ~cost:0 (enc :: t.stack)
 
 let epilog t ~site =
   check_site t site Image.Epilog;
@@ -1557,7 +1537,7 @@ let epilog t ~site =
   if Defense.enabled Defense.Ring_integrity then drain t;
   match t.stack with
   | [] -> fault t "epilog with no active enclosure"
-  | _ :: rest -> switch t Leave ~cost:0 ~site rest
+  | _ :: rest -> switch t Leave ~cost:0 rest
 
 let in_enclosure t = match t.stack with [] -> None | e :: _ -> Some e.e_name
 
@@ -1646,11 +1626,8 @@ let transfer_pieces t ~addr ~len ~chunk ~n ~to_pkg ~site =
   done;
   let (module B) = impl t in
   B.transfer t ~addr ~pages:!pages ~to_pkg ~key_changed:!key_changed;
-  if Obs.enabled o then begin
-    let dur = Clock.now t.machine.Machine.clock - t0 in
-    Obs.observe o "transfer_ns" dur;
-    Obs.emit o ~dur (Event.Transfer { to_pkg; pages = !pages })
-  end
+  if Obs.enabled o then
+    Obs.observe o "transfer_ns" (Clock.now t.machine.Machine.clock - t0)
 
 let transfer t ~addr ~len ~to_pkg ~site =
   transfer_pieces t ~addr ~len ~chunk:len ~n:1 ~to_pkg ~site
@@ -1693,7 +1670,7 @@ let execute t env_ref ~site =
      | Some enc ->
          raise (Quarantined { enclosure = enc.e_name; faults = enc.e_faults })
      | None -> ());
-  switch t Resume ~cost:0 ~site env_ref
+  switch t Resume ~cost:0 env_ref
 
 (* The excursion's switch costs are attributed to the enclosure that
    requested it (two short spans); the work inside [f] stays in the
@@ -1707,9 +1684,9 @@ let with_trusted t f =
     let (module B) = impl t in
     B.excursion_costs t
   in
-  switch t Excursion_enter ~cost:enter_cost ~site:"" [];
+  switch t Excursion_enter ~cost:enter_cost [];
   Fun.protect
-    ~finally:(fun () -> switch t Excursion_exit ~cost:return_cost ~site:"" saved)
+    ~finally:(fun () -> switch t Excursion_exit ~cost:return_cost saved)
     f
 
 (* ------------------------------------------------------------------ *)

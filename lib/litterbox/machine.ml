@@ -34,8 +34,9 @@ let create ?(costs = Costs.default) ?(cores = 1) () =
     Encl_kernel.Kernel.create ~clock ~costs ~cpu ~trusted_env ~vfs ~net ~mm ~obs
   in
   (* One injector spans the whole machine: every component registers its
-     hook points here, and every firing lands in the obs sink. Inert
-     (nothing armed, `active` false) unless a chaos plan arms it. *)
+     hook points here, and every firing lands in the registry and, when
+     the sink is enabled, as a mark. Inert (nothing armed, `active`
+     false) unless a chaos plan arms it. *)
   let inject = Encl_fault.Fault.create () in
   (* The machine's own trusted excursions (loader, galloc) are a vetted
      gate site; the CPU's gate violations count as "gate_violation",
@@ -52,7 +53,8 @@ let create ?(costs = Costs.default) ?(cores = 1) () =
   Encl_fault.Fault.on_fire inject (fun ~point ~env:_ ->
       Encl_obs.Metrics.incr metrics inject_counter;
       if Encl_obs.Obs.enabled obs then
-        Encl_obs.Obs.emit obs (Encl_obs.Event.Inject { point }));
+        Encl_obs.Obs.span_mark obs ~name:("inject:" ^ point)
+          ~category:Encl_obs.Span.Fault ());
   (* Attribution hooks, attached only when the sink is enabled at
      creation: the clock feeds every tick into the ledger, and CPU fault
      delivery leaves an instant span. Disabled machines keep both hooks

@@ -32,7 +32,7 @@ type t = {
           current scope (the per-scope export of the injector's own
           per-point fire counts, which stay in {!Encl_fault.Fault}
           because they enforce each point's [max_fires]) and, when the
-          sink is enabled, records an [Inject] event. *)
+          sink is enabled, records an ["inject:<point>"] mark. *)
   mutable bytes_copied : int;
       (** Guest-side bytes_copied ledger: buffer-to-buffer copies guest
           code performs (response assembly, pylike localcopy). The

@@ -267,70 +267,42 @@ let trace_json obs =
         i
   in
   ignore (tid_of trusted_scope);
-  let spans = Span.closed (Obs.spans obs) in
-  let have_spans = spans <> [] in
-  let event_json (e : Event.t) =
-    let scope =
-      match e.Event.enclosure with Some s -> s | None -> trusted_scope
-    in
-    let tid = tid_of scope in
-    let phase =
-      (* With spans present, the nesting bars come from the span stream;
-         duration events would paint the same interval twice on the same
-         lane, so they degrade to instants (the count stays invariant —
-         one trace event per ring event either way). *)
-      if e.Event.dur > 0 && not have_spans then
-        [ ("ph", String "X"); ("dur", Float (us e.Event.dur)) ]
-      else [ ("ph", String "i"); ("s", String "t") ]
+  (* Spans render as complete ("X") events and marks as thread-scoped
+     instants ("i"), on the lane of the enclosure that pays for them,
+     sorted by start (ties: id) so Perfetto nests them without a sort
+     pass. *)
+  let span_json (s : Span.span) =
+    let shape =
+      if s.Span.instant then [ ("ph", String "i"); ("s", String "t") ]
+      else
+        [ ("ph", String "X"); ("dur", Float (us (s.Span.stop - s.Span.start))) ]
     in
     Obj
       ([
-         ("name", String (Event.kind_name e.Event.kind));
-         ("cat", String (Event.kind_category e.Event.kind));
+         ("name", String s.Span.name);
+         ("cat", String (Span.category_name s.Span.category));
          ("pid", Int 1);
-         ("tid", Int tid);
-         ("ts", Float (us e.Event.ts));
+         ("tid", Int (tid_of s.Span.lane));
+         ("ts", Float (us s.Span.start));
        ]
-      @ phase
+      @ shape
       @ [
           ( "args",
             Obj
-              (("backend", String e.Event.backend)
-              :: List.map
-                   (fun (k, v) -> (k, String v))
-                   (Event.args e.Event.kind)) );
-        ])
-  in
-  (* Spans render as complete ("X") events on the lane of the enclosure
-     that pays for them, sorted by start (ties: id) so Perfetto nests
-     them without a sort pass. *)
-  let span_json (s : Span.span) =
-    let tid = tid_of s.Span.lane in
-    Obj
-      [
-        ("name", String s.Span.name);
-        ("cat", String ("span:" ^ Span.category_name s.Span.category));
-        ("ph", String "X");
-        ("pid", Int 1);
-        ("tid", Int tid);
-        ("ts", Float (us s.Span.start));
-        ("dur", Float (us (s.Span.stop - s.Span.start)));
-        ( "args",
-          Obj
-            ([ ("id", Int s.Span.id) ]
-            @ (match s.Span.parent with
+              (("id", Int s.Span.id)
+              ::
+              (match s.Span.parent with
               | Some p -> [ ("parent", Int p) ]
               | None -> [])) );
-      ]
+        ])
   in
-  let events = List.map event_json (Obs.events obs) in
   let span_events =
     List.stable_sort
       (fun (a : Span.span) b ->
         match compare a.Span.start b.Span.start with
         | 0 -> compare a.Span.id b.Span.id
         | d -> d)
-      spans
+      (Span.closed (Obs.spans obs))
     |> List.map span_json
   in
   let metadata =
@@ -349,15 +321,13 @@ let trace_json obs =
   to_string
     (Obj
        [
-         ("traceEvents", List (metadata @ span_events @ events));
+         ("traceEvents", List (metadata @ span_events));
          ("displayTimeUnit", String "ms");
          ( "otherData",
            Obj
              [
                ("backend", String (Obs.backend obs));
                ("clock", String "simulated-ns");
-               ("total_events", Int (Obs.total_events obs));
-               ("dropped_events", Int (Obs.dropped_events obs));
                ("total_spans", Int (Span.total (Obs.spans obs)));
                ("dropped_spans", Int (Span.dropped (Obs.spans obs)));
              ] );
@@ -439,7 +409,7 @@ let witness_json obs =
     (Obj
        ([
           ("backend", String (Obs.backend obs));
-          ("dropped_events", Int (Obs.dropped_events obs));
+          ("dropped_spans", Int (Span.dropped (Obs.spans obs)));
         ]
        @ witness_fields obs))
 
@@ -487,13 +457,6 @@ let metrics_json obs =
     (Obj
        [
          ("backend", String (Obs.backend obs));
-         ( "events",
-           Obj
-             [
-               ("total", Int (Obs.total_events obs));
-               ("dropped", Int (Obs.dropped_events obs));
-               ("capacity", Int (Obs.capacity obs));
-             ] );
          ( "spans",
            Obj
              ([
@@ -666,8 +629,10 @@ let summary obs =
   let buf = Buffer.create 1024 in
   let m = Obs.metrics obs in
   Buffer.add_string buf
-    (Printf.sprintf "observability: backend=%s events=%d dropped=%d\n"
-       (Obs.backend obs) (Obs.total_events obs) (Obs.dropped_events obs));
+    (Printf.sprintf "observability: backend=%s spans=%d dropped=%d\n"
+       (Obs.backend obs)
+       (Span.total (Obs.spans obs))
+       (Span.dropped (Obs.spans obs)));
   let totals = Metrics.totals m in
   if totals <> [] then begin
     let scope_w =

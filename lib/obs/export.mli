@@ -34,16 +34,16 @@ end
 
 val trace_json : Obs.t -> string
 (** Chrome [chrome://tracing] / Perfetto-loadable trace: one JSON object
-    with a [traceEvents] array. Causal spans render as ["X"] (complete)
-    events — [cat] prefixed with ["span:"], nested per enclosure lane,
-    parent ids in [args]; ring events render as instants when spans are
-    present (the spans already paint the intervals) and as ["X"]/["i"]
-    by duration otherwise. Each scope (enclosure or trusted) gets its
-    own named thread. Timestamps are simulated microseconds. *)
+    with a [traceEvents] array. Each retained span renders as an ["X"]
+    (complete) event and each mark as an ["i"] (instant), [cat] its
+    {!Span.category}, nested per enclosure lane, id and parent id in
+    [args]. Each scope (enclosure or trusted) gets its own named thread.
+    Timestamps are simulated microseconds; [otherData] carries the span
+    total and drop count. *)
 
 val metrics_json : Obs.t -> string
-(** Flat metrics dump: backend, event accounting (including [dropped]),
-    span accounting (totals, drops, per-category close counts), the
+(** Flat metrics dump: backend, span accounting (totals, drops,
+    per-category close counts), the
     attribution ledger (elapsed vs attributed ns, conservation verdict,
     per-cell breakdown), per-scope counters and histograms, and
     cross-scope [totals] (so [totals.switch]/[totals.fault] can be
@@ -53,7 +53,7 @@ val witness_json : Obs.t -> string
 (** The standalone witness artifact ([witness.json]): per-scope
     capability sets — package access modes with ranges, syscall
     categories with call sites and connect targets, boundary-crossing
-    counts — plus cross-scope allowed/denied totals and the event-ring
+    counts — plus cross-scope allowed/denied totals and the span-ring
     drop count (a non-zero drop invalidates mining runs). Keys are
     sorted, so identical runs produce byte-identical artifacts. The
     same fields are embedded in {!metrics_json} under ["witness"]. *)

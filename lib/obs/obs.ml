@@ -1,6 +1,4 @@
 type t = {
-  now : unit -> int;
-  ring : Event.t Ring.t;
   metrics : Metrics.t;
   spans : Span.t;
   attrib : Attrib.t;
@@ -25,12 +23,10 @@ let with_default ?(witness = false) b f =
 
 let trusted_scope = "trusted"
 
-let create ?(capacity = 65_536) ?enabled ~now () =
+let create ?enabled ~now () =
   {
-    now;
-    ring = Ring.create ~capacity;
     metrics = Metrics.create ();
-    spans = Span.create ~capacity ~now ();
+    spans = Span.create ~now ();
     attrib = Attrib.create ~now ();
     witness = Witness.create ();
     enabled = (match enabled with Some e -> e | None -> !default_enabled);
@@ -43,26 +39,11 @@ let enabled t = t.enabled
 let set_backend t b = t.backend <- b
 let backend t = t.backend
 
-(* The current scope has one home, the registry; the event context and
-   the default span lane are its name. *)
-let context t =
-  let s = Metrics.current t.metrics in
-  if s = Metrics.trusted then None else Some (Metrics.scope_name t.metrics s)
-
+(* The current scope has one home, the registry; the default span lane
+   is its name. *)
 let scope_of t = function
   | Some s -> s
   | None -> Metrics.scope_name t.metrics (Metrics.current t.metrics)
-
-let emit t ?(dur = 0) kind =
-  if t.enabled then
-    Ring.push t.ring
-      {
-        Event.ts = t.now () - dur;
-        dur;
-        backend = t.backend;
-        enclosure = context t;
-        kind;
-      }
 
 let observe t ?scope name v =
   if t.enabled then
@@ -105,11 +86,6 @@ let clock_tick ?(core = 0) t ns =
           ~category:"user" ~stack:t.user_sig ns
 
 let witness t = t.witness
-
-let events t = Ring.to_list t.ring
 let metrics t = t.metrics
 let spans t = t.spans
 let attribution t = t.attrib
-let total_events t = Ring.pushed t.ring
-let dropped_events t = Ring.dropped t.ring
-let capacity t = Ring.capacity t.ring

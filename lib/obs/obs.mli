@@ -2,11 +2,11 @@
 
     Counters always count. They live in the machine's registry
     ({!metrics}), which every layer increments whether or not the sink
-    is enabled. Events, spans, histograms and the attribution ledger
-    are always compiled in but {e disabled by default}: a disabled sink
-    records none of them (no clock cost, no allocation), so benchmark
-    numbers with observability off are identical to a build without
-    it.
+    is enabled. Spans (the one trace record: intervals and instant
+    marks), histograms and the attribution ledger are always compiled in
+    but {e disabled by default}: a disabled sink records none of them
+    (no clock cost, no allocation), so benchmark numbers with
+    observability off are identical to a build without it.
 
     Timestamps come from the caller-supplied [now] closure, which reads
     the {e simulated} clock — traces of deterministic workloads are
@@ -24,28 +24,20 @@ val with_default : ?witness:bool -> bool -> (unit -> 'a) -> 'a
     recorder's default too) set to the given value, restoring both on
     exit. *)
 
-val create : ?capacity:int -> ?enabled:bool -> now:(unit -> int) -> unit -> t
-(** [enabled] defaults to [!default_enabled]. *)
+val create : ?enabled:bool -> now:(unit -> int) -> unit -> t
+(** [enabled] defaults to [!default_enabled]. The span ring grows as
+    spans are recorded, so a disabled sink allocates about a
+    kilobyte. *)
 
 val enabled : t -> bool
 
 val set_backend : t -> string -> unit
-(** Stamp subsequent events with a backend name (default ["baseline"];
-    LitterBox sets this at init). *)
+(** Name the backend the exported artifacts are labelled with (default
+    ["baseline"]; LitterBox sets this at init). *)
 
 val backend : t -> string
 
-val context : t -> string option
-(** The innermost active enclosure: the registry's current scope
-    ({!Metrics.current}, which LitterBox maintains on every environment
-    switch), [None] in the trusted scope. Stamped onto events; its name
-    is the default span lane. *)
-
-(** {2 Emission (no-ops while disabled)} *)
-
-val emit : t -> ?dur:int -> Event.kind -> unit
-(** Record an event that {e ended} now and took [dur] simulated ns
-    (default 0: an instant event). *)
+(** {2 Recording (no-ops while disabled)} *)
 
 val observe : t -> ?scope:Metrics.scope -> string -> int -> unit
 (** Record a latency sample into a per-scope histogram. [scope]
@@ -55,8 +47,9 @@ val observe : t -> ?scope:Metrics.scope -> string -> int -> unit
 
 val span_enter :
   t -> ?lane:string -> name:string -> category:Span.category -> unit -> int
-(** Open a causal span ({!Span.enter}); [lane] defaults to the current
-    context scope. Returns [-1] when the sink is disabled — callers pass
+(** Open a causal span ({!Span.enter}); [lane] defaults to the
+    registry's current scope ({!Metrics.current}, which LitterBox
+    maintains on every environment switch). Returns [-1] when the sink is disabled — callers pass
     the id straight to {!span_exit} on every exit path without checking. *)
 
 val span_exit : t -> int -> unit
@@ -65,7 +58,9 @@ val span_exit : t -> int -> unit
 
 val span_mark :
   t -> ?lane:string -> name:string -> category:Span.category -> unit -> unit
-(** Record an instant span (fault delivery, fiber kill). *)
+(** Record an instant ({!Span.mark}): a fault, a quarantine, a chaos
+    injection, a retry, an allocator span or a fiber kill, its payload
+    in [name]. [lane] defaults as for {!span_enter}. *)
 
 val clock_tick : ?core:int -> t -> int -> unit
 (** Feed one clock advance into the attribution ledger, charged to the
@@ -83,16 +78,7 @@ val witness : t -> Witness.t
     emission site that already holds the sink can reach it, but gated
     independently: the witness has its own enabled flag
     ([Witness.default_enabled], consulted at {!create} time) so policy
-    mining can run with the event ring off and vice versa. *)
-
-(** {2 Introspection} *)
-
-val events : t -> Event.t list
-(** Retained events, oldest first. *)
+    mining can run with spans off and vice versa. *)
 
 val metrics : t -> Metrics.t
 (** The machine's counter registry; always counting. *)
-
-val total_events : t -> int
-val dropped_events : t -> int
-val capacity : t -> int

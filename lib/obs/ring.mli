@@ -2,7 +2,9 @@
 
     Pushing past the capacity silently overwrites the oldest element;
     {!dropped} reports how many were lost, so exporters can state
-    truncation explicitly instead of pretending full coverage. *)
+    truncation explicitly instead of pretending full coverage. The slots
+    grow by doubling up to the capacity as elements arrive, so a ring
+    nothing is recorded into costs a few words. *)
 
 type 'a t
 
@@ -23,7 +25,5 @@ val push : 'a t -> 'a -> unit
 val to_list : 'a t -> 'a list
 (** Retained elements, oldest first. *)
 
-val iter : ('a -> unit) -> 'a t -> unit
-(** Oldest first. *)
-
 val clear : 'a t -> unit
+(** Empty the ring and release its slots. *)

@@ -42,6 +42,7 @@ type span = {
   category : category;
   start : int;
   mutable stop : int;
+  instant : bool;
 }
 
 (* Open spans carry their memoized collapsed-stack signature
@@ -57,7 +58,9 @@ type t = {
   closes : int array;  (** per-category close count; exact, never dropped *)
 }
 
-let default_capacity = 65_536
+(* Holds every registry scenario at its default size (smp_http on
+   LB_MPK records about 140 K). *)
+let default_capacity = 1 lsl 18
 
 let create ?(capacity = default_capacity) ~now () =
   {
@@ -78,7 +81,18 @@ let enter t ~lane ~name ~category =
   t.next_id <- id + 1;
   let parent = match t.stack with [] -> None | f :: _ -> Some f.sp.id in
   let sig_ = signature_of t ~lane ~name in
-  let sp = { id; parent; lane; name; category; start = t.now (); stop = -1 } in
+  let sp =
+    {
+      id;
+      parent;
+      lane;
+      name;
+      category;
+      start = t.now ();
+      stop = -1;
+      instant = false;
+    }
+  in
   t.stack <- { sp; sig_ } :: t.stack;
   id
 
@@ -108,7 +122,9 @@ let mark t ~lane ~name ~category =
   t.next_id <- id + 1;
   let parent = match t.stack with [] -> None | f :: _ -> Some f.sp.id in
   let ts = t.now () in
-  let sp = { id; parent; lane; name; category; start = ts; stop = ts } in
+  let sp =
+    { id; parent; lane; name; category; start = ts; stop = ts; instant = true }
+  in
   Ring.push t.closed sp;
   let i = category_index category in
   t.closes.(i) <- t.closes.(i) + 1
@@ -120,9 +136,3 @@ let total t = Ring.pushed t.closed
 let dropped t = Ring.dropped t.closed
 let capacity t = Ring.capacity t.closed
 let close_count t cat = t.closes.(category_index cat)
-
-let clear t =
-  t.stack <- [];
-  t.next_id <- 0;
-  Ring.clear t.closed;
-  Array.fill t.closes 0 (Array.length t.closes) 0

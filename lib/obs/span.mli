@@ -1,7 +1,11 @@
-(** Causal spans: well-nested intervals of simulated time.
+(** Causal spans: well-nested intervals of simulated time, the
+    machine's one trace record.
 
     A span covers the execution of one enforcement operation (a prolog,
-    a seccomp evaluation, a fiber run slice, ...). Spans form a stack —
+    a seccomp evaluation, a fiber run slice, ...); a {!mark} records an
+    instant (a fault, a quarantine, a chaos injection, a retry, an
+    allocator span, a fiber kill) with its payload in its name. Spans
+    form a stack —
     entering while another span is open makes the new span its child —
     and the innermost open span is what the attribution ledger
     ({!Attrib}) charges each clock tick to.
@@ -11,7 +15,9 @@
     per machine is sound and intervals are well-nested by construction
     (a property test in [test/test_span.ml] holds this under random
     scenario ops). Closed spans land in a bounded ring, oldest evicted
-    first; the per-category close counters are exact regardless. *)
+    first; the per-category close counters are exact regardless. A
+    trace with a dropped span is incomplete: [trace_dump] exits 1 on
+    one and [policyminer] refuses to mine. *)
 
 type category =
   | User  (** workload code (fiber run slices, protected regions) *)
@@ -35,11 +41,15 @@ type span = {
   category : category;
   start : int;  (** simulated ns *)
   mutable stop : int;  (** [-1] while open *)
+  instant : bool;  (** a {!mark}, not an interval *)
 }
 
 type t
 
 val create : ?capacity:int -> now:(unit -> int) -> unit -> t
+(** [capacity] (default 2{^18}) bounds the retained closed spans. The
+    ring grows as spans close ({!Ring}), so a store nothing is recorded
+    into costs a few words. *)
 
 val enter : t -> lane:string -> name:string -> category:category -> int
 (** Open a span as a child of the current innermost span; returns its id. *)
@@ -63,11 +73,13 @@ val closed : t -> span list
 (** Retained closed spans, oldest first. *)
 
 val total : t -> int
+(** Spans and marks recorded. *)
+
 val dropped : t -> int
+(** Recorded spans the ring evicted. *)
+
 val capacity : t -> int
 
 val close_count : t -> category -> int
 (** Exact number of spans closed per category (ring drops don't affect
     it) — the denominator for per-operation mean costs. *)
-
-val clear : t -> unit

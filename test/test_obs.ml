@@ -8,7 +8,7 @@ module Obs = Encl_obs.Obs
 module Ring = Encl_obs.Ring
 module Hist = Encl_obs.Hist
 module Metrics = Encl_obs.Metrics
-module Event = Encl_obs.Event
+module Span = Encl_obs.Span
 module Export = Encl_obs.Export
 module Json = Encl_obs.Export.Json
 module Lb = Encl_litterbox.Litterbox
@@ -237,29 +237,41 @@ let exporter_tests =
                     Alcotest.(check bool) "event fields" true
                       (has "name" && has "ph" && has "pid" && has "tid"))
                   events;
-                (* Every non-metadata, non-span event count matches the
-                   ring; span events ("span:<cat>") match the span store. *)
-                let is_span e =
-                  match
-                    Option.bind (Json.member "cat" e) Json.to_string_opt
-                  with
-                  | Some c ->
-                      String.length c > 5 && String.sub c 0 5 = "span:"
-                  | None -> false
-                in
+                (* Every non-metadata entry is a span ("X" with ts and
+                   dur) or a mark ("i" with ts), one per recorded span. *)
                 let data =
                   List.filter
-                    (fun e ->
-                      Json.member "ph" e <> Some (Json.String "M")
-                      && not (is_span e))
+                    (fun e -> Json.member "ph" e <> Some (Json.String "M"))
                     events
                 in
-                Alcotest.(check int) "event count" (Obs.total_events obs)
-                  (List.length data);
-                let span_events = List.filter is_span events in
+                List.iter
+                  (fun e ->
+                    let has k = Json.member k e <> None in
+                    match Json.member "ph" e with
+                    | Some (Json.String "X") ->
+                        Alcotest.(check bool) "span has ts and dur" true
+                          (has "ts" && has "dur")
+                    | Some (Json.String "i") ->
+                        Alcotest.(check bool) "mark has ts" true (has "ts")
+                    | _ ->
+                        Alcotest.fail
+                          ("neither a span nor a mark: " ^ Json.to_string e))
+                  data;
                 Alcotest.(check int) "span count"
-                  (Encl_obs.Span.total (Obs.spans obs))
-                  (List.length span_events)));
+                  (Span.total (Obs.spans obs))
+                  (List.length data)));
+    Alcotest.test_case "a denied syscall leaves a fault mark on its lane"
+      `Quick (fun () ->
+        let machine, _image, lb = boot_obs Lb.Mpk in
+        drive_figure1 lb;
+        let marks =
+          List.filter
+            (fun (s : Span.span) ->
+              s.Span.instant && s.Span.lane = "rcl"
+              && String.starts_with ~prefix:"fault" s.Span.name)
+            (Span.closed (Obs.spans machine.Machine.obs))
+        in
+        Alcotest.(check bool) "a fault mark on rcl's lane" true (marks <> []));
     Alcotest.test_case "summary names every scope" `Quick (fun () ->
         let machine, _image, lb = boot_obs Lb.Mpk in
         drive_figure1 lb;
@@ -274,15 +286,14 @@ let exporter_tests =
             Alcotest.(check bool) (scope ^ " present") true (contains scope))
           (Metrics.scopes (Obs.metrics machine.Machine.obs)));
     Alcotest.test_case "disabled sink records nothing" `Quick (fun () ->
-        (* Nothing of its own: no events, spans or histograms. Counters
-           are the registry's and still count. *)
+        (* Nothing of its own: no spans or histograms. Counters are the
+           registry's and still count. *)
         let machine, _image, lb = Fixtures.boot Lb.Mpk in
         drive_figure1 lb;
         let obs = machine.Machine.obs in
         let m = Obs.metrics obs in
         Alcotest.(check bool) "disabled" false (Obs.enabled obs);
-        Alcotest.(check int) "no events" 0 (Obs.total_events obs);
-        Alcotest.(check int) "no spans" 0 (Encl_obs.Span.total (Obs.spans obs));
+        Alcotest.(check int) "no spans" 0 (Span.total (Obs.spans obs));
         Alcotest.(check int) "no histograms" 0
           (List.length (List.concat_map (fun scope -> Metrics.hists m ~scope) (Metrics.scopes m)));
         Alcotest.(check bool) "switches still counted" true
@@ -290,6 +301,66 @@ let exporter_tests =
         Alcotest.(check (option int))
           "registry switch total" (Some (Lb.switch_count lb))
           (List.assoc_opt "switch" (Metrics.totals m)));
+    Alcotest.test_case "a disabled sink allocates under 64 KB" `Quick
+      (fun () ->
+        (* The span ring grows on use, so booting a machine with
+           observability off pays for no trace storage. *)
+        let before = Gc.allocated_bytes () in
+        let obs = Obs.create ~enabled:false ~now:(fun () -> 0) () in
+        let bytes = Gc.allocated_bytes () -. before in
+        ignore (Sys.opaque_identity obs);
+        Alcotest.(check bool)
+          (Printf.sprintf "Obs.create allocated %.0f bytes" bytes)
+          true (bytes < 65_536.));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Hostile bytes: every artifact, snapshot and baseline is read through
+   Json.parse, so it must be total: a typed result on any input, never
+   an exception, and a document it accepts must survive its own
+   serialisation. *)
+
+(* The valid inputs the property truncates and mutates: trace.json and
+   metrics.json of a short traced run. *)
+let artifacts =
+  lazy
+    (let machine, _image, lb = boot_obs Lb.Mpk in
+     drive_figure1 lb;
+     let obs = machine.Machine.obs in
+     [| Export.trace_json obs; Export.metrics_json obs |])
+
+let hostile_gen =
+  QCheck.Gen.(
+    let artifact = delay (fun () -> oneofa (Lazy.force artifacts)) in
+    let truncated doc =
+      map (fun n -> String.sub doc 0 n) (int_bound (String.length doc))
+    in
+    let mutated doc =
+      map2
+        (fun i c ->
+          let b = Bytes.of_string doc in
+          Bytes.set b i c;
+          Bytes.to_string b)
+        (int_bound (String.length doc - 1))
+        char
+    in
+    oneof
+      [
+        string_size ~gen:char (int_range 0 256);
+        string_size ~gen:printable (int_range 0 256);
+        artifact >>= truncated;
+        artifact >>= mutated;
+      ])
+
+let hostile_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"parse is total on hostile bytes" ~count:2000
+         (QCheck.make ~print:String.escaped hostile_gen)
+         (fun s ->
+           match Json.parse s with
+           | Error _ -> true
+           | Ok v -> Result.is_ok (Json.parse (Json.to_string v))));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -368,7 +439,7 @@ module Metrics_model = struct
   let summary t ~backend =
     let buf = Buffer.create 1024 in
     Buffer.add_string buf
-      (Printf.sprintf "observability: backend=%s events=0 dropped=0\n" backend);
+      (Printf.sprintf "observability: backend=%s spans=0 dropped=0\n" backend);
     let names = counter_names t in
     if names <> [] then begin
       let scope_w =
@@ -529,7 +600,7 @@ let () =
     [
       ("ring", ring_tests);
       ("hist", hist_tests);
-      ("json", json_tests);
+      ("json", json_tests @ hostile_tests);
       ("export", exporter_tests);
       ("props", prop_tests);
     ]
