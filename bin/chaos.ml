@@ -9,7 +9,8 @@
    Output is deterministic: the same seed, plan and workload produce a
    byte-identical metrics line, so CI can diff two runs to prove
    reproducibility. Exit status is 1 when availability falls below the
-   threshold (default 0.9) or the scheduler did not keep the server up. *)
+   threshold (default 0.9), the scheduler did not keep the server up, or
+   the run fails Runtime.audit. *)
 
 module Runtime = Encl_golike.Runtime
 module Machine = Encl_litterbox.Machine
@@ -47,6 +48,9 @@ let run scenario backend seed rate budget requests conns threshold =
       (match Scenarios.chaos_fault_accounting rt with
       | Ok () -> ()
       | Error e -> fail "%s" e);
+      (* Injected faults and retries must leave every run invariant
+         intact. *)
+      List.iter (fail "%s") (Runtime.audit rt);
       match !failures with
       | [] ->
           Printf.printf "chaos %s: ok\n" name;

@@ -6,7 +6,8 @@
 # committed pin, check each optimization claim
 # as an A/B line of data, hold fresh bench numbers to the committed
 # baseline, check that traced runs write complete, valid and
-# rerun-identical artifacts, run the enforcement oracle long, run the
+# rerun-identical artifacts (the SMP scenario at 1 core and at the
+# matrix's count too), run the enforcement oracle long, run the
 # repository benchmark's self-checks on every workload, hold its
 # simulated figures to the committed pin, and self-check the
 # alternating-pairs runner.
@@ -15,9 +16,9 @@
 #   sh bin/ci.sh              full pipeline (the CI default)
 #   sh bin/ci.sh --quick      skip the long oracle, chaos smoke and
 #                             perfbench stages
-#   sh bin/ci.sh --cores N    run the test suite, the SMP determinism stage
-#                             and the enforcement pin on an N-core
-#                             simulated machine too
+#   sh bin/ci.sh --cores N    run the test suite, the SMP trace rerun and
+#                             the enforcement pin on an N-core simulated
+#                             machine too
 set -eu
 
 quick=0
@@ -195,67 +196,58 @@ ab --scenario bild --axis backend:sfi,mpk --expect access_ns:higher
 ab --scenario smp_http --backend mpk --axis cores:4,1 --expect req_per_sec:higher:2.5
 
 stage "trace artifacts (complete, valid, rerun-identical)"
-# One traced run writes five artifacts and exits 1 on a dropped span, a
-# ledger that does not conserve every simulated nanosecond, or counters
-# that do not reconcile. The JSON ones must parse, every folded-stack
-# line must be "STACK NS", and a rerun of the same workload must write
-# byte-identical artifacts (the simulated clock makes traces
-# deterministic). Runs in --quick too.
-n=0
-for args in "wiki --requests 200" "http --backend vtx"; do
-  n=$((n + 1))
-  $bin/trace_dump.exe $args --out-dir "$tmp/trace-$n"
-  $bin/trace_dump.exe $args --out-dir "$tmp/trace-$n-rerun" > /dev/null
+# One traced run writes five artifacts and exits 1 when it fails its
+# audit (Runtime.audit): a dropped span, a ledger that does not conserve
+# every simulated nanosecond per core, a ring left unbalanced, or
+# counters that do not reconcile. The JSON ones must parse, every
+# folded-stack line must be "STACK NS", and a rerun of the same workload
+# must write byte-identical artifacts (the simulated clock makes traces
+# deterministic). Sharding the machine must never cost determinism, so
+# the work-stealing scenario reruns at 1 core and at the matrix's
+# count; core-count invariance of enforcement is part of the
+# enforcement-pin stage. Runs in --quick too.
+#
+# trace_check NAME CORES ARGS...: trace_dump ARGS on CORES cores into
+# $tmp/NAME, its artifacts checked, then rerun and compared.
+trace_check() {
+  name=$1
+  c=$2
+  shift 2
+  ENCL_CORES=$c $bin/trace_dump.exe "$@" --out-dir "$tmp/$name"
+  ENCL_CORES=$c $bin/trace_dump.exe "$@" --out-dir "$tmp/$name-rerun" > /dev/null
   for f in trace.json metrics.json witness.json profile.speedscope.json; do
-    $bin/trace_dump.exe validate "$tmp/trace-$n/$f"
+    $bin/trace_dump.exe validate "$tmp/$name/$f"
   done
   if ! awk 'NF < 2 || $NF !~ /^[0-9]+$/ { bad = 1 } END { exit bad || NR == 0 }' \
-       "$tmp/trace-$n/flamegraph.folded"; then
-    echo "ci: trace_dump $args wrote a malformed flamegraph.folded" >&2
+       "$tmp/$name/flamegraph.folded"; then
+    echo "ci: trace_dump $* on $c cores wrote a malformed flamegraph.folded" >&2
     exit 1
   fi
   for f in trace.json metrics.json witness.json flamegraph.folded \
            profile.speedscope.json; do
-    if ! cmp -s "$tmp/trace-$n/$f" "$tmp/trace-$n-rerun/$f"; then
-      echo "ci: $f of trace_dump $args diverged between identical runs" >&2
+    if ! cmp -s "$tmp/$name/$f" "$tmp/$name-rerun/$f"; then
+      echo "ci: $f of trace_dump $* on $c cores diverged between identical runs" >&2
       exit 1
     fi
   done
+}
+trace_check wiki "${ENCL_CORES:-1}" wiki --requests 200
+trace_check http "${ENCL_CORES:-1}" http --backend vtx
+smp_core_counts=1
+if [ "$cores" != 1 ]; then smp_core_counts="1 $cores"; fi
+for n in $smp_core_counts; do
+  trace_check "smp-$n" "$n" smp_http --requests 256
 done
 # Every registry scenario's default size fits the span ring; smp_http
 # on LB_VTX is among the largest traces.
 $bin/trace_dump.exe smp_http --backend vtx --out-dir "$tmp/trace-smp" > /dev/null
 
-stage "smp determinism (rerun diff)"
-# Sharding the machine must never cost determinism. Two same-seed runs
-# of the work-stealing scenario must produce byte-identical trace,
-# metrics and witness artifacts at every core count this leg covers
-# (1 and the matrix's $cores). Core-count invariance of enforcement is
-# part of the enforcement-pin stage.
-smp_core_counts=1
-if [ "$cores" != 1 ]; then smp_core_counts="1 $cores"; fi
-for n in $smp_core_counts; do
-  mkdir -p "$tmp/smp-$n-a" "$tmp/smp-$n-b"
-  ENCL_CORES=$n dune exec bin/trace_dump.exe -- smp_http --requests 256 \
-    --out-dir "$tmp/smp-$n-a" > /dev/null
-  ENCL_CORES=$n dune exec bin/trace_dump.exe -- smp_http --requests 256 \
-    --out-dir "$tmp/smp-$n-b" > /dev/null
-  for f in trace.json metrics.json witness.json; do
-    if ! cmp -s "$tmp/smp-$n-a/$f" "$tmp/smp-$n-b/$f"; then
-      echo "ci: $f diverged between identical $n-core runs" >&2
-      exit 1
-    fi
-  done
-  dune exec bin/trace_dump.exe -- validate "$tmp/smp-$n-a/metrics.json"
-done
-
 stage "policy mining (mine -> verify -> drift)"
-# The witness ledger must reconcile with the registry's verdict counters
-# and the kernel's per-syscall totals on every backend x scenario pair.
-dune exec bin/trace_dump.exe -- witness
-# Mined literals must agree across all four backends, prove sound
-# (zero faults when enforced) and minimal (every one-rung narrowing
-# faults), and must not widen past the committed snapshots.
+# A mining run must pass its audit, which reconciles the witness with
+# the registry's verdict counters. Mined literals must agree across all
+# four backends, prove sound (zero faults when enforced) and minimal
+# (every one-rung narrowing faults), and must not widen past the
+# committed snapshots.
 for scenario in http wiki pq; do
   dune exec bin/policyminer.exe -- mine "$scenario" > /dev/null
   dune exec bin/policyminer.exe -- verify "$scenario"
@@ -330,7 +322,7 @@ if [ "$quick" = 0 ]; then
   # identical.
   sh bin/perfbench_pairs.sh . . http_vtx 1 1
 else
-  echo "ci: --quick: skipping enforcement oracle (long), chaos smoke, perfbench smoke, perfbench pin and perfbench pairs"
+  echo "ci: --quick: skipping enforcement oracle (long), chaos smoke, perfbench smoke, perfbench pin and perfbench pairs (the trace-artifact stage's smp reruns ran)"
 fi
 
 now=$(date +%s)

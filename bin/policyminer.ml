@@ -16,14 +16,12 @@
    mine grants anything a committed snapshot does not. *)
 
 module Runtime = Encl_golike.Runtime
-module Machine = Encl_litterbox.Machine
 module Lb = Encl_litterbox.Litterbox
 module Miner = Encl_litterbox.Miner
 module Policy = Encl_litterbox.Policy
 module Enclosure = Encl_enclosure.Enclosure
 module Scenarios = Encl_apps.Scenarios
 module Obs = Encl_obs.Obs
-module Span = Encl_obs.Span
 module Witness = Encl_obs.Witness
 module Json = Encl_obs.Export.Json
 open Cmdliner
@@ -48,48 +46,34 @@ let run_scenario ?(witnessed = false) name backend requests =
 let fault_count rt =
   match Runtime.lb rt with Some lb -> Lb.fault_count lb | None -> 0
 
-(* A mining run must see everything: the span ring is lossy under
-   overflow, and a lossy trace is a blind spot the miner must not paper
-   over with a warning. The witness aggregates themselves are exact
-   hash-table counts, but the trace that audits them is not, so an
-   overflowed ring refuses the run: mine a smaller workload. *)
-let check_ring rt =
-  let spans = Obs.spans (Runtime.machine rt).Machine.obs in
-  let dropped = Span.dropped spans in
-  if dropped > 0 then
-    Error
-      (Printf.sprintf
-         "span ring overflowed: %d of %d spans evicted — refusing to mine \
-          from a lossy trace; shrink the workload (--requests)"
-         dropped (Span.total spans))
-  else Ok ()
-
-(* Mine one backend's run: per-enclosure literals, each validated. *)
+(* Mine one backend's run: per-enclosure literals, each validated. The
+   run must pass its audit: a lossy trace or a witness that does not
+   reconcile with the registry is a blind spot the miner must not paper
+   over with a warning, so any problem refuses the run. *)
 let mine_one name backend requests =
   match run_scenario ~witnessed:true name backend requests with
   | Error e ->
       Error (Printf.sprintf "%s under %s: %s" name (Lb.backend_name backend) e)
   | Ok rt -> (
-      match Runtime.lb rt with
-      | None -> Error (name ^ ": scenario ran without a litterbox")
-      | Some lb -> (
-          match check_ring rt with
-          | Error e -> Error e
-          | Ok () ->
-              let mined = Miner.mine lb in
-              let invalid =
-                List.filter_map
-                  (fun (m : Miner.mined) ->
-                    match Enclosure.check_policy m.Miner.literal with
-                    | Ok () -> None
-                    | Error e ->
-                        Some
-                          (Printf.sprintf "%s: mined literal %S invalid: %s"
-                             m.Miner.enclosure m.Miner.literal e))
-                  mined
-              in
-              if invalid <> [] then Error (String.concat "; " invalid)
-              else Ok (lb, mined)))
+      match (Runtime.lb rt, Runtime.audit rt) with
+      | None, _ -> Error (name ^ ": scenario ran without a litterbox")
+      | Some _, (_ :: _ as problems) ->
+          Error ("refusing to mine: " ^ String.concat "; " problems)
+      | Some lb, [] ->
+          let mined = Miner.mine lb in
+          let invalid =
+            List.filter_map
+              (fun (m : Miner.mined) ->
+                match Enclosure.check_policy m.Miner.literal with
+                | Ok () -> None
+                | Error e ->
+                    Some
+                      (Printf.sprintf "%s: mined literal %S invalid: %s"
+                         m.Miner.enclosure m.Miner.literal e))
+              mined
+          in
+          if invalid <> [] then Error (String.concat "; " invalid)
+          else Ok (lb, mined))
 
 (* Mine across [backends] and require the mined policies to agree: the
    capability a package needs is a property of the program, not of the

@@ -7,7 +7,8 @@
      dune exec bin/profile.exe -- gate --write-baseline
 
    [ab] runs one scenario under two configurations (Encl_apps.Ab) and
-   exits 1 unless enforcement is identical and every --expect holds.
+   exits 1 unless each side passes Runtime.audit, enforcement is
+   identical and every --expect holds.
    [gate] diffs fresh bench rows against the committed baseline. A
    single scenario's attribution table, flamegraph.folded and
    profile.speedscope.json come from `trace_dump <scenario>`. *)
@@ -44,7 +45,7 @@ let ab scenario backend axis expect requests =
       if t.Ab.failures <> [] then 1
       else begin
         print_endline
-          "ab: ok (ledgers conserved, rings balanced, enforcement identical)";
+          "ab: ok (each side passes Runtime.audit, enforcement identical)";
         0
       end
 
@@ -131,9 +132,9 @@ let ab_cmd =
     (Cmd.info "ab"
        ~doc:
          "Run one scenario under two configurations with observability on; \
-          exit 1 unless both attribution ledgers are conserved, no ring is \
-          left unbalanced, the enforcement summaries are identical and \
-          every --expect holds.")
+          exit 1 unless each side passes Runtime.audit (ledgers conserved, \
+          rings drained, counters reconciled), the enforcement summaries \
+          are identical and every --expect holds.")
     Term.(
       const ab $ scenario_arg $ Cli.backend_arg $ axis_arg $ expect_arg
       $ Cli.requests_arg)

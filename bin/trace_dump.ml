@@ -15,7 +15,10 @@
    attribution table, which answers "where did every simulated
    nanosecond go?": the ledger charges each clock tick to the innermost
    open span's (enclosure x category) cell. Everything carries
-   simulated-clock timestamps, so reruns produce identical files. *)
+   simulated-clock timestamps, so reruns produce identical files. The
+   run exits 1 when it fails Runtime.audit: a dropped span, a ledger
+   that does not conserve per core, a ring left unbalanced, or counters
+   (verdicts, witness, bytes copied) that do not reconcile. *)
 
 module Runtime = Encl_golike.Runtime
 module Machine = Encl_litterbox.Machine
@@ -23,151 +26,10 @@ module Lb = Encl_litterbox.Litterbox
 module K = Encl_kernel.Kernel
 module Sysno = Encl_kernel.Sysno
 module Scenarios = Encl_apps.Scenarios
-module Ab = Encl_apps.Ab
 module Obs = Encl_obs.Obs
 module Span = Encl_obs.Span
-module Metrics = Encl_obs.Metrics
 module Export = Encl_obs.Export
 open Cmdliner
-
-(* A counter's total in the machine's registry, by its metrics.json
-   name. *)
-let registry_total obs name =
-  Option.value ~default:0 (List.assoc_opt name (Metrics.totals (Obs.metrics obs)))
-
-(* Reconciliations between quantities derived independently: the
-   syscall ring balances (submitted = drained + pending); the rx view
-   ring's descriptor ledger balances (every granted slot is consumed by
-   its owner, force-reclaimed on close, or still in flight); the verdict
-   counts reconcile with the kernel's per-syscall tallies even when
-   batching reordered the drains — guest-side denials (VTX/LWC filter
-   checks, ring entries denied at drain) never enter the kernel, so
-   allowed + denied - guest denials = kernel syscall count; and the
-   machine's bytes_copied field, kept beside the registry for the
-   benchmark, equals its registry total. *)
-let cross_check lb machine obs =
-  let kernel = machine.Machine.kernel in
-  let total = registry_total obs in
-  let problems = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
-  (let submitted = Lb.ring_submitted_count lb in
-   let drained = Lb.ring_drained_count lb in
-   let pending = Lb.ring_pending lb in
-   if submitted <> drained + pending then
-     fail "ring imbalance: submitted %d <> drained %d + pending %d" submitted
-       drained pending);
-  (let granted, consumed, reclaimed = K.rxring_counters kernel in
-   let inflight = K.rxring_inflight kernel in
-   if granted <> consumed + reclaimed + inflight then
-     fail
-       "rx-ring imbalance: granted %d <> consumed %d + reclaimed %d + \
-        inflight %d"
-       granted consumed reclaimed inflight);
-  (let field = machine.Machine.bytes_copied in
-   let registry = total "bytes_copied.app" in
-   if field <> registry then
-     fail "bytes_copied.app mismatch: machine field %d, registry %d" field
-       registry);
-  (let allowed = total "syscall.allowed" in
-   let denied = total "syscall.denied" in
-   let guest = Lb.guest_denied_count lb in
-   let kernel_count = K.syscall_count kernel in
-   if allowed + denied - guest <> kernel_count then
-     fail
-       "syscall count mismatch: allowed %d + denied %d - guest denials %d <> \
-        kernel %d"
-       allowed denied guest kernel_count);
-  List.rev !problems
-
-(* Conservation, re-checked over the metrics.json text: metrics.json
-   used to carry one attribution ledger per machine; it now carries one
-   per core. Each core's cells must sum to that core's attributed
-   total, the core totals must sum to the machine-wide attributed
-   total, and that total must equal the elapsed clock. A core missing
-   from the file is a hard failure — an idle core must appear as an
-   explicit zero ledger, not as an absence. *)
-let per_core_conservation ~cores:machine_cores contents =
-  let module Json = Export.Json in
-  let problems = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
-  (match Json.parse contents with
-  | Error e -> fail "metrics.json unparseable: %s" e
-  | Ok doc -> (
-      match Json.member "attribution" doc with
-      | None -> fail "metrics.json has no attribution object"
-      | Some attrib -> (
-          let num field j = Option.bind (Json.member field j) Json.to_float in
-          let attributed = num "attributed_ns" attrib in
-          (match (num "elapsed_ns" attrib, attributed) with
-          | Some e, Some a when e <> a ->
-              fail "attributed %.0fns <> elapsed %.0fns" a e
-          | None, _ | _, None -> fail "attribution totals missing"
-          | _ -> ());
-          match Option.bind (Json.member "cores" attrib) Json.to_list with
-          | None -> fail "attribution has no per-core ledgers"
-          | Some cores ->
-              let seen = Hashtbl.create 8 in
-              let core_sum = ref 0 in
-              List.iter
-                (fun cj ->
-                  match (num "core" cj, num "attributed_ns" cj) with
-                  | Some c, Some a ->
-                      Hashtbl.replace seen (int_of_float c) ();
-                      core_sum := !core_sum + int_of_float a;
-                      let cell_sum =
-                        match
-                          Option.bind (Json.member "cells" cj) Json.to_list
-                        with
-                        | None -> 0.
-                        | Some cells ->
-                            List.fold_left
-                              (fun acc cell ->
-                                acc +. Option.value ~default:0. (num "ns" cell))
-                              0. cells
-                      in
-                      if int_of_float cell_sum <> int_of_float a then
-                        fail "core %d: cells sum to %.0fns, ledger says %.0fns"
-                          (int_of_float c) cell_sum a
-                  | _ -> fail "malformed per-core ledger entry")
-                cores;
-              for c = 0 to machine_cores - 1 do
-                if not (Hashtbl.mem seen c) then
-                  fail "core %d's ledger is missing from metrics.json" c
-              done;
-              (match attributed with
-              | Some a when int_of_float a <> !core_sum ->
-                  fail
-                    "per-core totals sum to %dns, machine-wide ledger says \
-                     %.0fns"
-                    !core_sum a
-              | _ -> ()))));
-  List.rev !problems
-
-(* The run's checks, one list: the trace is complete, the written
-   ledger conserves per core, the run alone passes {!Ab.problems}, and
-   with LitterBox attached its counters reconcile. *)
-let problems rt report ~metrics =
-  let machine = Runtime.machine rt in
-  let obs = machine.Machine.obs in
-  let spans = Obs.spans obs in
-  (* A lossy trace is a blind spot, not a footnote: every consumer of
-     these artifacts (the CI cross-checks, the miner, a human in
-     Perfetto) must be able to trust that what is absent did not
-     happen. *)
-  (if Span.dropped spans > 0 then
-     [
-       Printf.sprintf
-         "span ring overflowed, %d of %d spans evicted: the trace is \
-          incomplete (metric totals remain exact); shrink the workload \
-          (--requests)"
-         (Span.dropped spans) (Span.total spans);
-     ]
-   else [])
-  @ per_core_conservation ~cores:machine.Machine.cores metrics
-  @ Ab.problems rt report
-  @ Option.fold ~none:[]
-      ~some:(fun lb -> cross_check lb machine obs)
-      (Runtime.lb rt)
 
 let run name backend requests out_dir summary =
   Obs.default_enabled := true;
@@ -184,7 +46,6 @@ let run name backend requests out_dir summary =
         (Scenarios.config_name backend)
         (Scenarios.pp_report report);
       print_string (Export.attrib_table obs);
-      let metrics = Export.metrics_json obs in
       let paths =
         List.map
           (fun (file, render) ->
@@ -193,7 +54,7 @@ let run name backend requests out_dir summary =
             path)
           [
             ("trace.json", Export.trace_json);
-            ("metrics.json", Fun.const metrics);
+            ("metrics.json", Export.metrics_json);
             ("witness.json", Export.witness_json);
             ("flamegraph.folded", Export.flamegraph_folded);
             ("profile.speedscope.json", Export.speedscope_json);
@@ -204,7 +65,7 @@ let run name backend requests out_dir summary =
         (Span.dropped spans)
         (String.concat ", " paths);
       if summary then print_string (Export.summary obs);
-      match (problems rt report ~metrics, Runtime.lb rt) with
+      match (Runtime.audit rt, Runtime.lb rt) with
       | [], None -> 0
       | [], Some lb ->
           Printf.printf
@@ -380,86 +241,6 @@ let enforcement () =
   0
 
 (* ------------------------------------------------------------------ *)
-(* Witness cross-check: the witness recorder's per-scope syscall
-   aggregates are a third, independently-fed ledger next to the
-   registry's verdict counters (fed from the kernel) and the kernel's
-   own per-syscall totals. For each backend x scenario the three must
-   reconcile exactly:
-     witness allowed/denied      == "syscall.allowed"/"syscall.denied"
-     kernel count - exits        == allowed + denied - guest denials
-       (guest-side filter denials never enter the kernel;
-        exit_program is recorded by the kernel but traps no filter)
-     witness per-category totals == "syscall.<category>" totals *)
-
-module Witness = Encl_obs.Witness
-
-let witness_scenario errors label lb kernel obs =
-  let w = Lb.witness lb in
-  let total = registry_total obs in
-  let fail fmt = Printf.ksprintf (fun s -> errors := (label ^ ": " ^ s) :: !errors) fmt in
-  let w_allowed, w_denied = Witness.totals w in
-  let r_allowed = total "syscall.allowed" in
-  let r_denied = total "syscall.denied" in
-  if w_allowed <> r_allowed then
-    fail "allowed mismatch: witness %d, registry %d" w_allowed r_allowed;
-  if w_denied <> r_denied then
-    fail "denied mismatch: witness %d, registry %d" w_denied r_denied;
-  let kernel_count =
-    K.syscall_count kernel - K.count_for kernel Sysno.Exit
-  in
-  let guest = Lb.guest_denied_count lb in
-  if kernel_count <> w_allowed + w_denied - guest then
-    fail
-      "kernel mismatch: kernel %d (sans exit) <> witness allowed %d + denied \
-       %d - guest denials %d"
-      kernel_count w_allowed w_denied guest;
-  List.iter
-    (fun cat ->
-      let name = Sysno.category_name cat in
-      let w_cat = Witness.category_total w ~category:name in
-      let r_cat = total ("syscall." ^ name) in
-      if w_cat <> r_cat then
-        fail "category %s mismatch: witness %d, registry %d" name w_cat r_cat)
-    Sysno.all_categories;
-  Printf.printf
-    "  %-12s witness=%d+%d registry=%d+%d kernel=%d guest_denied=%d\n" label
-    w_allowed w_denied r_allowed r_denied kernel_count guest
-
-let witness_check () =
-  let errors = ref [] in
-  Obs.with_default ~witness:true true (fun () ->
-      List.iter
-        (fun backend ->
-          List.iter
-            (fun (name, requests) ->
-              let label =
-                Printf.sprintf "%s/%s" name
-                  (Encl_litterbox.Backend.arg_name backend)
-              in
-              let run = List.assoc name Scenarios.registry in
-              match run (Some backend) ~requests () with
-              | Error e -> errors := (label ^ ": " ^ e) :: !errors
-              | Ok (rt, _) -> (
-                  match Runtime.lb rt with
-                  | None -> errors := (label ^ ": no litterbox") :: !errors
-                  | Some lb ->
-                      let machine = Runtime.machine rt in
-                      witness_scenario errors label lb machine.Machine.kernel
-                        machine.Machine.obs))
-            [ ("http", 160); ("wiki", 120); ("pq", 80) ])
-        Encl_litterbox.Backend.all);
-  match List.rev !errors with
-  | [] ->
-      Printf.printf
-        "witness reconciles with the registry counters and the kernel \
-         totals across %d runs\n"
-        (3 * List.length Encl_litterbox.Backend.all);
-      0
-  | es ->
-      List.iter (fun e -> Printf.printf "MISMATCH %s\n" e) es;
-      1
-
-(* ------------------------------------------------------------------ *)
 (* Cmdliner wiring *)
 
 let out_dir_arg =
@@ -485,7 +266,8 @@ let scenario_cmd sc =
        ~doc:
          ("Run the " ^ sc
         ^ " scenario traced: print its attribution table, write its five \
-           artifacts, and exit 1 on a dropped span or a failed check."))
+           artifacts, and exit 1 unless the run passes its audit (a \
+           dropped span fails it)."))
     Term.(
       const (run sc) $ Cli.backend_arg $ Cli.requests_arg $ out_dir_arg
       $ summary_arg)
@@ -509,15 +291,6 @@ let enforcement_cmd =
           every knob and core-count combination.")
     Term.(const enforcement $ const ())
 
-let witness_cmd =
-  Cmd.v
-    (Cmd.info "witness"
-       ~doc:
-         "Run http, wiki and pq on every backend with the witness recorder \
-          on and cross-check its per-scope syscall aggregates against the \
-          registry's counters and the kernel's own totals.")
-    Term.(const witness_check $ const ())
-
 let () =
   let info =
     Cmd.info "trace-dump" ~version:"1.0"
@@ -525,6 +298,6 @@ let () =
   in
   let cmds =
     List.map (fun (sc, _) -> scenario_cmd sc) Scenarios.registry
-    @ [ validate_cmd; enforcement_cmd; witness_cmd ]
+    @ [ validate_cmd; enforcement_cmd ]
   in
   exit (Cmd.eval' (Cmd.group info cmds))

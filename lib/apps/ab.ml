@@ -118,27 +118,6 @@ let metric s name =
 (* ------------------------------------------------------------------ *)
 (* Checks                                                              *)
 
-let problems rt report =
-  let attrib = Obs.attribution (Runtime.machine rt).Machine.obs in
-  List.filter_map Fun.id
-    [
-      (if Attrib.conserved attrib then None
-       else
-         Some
-           (Printf.sprintf "attribution not conserved: %dns of %dns elapsed"
-              (Attrib.total attrib) (Attrib.elapsed attrib)));
-      (match Option.fold ~none:0 ~some:Lb.ring_pending (Runtime.lb rt) with
-      | 0 -> None
-      | n -> Some (Printf.sprintf "%d syscall-ring entries never drained" n));
-      (match Scenarios.rxring report with
-      | Some (g, c, r) when g <> c + r ->
-          Some
-            (Printf.sprintf
-               "rx ring unbalanced: %d granted, %d consumed, %d reclaimed" g c
-               r)
-      | _ -> None);
-    ]
-
 let enforcement_problem scenario a b =
   let summary s = Scenarios.enforcement ~label:scenario s.rt s.report in
   let rec first_diff n = function
@@ -213,7 +192,7 @@ let run ?rcfg ?requests ?(expect = []) ~scenario:(name, runner) ~backend axis =
   in
   let* a = a () in
   let* b = b () in
-  let alone s = List.map (( ^ ) (s.label ^ ": ")) (problems s.rt s.report) in
+  let alone s = List.map (( ^ ) (s.label ^ ": ")) (Runtime.audit s.rt) in
   let failures =
     alone a @ alone b
     @ Option.to_list (enforcement_problem name a b)

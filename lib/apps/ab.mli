@@ -2,7 +2,8 @@
     enforce identically, and the metrics that must move between them.
     Every optimization claim has this shape, so each is one {!run} call:
     a [profile ab] line in CI, a bench section, a test. Both sides run
-    with observability on, which costs zero simulated time. *)
+    with observability on, which costs zero simulated time, and each
+    must pass {!Encl_golike.Runtime.audit}. *)
 
 type axis =
   | Knob of Knob.t  (** A = the knob on, B = off *)
@@ -27,11 +28,6 @@ val metric : side -> string -> float option
     [enforcement_share] (plus Seccomp), [switch_ns] and [access_ns]
     (clock categories), [steal_count], [affinity_hit_rate]. *)
 
-val problems : Encl_golike.Runtime.t -> Scenarios.report -> string list
-(** The checks one run must pass alone: its attribution ledger is
-    conserved (observability on), no syscall-ring entry is left pending,
-    and its rx ring, if attached, balances. *)
-
 type t = { a : side; b : side; failures : string list }
 
 val run :
@@ -45,7 +41,7 @@ val run :
     overrides its backend and, on a [Cores] axis, its core count.
     [backend] is unused on a [Backends] axis. [Error] on a malformed
     expectation or when a side cannot run. [failures] (empty when all
-    hold) names the scenario and the sides: a ledger not conserved,
-    syscall-ring entries left pending, an unbalanced rx ring, the first
-    line where the {!Scenarios.enforcement} summaries differ, or a
-    failed expectation with both values and their ratio. *)
+    hold) names the scenario and the sides: a line of either side's
+    {!Encl_golike.Runtime.audit}, the first line where the
+    {!Scenarios.enforcement} summaries differ, or a failed expectation
+    with both values and their ratio. *)

@@ -138,17 +138,8 @@ let server_loop rt ~port ~req_chan () =
   let fd = Runtime.syscall_exn rt K.Socket in
   ignore (Runtime.syscall_exn rt (K.Bind { fd; port }));
   ignore (Runtime.syscall_exn rt (K.Listen fd));
-  let kernel = (Runtime.machine rt).Machine.kernel in
-  let rec accept_loop () =
-    Sched.wait_until (Runtime.sched rt) (fun () -> K.listener_pending kernel fd);
-    match Runtime.syscall_batched rt (K.Accept fd) with
-    | Ok conn_fd ->
-        Runtime.go rt (conn_loop rt ~conn_fd ~req_chan);
-        accept_loop ()
-    | Error e when Retry.transient e -> accept_loop ()
-    | Error e -> failwith ("fasthttp accept: " ^ K.errno_name e)
-  in
-  accept_loop ()
+  Retry.accept_loop rt ~fd ~label:"fasthttp accept" (fun conn_fd ->
+      conn_loop rt ~conn_fd ~req_chan)
 
 let serve_enclosed rt ~port ~enclosure ~handler =
   let sched = Runtime.sched rt in
@@ -241,17 +232,8 @@ let server_loop_zc rt ~port ~ring ~file_fd ~file_len () =
   let fd = Runtime.syscall_exn rt K.Socket in
   ignore (Runtime.syscall_exn rt (K.Bind { fd; port }));
   ignore (Runtime.syscall_exn rt (K.Listen fd));
-  let kernel = (Runtime.machine rt).Machine.kernel in
-  let rec accept_loop () =
-    Sched.wait_until (Runtime.sched rt) (fun () -> K.listener_pending kernel fd);
-    match Runtime.syscall_batched rt (K.Accept fd) with
-    | Ok conn_fd ->
-        Runtime.go rt (conn_loop_zc rt ~conn_fd ~ring ~file_fd ~file_len);
-        accept_loop ()
-    | Error e when Retry.transient e -> accept_loop ()
-    | Error e -> failwith ("fasthttp accept: " ^ K.errno_name e)
-  in
-  accept_loop ()
+  Retry.accept_loop rt ~fd ~label:"fasthttp accept" (fun conn_fd ->
+      conn_loop_zc rt ~conn_fd ~ring ~file_fd ~file_len)
 
 let serve_zc rt ~port ~ring ~file_fd ~file_len ~enclosure =
   match enclosure with

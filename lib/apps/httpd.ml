@@ -150,18 +150,9 @@ let serve_static rt ~static ~port ~handler =
   let fd = Runtime.syscall_exn rt K.Socket in
   ignore (Runtime.syscall_exn rt (K.Bind { fd; port }));
   ignore (Runtime.syscall_exn rt (K.Listen fd));
-  let kernel = (Runtime.machine rt).Machine.kernel in
   Runtime.go rt (fun () ->
-      let rec accept_loop () =
-        Sched.wait_until (Runtime.sched rt) (fun () -> K.listener_pending kernel fd);
-        match Runtime.syscall_batched rt (K.Accept fd) with
-        | Ok conn_fd ->
-            Runtime.go rt (conn_loop rt ~conn_fd ~static ~handler);
-            accept_loop ()
-        | Error e when Retry.transient e -> accept_loop ()
-        | Error e -> failwith ("accept: " ^ K.errno_name e)
-      in
-      accept_loop ())
+      Retry.accept_loop rt ~fd ~label:"accept" (fun conn_fd ->
+          conn_loop rt ~conn_fd ~static ~handler))
 
 let serve rt ~port ~handler = serve_static rt ~static:(fun _ -> None) ~port ~handler
 

@@ -412,6 +412,8 @@ let zerocopy_http config ?rcfg ?(requests = 2000) ?(conns = 8) () =
                  ];
            } ))
 
+(* The rx ring's (granted, consumed, reclaimed) descriptor counters at
+   quiesce, when the scenario attached that ring. *)
 let rxring r =
   let n k = int_of_float (metric r k) in
   try Some (n "rx_granted", n "rx_consumed", n "rx_reclaimed")

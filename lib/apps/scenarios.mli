@@ -38,10 +38,6 @@ val metric : report -> string -> float
 val pp_report : report -> string
 (** One line: ops, spans and every scenario metric. *)
 
-val rxring : report -> (int * int * int) option
-(** The rx ring's (granted, consumed, reclaimed) descriptor counters at
-    quiesce, when the scenario attached that ring. *)
-
 val with_cores :
   ?rcfg:Encl_golike.Runtime.config -> ?cores:int -> config ->
   Encl_golike.Runtime.config option

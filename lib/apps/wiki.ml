@@ -280,17 +280,8 @@ let http_srv_loop rt ~port ~static ~http_req () =
   let fd = Runtime.syscall_exn rt K.Socket in
   ignore (Runtime.syscall_exn rt (K.Bind { fd; port }));
   ignore (Runtime.syscall_exn rt (K.Listen fd));
-  let kernel = (Runtime.machine rt).Machine.kernel in
-  let rec accept_loop () =
-    Sched.wait_until (Runtime.sched rt) (fun () -> K.listener_pending kernel fd);
-    match Runtime.syscall_batched rt (K.Accept fd) with
-    | Ok conn_fd ->
-        Runtime.go rt (http_conn_loop rt ~conn_fd ~router ~static ~http_req);
-        accept_loop ()
-    | Error e when Retry.transient e -> accept_loop ()
-    | Error e -> failwith ("wiki accept: " ^ K.errno_name e)
-  in
-  accept_loop ()
+  Retry.accept_loop rt ~fd ~label:"wiki accept" (fun conn_fd ->
+      http_conn_loop rt ~conn_fd ~router ~static ~http_req)
 
 let start rt ?static ~port ~enclosed () =
   let sched = Runtime.sched rt in

@@ -5,6 +5,11 @@ module Objfile = Encl_elf.Objfile
 module Linker = Encl_elf.Linker
 module Image = Encl_elf.Image
 module Enclosure = Encl_enclosure.Enclosure
+module Sysno = Encl_kernel.Sysno
+module Obs = Encl_obs.Obs
+module Span = Encl_obs.Span
+module Attrib = Encl_obs.Attrib
+module Witness = Encl_obs.Witness
 
 type t = {
   machine : Machine.t;
@@ -290,6 +295,103 @@ let gc t =
   if Encl_obs.Obs.enabled obs then
     Encl_obs.Obs.observe obs ~scope:Encl_obs.Metrics.trusted "gc_ns"
       (Clock.now t.machine.Machine.clock - t0)
+
+(* The run audit: the invariants every finished run keeps, each over
+   quantities two layers derive independently. *)
+let audit t =
+  let m = t.machine in
+  let kernel = m.Machine.kernel and obs = m.Machine.obs in
+  let totals = Encl_obs.Metrics.totals (Obs.metrics obs) in
+  let total name = Option.value ~default:0 (List.assoc_opt name totals) in
+  let problems = ref [] in
+  (* [check ok fmt args]: the formatted line is a problem unless [ok]. *)
+  let check ok fmt =
+    Printf.ksprintf (fun s -> if not ok then problems := s :: !problems) fmt
+  in
+  let lb_count f = Option.fold ~none:0 ~some:f t.lb in
+  (* Every syscall-ring entry submitted is drained, and every rx
+     descriptor granted is consumed by its owner or reclaimed on close. *)
+  let submitted = lb_count Lb.ring_submitted_count
+  and drained = lb_count Lb.ring_drained_count
+  and pending = lb_count Lb.ring_pending in
+  check (submitted = drained + pending)
+    "syscall ring unbalanced: submitted %d <> drained %d + pending %d"
+    submitted drained pending;
+  check (pending = 0) "%d syscall-ring entries never drained" pending;
+  let granted, consumed, reclaimed = K.rxring_counters kernel in
+  let inflight = K.rxring_inflight kernel in
+  check
+    (granted = consumed + reclaimed + inflight && inflight = 0)
+    "rx ring unbalanced: %d granted, %d consumed, %d reclaimed, %d in flight"
+    granted consumed reclaimed inflight;
+  let copied = total "bytes_copied.app" in
+  check (m.Machine.bytes_copied = copied)
+    "bytes_copied.app mismatch: Machine.bytes_copied %d, registry %d"
+    m.Machine.bytes_copied copied;
+  (* Every verdict is one kernel call, except guest-side denials, which
+     never enter the kernel, and exit, which the kernel records without
+     a filter verdict. *)
+  let allowed = total "syscall.allowed" and denied = total "syscall.denied" in
+  let guest = lb_count Lb.guest_denied_count in
+  let calls = K.syscall_count kernel and exits = K.count_for kernel Sysno.Exit in
+  check
+    (allowed + denied - guest = calls - exits)
+    "syscall verdicts do not reconcile: allowed %d + denied %d - guest \
+     denials %d <> kernel %d - exit %d"
+    allowed denied guest calls exits;
+  let steals = Sched.steal_count t.sched in
+  let by_core = Array.fold_left ( + ) 0 (Sched.steals_by_core t.sched) in
+  check (by_core = steals)
+    "per-core steal tallies sum to %d, the steal total is %d" by_core steals;
+  check (m.Machine.cores > 1 || steals = 0) "a 1-core machine stole %d fibers"
+    steals;
+  if Obs.enabled obs then begin
+    (* A lossy trace is a blind spot: every consumer of the trace must
+       be able to trust that what is absent did not happen. *)
+    let spans = Obs.spans obs in
+    check (Span.dropped spans = 0)
+      "span ring overflowed, %d of %d spans evicted: the trace is \
+       incomplete (metric totals remain exact); shrink the workload \
+       (--requests)"
+      (Span.dropped spans) (Span.total spans);
+    (* One ledger per core, each core's cells summing to its total, the
+       core totals to the machine's, which is the elapsed clock. *)
+    let a = Obs.attribution obs in
+    let cores = Attrib.core_count a in
+    check (cores = m.Machine.cores)
+      "attribution has %d per-core ledgers for %d cores" cores m.Machine.cores;
+    let ledgers = List.init cores (Attrib.core_total a) in
+    List.iteri
+      (fun core ledger ->
+        let cells = Attrib.core_cells a core in
+        let sum = List.fold_left (fun acc (_, _, ns) -> acc + ns) 0 cells in
+        check (sum = ledger) "core %d: cells sum to %dns, its ledger says %dns"
+          core sum ledger)
+      ledgers;
+    let sum = List.fold_left ( + ) 0 ledgers in
+    check (sum = Attrib.total a)
+      "per-core ledgers sum to %dns, the machine's ledger says %dns" sum
+      (Attrib.total a);
+    check (Attrib.conserved a) "attribution not conserved: %dns of %dns elapsed"
+      (Attrib.total a) (Attrib.elapsed a)
+  end;
+  (* The witness, fed at submission, against the registry, fed by the
+     kernel's and the guest filters' verdicts. *)
+  let w = Obs.witness obs in
+  if Option.is_some t.lb && Witness.enabled w then begin
+    let agree name n =
+      check (n = total name) "witness %s %d, registry %d" name n (total name)
+    in
+    let w_allowed, w_denied = Witness.totals w in
+    agree "syscall.allowed" w_allowed;
+    agree "syscall.denied" w_denied;
+    List.iter
+      (fun cat ->
+        let category = Sysno.category_name cat in
+        agree ("syscall." ^ category) (Witness.category_total w ~category))
+      Sysno.all_categories
+  end;
+  List.rev !problems
 
 let stats t =
   let k = t.machine.Machine.kernel in

@@ -159,3 +159,29 @@ val global : t -> pkg:string -> string -> Gbuf.t
 
 val stats : t -> string
 (** One-line summary: switches, transfers, faults, syscalls, clock. *)
+
+(** {2 The run audit} *)
+
+val audit : t -> string list
+(** The invariants every finished run keeps, one line per broken one
+    naming it and both values; [[]] when all hold. Each compares
+    quantities two layers derive independently:
+    - the syscall ring: submitted = drained + pending, and nothing is
+      pending (["N syscall-ring entries never drained"]);
+    - the rx view ring: granted = consumed + reclaimed + in flight, and
+      nothing is in flight (["rx ring unbalanced"]);
+    - [Machine.bytes_copied] equals the registry's ["bytes_copied.app"];
+    - ["syscall.allowed"] + ["syscall.denied"] - guest denials = the
+      kernel's syscall count - its [exit] calls;
+    - the per-core steal tallies sum to the steal total, and one core
+      steals nothing;
+    - with observability on: no span was dropped, there is one
+      attribution ledger per core, each core's cells sum to its total,
+      the core totals sum to the machine's, and that equals the elapsed
+      clock;
+    - with the witness on and LitterBox attached: the witness's allowed
+      and denied totals, and each category's, equal the registry's
+      ["syscall.allowed"], ["syscall.denied"] and ["syscall.<cat>"].
+
+    [trace_dump], the A/B runner, the policy miner, chaos and the
+    enforcement oracle hold every run to it. *)

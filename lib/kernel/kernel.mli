@@ -190,7 +190,7 @@ val exit_program : t -> int -> 'a
     releases the descriptor with {!ring_consume} — an io_uring-style
     shared-memory head advance, not a trap. A socket that closes with
     unconsumed descriptors gets them force-reclaimed, so at quiesce
-    granted = consumed + reclaimed (cross-checked by trace_dump). *)
+    granted = consumed + reclaimed ([Runtime.audit] checks it). *)
 
 val ring_hdr_bytes : int
 (** Per-slot header: 8 bytes of payload length, payload follows. *)

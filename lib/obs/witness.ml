@@ -159,8 +159,8 @@ let tainted_rejected sc = sc.tainted_rejected
 let transfers sc = sc.transfers
 
 (* Cross-check totals: every syscall the witness saw, summed over all
-   scopes. Reconciles against the kernel's own counters in
-   [trace_dump witness]. *)
+   scopes. Runtime.audit reconciles them with the registry's verdict
+   counters. *)
 let totals t =
   Hashtbl.fold
     (fun _ sc (a, d) ->

@@ -86,8 +86,9 @@ val tainted_rejected : scope -> int
 val transfers : scope -> int
 
 val totals : t -> int * int
-(** [(allowed, denied)] summed over every scope and category; reconciled
-    against kernel counters by [trace_dump witness]. *)
+(** [(allowed, denied)] summed over every scope and category;
+    [Runtime.audit] reconciles them, and {!category_total}, with the
+    registry's verdict counters. *)
 
 val category_total : t -> category:string -> int
 (** Allowed calls in [category] summed over all scopes. *)

@@ -25,7 +25,6 @@ module Sysno = Encl_kernel.Sysno
 module Vfs = Encl_kernel.Vfs
 module Obs = Encl_obs.Obs
 module Witness = Encl_obs.Witness
-module Metrics = Encl_obs.Metrics
 
 (* ------------------------------------------------------------------ *)
 (* The program *)
@@ -360,8 +359,9 @@ type run = {
   copied : int;  (** bytes the kernel and the application copied *)
 }
 
-(* Run [ops] and the teardown on a fresh machine under [c], checking the
-   invariants every run keeps, whatever it is compared with. *)
+(* Run [ops] and the teardown on a fresh machine under [c]. The run must
+   pass {!Runtime.audit}, whatever it is compared with, and keep the
+   invariants tied to [c]. *)
 let run backend c ops =
   with_config c @@ fun () ->
   let ep = setup ~cores:c.cores backend in
@@ -372,31 +372,23 @@ let run backend c ops =
   in
   let m = machine ep and sched = Runtime.sched ep.rt in
   let kernel = m.Machine.kernel in
-  let expect what ok =
-    if not ok then
-      QCheck.Test.fail_reportf "%s under %s: %s" (Lb.backend_name backend)
-        (pp_config c) what
-  in
   let knob k = List.assq k c.knobs in
-  let submitted = Lb.ring_submitted_count lb and pending = Lb.ring_pending lb in
   let granted, consumed, reclaimed = K.rxring_counters kernel in
-  let totals = Metrics.totals (Obs.metrics m.Machine.obs) in
-  let registry = List.assoc_opt "bytes_copied.app" totals in
-  let steals = Sched.steal_count sched in
-  expect "fast path off, yet switches elided"
-    (knob Knob.fastpath || Lb.switch_elided_count lb = 0);
-  expect "ring off, yet entries submitted" (knob Knob.sysring || submitted = 0);
-  expect "ring submitted <> drained + pending"
-    (submitted = Lb.ring_drained_count lb + pending);
-  expect "ring entries pending at the end" (pending = 0);
-  expect "rx granted <> consumed + reclaimed" (granted = consumed + reclaimed);
-  expect "rx descriptors in flight after close" (K.rxring_inflight kernel = 0);
-  expect "bytes_copied.app registry <> Machine.bytes_copied"
-    (Option.value registry ~default:0 = m.Machine.bytes_copied);
-  expect "the scheduler's core count" (Sched.core_count sched = c.cores);
-  expect "one core stole fibers" (c.cores > 1 || steals = 0);
-  expect "per-core steal tallies do not sum to the total"
-    (Array.fold_left ( + ) 0 (Sched.steals_by_core sched) = steals);
+  let problems =
+    Runtime.audit ep.rt
+    @ List.filter_map
+        (fun (what, ok) -> if ok then None else Some what)
+        [
+          ( "fast path off, yet switches elided",
+            knob Knob.fastpath || Lb.switch_elided_count lb = 0 );
+          ( "ring off, yet entries submitted",
+            knob Knob.sysring || Lb.ring_submitted_count lb = 0 );
+          ("the scheduler's core count", Sched.core_count sched = c.cores);
+        ]
+  in
+  if problems <> [] then
+    QCheck.Test.fail_reportf "%s under %s: %s" (Lb.backend_name backend)
+      (pp_config c) (String.concat "; " problems);
   let quarantined e = string_of_bool (Lb.quarantined lb e) in
   {
     outcomes;

@@ -6,6 +6,9 @@
 
 module Runtime = Encl_golike.Runtime
 module Lb = Encl_litterbox.Litterbox
+module Machine = Encl_litterbox.Machine
+module K = Encl_kernel.Kernel
+module Net = Encl_kernel.Net
 module Scenarios = Encl_apps.Scenarios
 module Ab = Encl_apps.Ab
 
@@ -116,20 +119,28 @@ let runner_tests =
         Alcotest.(check bool) "names the faults" true
           (Fixtures.contains (List.hd t.Ab.failures) "faults="));
     Alcotest.test_case "a side left unbalanced fails" `Quick (fun () ->
-        (* A fire-and-forget call queued after the run stays pending on
-           the syscall ring; a forged rx tally leaks a descriptor. *)
+        (* After the run, trusted code takes an rx descriptor on a fresh
+           connection and never consumes it, then queues a
+           fire-and-forget call that stays pending on the syscall ring. *)
         let leaky : Scenarios.runner =
          fun c ?rcfg ?requests () ->
           Result.map
             (fun (rt, r) ->
-              Runtime.syscall_nowait rt Encl_kernel.Kernel.Getpid;
-              let rx = [ ("rx_granted", 2.); ("rx_consumed", 1.) ] in
-              let metrics = (("rx_reclaimed", 0.) :: rx) @ r.Scenarios.metrics in
-              (rt, { r with Scenarios.metrics }))
-            (Scenarios.http c ?rcfg ?requests ())
+              let net = (Runtime.machine rt).Machine.net in
+              let sys call = Runtime.syscall_exn rt call in
+              let srv = sys K.Socket in
+              ignore (sys (K.Bind { fd = srv; port = 9099 }));
+              ignore (sys (K.Listen srv));
+              let client = Result.get_ok (Net.client_connect net ~port:9099) in
+              let fd = sys (K.Accept srv) in
+              ignore (Net.send net client (Bytes.of_string "leak"));
+              ignore (sys (K.Recv_ring { fd }));
+              Runtime.syscall_nowait rt K.Getpid;
+              (rt, r))
+            (Scenarios.zerocopy_http c ?rcfg ?requests ())
         in
         let t =
-          run ~scenario:("http", leaky) ~backend:(Some Lb.Mpk)
+          run ~scenario:("zerocopy_http", leaky) ~backend:(Some Lb.Mpk)
             (Ab.Knob Knob.fastpath) []
         in
         List.iter

@@ -9,6 +9,11 @@ module Gbuf = Encl_golike.Gbuf
 module Lb = Encl_litterbox.Litterbox
 module Machine = Encl_litterbox.Machine
 module K = Encl_kernel.Kernel
+module Obs = Encl_obs.Obs
+module Span = Encl_obs.Span
+module Attrib = Encl_obs.Attrib
+module Metrics = Encl_obs.Metrics
+module Witness = Encl_obs.Witness
 
 let simple_packages () =
   [
@@ -416,6 +421,94 @@ let runtime_tests =
         | _ -> Alcotest.fail "expected failure");
   ]
 
+(* The run audit. A short clean run of the oracle's program passes it;
+   each case then perturbs one quantity one clause compares and the
+   audit must name that clause. *)
+
+(* Direct and batched calls, allowed and denied, and a descriptor
+   received and consumed on the rx ring; the connection stays open. *)
+let clean_run ?(witness = true) () =
+  Knob.with_value Knob.sysring true @@ fun () ->
+  Obs.with_default ~witness true @@ fun () ->
+  let ep = Oracle.setup Lb.Mpk in
+  List.iter
+    (fun (op : Oracle.op) -> ignore (Oracle.guard (fun () -> op.Oracle.body ep)))
+    [
+      Oracle.call ~batched:false "io" K.Getuid;
+      Oracle.call ~batched:true "io" K.Getuid;
+      Oracle.call ~batched:false "enc" K.Getuid;
+      Oracle.receive "send_recv" ~consume:true 16;
+    ];
+  ep
+
+let audit_names needle (ep : Oracle.endpoint) =
+  match Runtime.audit ep.Oracle.rt with
+  | [] -> Alcotest.failf "the audit passed; expected it to name %s" needle
+  | problems ->
+      Alcotest.(check bool)
+        (Printf.sprintf "[%s] names %s" (String.concat "; " problems) needle)
+        true
+        (List.exists (fun p -> Fixtures.contains p needle) problems)
+
+let registry ep = Obs.metrics (Runtime.machine ep.Oracle.rt).Machine.obs
+
+let declared name =
+  List.find (fun c -> Metrics.counter_name c = name) (Metrics.declared ())
+
+let audit_case name perturb needles =
+  Alcotest.test_case name `Quick (fun () ->
+      let ep = clean_run () in
+      perturb ep;
+      List.iter (fun needle -> audit_names needle ep) needles)
+
+let audit_tests =
+  [
+    Alcotest.test_case "a clean run audits to nothing" `Quick (fun () ->
+        let ep = clean_run () in
+        Alcotest.(check bool) "a denial" true
+          (Lb.fault_count (Option.get (Runtime.lb ep.Oracle.rt)) > 0);
+        Alcotest.(check (list string)) "audit" [] (Runtime.audit ep.Oracle.rt));
+    audit_case "audit: an undrained ring entry"
+      (fun ep ->
+        Knob.with_value Knob.sysring true (fun () ->
+            Runtime.syscall_nowait ep.Oracle.rt K.Getpid))
+      [ "1 syscall-ring entries never drained" ];
+    audit_case "audit: an rx descriptor held"
+      (fun ep -> ignore ((Oracle.receive "send_hold" ~consume:false 8).Oracle.body ep))
+      [ "rx ring unbalanced" ];
+    audit_case "audit: a copy off the registry"
+      (fun ep ->
+        let m = Runtime.machine ep.Oracle.rt in
+        m.Machine.bytes_copied <- m.Machine.bytes_copied + 1)
+      [ "bytes_copied.app mismatch" ];
+    Alcotest.test_case "audit: a verdict with no kernel call" `Quick (fun () ->
+        (* Witness off: the witness clause would name the denial too. *)
+        let ep = clean_run ~witness:false () in
+        Metrics.incr (registry ep) K.denied_counter;
+        audit_names "syscall verdicts do not reconcile" ep);
+    audit_case "audit: a steal off the per-core tallies"
+      (fun ep -> Metrics.incr (registry ep) (declared "sched.steal"))
+      [ "per-core steal tallies"; "a 1-core machine stole" ];
+    audit_case "audit: a dropped span"
+      (fun ep ->
+        let spans = Obs.spans (Runtime.machine ep.Oracle.rt).Machine.obs in
+        for _ = 0 to Span.capacity spans do
+          Span.mark spans ~lane:"trusted" ~name:"filler" ~category:Span.User
+        done)
+      [ "span ring overflowed" ];
+    audit_case "audit: a ledger that does not conserve"
+      (fun ep ->
+        let a = Obs.attribution (Runtime.machine ep.Oracle.rt).Machine.obs in
+        Attrib.charge a ~scope:"trusted" ~category:"user" ~stack:"trusted;user" 7)
+      [ "attribution not conserved" ];
+    audit_case "audit: a witnessed call never made"
+      (fun ep ->
+        Witness.syscall
+          (Obs.witness (Runtime.machine ep.Oracle.rt).Machine.obs)
+          ~scope:"io" ~category:"proc" ~site:"io;user" ~allowed:false)
+      [ "witness syscall.denied" ];
+  ]
+
 (* Gbuf.blit against the sequence it replaced: read the source into a
    fresh buffer, note the copy, write the buffer out. Both run on their
    own fresh machine: four read-write pages, then one read-only page,
@@ -528,5 +621,5 @@ let () =
       ("sched", sched_tests);
       ("sync", sync_tests);
       ("gbuf", gbuf_props @ gbuf_copy_tests);
-      ("runtime", runtime_tests);
+      ("runtime", runtime_tests @ audit_tests);
     ]

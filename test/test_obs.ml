@@ -14,6 +14,9 @@ module Json = Encl_obs.Export.Json
 module Lb = Encl_litterbox.Litterbox
 module Machine = Encl_litterbox.Machine
 module K = Encl_kernel.Kernel
+module Attrib = Encl_obs.Attrib
+module Runtime = Encl_golike.Runtime
+module Scenarios = Encl_apps.Scenarios
 
 (* Counters owned by this test, declared once like a layer's. *)
 let test_a = Metrics.counter "test.a"
@@ -312,6 +315,45 @@ let exporter_tests =
         Alcotest.(check bool)
           (Printf.sprintf "Obs.create allocated %.0f bytes" bytes)
           true (bytes < 65_536.));
+    Alcotest.test_case "metrics.json carries one ledger per core" `Quick
+      (fun () ->
+        (* A 4-core run: every core's exported total and cells are its
+           in-memory ledger's. *)
+        let rt, _ =
+          Obs.with_default true (fun () ->
+              Result.get_ok
+                (Scenarios.smp_http (Some Lb.Mpk) ~cores:4 ~requests:128
+                   ~conns:16 ()))
+        in
+        let obs = (Runtime.machine rt).Machine.obs in
+        let a = Obs.attribution obs in
+        let doc = Result.get_ok (Json.parse (Export.metrics_json obs)) in
+        let cores =
+          Option.bind (Json.member "attribution" doc) (Json.member "cores")
+          |> Fun.flip Option.bind Json.to_list |> Option.value ~default:[]
+        in
+        Alcotest.(check int) "one ledger per core" 4 (List.length cores);
+        let int field j = Option.bind (Json.member field j) Json.to_int in
+        let str field j = Option.bind (Json.member field j) Json.to_string_opt in
+        let cell j = (str "scope" j, str "category" j, int "ns" j) in
+        List.iteri
+          (fun i core ->
+            let name = Printf.sprintf "core %d" i in
+            Alcotest.(check (option int)) (name ^ " index") (Some i) (int "core" core);
+            Alcotest.(check (option int)) (name ^ " attributed_ns")
+              (Some (Attrib.core_total a i)) (int "attributed_ns" core);
+            Alcotest.(check bool) (name ^ " charged") true (Attrib.core_total a i > 0);
+            let cells =
+              Option.bind (Json.member "cells" core) Json.to_list
+              |> Option.value ~default:[]
+            in
+            Alcotest.(check (list (triple (option string) (option string) (option int))))
+              (name ^ " cells")
+              (List.map
+                 (fun (s, c, ns) -> (Some s, Some c, Some ns))
+                 (Attrib.core_cells a i))
+              (List.map cell cells))
+          cores);
   ]
 
 (* ------------------------------------------------------------------ *)
