@@ -7,15 +7,17 @@
 # as an A/B line of data, hold fresh bench numbers to the committed
 # baseline, check that traced runs write complete, valid and
 # rerun-identical artifacts (the SMP scenario at 1 core and at the
-# matrix's count too), run the enforcement oracle long, run the
+# matrix's count too), run the enforcement oracle and the simulated
+# hardware's differential properties long, run the
 # repository benchmark's self-checks on every workload, hold its
 # simulated figures to the committed pin, and self-check the
 # alternating-pairs runner.
 #
 # Run from the repository root:
 #   sh bin/ci.sh              full pipeline (the CI default)
-#   sh bin/ci.sh --quick      skip the long oracle, chaos smoke and
-#                             perfbench stages
+#   sh bin/ci.sh --quick      skip the long oracle and hardware
+#                             properties, chaos smoke and perfbench
+#                             stages
 #   sh bin/ci.sh --cores N    run the test suite, the SMP trace rerun and
 #                             the enforcement pin on an N-core simulated
 #                             machine too
@@ -274,6 +276,12 @@ if [ "$quick" = 0 ]; then
   # QCHECK_SEED=N (README, "Testing").
   QCHECK_LONG=1 _build/default/test/test_oracle.exe
 
+  stage "simulated hardware properties (long)"
+  # test_sim's differential properties with four times the cases: the
+  # radix page table against a Hashtbl, a full TLB against the
+  # reference model, and the MMU against a walk-every-access model.
+  QCHECK_LONG=1 _build/default/test/test_sim.exe
+
   stage "chaos smoke (availability + determinism)"
   # The server must stay up under fault injection (exit 1 below 90%
   # availability), and the run must be deterministic — two runs with
@@ -322,7 +330,7 @@ if [ "$quick" = 0 ]; then
   # identical.
   sh bin/perfbench_pairs.sh . . http_vtx 1 1
 else
-  echo "ci: --quick: skipping enforcement oracle (long), chaos smoke, perfbench smoke, perfbench pin and perfbench pairs (the trace-artifact stage's smp reruns ran)"
+  echo "ci: --quick: skipping enforcement oracle (long), simulated hardware properties (long: test_sim.exe), chaos smoke, perfbench smoke, perfbench pin and perfbench pairs (the trace-artifact stage's smp reruns ran)"
 fi
 
 now=$(date +%s)

@@ -2,13 +2,13 @@ type t = {
   phys : Phys.t;
   mutable pts : Pagetable.t list;
   mutable next : int;
-  frames : int Itbl.t;  (** vpn -> ppn, canonical ownership *)
+  frames : int Vpn_map.t;  (** vpn -> ppn, canonical ownership *)
 }
 
 let create ~phys ~base =
   if not (Encl_util.Bitops.is_aligned base Phys.page_size) then
     invalid_arg "Mm.create: base not page aligned";
-  { phys; pts = []; next = base; frames = Itbl.create 1024 }
+  { phys; pts = []; next = base; frames = Vpn_map.create () }
 
 let phys t = t.phys
 let add_pt t pt = t.pts <- t.pts @ [ pt ]
@@ -35,7 +35,7 @@ let check_mapped t name ~first ~last =
   for vpn = first to last do
     if
       not
-        (Itbl.mem t.frames vpn
+        (Vpn_map.mem t.frames vpn
         && List.for_all (fun pt -> Pagetable.walk pt ~vpn <> None) t.pts)
     then invalid_arg (Printf.sprintf "%s: vpn %d not mapped" name vpn)
   done
@@ -43,14 +43,18 @@ let check_mapped t name ~first ~last =
 let map_at t ~addr ~len ~perms =
   check_aligned "Mm.map_at" addr;
   let first, last = page_span ~addr ~len in
-  (* Whole range first, as for [check_mapped]: a failed map maps nothing. *)
+  (* Whole range first, as for [check_mapped]: a failed map maps nothing.
+     The pages are contiguous, so its two ends bound the range check. *)
+  if not (Vpn_map.in_range first && Vpn_map.in_range last) then
+    invalid_arg
+      (Printf.sprintf "Mm.map_at: vpns %d..%d outside the address space" first last);
   for vpn = first to last do
-    if Itbl.mem t.frames vpn then
+    if Vpn_map.mem t.frames vpn then
       invalid_arg (Printf.sprintf "Mm.map_at: vpn %d already mapped" vpn)
   done;
   for vpn = first to last do
     let ppn = Phys.alloc_page t.phys in
-    Itbl.replace t.frames vpn ppn;
+    Vpn_map.add t.frames vpn ppn;
     List.iter (fun pt -> Pagetable.map pt ~vpn (Pte.make ~ppn ~perms)) t.pts
   done
 
@@ -65,8 +69,8 @@ let unmap t ~addr ~len =
   check_mapped t "Mm.unmap" ~first ~last;
   for vpn = first to last do
     List.iter (fun pt -> Pagetable.unmap pt ~vpn) t.pts;
-    let ppn = Itbl.find t.frames vpn in
-    Itbl.remove t.frames vpn;
+    let ppn = Option.get (Vpn_map.find_opt t.frames vpn) in
+    Vpn_map.remove t.frames vpn;
     Phys.free_page t.phys ppn
   done
 
@@ -91,4 +95,4 @@ let set_pkey t ~addr ~len key =
 let set_present (_ : t) ~pt ~addr ~len present =
   iter_range ~addr ~len (fun vpn -> Pagetable.set_present pt ~vpn present)
 
-let is_mapped t ~addr = Itbl.mem t.frames (addr / Phys.page_size)
+let is_mapped t ~addr = Vpn_map.mem t.frames (addr / Phys.page_size)

@@ -18,7 +18,8 @@ val add_pt : t -> Pagetable.t -> unit
 val map_at : t -> addr:int -> len:int -> perms:Pte.perms -> unit
 (** Back the (page-aligned) range with fresh zeroed frames and install
     entries in every registered page table. Raises [Invalid_argument],
-    changing nothing, if any page of the range is already mapped. *)
+    changing nothing, if any page of the range is already mapped or lies
+    outside {!Vpn_map.in_range}. *)
 
 val map : t -> len:int -> perms:Pte.perms -> int
 (** [alloc_range] + [map_at]; returns the address. *)

@@ -88,7 +88,7 @@ type t = {
   machine : Machine.t;
   backend : backend;
   graph : Encl_pkg.Graph.t;
-  registry : (string * Section.kind) Itbl.t;
+  registry : (string * Section.kind) Vpn_map.t;
   pkg_sections : (string, Section.t list ref) Hashtbl.t;
   encs : (string, enc_rt) Hashtbl.t;
   mutable enc_order : string list;  (** registration order, first first *)
@@ -189,7 +189,7 @@ let register_section t (s : Section.t) =
   let first = s.Section.addr / Phys.page_size in
   let last = (Section.end_addr s - 1) / Phys.page_size in
   for vpn = first to last do
-    Itbl.replace t.registry vpn (s.Section.owner, s.Section.kind)
+    Vpn_map.add t.registry vpn (s.Section.owner, s.Section.kind)
   done;
   let lst =
     match Hashtbl.find_opt t.pkg_sections s.Section.owner with
@@ -205,7 +205,7 @@ let sections_of t pkg =
   match Hashtbl.find_opt t.pkg_sections pkg with Some l -> !l | None -> []
 
 let owner_of t ~addr =
-  Option.map fst (Itbl.find_opt t.registry (addr / Phys.page_size))
+  Option.map fst (Vpn_map.find_opt t.registry (addr / Phys.page_size))
 
 (* ------------------------------------------------------------------ *)
 (* Views and environments                                              *)
@@ -221,7 +221,7 @@ let closure_vpn enc = enc.e_closure_addr / Phys.page_size
 let exec_filter t enc ~vpn =
   (enc.e_closure_addr <> 0 && vpn = closure_vpn enc)
   ||
-  match Itbl.find_opt t.registry vpn with
+  match Vpn_map.find_opt t.registry vpn with
   | Some (pkg, _) -> View.access enc.e_view pkg = Types.RWX
   | None -> false
 
@@ -232,7 +232,7 @@ let exec_filter t enc ~vpn =
    registry plus the view. Pages outside every section are the guard
    zone. *)
 let sfi_filter t enc ~write ~vpn =
-  match Itbl.find_opt t.registry vpn with
+  match Vpn_map.find_opt t.registry vpn with
   | None -> false
   | Some (pkg, _kind) -> (
       match View.access enc.e_view pkg with
@@ -1027,7 +1027,7 @@ let init ~machine ~backend ~image ?(binary_scan = []) ?(clustering = true) () =
           machine;
           backend;
           graph = image.Image.graph;
-          registry = Itbl.create 4096;
+          registry = Vpn_map.create ();
           pkg_sections = Hashtbl.create 64;
           encs = Hashtbl.create 16;
           enc_order = [];
@@ -1215,7 +1215,7 @@ let register_package t ~name ~imports ~sections =
               let rec scan vpn =
                 if vpn > last then None
                 else
-                  match Itbl.find_opt t.registry vpn with
+                  match Vpn_map.find_opt t.registry vpn with
                   | Some (owner, _) -> Some (s.Section.name, owner)
                   | None -> scan (vpn + 1)
               in
@@ -1239,7 +1239,7 @@ let register_package t ~name ~imports ~sections =
                   (fun s ->
                     let first, last = vpns s in
                     for vpn = first to last do
-                      Itbl.remove t.registry vpn
+                      Vpn_map.remove t.registry vpn
                     done)
                   sections;
                 Hashtbl.remove t.pkg_sections name;

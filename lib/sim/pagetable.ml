@@ -1,21 +1,21 @@
-type t = { id : int; name : string; entries : Pte.t Itbl.t }
+type t = { id : int; name : string; entries : Pte.t Vpn_map.t }
 
 let ids = Encl_util.Ids.make ()
-let create ~name = { id = Encl_util.Ids.next ids; name; entries = Itbl.create 1024 }
+let create ~name = { id = Encl_util.Ids.next ids; name; entries = Vpn_map.create () }
 let id t = t.id
 let name t = t.name
 
 let map t ~vpn pte =
-  if Itbl.mem t.entries vpn then
+  if Vpn_map.mem t.entries vpn then
     invalid_arg (Printf.sprintf "Pagetable(%s): vpn %d already mapped" t.name vpn);
-  Itbl.add t.entries vpn pte
+  Vpn_map.add t.entries vpn pte
 
 let unmap t ~vpn =
-  if not (Itbl.mem t.entries vpn) then
+  if not (Vpn_map.mem t.entries vpn) then
     invalid_arg (Printf.sprintf "Pagetable(%s): vpn %d not mapped" t.name vpn);
-  Itbl.remove t.entries vpn
+  Vpn_map.remove t.entries vpn
 
-let walk t ~vpn = Itbl.find_opt t.entries vpn
+let walk t ~vpn = Vpn_map.find_opt t.entries vpn
 
 let get t vpn =
   match walk t ~vpn with
@@ -31,19 +31,18 @@ let set_pkey t ~vpn pkey =
   (get t vpn).Pte.pkey <- pkey
 
 let clone t ~name =
-  let fresh = create ~name in
-  Itbl.iter
-    (fun vpn (pte : Pte.t) ->
-      Itbl.add fresh.entries vpn
-        { Pte.ppn = pte.ppn; present = pte.present; perms = pte.perms; pkey = pte.pkey })
-    t.entries;
-  fresh
+  {
+    id = Encl_util.Ids.next ids;
+    name;
+    entries =
+      Vpn_map.map
+        (fun (pte : Pte.t) ->
+          { Pte.ppn = pte.ppn; present = pte.present; perms = pte.perms; pkey = pte.pkey })
+        t.entries;
+  }
 
 let pp ppf t =
-  let entries =
-    Itbl.fold (fun vpn pte acc -> (vpn, pte) :: acc) t.entries []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
+  let entries = Vpn_map.fold (fun vpn pte acc -> (vpn, pte) :: acc) t.entries [] |> List.rev in
   Format.fprintf ppf "@[<v>pagetable %s (%d entries)" t.name (List.length entries);
   List.iter (fun (vpn, pte) -> Format.fprintf ppf "@ %#x -> %a" vpn Pte.pp pte) entries;
   Format.fprintf ppf "@]"

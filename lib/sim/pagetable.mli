@@ -2,7 +2,12 @@
 
     The simulation keeps one page table per LB_VTX execution environment
     and a single shared page table for LB_MPK (whose environments differ
-    only in the PKRU register value). *)
+    only in the PKRU register value).
+
+    Entries live in a {!Vpn_map}: a directory of 256-entry leaves, so
+    {!walk} is two array loads and allocates nothing. Vpns lie in
+    [\[0, 2^36)]: a vpn outside it is never mapped, and {!map} refuses
+    one with [Invalid_argument]. *)
 
 type t
 
@@ -18,7 +23,8 @@ val name : t -> string
 (** A label for messages and reports; two tables may share one. *)
 
 val map : t -> vpn:int -> Pte.t -> unit
-(** Install an entry. Raises [Invalid_argument] if [vpn] is mapped. *)
+(** Install an entry. Raises [Invalid_argument] if [vpn] is mapped or
+    outside [\[0, 2^36)]. *)
 
 val unmap : t -> vpn:int -> unit
 (** Remove an entry entirely. Raises [Invalid_argument] if absent. *)
@@ -41,3 +47,4 @@ val clone : t -> name:string -> t
     derive per-enclosure page tables from the trusted one. *)
 
 val pp : Format.formatter -> t -> unit
+(** The name, the entry count, then each entry in ascending vpn order. *)

@@ -993,6 +993,29 @@ let mm_tests =
           (Pagetable.walk m.Machine.trusted_pt ~vpn:(addr / page) = None);
         Alcotest.(check int) "no frame allocated" frames
           (Phys.page_count (Encl_kernel.Mm.phys mm)));
+    Alcotest.test_case "a map below address 0 is refused and changes nothing" `Quick
+      (fun () ->
+        let m = kernel_fixture () in
+        let mm = m.Machine.mm in
+        let page = Phys.page_size in
+        let frames = Phys.page_count (Encl_kernel.Mm.phys mm) in
+        (* Pages -1 and 0 by the span's arithmetic: page 0 is in range
+           and unmapped, so only the up-front range check refuses it. *)
+        (match
+           Encl_kernel.Mm.map_at mm ~addr:(-page) ~len:(2 * page)
+             ~perms:{ Pte.r = true; w = true; x = false }
+         with
+        | exception Invalid_argument _ -> ()
+        | () -> Alcotest.fail "map below address 0 accepted");
+        List.iter
+          (fun vpn ->
+            Alcotest.(check bool) "no frame owned" false
+              (Encl_kernel.Mm.is_mapped mm ~addr:(vpn * page));
+            Alcotest.(check bool) "absent from the page table" true
+              (Pagetable.walk m.Machine.trusted_pt ~vpn = None))
+          [ -1; 0 ];
+        Alcotest.(check int) "no frame allocated" frames
+          (Phys.page_count (Encl_kernel.Mm.phys mm)));
   ]
 
 let () =

@@ -350,6 +350,11 @@ let enforcement_tests backend backend_tag =
             Lb.transfer lb ~addr ~len:(4 * Phys.page_size) ~to_pkg:"img"
               ~site:"runtime.mallocgc";
             Alcotest.(check (option string)) "owner" (Some "img") (Lb.owner_of lb ~addr);
+            List.iter
+              (fun addr ->
+                Alcotest.(check (option string)) "no owner outside [0, 2^36) pages" None
+                  (Lb.owner_of lb ~addr))
+              [ -2 * Phys.page_size; 1 lsl 50; max_int ];
             (* The enclosure may use img's arena. *)
             Lb.prolog lb ~name:"rcl" ~site:"enclosure:rcl";
             Cpu.write8 machine.Machine.cpu addr 42;

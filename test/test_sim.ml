@@ -184,15 +184,21 @@ let phys_op_arb =
   QCheck.make ~print:(QCheck.Print.list print) (list_size (int_range 0 200) op)
 
 (* What one operation returned, or the exception it raised, as text:
-   constructor and message must both match. *)
-let outcome f = match f () with s -> s | exception e -> "raised " ^ Printexc.to_string e
+   constructor and message must both match, and a fault prints as the
+   simulator prints it. *)
+let outcome f =
+  match f () with
+  | s -> s
+  | exception Cpu.Fault fault -> Format.asprintf "%a" Cpu.pp_fault fault
+  | exception e -> "raised " ^ Printexc.to_string e
+
+let both f g = (outcome f, outcome g)
 
 (* Source bytes for [Blit_of]; a 32-byte window, so offsets 0-8 and
    lengths up to 24 fit and the rest are rejected by [Bytes.blit]. *)
 let blit_src = Bytes.init 32 (fun i -> Char.chr (0x41 + i))
 
 let phys_step p m op =
-  let both f g = (outcome f, outcome g) in
   match op with
   | Alloc ->
       both
@@ -298,6 +304,177 @@ let pagetable_tests =
         match Pagetable.set_pkey pt ~vpn:3 16 with
         | exception Invalid_argument _ -> ()
         | () -> Alcotest.fail "key 16 accepted");
+  ]
+
+(* The reference page table: the Hashtbl the radix vpn map replaced,
+   with the out-of-range contract spelled out. Messages match the real
+   table's, so outcomes compare as text. *)
+module Pt_model = struct
+  type t = { name : string; entries : (int, Pte.t) Hashtbl.t }
+
+  let create name = { name; entries = Hashtbl.create 16 }
+  let copy (p : Pte.t) =
+    { Pte.ppn = p.ppn; present = p.present; perms = p.perms; pkey = p.pkey }
+
+  let not_mapped t vpn =
+    invalid_arg (Printf.sprintf "Pagetable(%s): vpn %d not mapped" t.name vpn)
+
+  let map t ~vpn pte =
+    if Hashtbl.mem t.entries vpn then
+      invalid_arg (Printf.sprintf "Pagetable(%s): vpn %d already mapped" t.name vpn);
+    if vpn < 0 || vpn >= 1 lsl 36 then
+      invalid_arg (Printf.sprintf "Vpn_map.add: vpn %d outside [0, 2^36)" vpn);
+    Hashtbl.replace t.entries vpn pte
+
+  let unmap t ~vpn =
+    if not (Hashtbl.mem t.entries vpn) then not_mapped t vpn;
+    Hashtbl.remove t.entries vpn
+
+  let walk t ~vpn = Hashtbl.find_opt t.entries vpn
+  let get t vpn = match walk t ~vpn with Some p -> p | None -> not_mapped t vpn
+  let protect t ~vpn perms = (get t vpn).Pte.perms <- perms
+  let set_present t ~vpn present = (get t vpn).Pte.present <- present
+
+  let set_pkey t ~vpn pkey =
+    if pkey < 0 || pkey > 15 then invalid_arg "Pagetable.set_pkey: key out of range";
+    (get t vpn).Pte.pkey <- pkey
+
+  let clone t ~name =
+    let c = create name in
+    Hashtbl.iter (fun vpn p -> Hashtbl.replace c.entries vpn (copy p)) t.entries;
+    c
+
+  let pp ppf t =
+    let entries =
+      Hashtbl.fold (fun vpn p acc -> (vpn, p) :: acc) t.entries [] |> List.sort compare
+    in
+    Format.fprintf ppf "@[<v>pagetable %s (%d entries)" t.name (List.length entries);
+    List.iter (fun (vpn, p) -> Format.fprintf ppf "@ %#x -> %a" vpn Pte.pp p) entries;
+    Format.fprintf ppf "@]"
+end
+
+type pt_op =
+  | Pt_map of int * int * Pte.perms  (** table, vpn, perms *)
+  | Pt_unmap of int * int
+  | Pt_walk of int * int
+  | Pt_protect of int * int * Pte.perms
+  | Pt_set_present of int * int * bool
+  | Pt_set_pkey of int * int * int
+  | Pt_clone of int * int  (** source table, slot the clone replaces *)
+  | Pt_pp of int
+
+let pt_tables = 3
+
+let pt_perms_gen =
+  QCheck.Gen.(map3 (fun r w x -> { Pte.r; w; x }) bool bool bool)
+
+let perms_text p =
+  Format.asprintf "%a" Pte.pp { Pte.ppn = 0; present = true; perms = p; pkey = 0 }
+
+(* Vpns around leaf boundaries (leaves hold 256), 0, and outside
+   [0, 2^36): negative, 2^36 and above. In-range vpns stay below 2^20,
+   so no directory grows past a few thousand leaves. *)
+let pt_vpn_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, oneofl [ 0; 1; 255; 256; 257; 511; 512; 513; 767; 768; 4095; 4096 ]);
+        (2, int_range 0 3000);
+        (1, oneofl [ (1 lsl 20) - 1; 1 lsl 20 ]);
+        ( 2,
+          oneofl
+            [ -1; -511; -512; -513; min_int; 1 lsl 36; (1 lsl 36) + 1; (1 lsl 36) + 512; max_int ]
+        );
+      ])
+
+let pt_op_arb =
+  let open QCheck.Gen in
+  let tbl = int_range 0 (pt_tables - 1) in
+  let op =
+    frequency
+      [
+        (6, map3 (fun t v p -> Pt_map (t, v, p)) tbl pt_vpn_gen pt_perms_gen);
+        (3, map2 (fun t v -> Pt_unmap (t, v)) tbl pt_vpn_gen);
+        (5, map2 (fun t v -> Pt_walk (t, v)) tbl pt_vpn_gen);
+        (2, map3 (fun t v p -> Pt_protect (t, v, p)) tbl pt_vpn_gen pt_perms_gen);
+        (2, map3 (fun t v b -> Pt_set_present (t, v, b)) tbl pt_vpn_gen bool);
+        (2, map3 (fun t v k -> Pt_set_pkey (t, v, k)) tbl pt_vpn_gen (int_range (-1) 16));
+        (1, map2 (fun s d -> Pt_clone (s, d)) tbl tbl);
+        (1, map (fun t -> Pt_pp t) tbl);
+      ]
+  in
+  let print = function
+    | Pt_map (t, v, p) -> Printf.sprintf "map %d %d %s" t v (perms_text p)
+    | Pt_unmap (t, v) -> Printf.sprintf "unmap %d %d" t v
+    | Pt_walk (t, v) -> Printf.sprintf "walk %d %d" t v
+    | Pt_protect (t, v, p) -> Printf.sprintf "protect %d %d %s" t v (perms_text p)
+    | Pt_set_present (t, v, b) -> Printf.sprintf "set_present %d %d %b" t v b
+    | Pt_set_pkey (t, v, k) -> Printf.sprintf "set_pkey %d %d %d" t v k
+    | Pt_clone (s, d) -> Printf.sprintf "clone %d -> %d" s d
+    | Pt_pp t -> Printf.sprintf "pp %d" t
+  in
+  QCheck.make ~print:(QCheck.Print.list print) (list_size (int_range 0 200) op)
+
+let pagetable_props =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"radix page table matches the Hashtbl model" ~count:300
+         ~long_factor:4 pt_op_arb (fun ops ->
+           let names = Array.init pt_tables (Printf.sprintf "pt%d") in
+           let real = Array.map (fun name -> Pagetable.create ~name) names in
+           let model = Array.map Pt_model.create names in
+           let pte = function
+             | Some p -> Format.asprintf "%a" Pte.pp p
+             | None -> "unmapped"
+           in
+           let step n op =
+             (* Each map gets a distinct frame, so pp and walk show which
+                map a surviving entry came from. *)
+             match op with
+             | Pt_map (t, vpn, perms) ->
+                 both
+                   (fun () -> Pagetable.map real.(t) ~vpn (Pte.make ~ppn:n ~perms); "")
+                   (fun () -> Pt_model.map model.(t) ~vpn (Pte.make ~ppn:n ~perms); "")
+             | Pt_unmap (t, vpn) ->
+                 both
+                   (fun () -> Pagetable.unmap real.(t) ~vpn; "")
+                   (fun () -> Pt_model.unmap model.(t) ~vpn; "")
+             | Pt_walk (t, vpn) ->
+                 both
+                   (fun () -> pte (Pagetable.walk real.(t) ~vpn))
+                   (fun () -> pte (Pt_model.walk model.(t) ~vpn))
+             | Pt_protect (t, vpn, perms) ->
+                 both
+                   (fun () -> Pagetable.protect real.(t) ~vpn perms; "")
+                   (fun () -> Pt_model.protect model.(t) ~vpn perms; "")
+             | Pt_set_present (t, vpn, b) ->
+                 both
+                   (fun () -> Pagetable.set_present real.(t) ~vpn b; "")
+                   (fun () -> Pt_model.set_present model.(t) ~vpn b; "")
+             | Pt_set_pkey (t, vpn, k) ->
+                 both
+                   (fun () -> Pagetable.set_pkey real.(t) ~vpn k; "")
+                   (fun () -> Pt_model.set_pkey model.(t) ~vpn k; "")
+             | Pt_clone (s, d) ->
+                 real.(d) <- Pagetable.clone real.(s) ~name:names.(d);
+                 model.(d) <- Pt_model.clone model.(s) ~name:names.(d);
+                 ("", "")
+             | Pt_pp t ->
+                 both
+                   (fun () -> Format.asprintf "%a" Pagetable.pp real.(t))
+                   (fun () -> Format.asprintf "%a" Pt_model.pp model.(t))
+           in
+           List.iteri
+             (fun n op ->
+               let got, want = step n op in
+               if got <> want then
+                 QCheck.Test.fail_reportf "op %d: got %S, want %S" n got want)
+             ops;
+           (* Every table ends with the model's entries, in order. *)
+           Array.for_all2
+                (fun r m ->
+                  Format.asprintf "%a" Pagetable.pp r = Format.asprintf "%a" Pt_model.pp m)
+                real model));
   ]
 
 let mpk_tests =
@@ -442,6 +619,25 @@ let cpu_tests =
         let addr = Phys.page_size - 3 in
         Cpu.write64 cpu addr 0x0102030405060708L;
         Alcotest.(check int64) "straddling i64" 0x0102030405060708L (Cpu.read64 cpu addr));
+    Alcotest.test_case "checks of mapped pages allocate nothing" `Quick (fun () ->
+        (* TLB hits, misses, CR3 flushes and page walks, once the
+           written frame has its own storage. *)
+        let cpu, pt = cpu_fixture () in
+        let envs = [| Cpu.trusted_env pt; Cpu.trusted_env (Pagetable.clone pt ~name:"c") |] in
+        Cpu.write8 cpu 0 1;
+        let rounds = 1000 in
+        let before = Gc.minor_words () in
+        for i = 1 to rounds do
+          Cpu.set_env cpu envs.(i land 1);
+          Cpu.write8 cpu 8 (Cpu.read8 cpu 0);
+          Cpu.fetch cpu ~addr:Phys.page_size;
+          Cpu.check cpu Cpu.Read ~addr:0 ~len:(2 * Phys.page_size)
+        done;
+        (* Less than one word a round: nothing per access, whatever the
+           measurement itself boxes. *)
+        let words = Gc.minor_words () -. before in
+        if words >= float rounds then
+          Alcotest.failf "%.0f minor words in %d rounds" words rounds);
   ]
 
 let misc_tests =
@@ -646,30 +842,356 @@ let tlb_op_arb =
     ~print:QCheck.Print.(pair int (list print))
     (pair (oneofl [ 1; 2; 3; 4; 5; 6; 7; 8; 1024 ]) (list_size (int_range 0 300) op))
 
+(* Dense windows of vpns over a few spaces, with flushes rare: the
+   open-addressed set runs full (capacity 1 and 3 fill 4 and 16 slots
+   to a quarter), so each miss deletes in a full table, and runs of
+   resident keys wrap around the end of the slot array. *)
+let tlb_load_arb =
+  let open QCheck.Gen in
+  let gen =
+    oneofl [ 1; 3; 1024 ] >>= fun capacity ->
+    int_range 2 3 >>= fun spaces ->
+    int_range 0 3000 >>= fun lo ->
+    int_range lo 3000 >>= fun hi ->
+    let op =
+      frequency
+        [
+          ( 400,
+            map2 (fun s v -> Access (s, v)) (int_range 0 (spaces - 1)) (int_range lo hi) );
+          (1, return Flush);
+        ]
+    in
+    map (fun ops -> (capacity, ops)) (list_size (int_range 0 5000) op)
+  in
+  let print = function
+    | Access (s, v) -> Printf.sprintf "access %d %d" s v
+    | Flush -> "flush"
+  in
+  QCheck.make ~print:QCheck.Print.(pair int (list print)) gen
+
+let tlb_matches_model (capacity, ops) =
+  let tlb = Tlb.create ~capacity () in
+  let model = Tlb_model.create ~capacity in
+  List.for_all
+    (fun op ->
+      let same_result =
+        match op with
+        | Access (space, vpn) ->
+            Tlb.access tlb ~space ~vpn = Tlb_model.access model ~space ~vpn
+        | Flush ->
+            Tlb.flush tlb;
+            Tlb_model.flush model;
+            true
+      in
+      same_result
+      && Tlb.hits tlb = model.hits
+      && Tlb.misses tlb = model.misses
+      && Tlb.flushes tlb = model.flushes
+      && Tlb.occupancy tlb = Hashtbl.length model.entries)
+    ops
+
 let tlb_props =
   [
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"int-keyed TLB matches the reference model"
-         ~count:400 tlb_op_arb (fun (capacity, ops) ->
-           let tlb = Tlb.create ~capacity () in
-           let model = Tlb_model.create ~capacity in
-           List.for_all
-             (fun op ->
-               let same_result =
-                 match op with
-                 | Access (space, vpn) ->
-                     Tlb.access tlb ~space ~vpn = Tlb_model.access model ~space ~vpn
-                 | Flush ->
-                     Tlb.flush tlb;
-                     Tlb_model.flush model;
-                     true
-               in
-               same_result
-               && Tlb.hits tlb = model.hits
-               && Tlb.misses tlb = model.misses
-               && Tlb.flushes tlb = model.flushes
-               && Tlb.occupancy tlb = Hashtbl.length model.entries)
-             ops));
+         ~count:400 tlb_op_arb tlb_matches_model);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"a full TLB matches the reference model" ~count:60
+         ~long_factor:4 tlb_load_arb tlb_matches_model);
+  ]
+
+(* The MMU model: every access walks a Hashtbl page table ([Pt_model])
+   and counts in a reference TLB per core ([Tlb_model]), over a store of
+   one [Bytes] per frame. [Cpu] is checked against it. *)
+module Mmu_model = struct
+  type env = { label : string; table : int; pkru : Mpk.pkru }
+
+  type t = {
+    tables : Pt_model.t array;
+    frames : (int, Bytes.t) Hashtbl.t;
+    tlbs : Tlb_model.t array;  (** one per core *)
+    mutable lane : int;
+    mutable env : env;
+  }
+
+  let frame m ppn = Hashtbl.find m.frames ppn
+  let tlb m = m.tlbs.(m.lane)
+
+  let set_env m env =
+    if env.table <> m.env.table then Tlb_model.flush (tlb m);
+    m.env <- env
+
+  let check_page m kind addr =
+    let vpn = addr asr Phys.page_shift in
+    ignore (Tlb_model.access (tlb m) ~space:m.env.table ~vpn);
+    let fault reason =
+      raise (Cpu.Fault { Cpu.kind; vaddr = addr; env = m.env.label; reason })
+    in
+    match Pt_model.walk m.tables.(m.env.table) ~vpn with
+    | None -> fault "page not mapped"
+    | Some pte ->
+        if not pte.Pte.present then fault "page not present";
+        let write = kind = Cpu.Write in
+        if write && not pte.Pte.perms.Pte.w then fault "no write permission";
+        if (not write) && not pte.Pte.perms.Pte.r then fault "no read permission";
+        if not (Mpk.allows m.env.pkru ~key:pte.Pte.pkey ~write) then
+          fault
+            (Printf.sprintf "protection key %d denies %s" pte.Pte.pkey
+               (Cpu.access_kind_name kind));
+        pte
+
+  let page_off addr = addr land (Phys.page_size - 1)
+
+  let check m kind ~addr ~len =
+    if len < 0 then invalid_arg "Cpu.check: negative length";
+    if len > 0 then begin
+      for vpn = addr asr Phys.page_shift to (addr + len - 1) asr Phys.page_shift do
+        ignore (check_page m kind (vpn lsl Phys.page_shift))
+      done;
+      ignore (check_page m kind addr)
+    end
+
+  (* After [check]: byte [addr] through the current table. *)
+  let byte m addr =
+    let pte = Option.get (Pt_model.walk m.tables.(m.env.table) ~vpn:(addr asr Phys.page_shift)) in
+    (frame m pte.Pte.ppn, page_off addr)
+
+  let read8 m addr =
+    let pte = check_page m Cpu.Read addr in
+    Char.code (Bytes.get (frame m pte.Pte.ppn) (page_off addr))
+
+  let write8 m addr v =
+    let pte = check_page m Cpu.Write addr in
+    Bytes.set (frame m pte.Pte.ppn) (page_off addr) (Char.chr (v land 0xff))
+
+  let write64 m addr v =
+    if page_off addr <= Phys.page_size - 8 then begin
+      let pte = check_page m Cpu.Write addr in
+      ignore (check_page m Cpu.Write (addr + 7));
+      Bytes.set_int64_le (frame m pte.Pte.ppn) (page_off addr) v
+    end
+    else
+      for i = 0 to 7 do
+        write8 m (addr + i) (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff)
+      done
+
+  let read_bytes m ~addr ~len =
+    check m Cpu.Read ~addr ~len;
+    Bytes.init len (fun i ->
+        let b, off = byte m (addr + i) in
+        Bytes.get b off)
+
+  let copy m ~src ~dst ~len =
+    check m Cpu.Read ~addr:src ~len;
+    check m Cpu.Write ~addr:dst ~len;
+    let data =
+      Bytes.init len (fun i ->
+          let b, off = byte m (src + i) in
+          Bytes.get b off)
+    in
+    Bytes.iteri
+      (fun i c ->
+        let b, off = byte m (dst + i) in
+        Bytes.set b off c)
+      data
+end
+
+type mmu_op =
+  | Mmu_map of int * int * Pte.perms * int  (** table, vpn, perms, key *)
+  | Mmu_unmap of int * int
+  | Mmu_protect of int * int * Pte.perms
+  | Mmu_set_pkey of int * int * int
+  | Mmu_set_present of int * int * bool
+  | Mmu_set_env of int  (** index into [mmu_envs] *)
+  | Mmu_lane of int
+  | Mmu_read8 of int
+  | Mmu_write64 of int * int64
+  | Mmu_read_bytes of int * int
+  | Mmu_copy of int * int * int  (** src, dst, len *)
+
+let mmu_lanes = 3
+
+(* Table 0 is the one the machine boots on, table 1 a clone of it taken
+   after the initial maps (sharing its frames), table 2 a fresh one. The
+   keys: 1 is read-only and 2 inaccessible under the second PKRU. *)
+let mmu_envs =
+  List.concat_map
+    (fun table ->
+      [
+        ("all", Mpk.pkru_all_access);
+        ( "k1ro-k2none",
+          Mpk.set_key (Mpk.set_key Mpk.pkru_all_access ~key:1 Mpk.Read_only) ~key:2
+            Mpk.No_access );
+      ]
+      |> List.map (fun (name, pkru) ->
+             { Mmu_model.label = Printf.sprintf "t%d/%s" table name; table; pkru }))
+    [ 0; 1; 2 ]
+  |> Array.of_list
+
+let mmu_arb =
+  let open QCheck.Gen in
+  let tbl = int_range 0 2 and vpn = int_range 0 6 in
+  let key = int_range 0 2 in
+  let addr =
+    frequency
+      [
+        ( 8,
+          map2
+            (fun vpn off -> (vpn * Phys.page_size) + off)
+            (int_range 0 6)
+            (oneof [ oneofl [ 0; 1; 7; 4088; 4089; 4095 ]; int_range 0 4095 ]) );
+        (1, oneofl [ -1; -8; -4096; -4097 ]);
+      ]
+  in
+  let len = frequency [ (8, oneofl [ 0; 1; 8; 100; 4096; 5000; 9000 ]); (1, return (-1)) ] in
+  let op =
+    frequency
+      [
+        (2, map2 (fun (t, v) (p, k) -> Mmu_map (t, v, p, k)) (pair tbl vpn) (pair pt_perms_gen key));
+        (1, map2 (fun t v -> Mmu_unmap (t, v)) tbl vpn);
+        (1, map3 (fun t v p -> Mmu_protect (t, v, p)) tbl vpn pt_perms_gen);
+        (1, map3 (fun t v k -> Mmu_set_pkey (t, v, k)) tbl vpn key);
+        (1, map3 (fun t v b -> Mmu_set_present (t, v, b)) tbl vpn (frequencyl [ (3, true); (1, false) ]));
+        (2, map (fun i -> Mmu_set_env i) (int_range 0 (Array.length mmu_envs - 1)));
+        (1, map (fun l -> Mmu_lane l) (int_range 0 (mmu_lanes - 1)));
+        (4, map (fun a -> Mmu_read8 a) addr);
+        (3, map2 (fun a v -> Mmu_write64 (a, v)) addr ui64);
+        (2, map2 (fun a l -> Mmu_read_bytes (a, l)) addr len);
+        (2, map3 (fun s d l -> Mmu_copy (s, d, l)) addr addr len);
+      ]
+  in
+  let init = list_size (int_range 0 7) (triple vpn pt_perms_gen key) in
+  let print_init (v, p, k) = Printf.sprintf "map 0 %d %s key %d" v (perms_text p) k in
+  let print = function
+    | Mmu_map (t, v, p, k) -> Printf.sprintf "map %d %d %s key %d" t v (perms_text p) k
+    | Mmu_unmap (t, v) -> Printf.sprintf "unmap %d %d" t v
+    | Mmu_protect (t, v, p) -> Printf.sprintf "protect %d %d %s" t v (perms_text p)
+    | Mmu_set_pkey (t, v, k) -> Printf.sprintf "set_pkey %d %d %d" t v k
+    | Mmu_set_present (t, v, b) -> Printf.sprintf "set_present %d %d %b" t v b
+    | Mmu_set_env i -> Printf.sprintf "set_env %s" mmu_envs.(i).Mmu_model.label
+    | Mmu_lane l -> Printf.sprintf "lane %d" l
+    | Mmu_read8 a -> Printf.sprintf "read8 %#x" a
+    | Mmu_write64 (a, v) -> Printf.sprintf "write64 %#x %Ld" a v
+    | Mmu_read_bytes (a, l) -> Printf.sprintf "read_bytes %#x %d" a l
+    | Mmu_copy (s, d, l) -> Printf.sprintf "copy %#x -> %#x %d" s d l
+  in
+  QCheck.make
+    ~print:QCheck.Print.(pair (list print_init) (list print))
+    (pair init (list_size (int_range 0 150) op))
+
+let mmu_props =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"the MMU matches the walk-every-access model"
+         ~count:300 ~long_factor:4 mmu_arb (fun (init, ops) ->
+           let phys = Phys.create () and clock = Clock.create () in
+           let tables = [| Pagetable.create ~name:"t0"; Pagetable.create ~name:"t1";
+                           Pagetable.create ~name:"t2" |] in
+           let m =
+             {
+               Mmu_model.tables = Array.map Pt_model.create [| "t0"; "t1"; "t2" |];
+               frames = Hashtbl.create 16;
+               tlbs = Array.init mmu_lanes (fun _ -> Tlb_model.create ~capacity:1024);
+               lane = 0;
+               env = { Mmu_model.label = "trusted"; table = 0; pkru = Mpk.pkru_all_access };
+             }
+           in
+           (* One fresh frame behind both sides' entry. *)
+           let map t ~vpn perms key =
+             let ppn = Phys.alloc_page phys in
+             Hashtbl.replace m.frames ppn (Bytes.make Phys.page_size '\000');
+             both
+               (fun () ->
+                 Pagetable.map tables.(t) ~vpn (Pte.make ~ppn ~perms);
+                 Pagetable.set_pkey tables.(t) ~vpn key;
+                 "")
+               (fun () ->
+                 Pt_model.map m.tables.(t) ~vpn (Pte.make ~ppn ~perms);
+                 Pt_model.set_pkey m.tables.(t) ~vpn key;
+                 "")
+           in
+           List.iter (fun (vpn, perms, key) -> ignore (map 0 ~vpn perms key)) init;
+           tables.(1) <- Pagetable.clone tables.(0) ~name:"t1";
+           m.tables.(1) <- Pt_model.clone m.tables.(0) ~name:"t1";
+           let cpu = Cpu.create ~phys ~clock (Cpu.trusted_env tables.(0)) in
+           let step = function
+             | Mmu_map (t, vpn, perms, key) -> map t ~vpn perms key
+             | Mmu_unmap (t, vpn) ->
+                 both
+                   (fun () -> Pagetable.unmap tables.(t) ~vpn; "")
+                   (fun () -> Pt_model.unmap m.tables.(t) ~vpn; "")
+             | Mmu_protect (t, vpn, perms) ->
+                 both
+                   (fun () -> Pagetable.protect tables.(t) ~vpn perms; "")
+                   (fun () -> Pt_model.protect m.tables.(t) ~vpn perms; "")
+             | Mmu_set_pkey (t, vpn, key) ->
+                 both
+                   (fun () -> Pagetable.set_pkey tables.(t) ~vpn key; "")
+                   (fun () -> Pt_model.set_pkey m.tables.(t) ~vpn key; "")
+             | Mmu_set_present (t, vpn, b) ->
+                 both
+                   (fun () -> Pagetable.set_present tables.(t) ~vpn b; "")
+                   (fun () -> Pt_model.set_present m.tables.(t) ~vpn b; "")
+             | Mmu_set_env i ->
+                 let e = mmu_envs.(i) in
+                 both
+                   (fun () ->
+                     Cpu.set_env cpu
+                       { Cpu.label = e.Mmu_model.label; pt = tables.(e.Mmu_model.table);
+                         pkru = e.Mmu_model.pkru; exec_ok = None; sfi = None };
+                     "")
+                   (fun () -> Mmu_model.set_env m e; "")
+             | Mmu_lane l ->
+                 Clock.set_lane clock l;
+                 m.lane <- l;
+                 ("", "")
+             | Mmu_read8 addr ->
+                 both
+                   (fun () -> string_of_int (Cpu.read8 cpu addr))
+                   (fun () -> string_of_int (Mmu_model.read8 m addr))
+             | Mmu_write64 (addr, v) ->
+                 both (fun () -> Cpu.write64 cpu addr v; "") (fun () -> Mmu_model.write64 m addr v; "")
+             | Mmu_read_bytes (addr, len) ->
+                 both
+                   (fun () -> Bytes.to_string (Cpu.read_bytes cpu ~addr ~len))
+                   (fun () -> Bytes.to_string (Mmu_model.read_bytes m ~addr ~len))
+             | Mmu_copy (src, dst, len) ->
+                 both
+                   (fun () -> Cpu.copy cpu ~src ~dst ~len ~note:ignore; "")
+                   (fun () -> Mmu_model.copy m ~src ~dst ~len; "")
+           in
+           (* Every core's TLB counts, read without moving the lane. *)
+           let tlb_counts () =
+             let lane = Clock.lane clock in
+             let real =
+               List.init mmu_lanes (fun l ->
+                   Clock.set_lane clock l;
+                   let tlb = Cpu.tlb cpu in
+                   (Tlb.hits tlb, Tlb.misses tlb, Tlb.flushes tlb, Tlb.occupancy tlb))
+             in
+             Clock.set_lane clock lane;
+             let model =
+               Array.to_list m.tlbs
+               |> List.map (fun (t : Tlb_model.t) ->
+                      (t.hits, t.misses, t.flushes, Hashtbl.length t.entries))
+             in
+             (real, model)
+           in
+           List.iteri
+             (fun n op ->
+               let got, want = step op in
+               if got <> want then
+                 QCheck.Test.fail_reportf "op %d: got %S, want %S" n got want;
+               let real, model = tlb_counts () in
+               if real <> model then QCheck.Test.fail_reportf "op %d: TLB counts differ" n)
+             ops;
+           (* Every frame ends byte-identical. *)
+           Hashtbl.fold
+             (fun ppn b ok ->
+               let got = Bytes.create Phys.page_size in
+               Phys.blit_to_bytes phys ~ppn ~off:0 got 0 Phys.page_size;
+               ok && Bytes.equal got b)
+             m.frames true));
   ]
 
 let vtx_tests =
@@ -755,9 +1277,9 @@ let () =
     [
       ("knob", knob_tests);
       ("phys", phys_tests @ phys_props);
-      ("pagetable", pagetable_tests);
+      ("pagetable", pagetable_tests @ pagetable_props);
       ("mpk", mpk_tests @ mpk_props);
-      ("cpu", cpu_tests);
+      ("cpu", cpu_tests @ mmu_props);
       ("tlb", tlb_tests @ tlb_props);
       ("misc", misc_tests);
       ("clock", clock_tests);
