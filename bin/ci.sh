@@ -1,5 +1,6 @@
 #!/bin/sh
-# CI pipeline: build, run the test suite, run the quick benchmark sweep,
+# CI pipeline: build, run the test suite and every example program, run
+# the quick benchmark sweep,
 # check that every machine-readable artifact parses back as JSON, hold
 # the enforcement report and seeded chaos runs to a committed pin under
 # every knob and core-count combination, hold the counter export to a
@@ -85,6 +86,20 @@ stage "tests (ENCL_CORES=$cores)"
 # because dune does not track environment variables — a cached result
 # from another core count would silently satisfy this stage.
 ENCL_CORES=$cores dune runtest --force
+
+stage "examples (each built example exits 0)"
+# The example programs are documentation that runs: each prints what it
+# demonstrates and exits non-zero when the demonstration goes wrong (for
+# secure_http, a hostile request that gets a body back). Runs in
+# --quick too.
+for example in quickstart secure_http wiki_app python_plot \
+               malicious_package minigo_quickstart; do
+  if ! _build/default/examples/$example.exe > "$tmp/example.txt" 2>&1; then
+    cat "$tmp/example.txt" >&2
+    echo "ci: examples/$example.exe exited non-zero" >&2
+    exit 1
+  fi
+done
 
 stage "bench (quick sweep + artifact validation)"
 ENCL_BENCH_QUICK=1 dune exec bench/main.exe
@@ -330,7 +345,7 @@ if [ "$quick" = 0 ]; then
   # identical.
   sh bin/perfbench_pairs.sh . . http_vtx 1 1
 else
-  echo "ci: --quick: skipping enforcement oracle (long), simulated hardware properties (long: test_sim.exe), chaos smoke, perfbench smoke, perfbench pin and perfbench pairs (the trace-artifact stage's smp reruns ran)"
+  echo "ci: --quick: skipping enforcement oracle (long), simulated hardware properties (long: test_sim.exe), chaos smoke, perfbench smoke, perfbench pin and perfbench pairs (the examples stage and the trace-artifact stage's smp reruns ran)"
 fi
 
 now=$(date +%s)

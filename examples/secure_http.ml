@@ -3,15 +3,21 @@
    The net/http-like server runs trusted; the request handler is an
    enclosure with no packages in its view beyond the read-only static
    assets and no system calls: a buffer overflow in the handler cannot
-   read the TLS private key or open a socket.
+   read the TLS private key or open a socket. The server contains the
+   fault to the hostile request's connection: it closes that connection,
+   counts it in "http.conn_failed", and keeps serving.
 
-   Run with: dune exec examples/secure_http.exe *)
+   Run with: dune exec examples/secure_http.exe
+   (exits 1 if the hostile request gets a body back) *)
 
 module Runtime = Encl_golike.Runtime
+module Machine = Encl_litterbox.Machine
 module Gbuf = Encl_golike.Gbuf
 module Lb = Encl_litterbox.Litterbox
 module Httpd = Encl_apps.Httpd
+module Serve = Encl_apps.Serve
 module K = Encl_kernel.Kernel
+module Net = Encl_kernel.Net
 
 let page_bytes = 13 * 1024
 
@@ -73,11 +79,30 @@ let () =
   Printf.printf "GET /index.html -> %d bytes (%s...)\n" (Bytes.length resp)
     (Bytes.to_string (Bytes.sub resp 0 15));
 
-  (* The hostile request faults inside the enclosure. *)
+  (* The hostile request faults inside the enclosure; the serving loop
+     absorbs the fault and closes this connection only. *)
   Httpd.client_get rt ep ~path:"/pwn";
-  (match Lb.run_protected lb (fun () -> Runtime.kick rt) with
-  | Ok () -> Printf.printf "GET /pwn -> UNEXPECTEDLY served\n"
-  | Error e -> Printf.printf "GET /pwn -> handler faulted as intended:\n   %s\n" e);
+  Runtime.kick rt;
+  let body = Httpd.client_read_response rt ep in
+  let closed = Net.recv m.Machine.net ep 1 = Net.Eof in
+  Printf.printf "GET /pwn -> %d bytes, connection %s, http.conn_failed=%d\n"
+    (Bytes.length body)
+    (if closed then "closed by the server" else "still open")
+    (Serve.total rt Serve.conn_failed_counter);
+  List.iter (Printf.printf "   fault log: %s\n") (Lb.fault_log lb);
 
-  Printf.printf "\nrequests served: %d, %s\n" (Httpd.requests_served ())
-    (Runtime.stats rt)
+  (* Every other client is still served. *)
+  let ep2 = Httpd.client_connect rt ~port:8080 in
+  Runtime.kick rt;
+  Httpd.client_get rt ep2 ~path:"/index.html";
+  Runtime.kick rt;
+  Printf.printf "GET /index.html on a new connection -> %d bytes\n"
+    (Bytes.length (Httpd.client_read_response rt ep2));
+
+  Printf.printf "\nrequests served: %d, %s\n"
+    (Serve.total rt Serve.served_counter)
+    (Runtime.stats rt);
+  if Bytes.length body > 0 then begin
+    print_endline "GET /pwn was UNEXPECTEDLY served";
+    exit 1
+  end

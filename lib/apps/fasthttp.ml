@@ -1,6 +1,5 @@
 module Runtime = Encl_golike.Runtime
 module Gbuf = Encl_golike.Gbuf
-module Sched = Encl_golike.Sched
 module Channel = Encl_golike.Channel
 module K = Encl_kernel.Kernel
 module Machine = Encl_litterbox.Machine
@@ -29,21 +28,10 @@ let packages () =
 
 type request = { meth : string; path : string }
 
-let served = ref 0
-let conns_failed = ref 0
-let requests_served () = !served
-let connections_failed () = !conns_failed
-
-let reset_counters () =
-  served := 0;
-  conns_failed := 0
-
-let charge rt cat ns = Clock.consume (Runtime.clock rt) cat ns
-
 (* Per-connection state with reused buffers. *)
 type conn_state = { fd : int; reqbuf : Gbuf.t; respbuf : Gbuf.t }
 
-let handle_one rt state ~req_chan ~resp_chan =
+let handle_one rt state ~req_chan ~resp_chan () =
   let m = Runtime.machine rt in
   match
     Retry.with_backoff rt ~op:"fasthttp.recv" (fun () ->
@@ -53,24 +41,18 @@ let handle_one rt state ~req_chan ~resp_chan =
   with
   | Error _ | Ok 0 -> false
   | Ok n ->
-      charge rt Clock.Compute parse_ns;
+      Serve.charge rt Clock.Compute parse_ns;
       (* fasthttp reuses its big buffers, but URI/args/header-entry
          strings are still materialized per request. *)
       ignore (Runtime.alloc_in rt ~pkg 8192);
       let raw = Bytes.to_string (Cpu.read_bytes m.Machine.cpu ~addr:state.reqbuf.Gbuf.addr ~len:n) in
-      let meth, path =
-        match String.split_on_char ' ' raw with
-        | m :: p :: _ -> (m, p)
-        | _ -> ("GET", "/")
-      in
+      let meth, path = Serve.request_line raw in
       Runtime.syscall_nowait rt (K.Setsockopt state.fd);
       (* Forward to the trusted handler goroutine over a channel, with a
          per-connection reply channel (the usual Go pattern). *)
       Channel.send req_chan ({ meth; path }, resp_chan);
       let body = Channel.recv resp_chan in
-      let headers =
-        Printf.sprintf "HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" body.Gbuf.len
-      in
+      let headers = Serve.head body.Gbuf.len in
       let total = String.length headers + body.Gbuf.len in
       let resp =
         if total <= state.respbuf.Gbuf.len then state.respbuf
@@ -79,7 +61,7 @@ let handle_one rt state ~req_chan ~resp_chan =
       Gbuf.write_string m (Gbuf.sub resp ~pos:0 ~len:(String.length headers)) headers;
       Gbuf.blit m ~src:body
         ~dst:(Gbuf.sub resp ~pos:(String.length headers) ~len:body.Gbuf.len);
-      charge rt Clock.Io (assembly_ns_per_kb * (total / 1024));
+      Serve.charge rt Clock.Io (assembly_ns_per_kb * (total / 1024));
       let first = min 8192 total in
       ignore
         (Retry.send_all rt ~op:"fasthttp.send" ~fd:state.fd ~buf:resp.Gbuf.addr
@@ -88,8 +70,8 @@ let handle_one rt state ~req_chan ~resp_chan =
         ignore
           (Retry.send_all rt ~op:"fasthttp.send" ~fd:state.fd
              ~buf:(resp.Gbuf.addr + first) ~len:(total - first));
-      charge rt Clock.Compute bookkeeping_ns;
-      incr served;
+      Serve.charge rt Clock.Compute bookkeeping_ns;
+      Serve.note_served rt;
       true
 
 (* The trusted side of the netpoller: issues the io/sync/time system
@@ -104,42 +86,19 @@ let netpoller_tick rt ~conn_fd =
   Runtime.syscall_nowait rt K.Clock_gettime;
   Runtime.syscall_nowait rt K.Clock_gettime
 
-let conn_loop rt ~conn_fd ~req_chan () =
-  Runtime.in_function rt ~pkg ~fn:"acquire_ctx" @@ fun () ->
-  let kernel = (Runtime.machine rt).Machine.kernel in
-  let resp_chan = Channel.create (Runtime.sched rt) ~cap:1 in
-  let state =
-    {
-      fd = conn_fd;
-      reqbuf = Runtime.alloc_in rt ~pkg 4096;
-      respbuf = Runtime.alloc_in rt ~pkg 16384;
-    }
-  in
-  let rec loop () =
-    Sched.wait_until (Runtime.sched rt) (fun () -> K.fd_readable kernel conn_fd);
-    match handle_one rt state ~req_chan ~resp_chan with
-    | true -> loop ()
-    (* close(2) is in the [file] category, which the net-only enclosure
-       filter denies: dead fds are swept by trusted code at shutdown. *)
-    | false -> ()
-    | exception e -> (
-        (* Contain a faulting request to this connection. The fiber runs
-           inside the enclosure environment (inherited at spawn), so
-           ending the fiber — not closing the fd — is the recovery; the
-           scheduler restores the trusted environment on fiber exit. *)
-        match Runtime.absorb_fault rt e with
-        | Some _reason -> incr conns_failed
-        | None -> raise e)
-  in
-  loop ()
-
-let server_loop rt ~port ~req_chan () =
+(* The server fiber of either mode: listen on [port], then give each
+   connection a fiber that runs [conn conn_fd] (its per-connection setup,
+   returning the request handler) under acquire_ctx. Connection fibers
+   inherit the enclosure environment at spawn; close(2) is in the [file]
+   category, which the net-only filter denies, so a finished or faulted
+   connection's fd is left to trusted code, and the scheduler restores
+   the trusted environment when the fiber exits. *)
+let server_loop rt ~port conn () =
   Runtime.in_function rt ~pkg ~fn:"serve" @@ fun () ->
-  let fd = Runtime.syscall_exn rt K.Socket in
-  ignore (Runtime.syscall_exn rt (K.Bind { fd; port }));
-  ignore (Runtime.syscall_exn rt (K.Listen fd));
-  Retry.accept_loop rt ~fd ~label:"fasthttp accept" (fun conn_fd ->
-      conn_loop rt ~conn_fd ~req_chan)
+  let fd = Serve.listen rt ~port in
+  Serve.accept_loop rt ~fd ~label:"fasthttp accept" (fun conn_fd () ->
+      Runtime.in_function rt ~pkg ~fn:"acquire_ctx" @@ fun () ->
+      Serve.connection rt ~conn_fd ~close:false (conn conn_fd))
 
 let serve_enclosed rt ~port ~enclosure ~handler =
   let sched = Runtime.sched rt in
@@ -156,11 +115,17 @@ let serve_enclosed rt ~port ~enclosure ~handler =
         loop ()
       in
       loop ());
-  match enclosure with
-  | None -> Runtime.go rt (server_loop rt ~port ~req_chan)
-  | Some name ->
-      Runtime.go rt (fun () ->
-          Runtime.with_enclosure rt name (server_loop rt ~port ~req_chan))
+  Serve.spawn rt ?enclosure
+    (server_loop rt ~port (fun conn_fd ->
+         let resp_chan = Channel.create sched ~cap:1 in
+         let state =
+           {
+             fd = conn_fd;
+             reqbuf = Runtime.alloc_in rt ~pkg 4096;
+             respbuf = Runtime.alloc_in rt ~pkg 16384;
+           }
+         in
+         handle_one rt state ~req_chan ~resp_chan))
 
 (* ------------------------------------------------------------------ *)
 (* Zero-copy serving mode (the zerocopy_http scenario): the request is
@@ -171,11 +136,7 @@ let serve_enclosed rt ~port ~enclosure ~handler =
    bounce-copies internally and charges the ledger), so syscall
    sequences, verdicts and faults are byte-identical across the flag. *)
 
-let zc_served = ref 0
-let zc_requests_served () = !zc_served
-let zc_reset_counters () = zc_served := 0
-
-let handle_one_zc rt ~conn_fd ~hdrbuf ~ring ~file_fd ~file_len =
+let handle_one_zc rt ~conn_fd ~hdrbuf ~ring ~file_fd ~file_len () =
   let m = Runtime.machine rt in
   match
     Retry.with_backoff rt ~op:"fasthttp.recv_ring" (fun () ->
@@ -183,17 +144,12 @@ let handle_one_zc rt ~conn_fd ~hdrbuf ~ring ~file_fd ~file_len =
   with
   | Error _ | Ok None -> false
   | Ok (Some (slot, payload)) ->
-      charge rt Clock.Compute parse_ns;
+      Serve.charge rt Clock.Compute parse_ns;
       (* Parsed straight out of the ring descriptor — the R view makes
          the in-place read safe, and writing here would fault. *)
-      let raw = Gbuf.read_string m payload in
-      (match String.split_on_char ' ' raw with
-      | _meth :: _path :: _ -> ()
-      | _ -> ());
+      ignore (Serve.request_line (Gbuf.read_string m payload));
       Runtime.syscall_nowait rt (K.Setsockopt conn_fd);
-      let headers =
-        Printf.sprintf "HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" file_len
-      in
+      let headers = Serve.head file_len in
       let hlen = String.length headers in
       Gbuf.write_string m (Gbuf.sub hdrbuf ~pos:0 ~len:hlen) headers;
       ignore
@@ -207,38 +163,12 @@ let handle_one_zc rt ~conn_fd ~hdrbuf ~ring ~file_fd ~file_len =
       | Ok _ -> ()
       | Error e -> failwith ("fasthttp sendfile: " ^ K.errno_name e));
       Runtime.netring_consume rt slot;
-      charge rt Clock.Compute bookkeeping_ns;
-      incr zc_served;
+      Serve.charge rt Clock.Compute bookkeeping_ns;
+      Serve.note_served rt;
       true
 
-let conn_loop_zc rt ~conn_fd ~ring ~file_fd ~file_len () =
-  Runtime.in_function rt ~pkg ~fn:"acquire_ctx" @@ fun () ->
-  let kernel = (Runtime.machine rt).Machine.kernel in
-  let hdrbuf = Runtime.alloc_in rt ~pkg 256 in
-  let rec loop () =
-    Sched.wait_until (Runtime.sched rt) (fun () -> K.fd_readable kernel conn_fd);
-    match handle_one_zc rt ~conn_fd ~hdrbuf ~ring ~file_fd ~file_len with
-    | true -> loop ()
-    | false -> ()
-    | exception e -> (
-        match Runtime.absorb_fault rt e with
-        | Some _reason -> incr conns_failed
-        | None -> raise e)
-  in
-  loop ()
-
-let server_loop_zc rt ~port ~ring ~file_fd ~file_len () =
-  Runtime.in_function rt ~pkg ~fn:"serve" @@ fun () ->
-  let fd = Runtime.syscall_exn rt K.Socket in
-  ignore (Runtime.syscall_exn rt (K.Bind { fd; port }));
-  ignore (Runtime.syscall_exn rt (K.Listen fd));
-  Retry.accept_loop rt ~fd ~label:"fasthttp accept" (fun conn_fd ->
-      conn_loop_zc rt ~conn_fd ~ring ~file_fd ~file_len)
-
 let serve_zc rt ~port ~ring ~file_fd ~file_len ~enclosure =
-  match enclosure with
-  | None -> Runtime.go rt (server_loop_zc rt ~port ~ring ~file_fd ~file_len)
-  | Some name ->
-      Runtime.go rt (fun () ->
-          Runtime.with_enclosure rt name
-            (server_loop_zc rt ~port ~ring ~file_fd ~file_len))
+  Serve.spawn rt ?enclosure
+    (server_loop rt ~port (fun conn_fd ->
+         let hdrbuf = Runtime.alloc_in rt ~pkg 256 in
+         handle_one_zc rt ~conn_fd ~hdrbuf ~ring ~file_fd ~file_len))

@@ -33,7 +33,12 @@ val serve_enclosed :
 (** Start the server. [enclosure = Some name] runs the accept/parse/write
     loop inside the named enclosure (linked by the application);
     [None] is the baseline. [handler] runs in a separate trusted
-    goroutine either way. *)
+    goroutine either way.
+
+    Here and in {!serve_zc}, each answered request counts ["http.served"], and a
+    request that faults ends only its connection's fiber and counts
+    ["http.conn_failed"] ({!Serve.connection}); the fd stays open for
+    trusted code, since the [net]-only filter denies close(2). *)
 
 val serve_zc :
   Encl_golike.Runtime.t ->
@@ -50,15 +55,4 @@ val serve_zc :
     ["netring:R"] in its view and the [net] and [io] system-call
     categories. The identical call sequence is issued with
     {!Encl_sim.Zerocopy} off; only cost and the bytes_copied ledger
-    move. Served requests land in {!zc_requests_served}. *)
-
-val zc_requests_served : unit -> int
-val zc_reset_counters : unit -> unit
-
-val requests_served : unit -> int
-
-val connections_failed : unit -> int
-(** Connections whose serving fiber absorbed an enclosure fault
-    (contained per connection; the accept loop keeps running). *)
-
-val reset_counters : unit -> unit
+    move. *)

@@ -23,31 +23,18 @@ val serve :
     response body (e.g. a static 13 KB page); the serving loop formats
     headers and writes the response.
 
-    Per-connection fault containment: a handler that faults (enclosure
-    violation, seccomp kill, quarantine) closes that connection only;
-    the accept loop and every other connection keep serving. Transient
-    network errnos are retried with capped backoff ({!Retry}). *)
-
-val serve_static :
-  Encl_golike.Runtime.t ->
-  static:(string -> (int * int) option) ->
-  port:int ->
-  handler:(meth:string -> path:string -> Encl_golike.Gbuf.t) ->
-  unit
-(** {!serve}, but [static path = Some (file_fd, len)] routes that
-    path's body through sendfile(2) from the already-open VFS file
-    instead of the handler + bufio staging — the zero-copy static path.
-    The splice call needs the [io] system-call category; with
-    {!Encl_sim.Zerocopy} off the kernel bounce-copies internally, so
-    enforcement is identical across the flag. *)
-
-val requests_served : unit -> int
-(** Global counter (reset by {!reset_counters}); benchmarks read it. *)
-
-val connections_failed : unit -> int
-(** Connections torn down because their handler faulted. *)
+    Per-connection fault containment ({!Serve.connection}): a handler
+    that faults (enclosure violation, seccomp kill, quarantine) closes
+    that connection only and counts ["http.conn_failed"]; the accept
+    loop and every other connection keep serving. Each answered request
+    counts ["http.served"]. Transient network errnos are retried with
+    capped backoff ({!Retry}). *)
 
 val reset_counters : unit -> unit
+(** Does nothing. The server's tallies are the machine's
+    ["http.served"] and ["http.conn_failed"] counters ({!Serve}), which
+    start at zero on every boot; the name stays because perfbench/, which
+    changes only with the benchmark, still calls it. *)
 
 (** {2 Client side (benchmarks and tests; not guest code)} *)
 

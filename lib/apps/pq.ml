@@ -21,9 +21,7 @@ let packages () =
 
 type conn = { mutable fd : int; buf : Gbuf.t; ip : int; port : int }
 
-let reconnects = ref 0
-let reconnect_count () = !reconnects
-let reset_counters () = reconnects := 0
+let reconnect_counter = Encl_obs.Metrics.counter "pq.reconnect"
 
 let connect rt ~ip ~port =
   Runtime.in_function rt ~pkg ~fn:"connect" @@ fun () ->
@@ -36,7 +34,9 @@ let connect rt ~ip ~port =
    net-only filter; trusted code sweeps it. connect(2) to the recorded
    address stays within the connect(ip) policy. *)
 let reconnect rt conn =
-  incr reconnects;
+  Encl_obs.Metrics.incr
+    (Encl_obs.Obs.metrics (Runtime.machine rt).Machine.obs)
+    reconnect_counter;
   match Runtime.syscall rt K.Socket with
   | Error e -> Error e
   | Ok fd -> (

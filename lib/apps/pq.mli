@@ -23,11 +23,10 @@ val query :
 (** Send one statement and read the reply. Transient errnos are retried
     with capped backoff; short reads accumulate until the NUL response
     terminator; a dead connection triggers one reconnect-and-replay
-    (see {!reconnect_count}). *)
+    (counted by {!reconnect_counter}). *)
 
-val reconnect_count : unit -> int
-(** Times any connection was re-dialed after the server dropped it. *)
-
-val reset_counters : unit -> unit
+val reconnect_counter : Encl_obs.Metrics.counter
+(** ["pq.reconnect"]: times a connection was re-dialed after the server
+    dropped it, in the machine's counter registry. *)
 
 val close : Encl_golike.Runtime.t -> conn -> unit

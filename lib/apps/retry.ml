@@ -1,5 +1,4 @@
 module Runtime = Encl_golike.Runtime
-module Sched = Encl_golike.Sched
 module K = Encl_kernel.Kernel
 module Machine = Encl_litterbox.Machine
 module Obs = Encl_obs.Obs
@@ -50,16 +49,3 @@ let send_all ?(attempts = 5) rt ~op ~fd ~buf ~len =
       | Error _ as err -> err
   in
   go 0 1
-
-let accept_loop rt ~fd ~label conn =
-  let kernel = (Runtime.machine rt).Machine.kernel in
-  let rec loop () =
-    Sched.wait_until (Runtime.sched rt) (fun () -> K.listener_pending kernel fd);
-    match Runtime.syscall_batched rt (K.Accept fd) with
-    | Ok conn_fd ->
-        Runtime.go rt (conn conn_fd);
-        loop ()
-    | Error e when transient e -> loop ()
-    | Error e -> failwith (label ^ ": " ^ K.errno_name e)
-  in
-  loop ()

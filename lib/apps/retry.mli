@@ -7,9 +7,8 @@
     in the time syscall category, which net-only enclosure filters deny,
     so these helpers are safe to call from inside an enclosure. Each
     retry increments the ["retry"] counter and, when the machine's sink
-    is enabled, records a ["retry:<op> attempt=<n>"] mark. The servers'
-    shared accept loop ({!accept_loop}) lives here too, since it applies
-    the same transient-errno policy. *)
+    is enabled, records a ["retry:<op> attempt=<n>"] mark.
+    {!Serve.accept_loop} applies {!transient} to a server's accept(2). *)
 
 val transient : Encl_kernel.Kernel.errno -> bool
 (** [EINTR] or [EAGAIN]. *)
@@ -37,11 +36,3 @@ val send_all :
     kernel may deliver a prefix, as with a full socket buffer) and
     retrying transient errnos per {!with_backoff}. [Ok len] on success;
     [Error Epipe] if the peer vanishes mid-write. *)
-
-val accept_loop :
-  Encl_golike.Runtime.t -> fd:int -> label:string -> (int -> unit -> unit) -> 'a
-(** A server's accept loop on the listening [fd], run in the server's
-    fiber: wait for a pending connection, accept it through the syscall
-    ring, spawn [conn conn_fd] as the connection's fiber, and loop. A
-    transient errno retries at once; any other fails with
-    ["LABEL: ERRNO"]. Never returns. *)

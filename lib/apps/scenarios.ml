@@ -164,8 +164,10 @@ let rate ops ns = float_of_int ops /. (float_of_int ns /. 1e9)
 
 (* Drive [requests] requests over [conns] persistent connections and
    measure the steady state. The request rate is over total CPU time,
-   or over the makespan (the slowest core's lane) with [makespan]. *)
-let drive ?(makespan = false) rt ~port ~requests ~conns ~served =
+   or over the makespan (the slowest core's lane) with [makespan].
+   The server's answered requests are the machine's "http.served"
+   total. *)
+let drive ?(makespan = false) rt ~port ~requests ~conns =
   if conns < 1 || requests < conns then
     Error
       (Printf.sprintf
@@ -185,6 +187,7 @@ let drive ?(makespan = false) rt ~port ~requests ~conns ~served =
   List.iter (fun ep -> ignore (Httpd.client_read_response rt ep)) eps;
   let finish = measure rt in
   let sys0 = K.syscall_count kernel in
+  let served () = Serve.total rt Serve.served_counter in
   let served0 = served () in
   let rounds = requests / conns in
   for _ = 1 to rounds do
@@ -215,9 +218,7 @@ let http_boot ?rcfg config =
       ~enc:"handler_enc" ~policy:"assets:R; sys=none" ~deps:[]
   in
   let packages = main :: assets_package () :: Httpd.packages () in
-  let rt = boot_exn ?rcfg config ~packages ~entry:"main" in
-  Httpd.reset_counters ();
-  rt
+  boot_exn ?rcfg config ~packages ~entry:"main"
 
 (* Serve the page on [port]. [render_ns] is per-request template
    compute, charged to the lane of whichever core runs the connection's
@@ -243,7 +244,7 @@ let http_serve ?(render_ns = 0) ?fallback rt ~port =
 let http config ?rcfg ?(requests = 2000) ?(conns = 8) () =
   let rt = http_boot ?rcfg config in
   http_serve rt ~port:8080;
-  drive rt ~port:8080 ~requests ~conns ~served:Httpd.requests_served
+  drive rt ~port:8080 ~requests ~conns
 
 let fasthttp config ?rcfg ?(requests = 2000) ?(conns = 8) () =
   let main =
@@ -252,7 +253,6 @@ let fasthttp config ?rcfg ?(requests = 2000) ?(conns = 8) () =
   in
   let packages = main :: assets_package () :: Fasthttp.packages () in
   let rt = boot_exn ?rcfg config ~packages ~entry:"main" in
-  Fasthttp.reset_counters ();
   let page = Runtime.global rt ~pkg:"assets" "index_html" in
   (* The enclosed server cannot see the assets package; the trusted
      handler stages the body into a server-owned buffer (fasthttp's
@@ -264,7 +264,7 @@ let fasthttp config ?rcfg ?(requests = 2000) ?(conns = 8) () =
   let enclosure = match config with None -> None | Some _ -> Some "fasthttp_srv" in
   Runtime.run_main rt (fun () ->
       Fasthttp.serve_enclosed rt ~port:8081 ~enclosure ~handler);
-  drive rt ~port:8081 ~requests ~conns ~served:Fasthttp.requests_served
+  drive rt ~port:8081 ~requests ~conns
 
 (* ------------------------------------------------------------------ *)
 (* Wiki (Figure 5)                                                     *)
@@ -273,14 +273,13 @@ let wiki_boot ?rcfg config =
   let packages = Wiki.main_package () :: Wiki.packages () in
   let rt = boot_exn ?rcfg config ~packages ~entry:"main" in
   let _db = Wiki.setup_remote_db rt in
-  Wiki.reset_counters ();
   Runtime.run_main rt (fun () ->
       Wiki.start rt ~port:8090 ~enclosed:(config <> None) ());
   rt
 
 let wiki config ?rcfg ?cores ?(requests = 1000) ?(conns = 4) () =
   let rt = wiki_boot ?rcfg:(with_cores ?rcfg ?cores config) config in
-  drive rt ~port:8090 ~requests ~conns ~served:Wiki.requests_served
+  drive rt ~port:8090 ~requests ~conns
 
 (* ------------------------------------------------------------------ *)
 (* pq: an enclosed database client                                     *)
@@ -304,7 +303,6 @@ let pq config ?rcfg ?cores ?(workers = 1) ?(queries = 200) () =
     boot_exn ?rcfg config ~packages:(main :: Pq.packages ()) ~entry:"main"
   in
   let _db = Wiki.setup_remote_db rt in
-  Pq.reset_counters ();
   let completed = ref 0 in
   let finish = measure rt in
   let sql = "SELECT body FROM pages WHERE title = 'home'" in
@@ -376,9 +374,7 @@ let zerocopy_http config ?rcfg ?(requests = 2000) ?(conns = 8) () =
   in
   let packages = main :: netring_package () :: Fasthttp.packages () in
   let rt = boot_exn ?rcfg config ~packages ~entry:"main" in
-  Fasthttp.zc_reset_counters ();
   let m = Runtime.machine rt in
-  let kernel = m.Machine.kernel in
   (* Static body on the VFS, opened read-only by trusted setup — the
      net,io filter denies open(2) inside the enclosure. *)
   let module Vfs = Encl_kernel.Vfs in
@@ -397,27 +393,7 @@ let zerocopy_http config ?rcfg ?(requests = 2000) ?(conns = 8) () =
   Runtime.run_main rt (fun () ->
       Fasthttp.serve_zc rt ~port:8082 ~ring ~file_fd ~file_len:page_bytes
         ~enclosure);
-  drive rt ~port:8082 ~requests ~conns ~served:Fasthttp.zc_requests_served
-  |> Result.map (fun (rt, r) ->
-         let granted, consumed, reclaimed = K.rxring_counters kernel in
-         ( rt,
-           {
-             r with
-             metrics =
-               r.metrics
-               @ [
-                   ("rx_granted", float_of_int granted);
-                   ("rx_consumed", float_of_int consumed);
-                   ("rx_reclaimed", float_of_int reclaimed);
-                 ];
-           } ))
-
-(* The rx ring's (granted, consumed, reclaimed) descriptor counters at
-   quiesce, when the scenario attached that ring. *)
-let rxring r =
-  let n k = int_of_float (metric r k) in
-  try Some (n "rx_granted", n "rx_consumed", n "rx_reclaimed")
-  with Not_found -> None
+  drive rt ~port:8082 ~requests ~conns
 
 (* ------------------------------------------------------------------ *)
 (* smp_http: the HTTP server sharded across simulated cores            *)
@@ -434,7 +410,6 @@ let smp_http config ?rcfg ?cores ?(requests = 4096) ?(conns = 64)
   let rt = http_boot ?rcfg:(with_cores ?rcfg ?cores config) config in
   http_serve rt ~port:8088 ~render_ns;
   drive ~makespan:true rt ~port:8088 ~requests ~conns
-    ~served:Httpd.requests_served
 
 (* ------------------------------------------------------------------ *)
 (* Chaos: workloads under deterministic fault injection                *)
@@ -454,9 +429,9 @@ let arm rt ~seed ~budget rules =
    never score more than once (an injected short read can split one
    request into two server-side handle cycles, which would inflate a
    server-side counter). The injector is disarmed before the tallies are
-   read. *)
-let chaos_drive rt ~port ~requests ~conns ~conns_failed ~enclosure ~reconnects
-    =
+   read; the contained connection faults and pq re-dials are the
+   machine's "http.conn_failed" and "pq.reconnect" totals. *)
+let chaos_drive rt ~port ~requests ~conns ~enclosure =
   if conns < 1 then
     Error (Printf.sprintf "chaos needs a connection, got %d" conns)
   else
@@ -518,12 +493,12 @@ let chaos_drive rt ~port ~requests ~conns ~conns_failed ~enclosure ~reconnects
         ( "faults",
           count (match lb with Some lb -> Lb.fault_count lb | None -> 0) );
         ("kills", count (Sched.kill_count (Runtime.sched rt)));
-        ("conns_failed", count (conns_failed ()));
+        ("conns_failed", count (Serve.total rt Serve.conn_failed_counter));
         ( "quarantined",
           match (lb, enclosure) with
           | Some lb, Some enc when Lb.quarantined lb enc -> 1.0
           | _ -> 0.0 );
-        ("reconnects", count (reconnects ()));
+        ("reconnects", count (Serve.total rt Pq.reconnect_counter));
       ])
 
 let pp_chaos_result r =
@@ -577,9 +552,7 @@ let chaos_http config ?rcfg ?(seed = 42L) ?(rate = 0.10) ?(budget = 5)
         "cpu.spurious_fault";
     ];
   http_serve rt ~port:8080 ~fallback;
-  chaos_drive rt ~port:8080 ~requests ~conns
-    ~conns_failed:Httpd.connections_failed ~enclosure:(Some "handler_enc")
-    ~reconnects:(fun () -> 0)
+  chaos_drive rt ~port:8080 ~requests ~conns ~enclosure:(Some "handler_enc")
 
 (* The wiki chaos scenario: network-level failures (dropped connections,
    short reads/writes, transient errnos) across the whole stack,
@@ -588,7 +561,6 @@ let chaos_wiki config ?rcfg ?(seed = 42L) ?(rate = 0.05) ?(budget = 5)
     ?(requests = 400) ?(conns = 4) () =
   check_rate rate @@ fun () ->
   let rt = wiki_boot ?rcfg config in
-  Pq.reset_counters ();
   arm rt ~seed ~budget
     (List.map
        (Fault.rule ~prob:rate)
@@ -599,9 +571,7 @@ let chaos_wiki config ?rcfg ?(seed = 42L) ?(rate = 0.05) ?(budget = 5)
          "kernel.transient_eintr";
          "kernel.transient_eagain";
        ]);
-  chaos_drive rt ~port:8090 ~requests ~conns
-    ~conns_failed:Wiki.connections_failed ~enclosure:None
-    ~reconnects:Pq.reconnect_count
+  chaos_drive rt ~port:8090 ~requests ~conns ~enclosure:None
 
 (* ------------------------------------------------------------------ *)
 (* Enforcement summary                                                 *)
@@ -632,11 +602,12 @@ let enforcement ~label rt r =
           = Lb.ring_drained_count lb + Lb.ring_pending lb )
     | None -> (0, true)
   in
+  let kernel = (Runtime.machine rt).Machine.kernel in
   let ring =
-    match rxring r with
-    | Some (g, c, rc) ->
-        Printf.sprintf "rxring=%d/%d/%d balanced=%b" g c rc (g = c + rc)
-    | None -> Printf.sprintf "ring_balanced=%b" ring_balanced
+    if K.rxring_attached kernel then
+      let g, c, rc = K.rxring_counters kernel in
+      Printf.sprintf "rxring=%d/%d/%d balanced=%b" g c rc (g = c + rc)
+    else Printf.sprintf "ring_balanced=%b" ring_balanced
   in
   Printf.sprintf "  %-16s served=%d workload_syscalls=%d faults=%d %s" label
     r.ops total faults ring

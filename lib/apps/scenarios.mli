@@ -23,8 +23,7 @@ type report = {
           [BENCH_results.json] where a bench row carries them:
           [req_per_sec] and [syscalls_per_req] (HTTP-style),
           [ns_per_invert], [transfers] and [checksum] (bild),
-          [ns_per_query] (pq), [rx_granted], [rx_consumed] and
-          [rx_reclaimed] (zerocopy_http), and the chaos tallies *)
+          [ns_per_query] (pq), and the chaos tallies *)
 }
 
 type outcome = (Encl_golike.Runtime.t * report, string) result
@@ -128,9 +127,10 @@ val zerocopy_http :
     Their metrics are the chaos tallies: [sent], [served],
     [availability] (served / sent), [injected] (fault-injector fires),
     [faults] (LitterBox-accounted), [kills] (fibers killed and reaped),
-    [conns_failed] (connections torn down by a contained fault),
+    [conns_failed] (connections torn down by a contained fault: the
+    machine's ["http.conn_failed"] total, {!Serve}),
     [quarantined] (1 when the targeted enclosure exhausted its budget)
-    and [reconnects] (pq re-dials). *)
+    and [reconnects] (pq re-dials: ["pq.reconnect"], {!Pq}). *)
 
 val chaos_http :
   config -> ?rcfg:Encl_golike.Runtime.config -> ?seed:int64 -> ?rate:float ->
@@ -169,7 +169,8 @@ val workload_syscalls :
 val enforcement : label:string -> Encl_golike.Runtime.t -> report -> string list
 (** A run's enforcement, without timings: ops served, the workload
     syscall total and per-syscall counts, faults, and the syscall-ring
-    balance — or, when the run attached the rx ring, its descriptor
+    balance — or, when the run attached the rx ring
+    ({!Encl_kernel.Kernel.rxring_attached}), the kernel's descriptor
     counters and their balance. Identical under every knob, core count
     and backend for the same program and workload. *)
 

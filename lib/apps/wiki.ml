@@ -1,6 +1,5 @@
 module Runtime = Encl_golike.Runtime
 module Gbuf = Encl_golike.Gbuf
-module Sched = Encl_golike.Sched
 module Channel = Encl_golike.Channel
 module K = Encl_kernel.Kernel
 module Machine = Encl_litterbox.Machine
@@ -17,10 +16,7 @@ let assembly_ns_per_kb = 1_400
 
 let packages () = Mux.packages () @ Pq.packages ()
 
-(* [static = true] widens http_srv's filter to the [io] category so the
-   static-asset route may issue sendfile(2); the default policy — and so
-   every committed baseline — is unchanged. *)
-let main_package ?(static = false) () =
+let main_package () =
   Runtime.package "main" ~imports:[ Mux.pkg; Pq.pkg ]
     ~functions:
       [
@@ -39,7 +35,7 @@ let main_package ?(static = false) () =
       [
         {
           Encl_elf.Objfile.enc_name = "http_srv";
-          enc_policy = (if static then "; sys=net,io" else "; sys=net");
+          enc_policy = "; sys=net";
           enc_closure = "http_srv_body";
           enc_deps = [ Mux.pkg ];
         };
@@ -70,20 +66,13 @@ let setup_remote_db rt =
   seed "INSERT INTO pages VALUES ('about', 'A wiki about enclosures')";
   db
 
-let served = ref 0
-let conns_failed = ref 0
-let requests_served () = !served
-let connections_failed () = !conns_failed
-
-let reset_counters () =
-  served := 0;
-  conns_failed := 0
+(* The tallies live in the machine's counter registry ({!Serve}), fresh
+   on every boot; perfbench/ still calls this after its boots. *)
+let reset_counters () = ()
 
 type action = View of string | Create of string * string | Not_found
 
 type db_op = Select of string | Insert of string * string
-
-let charge rt cat ns = Clock.consume (Runtime.clock rt) cat ns
 
 (* Enclosure C: the database proxy. Accepts operations on a channel,
    talks to Postgres, returns rows to trusted code. *)
@@ -126,7 +115,7 @@ let glue_loop rt ~http_req ~db_req ~db_resp () =
     | None -> template
   in
   let render body =
-    charge rt Clock.Compute render_ns;
+    Serve.charge rt Clock.Compute render_ns;
     let html =
       match String.index_opt template '{' with
       | Some i ->
@@ -153,7 +142,7 @@ let glue_loop rt ~http_req ~db_req ~db_resp () =
           Channel.send db_req (Select title);
           match Channel.recv db_resp with
           | Ok ((body :: _) :: _) ->
-              charge rt Clock.Compute validate_ns;
+              Serve.charge rt Clock.Compute validate_ns;
               render body
           | Ok _ -> render "(no such page)"
           | Error e -> render ("(database error: " ^ e ^ ")"))
@@ -161,7 +150,7 @@ let glue_loop rt ~http_req ~db_req ~db_resp () =
           Channel.send db_req (Insert (title, body));
           match Channel.recv db_resp with
           | Ok _ ->
-              charge rt Clock.Compute validate_ns;
+              Serve.charge rt Clock.Compute validate_ns;
               render "created"
           | Error e -> render ("(database error: " ^ e ^ ")"))
       | Not_found -> render "404 not found"
@@ -173,124 +162,76 @@ let glue_loop rt ~http_req ~db_req ~db_resp () =
   in
   loop ()
 
-let is_static_path path =
-  String.length path >= 8 && String.sub path 0 8 = "/static/"
-
-(* Enclosure B: the mux-based HTTP server. *)
-let http_conn_loop rt ~conn_fd ~router ~static ~http_req () =
+(* Enclosure B: the mux-based HTTP server. A connection's fiber runs
+   inside the http_srv environment, so a faulting request ends that
+   fiber only and its fd stays for trusted code (close(2) is a file
+   call, denied under net-only). *)
+let http_conn rt ~conn_fd ~router ~http_req () =
   let m = Runtime.machine rt in
-  let kernel = m.Machine.kernel in
   let http_resp = Channel.create (Runtime.sched rt) ~cap:1 in
   let reqbuf = Runtime.alloc_in rt ~pkg:Mux.pkg 4096 in
-  let serve_dynamic ~meth ~path ~body =
-    let action =
-      match Mux.route rt router ~meth ~path with
-      | Some mk -> mk ~path ~body
-      | None -> Not_found
-    in
-    Runtime.syscall_nowait rt (K.Setsockopt conn_fd);
-    Channel.send http_req (action, http_resp);
-    let page = Channel.recv http_resp in
-    let headers =
-      Printf.sprintf "HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" page.Gbuf.len
-    in
-    let total = String.length headers + page.Gbuf.len in
-    let resp = Runtime.alloc_in rt ~pkg:Mux.pkg total in
-    Gbuf.write_string m (Gbuf.sub resp ~pos:0 ~len:(String.length headers)) headers;
-    Gbuf.blit m ~src:page
-      ~dst:(Gbuf.sub resp ~pos:(String.length headers) ~len:page.Gbuf.len);
-    charge rt Clock.Io (assembly_ns_per_kb * (total / 1024));
-    ignore
-      (Retry.send_all rt ~op:"wiki.send" ~fd:conn_fd ~buf:resp.Gbuf.addr ~len:total);
-    charge rt Clock.Compute bookkeeping_ns;
-    incr served
-  in
-  let rec loop () =
-    Sched.wait_until (Runtime.sched rt) (fun () -> K.fd_readable kernel conn_fd);
+  let handle () =
     match
       Retry.with_backoff rt ~op:"wiki.recv" (fun () ->
           Runtime.syscall_batched rt
             (K.Recv { fd = conn_fd; buf = reqbuf.Gbuf.addr; len = 4096 }))
     with
-    | Error _ | Ok 0 -> ()
+    | Error _ | Ok 0 -> false
     | Ok n ->
-        charge rt Clock.Compute parse_ns;
+        Serve.charge rt Clock.Compute parse_ns;
         let raw =
           Bytes.to_string (Cpu.read_bytes m.Machine.cpu ~addr:reqbuf.Gbuf.addr ~len:n)
         in
-        let meth, path =
-          match String.split_on_char ' ' raw with
-          | m :: p :: _ -> (m, p)
-          | _ -> ("GET", "/")
-        in
+        let meth, path = Serve.request_line raw in
         let body =
           match String.index_opt raw '|' with
           | Some i -> String.sub raw (i + 1) (String.length raw - i - 1) |> String.trim
           | None -> ""
         in
-        (match static with
-        | Some (file_fd, file_len) when is_static_path path ->
-            (* Static asset: headers from mux's arena, body spliced from
-               the VFS file — the rendered-page blit below never runs. *)
-            Runtime.syscall_nowait rt (K.Setsockopt conn_fd);
-            let headers =
-              Printf.sprintf "HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n"
-                file_len
-            in
-            let hlen = String.length headers in
-            let resp = Runtime.alloc_in rt ~pkg:Mux.pkg hlen in
-            Gbuf.write_string m resp headers;
-            ignore
-              (Retry.send_all rt ~op:"wiki.send" ~fd:conn_fd
-                 ~buf:resp.Gbuf.addr ~len:hlen);
-            (match
-               Retry.with_backoff rt ~op:"wiki.sendfile" (fun () ->
-                   Runtime.syscall_batched rt
-                     (K.Sendfile
-                        { out_fd = conn_fd; in_fd = file_fd; off = 0; len = file_len }))
-             with
-            | Ok _ -> ()
-            | Error e -> failwith ("wiki sendfile: " ^ K.errno_name e));
-            charge rt Clock.Compute bookkeeping_ns;
-            incr served
-        | Some _ | None -> serve_dynamic ~meth ~path ~body);
-        loop ()
+        let action =
+          match Mux.route rt router ~meth ~path with
+          | Some mk -> mk ~path ~body
+          | None -> Not_found
+        in
+        Runtime.syscall_nowait rt (K.Setsockopt conn_fd);
+        Channel.send http_req (action, http_resp);
+        let page = Channel.recv http_resp in
+        let headers = Serve.head page.Gbuf.len in
+        let total = String.length headers + page.Gbuf.len in
+        let resp = Runtime.alloc_in rt ~pkg:Mux.pkg total in
+        Gbuf.write_string m (Gbuf.sub resp ~pos:0 ~len:(String.length headers)) headers;
+        Gbuf.blit m ~src:page
+          ~dst:(Gbuf.sub resp ~pos:(String.length headers) ~len:page.Gbuf.len);
+        Serve.charge rt Clock.Io (assembly_ns_per_kb * (total / 1024));
+        ignore
+          (Retry.send_all rt ~op:"wiki.send" ~fd:conn_fd ~buf:resp.Gbuf.addr ~len:total);
+        Serve.charge rt Clock.Compute bookkeeping_ns;
+        Serve.note_served rt;
+        true
   in
-  (* Per-connection containment: a faulting request ends this connection's
-     fiber (which runs inside the http_srv enclosure environment); the
-     accept loop and other connections keep serving. *)
-  match loop () with
-  | () -> ()
-  | exception e -> (
-      match Runtime.absorb_fault rt e with
-      | Some _reason -> incr conns_failed
-      | None -> raise e)
+  Serve.connection rt ~conn_fd ~close:false handle
 
 let page_title path =
   match String.split_on_char '/' path with
   | _ :: "page" :: title :: _ -> title
   | _ -> "home"
 
-let http_srv_loop rt ~port ~static ~http_req () =
+let http_srv_loop rt ~port ~http_req () =
   let router = Mux.router rt in
   Mux.handle router ~meth:"GET" ~pattern:"/page/" (fun ~path ~body:_ ->
       View (page_title path));
   Mux.handle router ~meth:"POST" ~pattern:"/page/" (fun ~path ~body ->
       Create (page_title path, body));
-  let fd = Runtime.syscall_exn rt K.Socket in
-  ignore (Runtime.syscall_exn rt (K.Bind { fd; port }));
-  ignore (Runtime.syscall_exn rt (K.Listen fd));
-  Retry.accept_loop rt ~fd ~label:"wiki accept" (fun conn_fd ->
-      http_conn_loop rt ~conn_fd ~router ~static ~http_req)
+  let fd = Serve.listen rt ~port in
+  Serve.accept_loop rt ~fd ~label:"wiki accept" (fun conn_fd ->
+      http_conn rt ~conn_fd ~router ~http_req)
 
-let start rt ?static ~port ~enclosed () =
+let start rt ~port ~enclosed () =
   let sched = Runtime.sched rt in
   let http_req = Channel.create sched ~cap:64 in
   let db_req = Channel.create sched ~cap:16 in
   let db_resp = Channel.create sched ~cap:16 in
-  let wrap name body =
-    if enclosed then fun () -> Runtime.with_enclosure rt name body else body
-  in
-  Runtime.go rt (wrap "db_proxy" (db_proxy_loop rt ~db_req ~db_resp));
+  let enclosure name = if enclosed then Some name else None in
+  Serve.spawn rt ?enclosure:(enclosure "db_proxy") (db_proxy_loop rt ~db_req ~db_resp);
   Runtime.go rt (glue_loop rt ~http_req ~db_req ~db_resp);
-  Runtime.go rt (wrap "http_srv" (http_srv_loop rt ~port ~static ~http_req))
+  Serve.spawn rt ?enclosure:(enclosure "http_srv") (http_srv_loop rt ~port ~http_req)

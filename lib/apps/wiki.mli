@@ -20,34 +20,25 @@ val packages : unit -> Encl_golike.Runtime.pkgdef list
 (** mux, pq, and their synthetic dependency trees (44 packages with the
     two public roots, as in §6.3). *)
 
-val main_package : ?static:bool -> unit -> Encl_golike.Runtime.pkgdef
+val main_package : unit -> Encl_golike.Runtime.pkgdef
 (** The application package: page template, database password, and the
-    two enclosure declarations ([http_srv], [db_proxy]). [static]
-    (default false) widens [http_srv]'s filter to [net,io] so the
-    sendfile static-asset route of {!start} may run enclosed. *)
+    two enclosure declarations ([http_srv], [db_proxy]). *)
 
 val setup_remote_db : Encl_golike.Runtime.t -> Minidb.t
 (** Register the database as a remote host and create the [pages] table
     with a couple of seed pages. *)
 
 val start :
-  Encl_golike.Runtime.t ->
-  ?static:int * int ->
-  port:int ->
-  enclosed:bool ->
-  unit ->
-  unit
+  Encl_golike.Runtime.t -> port:int -> enclosed:bool -> unit -> unit
 (** Launch the database proxy, the trusted glue, and the HTTP server
     goroutines. [enclosed:false] is the baseline (vanilla closures).
-    [static = (file_fd, len)] serves every [/static/...] path by
-    splicing that VFS file with sendfile(2) — no rendered-page blit;
-    pair with [main_package ~static:true] so the filter admits the
-    splice. *)
-
-val requests_served : unit -> int
-
-val connections_failed : unit -> int
-(** Connections whose serving fiber absorbed an enclosure fault
-    (contained per connection; the server keeps accepting). *)
+    Each answered request counts ["http.served"]; a request that faults
+    ends only its connection's fiber and counts ["http.conn_failed"]
+    ({!Serve.connection}). *)
 
 val reset_counters : unit -> unit
+(** Does nothing. The server's tallies are the machine's
+    ["http.served"] and ["http.conn_failed"] counters ({!Serve}) and the
+    driver's ["pq.reconnect"] ({!Pq}), which start at zero on every
+    boot; the name stays because perfbench/, which changes only with the
+    benchmark, still calls it. *)

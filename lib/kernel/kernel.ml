@@ -296,7 +296,9 @@ let bounce t ~passes n =
     (passes * n * t.costs.Costs.bounce_copy_per_kb / 1024);
   note_copied t (passes * n)
 
-let pages_of len = (max len 1 + Phys.page_size - 1) / Phys.page_size
+(* Pages a length spans, at least one; [len + page_size - 1] would wrap
+   for a hostile length and turn the cost negative. *)
+let pages_of len = ((max len 1 - 1) asr Phys.page_shift) + 1
 
 (* A negative length or duration: the call fails with EINVAL before it
    touches an fd, a socket or memory. *)
@@ -377,6 +379,10 @@ let execute t call =
   | Sched_yield -> Ok 0
   | Futex -> Ok 0
   | Getrandom { buf; len } ->
+      (* The destination is checked before a byte is generated: a hostile
+         length faults at its first unmapped page instead of asking the
+         host for [len] bytes. *)
+      with_trusted t (fun () -> Cpu.check t.cpu Cpu.Write ~addr:buf ~len);
       let data = Bytes.init len (fun _ -> Encl_util.Rng.byte t.rng) in
       copy_to_user t ~addr:buf data;
       Ok len
@@ -612,9 +618,12 @@ let execute t call =
           | None -> Error Ebadf)
       | Some _ -> Error Einval
       | None -> Error Ebadf)
-  | Mmap { len } ->
-      let addr = Mm.map t.mm ~len ~perms:{ Pte.r = true; w = true; x = false } in
-      Ok addr
+  | Mmap { len } -> (
+      (* Refused only when the range passes the end of the address space;
+         the next free address stays. *)
+      match Mm.map t.mm ~len ~perms:{ Pte.r = true; w = true; x = false } with
+      | addr -> Ok addr
+      | exception Invalid_argument _ -> Error Enomem)
   | Munmap { addr; len } -> (
       match Mm.unmap t.mm ~addr ~len with
       | () -> Ok 0
@@ -862,6 +871,8 @@ let ring_consume t slot =
       (* A couple of shared-memory stores under either flag setting. *)
       Clock.consume t.clock Clock.Io t.costs.Costs.zc_consume;
       Metrics.incr t.metrics rx_consumed_counter
+
+let rxring_attached t = Option.is_some t.rxring
 
 let rxring_counters t =
   ( Metrics.total t.metrics rx_granted_counter,

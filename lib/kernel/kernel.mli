@@ -204,6 +204,9 @@ val ring_consume : t -> int -> unit
 (** Release a granted descriptor (slot index) so the kernel may refill
     it. Raises [Invalid_argument] if the slot is not currently granted. *)
 
+val rxring_attached : t -> bool
+(** Whether {!attach_rxring} has given this kernel an rx ring. *)
+
 val rxring_counters : t -> int * int * int
 (** [(granted, consumed, reclaimed)], the registry's ["ring.rx_granted"],
     ["ring.rx_consumed"] and ["ring.rx_reclaimed"] totals; all zero with

@@ -13,16 +13,10 @@ let create ~phys ~base =
 let phys t = t.phys
 let add_pt t pt = t.pts <- t.pts @ [ pt ]
 
-let alloc_range t ~len =
-  let len = max len Phys.page_size in
-  let addr = t.next in
-  t.next <- addr + Encl_util.Bitops.align_up len Phys.page_size;
-  addr
-
+(* Flooring, as {!Cpu} does, so a negative address is never taken for
+   page 0; a zero length still names its page. *)
 let page_span ~addr ~len =
-  let first = addr / Phys.page_size in
-  let last = (addr + max len 1 - 1) / Phys.page_size in
-  (first, last)
+  (addr asr Phys.page_shift, Cpu.last_vpn ~addr ~len:(max len 1))
 
 let check_aligned name addr =
   if not (Encl_util.Bitops.is_aligned addr Phys.page_size) then
@@ -32,6 +26,9 @@ let check_aligned name addr =
    before any page of it changes: every page mapped, in [frames] and in
    every page table. *)
 let check_mapped t name ~first ~last =
+  if not (Vpn_map.in_range first && Vpn_map.in_range last) then
+    invalid_arg
+      (Printf.sprintf "%s: vpns %d..%d outside the address space" name first last);
   for vpn = first to last do
     if
       not
@@ -58,9 +55,12 @@ let map_at t ~addr ~len ~perms =
     List.iter (fun pt -> Pagetable.map pt ~vpn (Pte.make ~ppn ~perms)) t.pts
   done
 
+(* The cursor moves only once the range is mapped: a refused map leaves
+   it where it was. *)
 let map t ~len ~perms =
-  let addr = alloc_range t ~len in
+  let addr = t.next in
   map_at t ~addr ~len ~perms;
+  t.next <- addr + Encl_util.Bitops.align_up (max len Phys.page_size) Phys.page_size;
   addr
 
 let unmap t ~addr ~len =
@@ -95,4 +95,4 @@ let set_pkey t ~addr ~len key =
 let set_present (_ : t) ~pt ~addr ~len present =
   iter_range ~addr ~len (fun vpn -> Pagetable.set_present pt ~vpn present)
 
-let is_mapped t ~addr = Vpn_map.mem t.frames (addr / Phys.page_size)
+let is_mapped t ~addr = Vpn_map.mem t.frames (addr asr Phys.page_shift)

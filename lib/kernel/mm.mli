@@ -22,12 +22,15 @@ val map_at : t -> addr:int -> len:int -> perms:Pte.perms -> unit
     outside {!Vpn_map.in_range}. *)
 
 val map : t -> len:int -> perms:Pte.perms -> int
-(** [alloc_range] + [map_at]; returns the address. *)
+(** {!map_at} at the next free address, which then moves past the range;
+    returns the address. Raises [Invalid_argument], changing nothing (the
+    next free address included), when the range passes the end of the
+    address space. *)
 
 val unmap : t -> addr:int -> len:int -> unit
 (** Remove the range from every page table and free the frames. Raises
     [Invalid_argument], changing nothing, if any page of the range is not
-    mapped. *)
+    mapped or lies outside {!Vpn_map.in_range}. *)
 
 val protect : t -> ?pt:Pagetable.t -> addr:int -> len:int -> Pte.perms -> unit
 (** Change permissions in one table, or all when [pt] is not given. *)
@@ -40,6 +43,8 @@ val set_pkey : t -> addr:int -> len:int -> int -> unit
 val set_present : t -> pt:Pagetable.t -> addr:int -> len:int -> bool -> unit
 
 val page_span : addr:int -> len:int -> int * int
-(** [(first_vpn, last_vpn)] covered by the byte range; exposed for tests. *)
+(** [(first_vpn, last_vpn)] covered by the byte range, flooring as
+    {!Cpu} does (a negative address is on a negative page) and without
+    overflow for any length; exposed for tests. *)
 
 val is_mapped : t -> addr:int -> bool

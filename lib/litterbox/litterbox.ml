@@ -185,9 +185,13 @@ let describe_fault = function
 (* ------------------------------------------------------------------ *)
 (* Section registry                                                    *)
 
+(* A section's first and last vpn. Addresses map to pages by flooring,
+   as in {!Cpu}, so a negative address is never taken for page 0. *)
+let vpns (s : Section.t) =
+  (s.Section.addr asr Phys.page_shift, (Section.end_addr s - 1) asr Phys.page_shift)
+
 let register_section t (s : Section.t) =
-  let first = s.Section.addr / Phys.page_size in
-  let last = (Section.end_addr s - 1) / Phys.page_size in
+  let first, last = vpns s in
   for vpn = first to last do
     Vpn_map.add t.registry vpn (s.Section.owner, s.Section.kind)
   done;
@@ -205,7 +209,7 @@ let sections_of t pkg =
   match Hashtbl.find_opt t.pkg_sections pkg with Some l -> !l | None -> []
 
 let owner_of t ~addr =
-  Option.map fst (Vpn_map.find_opt t.registry (addr / Phys.page_size))
+  Option.map fst (Vpn_map.find_opt t.registry (addr asr Phys.page_shift))
 
 (* ------------------------------------------------------------------ *)
 (* Views and environments                                              *)
@@ -216,7 +220,7 @@ let ordered_encs t =
 (* The closure function lives in its own section owned by the declaring
    package (paper §4.1); it must stay executable inside the enclosure even
    when the declaring package is not part of the view. *)
-let closure_vpn enc = enc.e_closure_addr / Phys.page_size
+let closure_vpn enc = enc.e_closure_addr asr Phys.page_shift
 
 let exec_filter t enc ~vpn =
   (enc.e_closure_addr <> 0 && vpn = closure_vpn enc)
@@ -1194,9 +1198,6 @@ let refresh_views t ~packages ~undo =
             update rest)
   in
   update encs
-
-let vpns (s : Section.t) =
-  (s.Section.addr / Phys.page_size, (Section.end_addr s - 1) / Phys.page_size)
 
 let register_package t ~name ~imports ~sections =
   if Encl_pkg.Graph.mem t.graph name then

@@ -34,9 +34,9 @@ let load machine (image : Image.t) =
         let len = Bytes.length data in
         let rec copy addr off remaining =
           if remaining > 0 then begin
-            let page_off = addr mod Phys.page_size in
+            let page_off = addr land (Phys.page_size - 1) in
             let chunk = min remaining (Phys.page_size - page_off) in
-            match Pagetable.walk pt ~vpn:(addr / Phys.page_size) with
+            match Pagetable.walk pt ~vpn:(addr asr Phys.page_shift) with
             | None -> invalid_arg "Loader: symbol outside mapped sections"
             | Some pte ->
                 Phys.blit_of_bytes phys ~ppn:pte.Pte.ppn ~off:page_off data off chunk;

@@ -98,6 +98,12 @@ let vpn_of_addr addr = addr asr Phys.page_shift
 let addr_of_vpn vpn = vpn lsl Phys.page_shift
 let page_off addr = addr land (Phys.page_size - 1)
 
+(* The whole pages of [len - 1] plus what its remainder carries past
+   [addr]'s offset: [addr + len - 1] itself would wrap. *)
+let last_vpn ~addr ~len =
+  let n = len - 1 in
+  vpn_of_addr addr + vpn_of_addr n + vpn_of_addr (page_off addr + page_off n)
+
 let fault t kind vaddr reason =
   let f = { kind; vaddr; env = t.current.label; reason } in
   (match t.on_fault with None -> () | Some hook -> hook f);
@@ -233,7 +239,8 @@ let check_page t kind vaddr =
 let check t kind ~addr ~len =
   if len < 0 then invalid_arg "Cpu.check: negative length";
   if len > 0 then begin
-    let first = vpn_of_addr addr and last = vpn_of_addr (addr + len - 1) in
+    (* Overflow-safe: a wrapped [addr + len - 1] would check no page. *)
+    let first = vpn_of_addr addr and last = last_vpn ~addr ~len in
     for vpn = first to last do
       ignore (check_page t kind (addr_of_vpn vpn))
     done;

@@ -141,6 +141,12 @@ val set_access_hook : t -> (access_kind -> vaddr:int -> unit) option -> unit
     not consume simulated time; [None] (the default) keeps the access
     path branch-only. *)
 
+val last_vpn : addr:int -> len:int -> int
+(** The page holding the last of the [len >= 1] bytes at [addr]. Pages
+    floor, so a negative address is on a negative page, and no length
+    overflows: the sum [addr + len - 1], which a hostile length wraps, is
+    never formed. *)
+
 val check : t -> access_kind -> addr:int -> len:int -> unit
 (** Validate an access of [len] bytes at [addr] in the current environment;
     raises {!Fault} on the first offending page. *)

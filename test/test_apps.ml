@@ -495,6 +495,58 @@ let failure_tests =
     Alcotest.test_case "wiki under LB_LWC roundtrips" `Quick (fun () ->
         Alcotest.(check bool) "ok" true
           (Result.is_ok (Scenarios.wiki_check (Some Lb.Lwc))));
+    Alcotest.test_case "a faulting request costs only its connection" `Quick
+      (fun () ->
+        (* Each server as its scenario boots it, after a one-request
+           run: (name, the run, its port, the enclosure it serves in). *)
+        let mpk = Some Lb.Mpk in
+        let servers =
+          [
+            ("http", (fun () -> Scenarios.http mpk ~requests:1 ~conns:1 ()), 8080, "handler_enc");
+            ( "fasthttp",
+              (fun () -> Scenarios.fasthttp mpk ~requests:1 ~conns:1 ()),
+              8081,
+              "fasthttp_srv" );
+            ( "zerocopy_http",
+              (fun () -> Scenarios.zerocopy_http mpk ~requests:1 ~conns:1 ()),
+              8082,
+              "zc_srv" );
+            ("wiki", (fun () -> Scenarios.wiki mpk ~requests:1 ~conns:1 ()), 8090, "http_srv");
+          ]
+        in
+        List.iter
+          (fun (name, run, port, enc) ->
+            let rt, _ = Result.get_ok (run ()) in
+            let m = Runtime.machine rt in
+            let lb = Option.get (Runtime.lb rt) in
+            let faults0 = Lb.fault_count lb in
+            let get ep =
+              Httpd.client_get rt ep ~path:"/page/home";
+              Runtime.kick rt;
+              Httpd.client_read_response rt ep
+            in
+            let connect () =
+              let ep = Httpd.client_connect rt ~port in
+              Runtime.kick rt;
+              ep
+            in
+            (* Accepted first, so the fault lands in the connection's own
+               fiber: the next checked access in the serving enclosure. *)
+            let ep = connect () in
+            Encl_fault.Fault.arm m.Machine.inject
+              (Encl_fault.Fault.rule ~max_fires:1
+                 ~env_prefix:(Cpu.enclosure_label enc) "cpu.spurious_fault");
+            let what = Printf.sprintf "%s: %s" name in
+            Alcotest.(check int) (what "faulted request gets no body") 0
+              (Bytes.length (get ep));
+            Alcotest.(check int) (what "one fault") (faults0 + 1) (Lb.fault_count lb);
+            Alcotest.(check int) (what "http.conn_failed") 1
+              (Encl_apps.Serve.total rt Encl_apps.Serve.conn_failed_counter);
+            Alcotest.(check int) (what "no fiber killed") 0
+              (Encl_golike.Sched.kill_count (Runtime.sched rt));
+            Alcotest.(check bool) (what "another connection is served") true
+              (Fixtures.contains (Bytes.to_string (get (connect ()))) "HTTP/1.1 200 OK"))
+          servers);
   ]
 
 let wiki_tests =

@@ -833,6 +833,37 @@ let kernel_tests =
         match Net.recv m.Machine.net client 64 with
         | Net.Data d -> Alcotest.(check string) "peer reads the original" "original bytes" (Bytes.to_string d)
         | _ -> Alcotest.fail "no data");
+    Alcotest.test_case "an mmap past the address space is ENOMEM, cursor kept" `Quick
+      (fun () ->
+        let m = kernel_fixture () in
+        let k = m.Machine.kernel in
+        let mmap len = K.syscall k (K.Mmap { len }) in
+        let addr = Result.get_ok (mmap 4096) in
+        let frames = Phys.page_count m.Machine.phys in
+        List.iter
+          (fun len ->
+            match mmap len with
+            | r -> Alcotest.(check bool) (Printf.sprintf "len %d" len) true (r = Error K.Enomem)
+            | exception e -> Alcotest.failf "len %d raised %s" len (Printexc.to_string e))
+          [ 1 lsl 48; max_int ];
+        Alcotest.(check int) "no frame allocated" frames (Phys.page_count m.Machine.phys);
+        Alcotest.(check bool) "the next map follows the last one" true
+          (mmap 4096 = Ok (addr + 4096)));
+    Alcotest.test_case "munmap and pkey_mprotect of max_int bytes are EINVAL" `Quick
+      (fun () ->
+        let m = kernel_fixture () in
+        let k = m.Machine.kernel in
+        let addr = Result.get_ok (K.syscall k (K.Mmap { len = 4096 })) in
+        List.iter
+          (fun (what, call) ->
+            match K.syscall k call with
+            | r -> Alcotest.(check bool) what true (r = Error K.Einval)
+            | exception e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e))
+          [
+            ("munmap", K.Munmap { addr; len = max_int });
+            ("pkey_mprotect", K.Pkey_mprotect { addr; len = max_int; key = 1 });
+          ];
+        Alcotest.(check bool) "still mapped" true (Encl_kernel.Mm.is_mapped m.Machine.mm ~addr));
   ]
 
 (* The reference syscall bookkeeping: a polymorphic table from syscall to
@@ -886,13 +917,25 @@ let count_arb =
   in
   QCheck.make ~print:(QCheck.Print.list print) (list_size (int_range 0 150) op)
 
-(* Seven calls with a length, at lengths in [-2^20, 4096]. *)
+(* All twelve [length_calls], at lengths from -2^20 to max_int: past one
+   page every page check runs, past 2^48 a range passes the end of the
+   address space, and max_int wraps any address sum. An mmap between one
+   page and the end of the address space really maps that many pages, so
+   mmap draws only small and past-the-end lengths. *)
 let hostile_arb =
   let open QCheck.Gen in
-  let len = frequency [ (1, int_range (-(1 lsl 20)) (-1)); (1, int_range 0 4096) ] in
+  let mmap = 9 in
+  let small = frequency [ (1, int_range (-(1 lsl 20)) (-1)); (1, int_range 0 8192) ] in
+  let large = oneof [ oneofl [ 4097; 1 lsl 32 ]; int_range 4097 (1 lsl 48) ] in
+  let past_end = oneof [ oneofl [ 1 lsl 48; max_int ]; int_range (1 lsl 48) max_int ] in
+  let len i =
+    if i = mmap then frequency [ (2, small); (1, past_end) ]
+    else frequency [ (2, small); (1, large); (1, past_end) ]
+  in
   QCheck.make
     ~print:QCheck.Print.(list (pair int int))
-    (list_size (int_range 1 16) (pair (int_range 0 8) len))
+    (list_size (int_range 1 16)
+       (int_range 0 11 >>= fun i -> map (fun l -> (i, l)) (len i)))
 
 let kernel_props =
   [
@@ -918,6 +961,8 @@ let kernel_props =
                       match K.exit_program k 0 with _ -> () | exception K.Exited _ -> ()));
                   agree ())
                 ops));
+    (* A result, or the range's memory fault: [Cpu.Fault] is the kernel's
+       answer to a user range with an unmapped page. *)
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"hostile lengths return a result, never raise" ~count:100
          hostile_arb (fun calls ->
@@ -928,6 +973,7 @@ let kernel_props =
                let _, call = List.nth (make len) i in
                match K.syscall m.Machine.kernel call with
                | Ok _ | Error _ -> true
+               | exception Cpu.Fault _ -> true
                | exception _ -> false)
              calls));
   ]
@@ -966,7 +1012,16 @@ let mm_tests =
         Alcotest.(check (pair int int)) "straddle" (0, 1)
           (Encl_kernel.Mm.page_span ~addr:4000 ~len:200);
         Alcotest.(check (pair int int)) "zero len counts one" (2, 2)
-          (Encl_kernel.Mm.page_span ~addr:8192 ~len:0));
+          (Encl_kernel.Mm.page_span ~addr:8192 ~len:0);
+        Alcotest.(check (pair int int)) "the page below 0" (-1, -1)
+          (Encl_kernel.Mm.page_span ~addr:(-4096) ~len:4096);
+        Alcotest.(check (pair int int)) "a byte below 0" (-1, -1)
+          (Encl_kernel.Mm.page_span ~addr:(-1) ~len:1);
+        Alcotest.(check (pair int int)) "straddling 0" (-1, 0)
+          (Encl_kernel.Mm.page_span ~addr:(-1) ~len:2);
+        Alcotest.(check (pair int int)) "max_int does not wrap"
+          (1, 1 + (max_int asr 12))
+          (Encl_kernel.Mm.page_span ~addr:4097 ~len:max_int));
     Alcotest.test_case "double map rejected" `Quick (fun () ->
         let m = kernel_fixture () in
         let mm = m.Machine.mm in
@@ -1016,6 +1071,14 @@ let mm_tests =
           [ -1; 0 ];
         Alcotest.(check int) "no frame allocated" frames
           (Phys.page_count (Encl_kernel.Mm.phys mm)));
+    Alcotest.test_case "an address below 0 is not on page 0" `Quick (fun () ->
+        let m = kernel_fixture () in
+        let mm = m.Machine.mm in
+        Encl_kernel.Mm.map_at mm ~addr:0 ~len:Phys.page_size
+          ~perms:{ Pte.r = true; w = true; x = false };
+        Alcotest.(check bool) "page 0 mapped" true (Encl_kernel.Mm.is_mapped mm ~addr:0);
+        Alcotest.(check bool) "address -1 is on page -1" false
+          (Encl_kernel.Mm.is_mapped mm ~addr:(-1)));
   ]
 
 let () =
