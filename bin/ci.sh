@@ -17,8 +17,8 @@
 # Run from the repository root:
 #   sh bin/ci.sh              full pipeline (the CI default)
 #   sh bin/ci.sh --quick      skip the long oracle and hardware
-#                             properties, chaos smoke and perfbench
-#                             stages
+#                             properties, chaos smoke, the perfbench
+#                             smoke and the pairs self-check
 #   sh bin/ci.sh --cores N    run the test suite, the SMP trace rerun and
 #                             the enforcement pin on an N-core simulated
 #                             machine too
@@ -282,6 +282,26 @@ if dune exec bin/policyminer.exe -- drift http \
   exit 1
 fi
 
+stage "perfbench pin (simulated figures vs bench/perfbench_pin.txt)"
+# A host-side change may alter what the simulator costs to run, never
+# what it simulates: one short round of every workload must print
+# exactly the committed simulated figures. Runs in --quick too, from
+# the binary the build stage made (a fraction of a second). After a
+# change meant to move a simulated figure, regenerate deliberately with:
+#   for w in http_vtx bild_mpk wiki_mpk_4core python_vtx; do
+#     _build/default/perfbench/perfbench.exe --workload "$w" \
+#       --seed 8080 --pin-check
+#   done > bench/perfbench_pin.txt
+for w in http_vtx bild_mpk wiki_mpk_4core python_vtx; do
+  _build/default/perfbench/perfbench.exe --workload "$w" \
+    --seed 8080 --pin-check
+done > "$tmp/perfbench_pin.txt"
+if ! cmp -s bench/perfbench_pin.txt "$tmp/perfbench_pin.txt"; then
+  echo "ci: perfbench simulated figures diverged from bench/perfbench_pin.txt" >&2
+  diff bench/perfbench_pin.txt "$tmp/perfbench_pin.txt" >&2 || true
+  exit 1
+fi
+
 if [ "$quick" = 0 ]; then
   stage "enforcement oracle (long)"
   # The test stage's oracle property with four times the cases: random
@@ -318,26 +338,6 @@ if [ "$quick" = 0 ]; then
     python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 1
   done
 
-  stage "perfbench pin (simulated figures vs bench/perfbench_pin.txt)"
-  # A host-side change may alter what the simulator costs to run, never
-  # what it simulates: one short round of every workload must print
-  # exactly the committed simulated figures. Uses the binary the smoke
-  # stage just built. After a change meant to move a simulated figure,
-  # regenerate deliberately with:
-  #   for w in http_vtx bild_mpk wiki_mpk_4core python_vtx; do
-  #     .bench_build/default/perfbench/perfbench.exe --workload "$w" \
-  #       --seed 8080 --pin-check
-  #   done > bench/perfbench_pin.txt
-  for w in http_vtx bild_mpk wiki_mpk_4core python_vtx; do
-    .bench_build/default/perfbench/perfbench.exe --workload "$w" \
-      --seed 8080 --pin-check
-  done > "$tmp/perfbench_pin.txt"
-  if ! cmp -s bench/perfbench_pin.txt "$tmp/perfbench_pin.txt"; then
-    echo "ci: perfbench simulated figures diverged from bench/perfbench_pin.txt" >&2
-    diff bench/perfbench_pin.txt "$tmp/perfbench_pin.txt" >&2 || true
-    exit 1
-  fi
-
   stage "perfbench pairs (self-check)"
   # The alternating-pairs runner that host-cost claims are measured
   # with, on one short pair of this checkout against itself: it exits 1
@@ -345,7 +345,7 @@ if [ "$quick" = 0 ]; then
   # identical.
   sh bin/perfbench_pairs.sh . . http_vtx 1 1
 else
-  echo "ci: --quick: skipping enforcement oracle (long), simulated hardware properties (long: test_sim.exe), chaos smoke, perfbench smoke, perfbench pin and perfbench pairs (the examples stage and the trace-artifact stage's smp reruns ran)"
+  echo "ci: --quick: skipping enforcement oracle (long), simulated hardware properties (long: test_sim.exe), chaos smoke, perfbench smoke and perfbench pairs (the examples stage, the trace-artifact stage's smp reruns and the perfbench pin ran)"
 fi
 
 now=$(date +%s)

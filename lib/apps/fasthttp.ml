@@ -136,36 +136,49 @@ let serve_enclosed rt ~port ~enclosure ~handler =
    bounce-copies internally and charges the ledger), so syscall
    sequences, verdicts and faults are byte-identical across the flag. *)
 
-let handle_one_zc rt ~conn_fd ~hdrbuf ~ring ~file_fd ~file_len () =
+(* One request read in place from a granted descriptor: parse, send
+   the head, splice the body. *)
+let answer_zc rt ~conn_fd ~hdrbuf ~file_fd ~file_len payload =
   let m = Runtime.machine rt in
+  Serve.charge rt Clock.Compute parse_ns;
+  (* Parsed straight out of the ring descriptor — the R view makes
+     the in-place read safe, and writing here would fault. *)
+  ignore (Serve.request_line (Gbuf.read_string m payload));
+  Runtime.syscall_nowait rt (K.Setsockopt conn_fd);
+  let headers = Serve.head file_len in
+  let hlen = String.length headers in
+  Gbuf.write_string m (Gbuf.sub hdrbuf ~pos:0 ~len:hlen) headers;
+  ignore
+    (Retry.send_all rt ~op:"fasthttp.send" ~fd:conn_fd ~buf:hdrbuf.Gbuf.addr
+       ~len:hlen);
+  match
+    Retry.with_backoff rt ~op:"fasthttp.sendfile" (fun () ->
+        Runtime.syscall_batched rt
+          (K.Sendfile { out_fd = conn_fd; in_fd = file_fd; off = 0; len = file_len }))
+  with
+  | Ok _ -> ()
+  | Error e -> failwith ("fasthttp sendfile: " ^ K.errno_name e)
+
+let handle_one_zc rt ~conn_fd ~hdrbuf ~ring ~file_fd ~file_len () =
   match
     Retry.with_backoff rt ~op:"fasthttp.recv_ring" (fun () ->
         Runtime.netring_recv rt ring ~fd:conn_fd)
   with
   | Error _ | Ok None -> false
-  | Ok (Some (slot, payload)) ->
-      Serve.charge rt Clock.Compute parse_ns;
-      (* Parsed straight out of the ring descriptor — the R view makes
-         the in-place read safe, and writing here would fault. *)
-      ignore (Serve.request_line (Gbuf.read_string m payload));
-      Runtime.syscall_nowait rt (K.Setsockopt conn_fd);
-      let headers = Serve.head file_len in
-      let hlen = String.length headers in
-      Gbuf.write_string m (Gbuf.sub hdrbuf ~pos:0 ~len:hlen) headers;
-      ignore
-        (Retry.send_all rt ~op:"fasthttp.send" ~fd:conn_fd
-           ~buf:hdrbuf.Gbuf.addr ~len:hlen);
-      (match
-         Retry.with_backoff rt ~op:"fasthttp.sendfile" (fun () ->
-             Runtime.syscall_batched rt
-               (K.Sendfile { out_fd = conn_fd; in_fd = file_fd; off = 0; len = file_len }))
-       with
-      | Ok _ -> ()
-      | Error e -> failwith ("fasthttp sendfile: " ^ K.errno_name e));
-      Runtime.netring_consume rt slot;
-      Serve.charge rt Clock.Compute bookkeeping_ns;
-      Serve.note_served rt;
-      true
+  | Ok (Some (slot, payload)) -> (
+      (* The descriptor is released on both exits: a fault while it is
+         held ends the connection, and a slot left granted would stay
+         in flight (the fd stays open, so the kernel never reclaims
+         it) until a full ring answers every reader EAGAIN. *)
+      match answer_zc rt ~conn_fd ~hdrbuf ~file_fd ~file_len payload with
+      | () ->
+          Runtime.netring_consume rt slot;
+          Serve.charge rt Clock.Compute bookkeeping_ns;
+          Serve.note_served rt;
+          true
+      | exception e ->
+          Runtime.netring_consume rt slot;
+          raise e)
 
 let serve_zc rt ~port ~ring ~file_fd ~file_len ~enclosure =
   Serve.spawn rt ?enclosure

@@ -157,8 +157,8 @@ let forged_wrpkru ~backend ~seed =
                / tag write, or a jump through an unscanned gate. *)
             (if seed land 1 = 0 then Cpu.set_env m.Machine.cpu m.Machine.trusted_env
              else
-               Cpu.with_gate m.Machine.cpu ~name:"evil.gate" (fun () ->
-                   Cpu.set_env m.Machine.cpu m.Machine.trusted_env));
+               let cpu = m.Machine.cpu in
+               Cpu.switch_env cpu (Cpu.gate cpu "evil.gate") m.Machine.trusted_env);
             (* Now "trusted": read the app secret and post it out. *)
             let stolen = Gbuf.read_string m (Runtime.global rt ~pkg:"main" "api_key") in
             Gbuf.write_string m buf stolen;

@@ -1,10 +1,10 @@
 module Lb = Encl_litterbox.Litterbox
 module Policy = Encl_litterbox.Policy
 
-type 'r t = { lb : Lb.t; enc_name : string; site : string; body : unit -> 'r }
+type 'r t = { lb : Lb.t; enc_name : string; handle : Lb.handle; body : unit -> 'r }
 
-let declare lb ~name body =
-  { lb; enc_name = name; site = "enclosure:" ^ name; body }
+let handle ~name = Lb.handle ~name ~site:("enclosure:" ^ name)
+let declare lb ~name body = { lb; enc_name = name; handle = handle ~name; body }
 
 let declare_dynamic lb ~name ~owner ~deps ~policy body =
   match Policy.parse policy with
@@ -14,12 +14,13 @@ let declare_dynamic lb ~name ~owner ~deps ~policy body =
       | Error e -> Error e
       | Ok () -> Ok (declare lb ~name body))
 
-let call t =
-  let m = Lb.machine t.lb in
+let run lb h body =
+  let m = Lb.machine lb in
   Clock.consume m.Encl_litterbox.Machine.clock Clock.Compute
     m.Encl_litterbox.Machine.costs.Costs.closure_call;
-  Lb.prolog t.lb ~name:t.enc_name ~site:t.site;
-  Fun.protect ~finally:(fun () -> Lb.epilog t.lb ~site:t.site) t.body
+  Lb.call lb h body ()
+
+let call t = run t.lb t.handle t.body
 
 let name t = t.enc_name
 

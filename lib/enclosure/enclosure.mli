@@ -34,7 +34,20 @@ val declare_dynamic :
 val call : 'r t -> 'r
 (** Execute the closure inside its restrictive environment. Raises
     {!Encl_litterbox.Litterbox.Fault} (or {!Cpu.Fault}) on a violation;
-    the environment is restored before the exception propagates. *)
+    the environment is restored before the exception propagates. The
+    handle made at {!declare} is resolved on the first call, and again
+    after any registration; later calls from the same enclosing stack
+    allocate nothing. *)
+
+val handle : name:string -> Encl_litterbox.Litterbox.handle
+(** The switch target of enclosure [name] called from its own closure
+    site, ["enclosure:"] followed by the name. *)
+
+val run : Encl_litterbox.Litterbox.t -> Encl_litterbox.Litterbox.handle -> (unit -> 'r) -> 'r
+(** [run lb h body]: one call of [body] inside [h]'s enclosure, as
+    {!call} makes it — the baseline closure-call cost, then
+    {!Encl_litterbox.Litterbox.call}. For runtimes that keep handles
+    and bind a new body on every call. *)
 
 val name : 'r t -> string
 

@@ -18,6 +18,9 @@ type t = {
   sched : Sched.t;
   galloc : Galloc.t;
   mutable pkg_stack : string list;
+  handles : (string, Lb.handle) Hashtbl.t;
+      (** the handle of each enclosure {!with_enclosure} entered, made
+          once *)
 }
 
 type pkgdef = {
@@ -119,7 +122,17 @@ let boot config ~packages ~entry =
           | Ok lb ->
               let galloc = Galloc.create ~machine ~lb () in
               let sched = Sched.create ~machine ~lb () in
-              let t = { machine; lb; image; sched; galloc; pkg_stack = [ entry ] } in
+              let t =
+                {
+                  machine;
+                  lb;
+                  image;
+                  sched;
+                  galloc;
+                  pkg_stack = [ entry ];
+                  handles = Hashtbl.create 8;
+                }
+              in
               (* Package init functions, dependencies first. *)
               let rec run_inits = function
                 | [] -> ()
@@ -227,19 +240,24 @@ let attach_netring t ?(slots = 16) ?(slot_bytes = (16 * 1024) + K.ring_hdr_bytes
     ~slot_bytes;
   { nr_base = buf.Gbuf.addr; nr_slots = slots; nr_slot_bytes = slot_bytes }
 
+let netring_consume t slot = K.ring_consume t.machine.Machine.kernel slot
+
 let netring_recv t ring ~fd =
   match syscall t (K.Recv_ring { fd }) with
   | Error e -> Error e
   | Ok 0 -> Ok None
-  | Ok sp ->
+  | Ok sp -> (
       let slot = sp - 1 in
       let base = ring.nr_base + (slot * ring.nr_slot_bytes) in
       (* The header read happens in the caller's environment: an
-         enclosure without R on the ring arena faults right here. *)
-      let len = Int64.to_int (Cpu.read64 t.machine.Machine.cpu base) in
-      Ok (Some (slot, { Gbuf.addr = base + K.ring_hdr_bytes; len }))
-
-let netring_consume t slot = K.ring_consume t.machine.Machine.kernel slot
+         enclosure without R on the ring arena faults right here, and
+         the descriptor it was granted goes back before the fault
+         propagates — the caller never learned the slot. *)
+      match Int64.to_int (Cpu.read64 t.machine.Machine.cpu base) with
+      | len -> Ok (Some (slot, { Gbuf.addr = base + K.ring_hdr_bytes; len }))
+      | exception e ->
+          netring_consume t slot;
+          raise e)
 
 let with_enclosure t name body =
   match t.lb with
@@ -248,7 +266,16 @@ let with_enclosure t name body =
       Clock.consume t.machine.Machine.clock Clock.Compute
         t.machine.Machine.costs.Costs.closure_call;
       body ()
-  | Some lb -> Enclosure.call (Enclosure.declare lb ~name body)
+  | Some lb ->
+      let h =
+        match Hashtbl.find t.handles name with
+        | h -> h
+        | exception Not_found ->
+            let h = Enclosure.handle ~name in
+            Hashtbl.replace t.handles name h;
+            h
+      in
+      Enclosure.run lb h body
 
 let go t f = Sched.go t.sched f
 let go_supervised t f = Sched.spawn_supervised t.sched f

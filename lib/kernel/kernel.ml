@@ -205,12 +205,10 @@ type t = {
   obs : Encl_obs.Obs.t;
   metrics : Metrics.t;  (** [obs]'s registry *)
   mutable inject : Encl_fault.Fault.t option;
+  gate : Cpu.gate;  (** the copy excursions' gate, ["kernel.trusted"] *)
 }
 
 let create ~clock ~costs ~cpu ~trusted_env ~vfs ~net ~mm ~obs =
-  (* The kernel's own user-memory excursions (copy_to/from_user) are a
-     vetted gate site. *)
-  Cpu.register_gate cpu "kernel.trusted";
   {
     clock;
     costs;
@@ -230,6 +228,9 @@ let create ~clock ~costs ~cpu ~trusted_env ~vfs ~net ~mm ~obs =
     obs;
     metrics = Encl_obs.Obs.metrics obs;
     inject = None;
+    (* The kernel's own user-memory excursions (copy_to/from_user) are
+       a vetted gate site. *)
+    gate = Cpu.register_gate cpu "kernel.trusted";
   }
 
 let set_injector t inj =
@@ -265,14 +266,10 @@ let seccomp_cache_hit_rate t =
   if hits + misses = 0 then 0.0
   else float_of_int hits /. float_of_int (hits + misses)
 
-let with_trusted t f =
-  (* Gate-wrapped: a syscall may execute while an enclosure environment
-     is current (VTX runs the handler in guest context), and the copy
-     excursion's env writes must not read as forged transitions. *)
-  Cpu.with_gate t.cpu ~name:"kernel.trusted" (fun () ->
-      let saved = Cpu.env t.cpu in
-      Cpu.set_env t.cpu t.trusted_env;
-      Fun.protect ~finally:(fun () -> Cpu.set_env t.cpu saved) f)
+(* Gate-wrapped: a syscall may execute while an enclosure environment
+   is current (VTX runs the handler in guest context), and the copy
+   excursion's env writes must not read as forged transitions. *)
+let with_trusted t f = Cpu.with_env t.cpu t.gate t.trusted_env f ()
 
 (* The bytes_copied ledger: every pass a payload makes through user
    memory counts as "bytes_copied.kernel". Zero simulated time — the
@@ -353,6 +350,12 @@ let service_cost t call =
   | Chmod _ -> 240
   | Getcwd _ -> 35
 
+(* Would charging [ns] keep the clock at or before {!Clock.horizon}? A
+   guest request that would carry it past (a hostile sleep, the service
+   time of a hostile length) fails with EINVAL instead, so no guest can
+   wrap simulated time. *)
+let within_horizon t ns = ns = 0 || ns <= Clock.horizon - Clock.now t.clock
+
 let alloc_fd t desc =
   let fd = t.next_fd in
   t.next_fd <- fd + 1;
@@ -373,6 +376,7 @@ let execute t call =
   | Getuid -> Ok 1000
   | Getpid -> Ok 4217
   | Gettimeofday | Clock_gettime -> Ok (Clock.now t.clock / 1000)
+  | Nanosleep ns when not (within_horizon t ns) -> Error Einval
   | Nanosleep ns ->
       Clock.consume t.clock Clock.Other ns;
       Ok 0
@@ -789,19 +793,23 @@ let syscall_body t call nr ~trap_cost =
         raise (Syscall_killed { nr; env = env.Cpu.label })
     | Bpf.Errno _ -> ()
   end;
-  Clock.consume t.clock Clock.Syscall (service_cost t call);
-  (* Chaos: blocking network calls may fail transiently before touching
-     the fd — the classic retry surface. *)
-  let transient =
-    match call with
-    | Recv _ | Recv_ring _ | Send _ | Accept _ ->
-        if injected t "kernel.transient_eintr" then Some Eintr
-        else if injected t "kernel.transient_eagain" then Some Eagain
-        else None
-    | _ -> None
-  in
+  let service = service_cost t call in
   let result =
-    match transient with Some e -> Error e | None -> execute t call
+    if not (within_horizon t service) then Error Einval
+    else begin
+      Clock.consume t.clock Clock.Syscall service;
+      (* Chaos: blocking network calls may fail transiently before
+         touching the fd — the classic retry surface. *)
+      let transient =
+        match call with
+        | Recv _ | Recv_ring _ | Send _ | Accept _ ->
+            if injected t "kernel.transient_eintr" then Some Eintr
+            else if injected t "kernel.transient_eagain" then Some Eagain
+            else None
+        | _ -> None
+      in
+      match transient with Some e -> Error e | None -> execute t call
+    end
   in
   obs_syscall t nr ~t0 ~allowed:true;
   result

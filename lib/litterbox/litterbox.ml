@@ -84,6 +84,15 @@ type sq_entry = {
 
 let ring_capacity = 64
 
+(* Registry epochs come from one process-wide counter, so a handle
+   resolved against one LitterBox never passes for resolved against
+   another. *)
+let epochs = ref 0
+
+let fresh_epoch () =
+  incr epochs;
+  !epochs
+
 type t = {
   machine : Machine.t;
   backend : backend;
@@ -109,6 +118,34 @@ type t = {
   mutable denied_guest : int;
       (** guest-side denials (VTX/LWC filter checks, direct or drained):
           calls the kernel's own counters never saw *)
+  mutable reg_epoch : int;
+      (** renewed whenever [encs] or [verif] changes: a {!handle}
+          resolved at another epoch resolves again *)
+  g_switch : Cpu.gate;  (** ["litterbox.gate"]: every runtime switch *)
+  g_syscall : Cpu.gate;  (** ["litterbox.syscall"]: the trap site *)
+  g_drain : Cpu.gate;  (** ["litterbox.drain"]: a ring drain *)
+  g_retag : Cpu.gate;  (** ["litterbox.retag"]: LitterBox's pkey_mprotect *)
+  gated_syscall : K.call -> (int, K.errno) result;
+      (** [K.syscall] on this machine's kernel, issued inside
+          [g_syscall]; built once *)
+  mutable exc_in : int;
+  mutable exc_out : int;
+      (** the backend's trusted-excursion switch costs, read once *)
+}
+
+(* An enclosure and its call site, resolved on first entry and again
+   after any registration: what a switch used to look up by name on
+   every call. [h_stack] memoizes the last stack
+   entering built, [enc :: base], so entering again from the same base
+   allocates nothing. *)
+type handle = {
+  h_name : string;
+  h_site : string;
+  mutable h_epoch : int;  (** [reg_epoch] the fields below were read at *)
+  mutable h_enc : enc_rt option;
+  mutable h_prolog_ok : bool;  (** [(h_site, Prolog)] is in [.verif] *)
+  mutable h_epilog_ok : bool;  (** [(h_site, Epilog)] is in [.verif] *)
+  mutable h_stack : enc_rt list;
 }
 
 let machine t = t.machine
@@ -322,14 +359,10 @@ let witness_syscall t ~scope ~site call ~allowed =
    reconcile exactly with the kernel's counters. *)
 let trusted_pkey_mprotect t ~site ~addr ~len ~key =
   let call = K.Pkey_mprotect { addr; len; key } in
-  let cpu = t.machine.Machine.cpu in
   let result =
-    Cpu.with_gate cpu ~name:"litterbox.retag" (fun () ->
-        let saved = Cpu.env cpu in
-        Cpu.set_env cpu t.machine.Machine.trusted_env;
-        Fun.protect
-          ~finally:(fun () -> Cpu.set_env cpu saved)
-          (fun () -> K.syscall t.machine.Machine.kernel call))
+    Cpu.with_env t.machine.Machine.cpu t.g_retag t.machine.Machine.trusted_env
+      (K.syscall t.machine.Machine.kernel)
+      call
   in
   witness_syscall t ~scope:"trusted" ~site call ~allowed:true;
   result
@@ -566,11 +599,9 @@ let env_of_stack t = function
   | [] -> t.app_trusted
   | enc :: _ -> Option.get enc.e_env
 
-let set_hw_env t env =
-  (* Every runtime-driven switch runs inside the switch gate, so the
-     gate-integrity check can tell it from a forged wrpkru/CR3 write. *)
-  Cpu.with_gate t.machine.Machine.cpu ~name:"litterbox.gate" (fun () ->
-      Cpu.set_env t.machine.Machine.cpu env)
+(* Every runtime-driven switch runs inside the switch gate, so the
+   gate-integrity check can tell it from a forged wrpkru/CR3 write. *)
+let set_hw_env t env = Cpu.switch_env t.machine.Machine.cpu t.g_switch env
 
 let charge_switch t ns = Clock.consume t.machine.Machine.clock Clock.Switch ns
 
@@ -706,44 +737,39 @@ let kill_fault t stack nr env =
    Killed calls surface as faults attributed to the calling
    enclosure. *)
 let trap_syscall t stack call =
-  try
-    (* The trap site is LitterBox's syscall gate: origin verification
-       sees a registered gate, and the seccomp program still dispatches
-       on the caller's PKRU/tag. *)
-    Cpu.with_gate t.machine.Machine.cpu ~name:"litterbox.syscall" (fun () ->
-        K.syscall t.machine.Machine.kernel call)
+  (* The trap site is LitterBox's syscall gate: origin verification
+     sees a registered gate, and the seccomp program still dispatches
+     on the caller's PKRU/tag. *)
+  try t.gated_syscall call
   with K.Syscall_killed { nr; env } -> raise (kill_fault t stack nr env)
 
 (* Trap-path drain (MPK and SFI): one kernel trap for the batch, then
    per-entry dispatch under the submit-time environment — installed per
    entry, a zero-cost bookkeeping write modelling the submitter context
    recorded in the SQE. *)
+let trap_entry t e =
+  (* Ring integrity: dispatch under the submitter context recorded in
+     the SQE. With the defense off, the entry is evaluated under
+     whatever environment happens to be current at drain time — the
+     confused-deputy window. *)
+  if Defense.enabled Defense.Ring_integrity then
+    Cpu.set_env t.machine.Machine.cpu (env_of_stack t e.sq_env);
+  match K.syscall_in_batch t.machine.Machine.kernel e.sq_call with
+  | r ->
+      witness_entry t e ~allowed:true;
+      e.sq_comp.c_state <- Done r
+  | exception K.Syscall_killed { nr; env } ->
+      witness_entry t e ~allowed:false;
+      e.sq_comp.c_state <- Faulted (kill_fault t e.sq_env nr env)
+
 let trap_drain t entries =
-  let kernel = t.machine.Machine.kernel in
   Clock.consume t.machine.Machine.clock Clock.Syscall
     t.machine.Machine.costs.Costs.syscall_base;
   let cpu = t.machine.Machine.cpu in
   (* The whole drain runs inside the ring-drain gate (one trap for the
-     batch; its env writes and per-entry dispatches are the runtime's). *)
-  Cpu.with_gate cpu ~name:"litterbox.drain" @@ fun () ->
-  let saved = Cpu.env cpu in
-  Fun.protect ~finally:(fun () -> Cpu.set_env cpu saved) @@ fun () ->
-  List.iter
-    (fun e ->
-      (* Ring integrity: dispatch under the submitter context recorded
-         in the SQE. With the defense off, the entry is evaluated under
-         whatever environment happens to be current at drain time — the
-         confused-deputy window. *)
-      if Defense.enabled Defense.Ring_integrity then
-        Cpu.set_env cpu (env_of_stack t e.sq_env);
-      match K.syscall_in_batch kernel e.sq_call with
-      | r ->
-          witness_entry t e ~allowed:true;
-          e.sq_comp.c_state <- Done r
-      | exception K.Syscall_killed { nr; env } ->
-          witness_entry t e ~allowed:false;
-          e.sq_comp.c_state <- Faulted (kill_fault t e.sq_env nr env))
-    entries
+     batch; its env writes and per-entry dispatches are the runtime's),
+     and the caller's environment is back when it ends. *)
+  Cpu.with_env cpu t.g_drain (Cpu.env cpu) (List.iter (trap_entry t)) entries
 
 module type IMPL =
   Backend.S with type ctx = t and type enc = enc_rt and type entry = sq_entry
@@ -818,11 +844,7 @@ module VtxB : IMPL = struct
           ~category:Span.Syscall ()
       else -1
     in
-    match
-      Vtx.hypercall vtx (fun () ->
-          Cpu.with_gate t.machine.Machine.cpu ~name:"litterbox.syscall"
-            (fun () -> K.syscall t.machine.Machine.kernel call))
-    with
+    match Vtx.hypercall vtx t.gated_syscall call with
     | r ->
         Obs.span_exit o sp;
         r
@@ -844,13 +866,20 @@ module VtxB : IMPL = struct
               ()
           else -1
         in
-        Fun.protect ~finally:(fun () -> Obs.span_exit (obs t) sp) @@ fun () ->
-        Vtx.hypercall vtx (fun () ->
-            Cpu.with_gate t.machine.Machine.cpu ~name:"litterbox.drain"
-            @@ fun () ->
-            Clock.consume t.machine.Machine.clock Clock.Syscall
-              t.machine.Machine.costs.Costs.syscall_base;
-            List.iter (run_entry t) allowed)
+        let batch allowed =
+          Clock.consume t.machine.Machine.clock Clock.Syscall
+            t.machine.Machine.costs.Costs.syscall_base;
+          List.iter (run_entry t) allowed
+        in
+        match
+          Vtx.hypercall vtx
+            (Cpu.with_gate t.machine.Machine.cpu t.g_drain batch)
+            allowed
+        with
+        | () -> Obs.span_exit o sp
+        | exception e ->
+            Obs.span_exit o sp;
+            raise e
 
   let transfer t ~addr ~pages ~to_pkg ~key_changed:_ =
     let c = t.machine.Machine.costs in
@@ -881,16 +910,16 @@ module LwcB : IMPL = struct
      syscall path, no extra crossing. *)
   let syscall t stack call =
     guest_check t stack call ~filter;
-    Cpu.with_gate t.machine.Machine.cpu ~name:"litterbox.syscall" (fun () ->
-        K.syscall t.machine.Machine.kernel call)
+    t.gated_syscall call
 
   (* One ordinary trap enters the kernel; the per-context filter is
      checked there per entry, as in the direct path. *)
   let drain t entries =
     Clock.consume t.machine.Machine.clock Clock.Syscall
       t.machine.Machine.costs.Costs.syscall_base;
-    Cpu.with_gate t.machine.Machine.cpu ~name:"litterbox.drain" @@ fun () ->
-    List.iter (fun e -> if guest_admit t ~filter e then run_entry t e) entries
+    Cpu.with_gate t.machine.Machine.cpu t.g_drain
+      (List.iter (fun e -> if guest_admit t ~filter e then run_entry t e))
+      entries
 
   let transfer t ~addr ~pages ~to_pkg ~key_changed:_ =
     let c = t.machine.Machine.costs in
@@ -1026,6 +1055,14 @@ let init ~machine ~backend ~image ?(binary_scan = []) ?(clustering = true) () =
   match Loader.load machine image with
   | Error e -> Error ("LitterBox init: " ^ e)
   | Ok () -> (
+      (* LitterBox's switch, trap, drain and retag sites are the
+         scanned, registered call gates of this runtime: the only
+         places untrusted execution may legally change environment or
+         enter the kernel. Each is resolved once, here, to its handle. *)
+      let cpu = machine.Machine.cpu in
+      let gate = Cpu.register_gate cpu in
+      let g_syscall = gate "litterbox.syscall" in
+      let kernel_syscall = K.syscall machine.Machine.kernel in
       let t =
         {
           machine;
@@ -1047,21 +1084,21 @@ let init ~machine ~backend ~image ?(binary_scan = []) ?(clustering = true) () =
           fault_budget = max_int;
           rings = [| Queue.create () |];
           denied_guest = 0;
+          reg_epoch = fresh_epoch ();
+          g_switch = gate "litterbox.gate";
+          g_syscall;
+          g_drain = gate "litterbox.drain";
+          g_retag = gate "litterbox.retag";
+          gated_syscall = (fun call -> Cpu.with_gate cpu g_syscall kernel_syscall call);
+          exc_in = 0;
+          exc_out = 0;
         }
       in
+      (let (module B) = impl t in
+       let enter, exit = B.excursion_costs t in
+       t.exc_in <- enter;
+       t.exc_out <- exit);
       Obs.set_backend machine.Machine.obs (backend_name backend);
-      (* LitterBox's switch, trap, drain and retag sites are the
-         scanned, registered call gates of this runtime: the only
-         places untrusted execution may legally change environment or
-         enter the kernel. *)
-      List.iter
-        (Cpu.register_gate machine.Machine.cpu)
-        [
-          "litterbox.gate";
-          "litterbox.syscall";
-          "litterbox.drain";
-          "litterbox.retag";
-        ];
       (* Witness memory feed: one record per page-level access check
          that passed every permission layer — [Cpu.check_page] is the
          single checkpoint all four backends funnel through. The scope
@@ -1259,11 +1296,13 @@ let register_enclosure t ~name ~owner ~deps ~policy ~closure_addr =
         t.enc_order <- order @ [ name ];
         Hashtbl.replace t.verif (site, Image.Prolog) ();
         Hashtbl.replace t.verif (site, Image.Epilog) ();
+        t.reg_epoch <- fresh_epoch ();
         reprogram t ~packages:0 ~enclosures:1 ~undo:(fun () ->
             Hashtbl.remove t.encs name;
             t.enc_order <- order;
             Hashtbl.remove t.verif (site, Image.Prolog);
-            Hashtbl.remove t.verif (site, Image.Epilog))
+            Hashtbl.remove t.verif (site, Image.Epilog);
+            t.reg_epoch <- fresh_epoch ())
 
 let add_import t ~importer ~imported =
   if not (Encl_pkg.Graph.mem t.graph importer) then
@@ -1282,11 +1321,19 @@ let add_import t ~importer ~imported =
 (* ------------------------------------------------------------------ *)
 (* Switches                                                            *)
 
+let site_fault t site hook =
+  fault t
+    (Printf.sprintf "call-site %s not in the .verif list for %s" site
+       (Image.hook_name hook))
+
 let check_site t site hook =
-  if not (Hashtbl.mem t.verif (site, hook)) then
-    fault t
-      (Printf.sprintf "call-site %s not in the .verif list for %s" site
-         (Image.hook_name hook))
+  if not (Hashtbl.mem t.verif (site, hook)) then site_fault t site hook
+
+(* Logs builds a message's closure before it reads the level; the
+   switch and transfer paths read the level first, so they allocate
+   nothing while debug logging is off. *)
+let debug_on () =
+  match Logs.Src.level log_src with Some Logs.Debug -> true | _ -> false
 
 (* Single point through which the enclosure stack changes: keeps the
    hardware environment and the registry's current scope in lockstep. *)
@@ -1306,8 +1353,7 @@ let set_stack t stack =
 let install_core_env t stack =
   t.stack <- stack;
   Metrics.set_current (metrics t) (stack_scope stack);
-  Cpu.with_gate t.machine.Machine.cpu ~name:"litterbox.gate" (fun () ->
-      Cpu.restore_env t.machine.Machine.cpu (env_of_stack t stack))
+  Cpu.restore_env t.machine.Machine.cpu t.g_switch (env_of_stack t stack)
 
 (* Switch elision (fast path). A switch whose target hardware
    environment is bit-identical to the installed one — same PKRU, same
@@ -1427,9 +1473,12 @@ let drain_one_ring t ~entries =
         ~category:Span.Syscall ()
     else -1
   in
-  Fun.protect ~finally:(fun () -> Obs.span_exit (obs t) sp) @@ fun () ->
   let (module B) = impl t in
-  B.drain t entries
+  match B.drain t entries with
+  | () -> Obs.span_exit o sp
+  | exception e ->
+      Obs.span_exit o sp;
+      raise e
 
 (* Each core drains its own ring on its own lane, in core order. The
    core that hit the drain point flushes remote non-empty rings too —
@@ -1439,18 +1488,20 @@ let drain_one_ring t ~entries =
 let drain t =
   let clock = t.machine.Machine.clock in
   let initiator = Clock.lane clock in
-  Array.iteri
-    (fun core ring ->
-      if not (Queue.is_empty ring) then begin
-        let entries = List.of_seq (Queue.to_seq ring) in
-        Queue.clear ring;
-        if core <> initiator then Metrics.incr (metrics t) C.ring_ipi;
-        Clock.set_lane clock core;
-        Fun.protect
-          ~finally:(fun () -> Clock.set_lane clock initiator)
-          (fun () -> drain_one_ring t ~entries)
-      end)
-    t.rings
+  for core = 0 to Array.length t.rings - 1 do
+    let ring = t.rings.(core) in
+    if not (Queue.is_empty ring) then begin
+      let entries = List.of_seq (Queue.to_seq ring) in
+      Queue.clear ring;
+      if core <> initiator then Metrics.incr (metrics t) C.ring_ipi;
+      Clock.set_lane clock core;
+      match drain_one_ring t ~entries with
+      | () -> Clock.set_lane clock initiator
+      | exception e ->
+          Clock.set_lane clock initiator;
+          raise e
+    end
+  done
 
 let ring_for t core =
   if core >= Array.length t.rings then begin
@@ -1496,17 +1547,50 @@ let await t c =
 let ring_pending t =
   Array.fold_left (fun acc ring -> acc + Queue.length ring) 0 t.rings
 
-let prolog t ~name ~site =
-  Log.debug (fun m -> m "prolog %s (site %s)" name site);
-  check_site t site Image.Prolog;
-  match Hashtbl.find_opt t.encs name with
-  | None -> fault t (Printf.sprintf "unknown enclosure %s" name)
+let handle ~name ~site =
+  {
+    h_name = name;
+    h_site = site;
+    h_epoch = 0;
+    h_enc = None;
+    h_prolog_ok = false;
+    h_epilog_ok = false;
+    h_stack = [];
+  }
+
+(* Read what the handle names at the current registry epoch: one
+   comparison unless a registration ran since the last read. *)
+let resolve t h =
+  if h.h_epoch <> t.reg_epoch then begin
+    h.h_enc <- Hashtbl.find_opt t.encs h.h_name;
+    h.h_prolog_ok <- Hashtbl.mem t.verif (h.h_site, Image.Prolog);
+    h.h_epilog_ok <- Hashtbl.mem t.verif (h.h_site, Image.Epilog);
+    h.h_stack <- [];
+    h.h_epoch <- t.reg_epoch
+  end
+
+(* [enc :: t.stack], built once per base stack. *)
+let pushed t h enc =
+  match h.h_stack with
+  | _ :: base when base == t.stack -> h.h_stack
+  | _ ->
+      let stack = enc :: t.stack in
+      h.h_stack <- stack;
+      stack
+
+let enter t h =
+  if debug_on () then
+    Log.debug (fun m -> m "prolog %s (site %s)" h.h_name h.h_site);
+  resolve t h;
+  if not h.h_prolog_ok then site_fault t h.h_site Image.Prolog;
+  match h.h_enc with
+  | None -> fault t (Printf.sprintf "unknown enclosure %s" h.h_name)
   | Some enc ->
       (* Fail-closed degradation: a quarantined enclosure can no longer
          be entered — refuse before charging any switch cost. Not a new
          fault (the budget-crossing fault was already recorded). *)
       if enc.e_quarantined then
-        raise (Quarantined { enclosure = name; faults = enc.e_faults });
+        raise (Quarantined { enclosure = enc.e_name; faults = enc.e_faults });
       (match t.stack with
       | [] -> ()
       | top :: _ ->
@@ -1521,11 +1605,11 @@ let prolog t ~name ~site =
               (Printf.sprintf
                  "switch into %s would escalate privileges (nested enclosures \
                   may only restrict)"
-                 name));
-      switch t Enter ~cost:0 (enc :: t.stack)
+                 enc.e_name));
+      switch t Enter ~cost:0 (pushed t h enc)
 
-let epilog t ~site =
-  check_site t site Image.Epilog;
+(* The epilog past its call-site check. *)
+let pop t =
   (* Epilog-drain invariant: no submission-queue entry may be evaluated
      under a later enclosure's filter — flush before this enclosure's
      environment leaves the stack. Entries carry their submit-time
@@ -1539,6 +1623,33 @@ let epilog t ~site =
   match t.stack with
   | [] -> fault t "epilog with no active enclosure"
   | _ :: rest -> switch t Leave ~cost:0 rest
+
+let leave t h =
+  resolve t h;
+  if not h.h_epilog_ok then site_fault t h.h_site Image.Epilog;
+  pop t
+
+(* The leave on the way out of [call] and the return switch of an
+   excursion run as [Fun.protect]'s [finally] did: an exception from
+   them surfaces as [Fun.Finally_raised]. *)
+let leave_finally t h =
+  match leave t h with () -> () | exception e -> raise (Fun.Finally_raised e)
+
+let call t h f x =
+  enter t h;
+  match f x with
+  | v ->
+      leave_finally t h;
+      v
+  | exception e ->
+      leave_finally t h;
+      raise e
+
+let prolog t ~name ~site = enter t (handle ~name ~site)
+
+let epilog t ~site =
+  check_site t site Image.Epilog;
+  pop t
 
 let in_enclosure t = match t.stack with [] -> None | e :: _ -> Some e.e_name
 
@@ -1589,6 +1700,23 @@ let rehome_range t ~addr ~len ~to_pkg =
   register_section t sec;
   key_changed
 
+(* The registry and hardware half of a transfer, inside its span. *)
+let move_pieces t ~addr ~len ~chunk ~n ~to_pkg =
+  let t0 = Clock.now t.machine.Machine.clock in
+  let key_changed = ref false in
+  let pages = ref 0 in
+  for i = 0 to n - 1 do
+    let piece = min chunk (len - (i * chunk)) in
+    if rehome_range t ~addr:(addr + (i * chunk)) ~len:piece ~to_pkg then
+      key_changed := true;
+    pages := !pages + ((max piece 1 + Phys.page_size - 1) / Phys.page_size)
+  done;
+  let (module B) = impl t in
+  B.transfer t ~addr ~pages:!pages ~to_pkg ~key_changed:!key_changed;
+  let o = obs t in
+  if Obs.enabled o then
+    Obs.observe o "transfer_ns" (Clock.now t.machine.Machine.clock - t0)
+
 (* The one transfer body: hand [len] bytes at [addr] to [to_pkg] in [n]
    [chunk]-sized pieces. The section registry gets one Arena section
    per piece — exactly what a loop of one-piece transfers over the
@@ -1598,7 +1726,8 @@ let rehome_range t ~addr ~len ~to_pkg =
    pkey_mprotect (MPK) or one page-table walk (VTX/LWC). "transfer"
    advances by [n], and so does "transfer_coalesced" when [n > 1]. *)
 let transfer_pieces t ~addr ~len ~chunk ~n ~to_pkg ~site =
-  Log.debug (fun m -> m "transfer %#x+%d -> %s (%d pieces)" addr len to_pkg n);
+  if debug_on () then
+    Log.debug (fun m -> m "transfer %#x+%d -> %s (%d pieces)" addr len to_pkg n);
   check_site t site Image.Transfer;
   if not (Encl_pkg.Graph.mem t.graph to_pkg) then
     fault t (Printf.sprintf "transfer to unknown package %s" to_pkg);
@@ -1615,20 +1744,11 @@ let transfer_pieces t ~addr ~len ~chunk ~n ~to_pkg ~site =
       Obs.span_enter o ~name:("transfer:" ^ to_pkg) ~category:Span.Transfer ()
     else -1
   in
-  Fun.protect ~finally:(fun () -> Obs.span_exit (obs t) sp) @@ fun () ->
-  let t0 = Clock.now t.machine.Machine.clock in
-  let key_changed = ref false in
-  let pages = ref 0 in
-  for i = 0 to n - 1 do
-    let piece = min chunk (len - (i * chunk)) in
-    if rehome_range t ~addr:(addr + (i * chunk)) ~len:piece ~to_pkg then
-      key_changed := true;
-    pages := !pages + ((max piece 1 + Phys.page_size - 1) / Phys.page_size)
-  done;
-  let (module B) = impl t in
-  B.transfer t ~addr ~pages:!pages ~to_pkg ~key_changed:!key_changed;
-  if Obs.enabled o then
-    Obs.observe o "transfer_ns" (Clock.now t.machine.Machine.clock - t0)
+  match move_pieces t ~addr ~len ~chunk ~n ~to_pkg with
+  | () -> Obs.span_exit o sp
+  | exception e ->
+      Obs.span_exit o sp;
+      raise e
 
 let transfer t ~addr ~len ~to_pkg ~site =
   transfer_pieces t ~addr ~len ~chunk:len ~n:1 ~to_pkg ~site
@@ -1673,27 +1793,41 @@ let execute t env_ref ~site =
      | None -> ());
   switch t Resume ~cost:0 env_ref
 
+let return_finally t saved =
+  match switch t Excursion_exit ~cost:t.exc_out saved with
+  | () -> ()
+  | exception e -> raise (Fun.Finally_raised e)
+
 (* The excursion's switch costs are attributed to the enclosure that
    requested it (two short spans); the work inside [f] stays in the
    caller's cell — usually gc, which opens its own span. *)
-let with_trusted t f =
+let apply_trusted t f x =
   let saved = t.stack in
   (let w = witness t in
    if Witness.enabled w && saved <> [] then
      Witness.trusted_call w ~scope:(scope_name saved));
-  let enter_cost, return_cost =
-    let (module B) = impl t in
-    B.excursion_costs t
-  in
-  switch t Excursion_enter ~cost:enter_cost [];
-  Fun.protect
-    ~finally:(fun () -> switch t Excursion_exit ~cost:return_cost saved)
-    f
+  switch t Excursion_enter ~cost:t.exc_in [];
+  match f x with
+  | v ->
+      return_finally t saved;
+      v
+  | exception e ->
+      return_finally t saved;
+      raise e
+
+let with_trusted t f = apply_trusted t f ()
 
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                       *)
 
 let view_of t name = Option.map (fun e -> e.e_view) (Hashtbl.find_opt t.encs name)
+
+let enclosed t = match t.stack with [] -> false | _ :: _ -> true
+
+let current_view t =
+  match t.stack with
+  | enc :: _ -> enc.e_view
+  | [] -> invalid_arg "Litterbox.current_view: no enclosure is active"
 
 let current_access t pkg =
   match t.stack with
@@ -1717,6 +1851,7 @@ let ring_drained_count t = count t C.ring_drained
 let ring_batches_count t = count t C.ring_batches
 let guest_denied_count t = t.denied_guest
 let vmexit_count t = match t.vtx with Some v -> Vtx.vmexits v | None -> 0
+let vm_mode t = Option.map Vtx.mode t.vtx
 let sfi_masked_access_count t = count t C.sfi_masked_access
 
 let sfi_guard_fault_count t =

@@ -120,17 +120,47 @@ val set_policy_override : enclosure:string -> string -> unit
 
 val clear_policy_overrides : unit -> unit
 
-(** {2 Switches} *)
+(** {2 Switches}
+
+    A switch target is a {!handle}. On its first entry, and again
+    after any registration, it reads the enclosure record and whether
+    its call site is in the [.verif] list for the prolog and the
+    epilog; so one made before its enclosure is registered works once
+    it is. Entering through a resolved handle checks the same things
+    {!prolog} always checked — the call site, the enclosure's
+    existence, quarantine, the nesting rule — without a name lookup,
+    and from the same enclosing stack as its last entry allocates
+    nothing. *)
+
+type handle
+
+val handle : name:string -> site:string -> handle
+(** The switch target "enclosure [name], called from [site]", resolved
+    against a LitterBox the first time it is entered there. Never
+    fails: an unknown name or an unlisted site faults when entered, as
+    {!prolog} does. *)
+
+val enter : t -> handle -> unit
+(** The prolog through a handle: validates the call site against the
+    [.verif] list and enforces the nesting rule (a switch may only enter
+    an equal-or-more-restrictive environment). Raises {!Fault} (or
+    {!Quarantined}) otherwise. *)
+
+val leave : t -> handle -> unit
+(** The epilog through a handle: leave the innermost enclosure,
+    returning to the enclosing (less restrictive) environment. *)
+
+val call : t -> handle -> ('a -> 'b) -> 'a -> 'b
+(** [call t h f x]: {!enter}, [f x], {!leave} on both exits — the body
+    of every enclosure call. The body's exception is re-raised once the
+    enclosure is left; an exception from {!leave} itself surfaces as
+    [Fun.Finally_raised], as it did from [Fun.protect]. No closure. *)
 
 val prolog : t -> name:string -> site:string -> unit
-(** Enter the named enclosure's execution environment. Validates the
-    call-site against the [.verif] list and enforces the nesting rule: a
-    switch may only enter an equal-or-more-restrictive environment.
-    Raises {!Fault} otherwise. *)
+(** {!enter} through a handle made for this one call. *)
 
 val epilog : t -> site:string -> unit
-(** Leave the innermost enclosure, returning to the enclosing (less
-    restrictive) environment. *)
+(** {!leave} for a call site given by name. *)
 
 val in_enclosure : t -> string option
 (** Name of the innermost active enclosure, if any. *)
@@ -244,14 +274,30 @@ val execute : t -> env_ref -> site:string -> unit
 
 (** {2 Trusted excursions} *)
 
+val apply_trusted : t -> ('a -> 'b) -> 'a -> 'b
+(** [apply_trusted t f x]: a controlled switch to the trusted
+    environment, [f x], and the switch back, paying the backend's
+    switch costs both ways (used by runtimes for GC / reference-count
+    updates on read-only objects, paper §5.2). The switch back runs on
+    both exits; an exception from it surfaces as [Fun.Finally_raised].
+    Allocates nothing itself. *)
+
 val with_trusted : t -> (unit -> 'a) -> 'a
-(** Controlled switch to the trusted environment and back, paying the
-    backend's switch costs both ways (used by runtimes for GC /
-    reference-count updates on read-only objects, paper §5.2). *)
+(** [apply_trusted t f ()]. *)
 
 (** {2 Introspection} *)
 
 val view_of : t -> string -> View.t option
+
+val enclosed : t -> bool
+(** Is an enclosure active? *)
+
+val current_view : t -> View.t
+(** The innermost active enclosure's view, an immutable value: a
+    runtime may memoize what it derives from one by its physical
+    identity, since registration and import install new views rather
+    than mutate old ones. [Invalid_argument] when no enclosure is
+    active. *)
 
 val current_access : t -> string -> Types.access option
 (** Access the innermost active enclosure has on a package; [None] when
@@ -313,6 +359,10 @@ val guest_denied_count : t -> int
 
 val vmexit_count : t -> int
 (** VM EXITs taken so far (VTX backend; 0 elsewhere). *)
+
+val vm_mode : t -> Vtx.mode option
+(** The VT-x mode the application runs in (VTX backend; [None]
+    elsewhere): [Non_root] except inside a hypercall. *)
 
 val sfi_masked_access_count : t -> int
 (** Instrumented loads/stores executed so far (SFI backend; 0

@@ -38,11 +38,9 @@ let create ?(costs = Costs.default) ?(cores = 1) () =
      the sink is enabled, as a mark. Inert (nothing armed, `active`
      false) unless a chaos plan arms it. *)
   let inject = Encl_fault.Fault.create () in
-  (* The machine's own trusted excursions (loader, galloc) are a vetted
-     gate site; the CPU's gate violations count as "gate_violation",
-     next to the kernel's. *)
+  (* The CPU's gate violations count as "gate_violation", next to the
+     kernel's. *)
   let metrics = Encl_obs.Obs.metrics obs in
-  Cpu.register_gate cpu "machine.trusted";
   Cpu.set_gate_violation_hook cpu
     (Some
        (fun _reason ->
@@ -104,9 +102,3 @@ let note_copied t n =
     t.bytes_copied <- t.bytes_copied + n;
     Encl_obs.Metrics.add (Encl_obs.Obs.metrics t.obs) copied_counter n
   end
-
-let with_trusted t f =
-  Cpu.with_gate t.cpu ~name:"machine.trusted" (fun () ->
-      let saved = Cpu.env t.cpu in
-      Cpu.set_env t.cpu t.trusted_env;
-      Fun.protect ~finally:(fun () -> Cpu.set_env t.cpu saved) f)

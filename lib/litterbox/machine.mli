@@ -52,6 +52,3 @@ val note_copied : t -> int -> unit
     field and the registry's ["bytes_copied.app"]. Free of simulated
     time (the copy itself pays through its CPU accesses). *)
 
-val with_trusted : t -> (unit -> 'a) -> 'a
-(** Run [f] with the CPU temporarily in the trusted environment (used by
-    runtimes for GC and by LitterBox internals). *)

@@ -125,12 +125,18 @@ let validate_packages t ~known =
   in
   check t.modifiers
 
+(* A direct recursion rather than [List.exists] over a closure: every
+   guest-side filter check on the syscall path runs it. *)
+let rec atoms_allow_cat cat = function
+  | [] -> false
+  | Cat c :: _ when c = cat -> true
+  | (Cat _ | Connect_to _) :: rest -> atoms_allow_cat cat rest
+
 let filter_allows_cat f cat =
   match f with
   | Sys_none -> false
   | Sys_all -> true
-  | Sys_atoms atoms ->
-      List.exists (function Cat c -> c = cat | Connect_to _ -> false) atoms
+  | Sys_atoms atoms -> atoms_allow_cat cat atoms
 
 let filter_allows_connect f ~ip =
   match f with

@@ -1,6 +1,8 @@
 module Lb = Encl_litterbox.Litterbox
 module Machine = Encl_litterbox.Machine
 module Types = Encl_litterbox.Types
+module View = Encl_litterbox.View
+module Enclosure = Encl_enclosure.Enclosure
 module K = Encl_kernel.Kernel
 module Mm = Encl_kernel.Mm
 module Objfile = Encl_elf.Objfile
@@ -28,6 +30,10 @@ type modul = {
   mutable m_arena_used : int;
   mutable m_gc_head : int;  (** address of first tracked object, 0 = none *)
   mutable m_gc_tail : int;
+  mutable m_view : View.t;
+  mutable m_access : Types.access;
+      (** the access [m_view] grants on this module: the memo
+          {!access_of} keeps, keyed by the view's physical identity *)
 }
 
 type t = {
@@ -37,7 +43,8 @@ type t = {
   gc_threshold : int option;
   modules : (string, modul) Hashtbl.t;
   mutable import_order : string list;
-  declared : (string, unit) Hashtbl.t;  (** registered enclosures *)
+  declared : (string, Lb.handle) Hashtbl.t;
+      (** registered enclosures and their handles, each made once *)
   young : (int, pyobj) Hashtbl.t;  (** generation 0, tracked by address *)
   old : (int, pyobj) Hashtbl.t;  (** promoted survivors *)
   side_refcounts : (int, int) Hashtbl.t;
@@ -49,11 +56,17 @@ type t = {
   shares : (int, pyobj list) Hashtbl.t;
       (** source address -> elided shares not yet materialized; a write
           to either side detaches them (see {!materialize_share}) *)
+  incr_at : int -> unit;
+  decr_at : int -> unit;
+  read_at : int -> int;
+      (** the Conservative header operations on the object at an
+          address: built once at boot, so a refcount excursion runs one
+          without a closure *)
 }
 
 and pyobj = {
   mutable o_addr : int;
-  mutable o_module : string;
+  mutable o_module : modul;
   o_len : int;
   mutable o_cow : cow option;
 }
@@ -61,6 +74,7 @@ and pyobj = {
 and cow = { cow_src : pyobj; cow_dst : string }
 
 let machine t = t.machine
+let module_name m = m.m_name
 let metrics t = Encl_obs.Obs.metrics t.machine.Machine.obs
 
 (* The runtime's counters in the machine's registry. *)
@@ -95,6 +109,7 @@ let boot ?backend ?gc_threshold ~mode () =
       match lb_result with
       | Error e -> Error e
       | Ok lb ->
+          let cpu = machine.Machine.cpu in
           let t =
             {
               machine;
@@ -110,6 +125,12 @@ let boot ?backend ?gc_threshold ~mode () =
               allocs_since_gc = 0;
               collections = 0;
               shares = Hashtbl.create 64;
+              incr_at = (fun addr -> ignore (Cpu.add64 cpu addr 1));
+              decr_at =
+                (fun addr ->
+                  if not (Cpu.add64 cpu addr (-1)) then
+                    invalid_arg "Pyrt.decref: refcount underflow");
+              read_at = (fun addr -> Int64.to_int (Cpu.read64 cpu addr));
             }
           in
           (* __main__'s own object arena. *)
@@ -127,6 +148,8 @@ let boot ?backend ?gc_threshold ~mode () =
               m_arena_used = 0;
               m_gc_head = 0;
               m_gc_tail = 0;
+              m_view = View.empty;
+              m_access = View.access View.empty main_module;
             };
           (* __main__ is already linked; only its dynamic arena needs
              ownership. *)
@@ -188,6 +211,8 @@ let import_module t ~name ?(imports = []) ?(arena_bytes = default_arena_bytes) ?
                 m_arena_used = 0;
                 m_gc_head = 0;
                 m_gc_tail = 0;
+                m_view = View.empty;
+                m_access = View.access View.empty name;
               };
             t.import_order <- name :: t.import_order;
             (match body with Some f -> f t | None -> ());
@@ -201,33 +226,47 @@ let find_module t name =
 
 let charge t cat ns = Clock.consume t.machine.Machine.clock cat ns
 
-(* Conservative mode keeps CPython's layout: the metadata write goes to
-   the object header in guest memory, and under an enclosure that sees
-   the page read-only it needs a controlled switch to the trusted
-   environment and back. Decoupled mode never calls this: its metadata
-   lives in {!t.side_refcounts}, outside the protected pages. *)
-let header_write t ~modul f =
-  charge t Clock.Gc refcount_op_ns;
-  match t.lb with
-  | None -> f ()
-  | Some lb -> (
-      match Lb.current_access lb modul with
-      | Some Types.R | Some Types.U ->
-          Encl_obs.Metrics.incr_in (metrics t)
-            ~scope:(find_module t modul).m_scope refcount_excursion;
-          Lb.with_trusted lb f
-      | Some Types.RW | Some Types.RWX | None -> f ())
+(* The access the innermost enclosure has on module [m], memoized per
+   installed view. A view is immutable, and whatever can change what an
+   enclosure sees — a registration, a lazy import ([register_package]
+   then [refresh_views]), an added import — installs new views instead
+   of editing old ones. So a memo keyed by the view's physical identity
+   cannot go stale: a hit is the very view the access was computed
+   from. *)
+let access_of lb m =
+  let view = Lb.current_view lb in
+  if m.m_view != view then begin
+    m.m_view <- view;
+    m.m_access <- View.access view m.m_name
+  end;
+  m.m_access
 
-let header_read t ~modul f =
+(* Conservative mode keeps CPython's layout: the metadata goes to the
+   object header in guest memory. Trusted code writes it directly; an
+   enclosure that sees the page read-only ([write]) or not at all needs
+   a controlled switch to the trusted environment and back, which runs
+   [op] on the header's address without a closure. Decoupled mode
+   never calls this: its metadata lives in {!t.side_refcounts}, outside
+   the protected pages. *)
+let needs_excursion lb obj ~write =
+  Lb.enclosed lb
+  &&
+  match access_of lb obj.o_module with
+  | Types.U -> true
+  | Types.R -> write
+  | Types.RW | Types.RWX -> false
+
+let on_header t obj ~write op =
   match t.lb with
-  | None -> f ()
-  | Some lb -> (
-      match Lb.current_access lb modul with
-      | Some Types.U ->
-          Encl_obs.Metrics.incr_in (metrics t)
-            ~scope:(find_module t modul).m_scope refcount_excursion;
-          Lb.with_trusted lb f
-      | Some Types.R | Some Types.RW | Some Types.RWX | None -> f ())
+  | Some lb when needs_excursion lb obj ~write ->
+      Encl_obs.Metrics.incr_in (metrics t) ~scope:obj.o_module.m_scope
+        refcount_excursion;
+      Lb.apply_trusted lb op obj.o_addr
+  | Some _ | None -> op obj.o_addr
+
+let header_write t obj op =
+  charge t Clock.Gc refcount_op_ns;
+  on_header t obj ~write:true op
 
 let cpu t = t.machine.Machine.cpu
 
@@ -301,12 +340,14 @@ let alloc_obj t ~modul ~len =
     failwith (Printf.sprintf "Pyrt: module %s object arena exhausted" modul);
   let addr = m.m_arena_addr + m.m_arena_used in
   m.m_arena_used <- m.m_arena_used + total;
-  let obj = { o_addr = addr; o_module = modul; o_len = len; o_cow = None } in
+  let obj =
+    { o_addr = addr; o_module = m; o_len = len; o_cow = None }
+  in
   (match t.mode with
   | Conservative ->
       (* Initialize the co-located header and link the object on the
          module's embedded GC list. *)
-      header_write t ~modul (fun () ->
+      header_write t obj (fun addr ->
           Cpu.write64 (cpu t) addr 1L;
           Cpu.write64 (cpu t) (addr + 8) 0L;
           if m.m_gc_tail <> 0 then
@@ -322,19 +363,14 @@ let alloc_obj t ~modul ~len =
 let refcount t obj =
   match t.mode with
   | Decoupled -> side_rc t obj
-  | Conservative ->
-      header_read t ~modul:obj.o_module (fun () ->
-          Int64.to_int (Cpu.read64 (cpu t) obj.o_addr))
+  | Conservative -> on_header t obj ~write:false t.read_at
 
 let incref t obj =
   match t.mode with
   | Decoupled ->
       charge t Clock.Gc refcount_op_ns;
       Hashtbl.replace t.side_refcounts obj.o_addr (side_rc t obj + 1)
-  | Conservative ->
-      header_write t ~modul:obj.o_module (fun () ->
-          let v = Cpu.read64 (cpu t) obj.o_addr in
-          Cpu.write64 (cpu t) obj.o_addr (Int64.add v 1L))
+  | Conservative -> header_write t obj t.incr_at
 
 let decref t obj =
   match t.mode with
@@ -343,11 +379,7 @@ let decref t obj =
       let v = side_rc t obj in
       if v <= 0 then invalid_arg "Pyrt.decref: refcount underflow";
       Hashtbl.replace t.side_refcounts obj.o_addr (v - 1)
-  | Conservative ->
-      header_write t ~modul:obj.o_module (fun () ->
-          let v = Cpu.read64 (cpu t) obj.o_addr in
-          if v <= 0L then invalid_arg "Pyrt.decref: refcount underflow";
-          Cpu.write64 (cpu t) obj.o_addr (Int64.sub v 1L))
+  | Conservative -> header_write t obj t.decr_at
 
 let read_payload t obj =
   Cpu.read_bytes (cpu t) ~addr:(obj.o_addr + header_bytes) ~len:obj.o_len
@@ -402,16 +434,26 @@ let write_payload t obj data =
    the deep copy buys nothing up front — the zero-copy plane satisfies
    the call with a refcounted share of the source object instead (the
    RLBox shared-region move), marked copy-on-write so a later write to
-   either side falls back to the deferred deep copy. Semantics are
-   therefore identical with the flag off; only the cost of copies that
-   never turned out to be needed is saved. *)
+   either side falls back to the deferred deep copy. Only a copy the
+   enclosure could have written is elided: into a module it may not
+   write, the deep copy faults, and so must the call with the flag on.
+   Semantics are therefore identical with the flag off; only the cost
+   of copies that never turned out to be needed is saved. *)
 let localcopy t obj ~dst_module =
+  let writable lb m =
+    match access_of lb m with
+    | Types.RW | Types.RWX -> true
+    | Types.R | Types.U -> false
+  in
   let elide =
     Knob.zerocopy.Knob.value
     &&
     match t.lb with
     | None -> false
-    | Some lb -> Lb.current_access lb obj.o_module = Some Types.R
+    | Some lb ->
+        Lb.enclosed lb
+        && access_of lb obj.o_module = Types.R
+        && writable lb (find_module t dst_module)
   in
   if elide then begin
     Encl_obs.Metrics.incr (metrics t) copy_elided;
@@ -452,22 +494,23 @@ let with_enclosure t ~name ~owner ~deps ~policy body =
       Ok (body ())
   | Some lb -> (
       let registered =
-        if Hashtbl.mem t.declared name then Ok ()
-        else
-          match Lb.register_enclosure lb ~name ~owner ~deps ~policy ~closure_addr:0 with
-          | Ok () ->
-              Hashtbl.replace t.declared name ();
-              Ok ()
-          | Error e -> Error e
+        match Hashtbl.find t.declared name with
+        | h -> Ok h
+        | exception Not_found -> (
+            match
+              Lb.register_enclosure lb ~name ~owner ~deps ~policy ~closure_addr:0
+            with
+            | Ok () ->
+                let h = Enclosure.handle ~name in
+                Hashtbl.replace t.declared name h;
+                Ok h
+            | Error e -> Error e)
       in
       match registered with
       | Error e -> Error e
-      | Ok () ->
+      | Ok h ->
           charge t Clock.Compute t.machine.Machine.costs.Costs.closure_call;
-          let site = "enclosure:" ^ name in
-          Lb.run_protected lb (fun () ->
-              Lb.prolog lb ~name ~site;
-              Fun.protect ~finally:(fun () -> Lb.epilog lb ~site) body))
+          Lb.run_protected lb (fun () -> Lb.call lb h body ()))
 
 (* One controlled excursion is two switches (in and out). *)
 let trusted_switches t =

@@ -56,9 +56,14 @@ val modules : t -> string list
 
 (** {2 Objects} *)
 
+type modul
+(** An imported module's runtime record. *)
+
+val module_name : modul -> string
+
 type pyobj = {
   mutable o_addr : int;
-  mutable o_module : string;
+  mutable o_module : modul;
   o_len : int;
   mutable o_cow : cow option;
 }
@@ -78,6 +83,12 @@ val alloc_obj : t -> modul:string -> len:int -> pyobj
 val incref : t -> pyobj -> unit
 val decref : t -> pyobj -> unit
 val refcount : t -> pyobj -> int
+(** In [Conservative] mode trusted code touches the header directly.
+    Inside an enclosure, the module's access is memoized per installed
+    view (by the view's physical identity, so a registration or a lazy
+    import invalidates it by construction), and a header the enclosure
+    may not write (or, for {!refcount}, read) is reached through one
+    trusted excursion, which allocates nothing. *)
 
 val write_payload : t -> pyobj -> Bytes.t -> unit
 val read_payload : t -> pyobj -> Bytes.t

@@ -81,9 +81,14 @@ let wall t =
   done;
   !m
 
+let horizon = 1 lsl 61
+
+(* One comparison covers both refusals: from a non-negative time, the
+   sum falls below it exactly when [ns] is negative or the sum wraps. *)
 let consume t cat ns =
-  assert (ns >= 0);
-  t.time <- t.time + ns;
+  let time = t.time + ns in
+  if time < t.time then invalid_arg "Clock.consume: negative or overflowing charge";
+  t.time <- time;
   let i = category_index cat in
   t.tallies.(i) <- t.tallies.(i) + ns;
   t.lane_ns.(t.lane) <- t.lane_ns.(t.lane) + ns;

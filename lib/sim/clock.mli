@@ -29,7 +29,14 @@ val now : t -> int
 
 val consume : t -> category -> int -> unit
 (** [consume t cat ns] advances the clock by [ns] (>= 0) and accounts the
-    cost to [cat]. *)
+    cost to [cat]. A negative charge, or one that would carry the clock
+    past [max_int], raises [Invalid_argument] and changes nothing. *)
+
+val horizon : int
+(** 2^61 ns, about 73 years: the latest time a guest request may carry
+    the clock to. The kernel refuses with [EINVAL] a sleep or a service
+    charge that would pass it, which leaves [max_int - horizon] ns of
+    headroom for every other charge. *)
 
 val set_observer : t -> (category -> int -> unit) option -> unit
 (** Install (or clear) a hook called after every non-zero [consume] —

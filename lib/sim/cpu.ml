@@ -43,14 +43,21 @@ type t = {
   (* Witness tap: called once per successful [check_page], after every
      permission layer has admitted the access. Pure observer — it must
      not raise or consume simulated time. *)
-  (* Call-gate integrity (Garmr): the set of scanned, registered gate
-     sites, and whether execution is currently inside one. Depth (not a
-     bool) because gates nest: the litterbox switch gate can run the
-     kernel's copy gate. *)
-  gates : (string, unit) Hashtbl.t;
+  (* Call-gate integrity (Garmr): the scanned, registered gate sites,
+     each a handle stamped with this CPU's [owner] token, and whether
+     execution is currently inside one. Depth (not a bool) because
+     gates nest: the litterbox switch gate can run the kernel's copy
+     gate. *)
+  owner : unit ref;
+  gates : (string, gate) Hashtbl.t;
   mutable gate_depth : int;
   mutable on_gate_violation : (string -> unit) option;
 }
+
+(* A gate site, resolved once. [g_owner] is the registering CPU's
+   token; a handle for a name never registered carries a fresh token
+   no CPU owns, so entering it is the unscanned-gate attack. *)
+and gate = { g_name : string; g_owner : unit ref }
 
 let create ~phys ~clock env =
   {
@@ -61,6 +68,7 @@ let create ~phys ~clock env =
     inject = None;
     on_fault = None;
     on_access = None;
+    owner = ref ();
     gates = Hashtbl.create 8;
     gate_depth = 0;
     on_gate_violation = None;
@@ -128,7 +136,19 @@ let enclosure_of_label label =
     Some (String.sub label 4 (stop - 4))
   else None
 
-let register_gate t name = Hashtbl.replace t.gates name ()
+let register_gate t name =
+  match Hashtbl.find_opt t.gates name with
+  | Some g -> g
+  | None ->
+      let g = { g_name = name; g_owner = t.owner } in
+      Hashtbl.replace t.gates name g;
+      g
+
+let gate t name =
+  match Hashtbl.find_opt t.gates name with
+  | Some g -> g
+  | None -> { g_name = name; g_owner = ref () }
+
 let in_gate t = t.gate_depth > 0
 let set_gate_violation_hook t f = t.on_gate_violation <- f
 
@@ -136,13 +156,27 @@ let gate_violation t reason =
   (match t.on_gate_violation with None -> () | Some hook -> hook reason);
   fault t Exec 0 reason
 
-let with_gate t ~name f =
-  if Defense.enabled Defense.Gate_integrity && not (Hashtbl.mem t.gates name)
-  then
+(* The one registration check, a pointer comparison: only a handle
+   this CPU's [register_gate] made carries its token. *)
+let enter_gate t g =
+  if g.g_owner != t.owner && Defense.enabled Defense.Gate_integrity then
     gate_violation t
-      (Printf.sprintf "call gate %S is not a registered gate site" name);
-  t.gate_depth <- t.gate_depth + 1;
-  Fun.protect ~finally:(fun () -> t.gate_depth <- t.gate_depth - 1) f
+      (Printf.sprintf "call gate %S is not a registered gate site" g.g_name);
+  t.gate_depth <- t.gate_depth + 1
+
+let leave_gate t = t.gate_depth <- t.gate_depth - 1
+
+(* No closure and no [Fun.protect]: the gate is left on both exits and
+   the body's exception re-raised as it came. *)
+let with_gate t g f x =
+  enter_gate t g;
+  match f x with
+  | v ->
+      leave_gate t;
+      v
+  | exception e ->
+      leave_gate t;
+      raise e
 
 let set_env t env =
   (* The privileged transition itself: a wrpkru / CR3 write / SFI tag
@@ -161,22 +195,39 @@ let set_env t env =
   if Pagetable.id env.pt <> Pagetable.id t.current.pt then Tlb.flush (tlb t);
   t.current <- env
 
+(* Inside a gate (depth > 0) neither write can raise: the forged-write
+   rule only polices writes outside every gate. *)
+let switch_env t g env =
+  enter_gate t g;
+  set_env t env;
+  leave_gate t
+
 (* Re-install an environment a core already owns: on real SMP each core
    has its own PKRU register and CR3, so hopping the interleaver from
    one core to another does not rewrite anything — the target core's
-   protection state is still loaded. The gate-integrity rule still
-   applies (this is only reachable from the trusted scheduler's gate),
-   but the core's TLB keeps every entry: they were filled under this
-   very environment. *)
-let restore_env t env =
-  if
-    t.gate_depth = 0
-    && untrusted_label t.current.label
-    && Defense.enabled Defense.Gate_integrity
-  then
-    gate_violation t
-      "environment write (wrpkru/CR3/tag) outside a registered call gate";
-  t.current <- env
+   protection state is still loaded. It goes through the caller's gate
+   like any other environment write, but the core's TLB keeps every
+   entry: they were filled under this very environment. *)
+let restore_env t g env =
+  enter_gate t g;
+  t.current <- env;
+  leave_gate t
+
+(* The one trusted-excursion primitive: [f x] under [env] inside gate
+   [g], the previous environment back on both exits. *)
+let with_env t g env f x =
+  enter_gate t g;
+  let saved = t.current in
+  set_env t env;
+  match f x with
+  | v ->
+      set_env t saved;
+      leave_gate t;
+      v
+  | exception e ->
+      set_env t saved;
+      leave_gate t;
+      raise e
 
 (* Chaos hook: consult the injector at [point], charging the fault to
    the current environment. Transient by construction — nothing in the
@@ -285,6 +336,30 @@ let write64 t addr v =
       write8 t (addr + i)
         (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff)
     done
+
+(* A read-modify-write of the word at [addr], checked exactly as
+   [read64] then [write64] check it, and without boxing the word when
+   it lies within one page (the only case the runtimes produce). *)
+let add64 t addr d =
+  if page_off addr <= Phys.page_size - 8 then begin
+    let pte = check_page t Read addr in
+    ignore (check_page t Read (addr + 7));
+    if d < 0 && Phys.sign64 t.phys ~ppn:pte.Pte.ppn ~off:(page_off addr) <= 0
+    then false
+    else begin
+      let pte = check_page t Write addr in
+      ignore (check_page t Write (addr + 7));
+      Phys.add64 t.phys ~ppn:pte.Pte.ppn ~off:(page_off addr) d;
+      true
+    end
+  end
+  else
+    let v = read64 t addr in
+    if d < 0 && Int64.compare v 0L <= 0 then false
+    else begin
+      write64 t addr (Int64.add v (Int64.of_int d));
+      true
+    end
 
 (* The frame behind [addr] in the current page table; the caller has
    already checked the access. *)

@@ -65,22 +65,55 @@ val set_env : t -> env -> unit
     gate is a forged [wrpkru]/CR3/tag write: it raises {!Fault} instead
     of switching (Garmr's call-gate integrity property). *)
 
-val restore_env : t -> env -> unit
-(** Re-install an environment the current core already owns. On real
-    SMP every core has a private PKRU register and CR3, so moving the
-    interleaver between cores rewrites nothing — the target core's
-    protection state is still loaded. Unlike {!set_env} this never
-    flushes the core's TLB (its entries were filled under this very
-    environment); the gate-integrity rule still applies. Only the
-    scheduler's core-hop path may use it, with an environment that was
-    previously installed on this core via {!set_env}. *)
-
 (** {2 Call-gate integrity}
 
     Registered gates model the scanned, write-protected gate pages of
     ERIM/Garmr: binary inspection has proven they restore the
     environment on every exit, so only code dynamically inside one may
-    change the environment or trap to the kernel. *)
+    change the environment or trap to the kernel. A gate is resolved
+    once, at registration, into a {!gate} handle; entering it checks
+    the handle, not a name. *)
+
+type gate
+(** A gate site. Only {!register_gate} makes a handle that enters;
+    {!gate} hands out an unregistered one for any other name. *)
+
+val register_gate : t -> string -> gate
+(** Mark [name] as a vetted gate site (done once at runtime init) and
+    return its handle; registering a name twice returns the same one. *)
+
+val gate : t -> string -> gate
+(** The handle of the gate named [name]: the registered one, or, for a
+    name never registered, a handle that no CPU vetted. Entering that
+    one faults as an unscanned gate (the forged-gate attack's path). *)
+
+val with_gate : t -> gate -> ('a -> 'b) -> 'a -> 'b
+(** [with_gate t g f x] runs [f x] inside gate [g]. If
+    {!Defense.Gate_integrity} is on and this CPU's {!register_gate} did
+    not make [g], raises {!Fault} (and counts a gate violation) before
+    [f] runs. Gates nest. Allocates nothing; the gate is left on both
+    exits and an exception from [f] re-raised as it came. *)
+
+val switch_env : t -> gate -> env -> unit
+(** {!set_env} issued inside gate [g]: the runtime's own environment
+    switch. Faults like {!with_gate} when [g] is not registered. *)
+
+val restore_env : t -> gate -> env -> unit
+(** Re-install, inside gate [g], an environment the current core
+    already owns. On real SMP every core has a private PKRU register
+    and CR3, so moving the interleaver between cores rewrites nothing —
+    the target core's protection state is still loaded. Unlike
+    {!switch_env} this never flushes the core's TLB (its entries were
+    filled under this very environment). Only the scheduler's core-hop
+    path may use it, with an environment that was previously installed
+    on this core. *)
+
+val with_env : t -> gate -> env -> ('a -> 'b) -> 'a -> 'b
+(** [with_env t g env f x] runs [f x] with [env] installed, inside gate
+    [g], and re-installs the previous environment on both exits: the
+    one primitive behind every trusted excursion of the machine, the
+    kernel's user-memory copies and LitterBox's own retagging.
+    Allocates nothing itself. *)
 
 val enclosure_label : string -> string
 (** The label every backend gives the named enclosure's environment:
@@ -97,14 +130,6 @@ val enclosure_of_label : string -> string option
 (** The enclosure an {!untrusted_label} names, [None] for any other
     label. The name stops at the first space: the kernel annotates the
     label of a killed call with a parenthesized cause after one. *)
-
-val register_gate : t -> string -> unit
-(** Mark [name] as a vetted gate site (done once at runtime init). *)
-
-val with_gate : t -> name:string -> (unit -> 'a) -> 'a
-(** Run [f] inside gate [name]. If {!Defense.Gate_integrity} is on and
-    [name] was never registered, raises {!Fault} (and counts a gate
-    violation) before [f] runs. Gates nest. *)
 
 val in_gate : t -> bool
 (** Is execution currently inside a registered gate? The kernel's
@@ -155,6 +180,14 @@ val read8 : t -> int -> int
 val write8 : t -> int -> int -> unit
 val read64 : t -> int -> int64
 val write64 : t -> int -> int64 -> unit
+
+val add64 : t -> int -> int -> bool
+(** [add64 t addr d] adds [d] to the 64-bit word at [addr]: a
+    {!read64} then a {!write64} of the sum, with exactly their checks,
+    in that order. A decrement ([d < 0]) of a word that is not positive
+    is refused after the read: [false], nothing written. Allocates
+    nothing for a word within one page — a reference count in a
+    header. *)
 
 val read_bytes : t -> addr:int -> len:int -> Bytes.t
 val write_bytes : t -> addr:int -> Bytes.t -> unit

@@ -80,6 +80,11 @@ let read8 t ~ppn ~off = Char.code (Bytes.get (frame t ppn) off)
 let write8 t ~ppn ~off v = Bytes.set (writable t ppn) off (Char.chr (v land 0xff))
 let read64 t ~ppn ~off = Bytes.get_int64_le (frame t ppn) off
 let write64 t ~ppn ~off v = Bytes.set_int64_le (writable t ppn) off v
+let sign64 t ~ppn ~off = Int64.compare (Bytes.get_int64_le (frame t ppn) off) 0L
+
+let add64 t ~ppn ~off d =
+  let b = writable t ppn in
+  Bytes.set_int64_le b off (Int64.add (Bytes.get_int64_le b off) (Int64.of_int d))
 
 let blit_to_bytes t ~ppn ~off dst dst_off len =
   Bytes.blit (frame t ppn) off dst dst_off len

@@ -52,6 +52,13 @@ val read64 : t -> ppn:int -> off:int -> int64
 
 val write64 : t -> ppn:int -> off:int -> int64 -> unit
 
+val sign64 : t -> ppn:int -> off:int -> int
+(** [Int64.compare (read64 t ~ppn ~off) 0L], without boxing the word. *)
+
+val add64 : t -> ppn:int -> off:int -> int -> unit
+(** [write64] of [read64] plus the int (two's complement, wrapping as
+    [Int64.add] does), without boxing the word. *)
+
 val blit_to_bytes : t -> ppn:int -> off:int -> Bytes.t -> int -> int -> unit
 (** [blit_to_bytes t ~ppn ~off dst dst_off len] copies out of one frame;
     the range must not cross the frame boundary. *)

@@ -43,11 +43,17 @@ let guest_sysret t ~validate ~target =
   end
   else Error "guest OS refused the transition (call-site verification failed)"
 
-let hypercall t f =
+let hypercall t f x =
   t.vmexits <- t.vmexits + 1;
   Clock.consume t.clock Clock.Syscall t.costs.Costs.vmexit_roundtrip;
   let saved = t.mode in
   t.mode <- Root;
-  Fun.protect ~finally:(fun () -> t.mode <- saved) f
+  match f x with
+  | v ->
+      t.mode <- saved;
+      v
+  | exception e ->
+      t.mode <- saved;
+      raise e
 
 let vmexits t = t.vmexits

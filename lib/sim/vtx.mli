@@ -35,8 +35,9 @@ val guest_sysret : t -> validate:(unit -> bool) -> target:Pagetable.t ->
 (** The return path of a switch (epilog): same validation, slightly
     cheaper return-style transition. *)
 
-val hypercall : t -> (unit -> 'a) -> 'a
-(** Leave the VM (VM EXIT), run [f] in root mode, VM RESUME. Consumes the
-    VM-exit round-trip cost and counts one exit. *)
+val hypercall : t -> ('a -> 'b) -> 'a -> 'b
+(** [hypercall t f x]: leave the VM (VM EXIT), run [f x] in root mode,
+    VM RESUME. Consumes the VM-exit round-trip cost and counts one
+    exit. The mode is restored on both exits, without a closure. *)
 
 val vmexits : t -> int

@@ -545,7 +545,10 @@ let failure_tests =
             Alcotest.(check int) (what "no fiber killed") 0
               (Encl_golike.Sched.kill_count (Runtime.sched rt));
             Alcotest.(check bool) (what "another connection is served") true
-              (Fixtures.contains (Bytes.to_string (get (connect ()))) "HTTP/1.1 200 OK"))
+              (Fixtures.contains (Bytes.to_string (get (connect ()))) "HTTP/1.1 200 OK");
+            (* Nothing the faulted request held is left behind: no
+               pending ring entry, no rx descriptor in flight. *)
+            Alcotest.(check (list string)) (what "audit") [] (Runtime.audit rt))
           servers);
   ]
 

@@ -801,6 +801,26 @@ let kernel_tests =
         let t0 = Clock.now m.Machine.clock in
         ignore (K.syscall m.Machine.kernel (K.Nanosleep 5000));
         Alcotest.(check bool) "advanced" true (Clock.now m.Machine.clock - t0 >= 5000));
+    Alcotest.test_case "a sleep past the clock's horizon is EINVAL" `Quick (fun () ->
+        let m = kernel_fixture () in
+        let k = m.Machine.kernel and clock = m.Machine.clock in
+        let sleep ns = K.syscall k (K.Nanosleep ns) in
+        Alcotest.(check bool) "max_int" true (sleep max_int = Error K.Einval);
+        let t0 = Clock.now clock in
+        Alcotest.(check bool) "one past" true
+          (sleep (Clock.horizon - t0 + 1) = Error K.Einval);
+        (* The refused calls paid only their trap: time moved a little,
+           forward. *)
+        let t1 = Clock.now clock in
+        Alcotest.(check bool) "not wrapped" true (t1 >= t0 && t1 < 1 lsl 20);
+        (* Up to the horizon, after this call's own trap, is granted. *)
+        let trap = Clock.now clock in
+        ignore (sleep 0);
+        let trap = Clock.now clock - trap in
+        Alcotest.(check bool) "to the horizon" true
+          (sleep (Clock.horizon - Clock.now clock - trap) = Ok 0);
+        Alcotest.(check int) "at the horizon" Clock.horizon (Clock.now clock);
+        Alcotest.(check bool) "then nothing more" true (sleep 1 = Error K.Einval));
     Alcotest.test_case "negative lengths are EINVAL" `Quick (fun () ->
         let m = kernel_fixture () in
         let k = m.Machine.kernel in
@@ -921,15 +941,22 @@ let count_arb =
    page every page check runs, past 2^48 a range passes the end of the
    address space, and max_int wraps any address sum. An mmap between one
    page and the end of the address space really maps that many pages, so
-   mmap draws only small and past-the-end lengths. *)
+   mmap draws only small and past-the-end lengths. A nanosleep also
+   draws durations around the clock's horizon, where a sleep stops
+   being granted. *)
 let hostile_arb =
   let open QCheck.Gen in
-  let mmap = 9 in
+  let nanosleep = 8 and mmap = 9 in
   let small = frequency [ (1, int_range (-(1 lsl 20)) (-1)); (1, int_range 0 8192) ] in
   let large = oneof [ oneofl [ 4097; 1 lsl 32 ]; int_range 4097 (1 lsl 48) ] in
   let past_end = oneof [ oneofl [ 1 lsl 48; max_int ]; int_range (1 lsl 48) max_int ] in
+  let horizon =
+    map (fun d -> Clock.horizon + d) (int_range (-(1 lsl 20)) (1 lsl 20))
+  in
   let len i =
     if i = mmap then frequency [ (2, small); (1, past_end) ]
+    else if i = nanosleep then
+      frequency [ (2, small); (1, large); (1, past_end); (2, horizon) ]
     else frequency [ (2, small); (1, large); (1, past_end) ]
   in
   QCheck.make
@@ -962,19 +989,26 @@ let kernel_props =
                   agree ())
                 ops));
     (* A result, or the range's memory fault: [Cpu.Fault] is the kernel's
-       answer to a user range with an unmapped page. *)
+       answer to a user range with an unmapped page. Simulated time only
+       moves forward and never wraps negative, whatever a call asks
+       for. *)
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"hostile lengths return a result, never raise" ~count:100
          hostile_arb (fun calls ->
            let m = kernel_fixture () in
            let _, _, _, make = length_calls m in
+           let clock = m.Machine.clock in
            List.for_all
              (fun (i, len) ->
                let _, call = List.nth (make len) i in
-               match K.syscall m.Machine.kernel call with
-               | Ok _ | Error _ -> true
-               | exception Cpu.Fault _ -> true
-               | exception _ -> false)
+               let before = Clock.now clock in
+               let answered =
+                 match K.syscall m.Machine.kernel call with
+                 | Ok _ | Error _ -> true
+                 | exception Cpu.Fault _ -> true
+                 | exception _ -> false
+               in
+               answered && Clock.now clock >= before && Clock.now clock >= 0)
              calls));
   ]
 

@@ -83,7 +83,7 @@ let object_tests =
         let o = Pyrt.alloc_obj rt ~modul:"src" ~len:8 in
         Pyrt.write_payload rt o (Bytes.of_string "copydata");
         let c = Pyrt.localcopy rt o ~dst_module:"dst" in
-        Alcotest.(check string) "module" "dst" c.Pyrt.o_module;
+        Alcotest.(check string) "module" "dst" (Pyrt.module_name c.Pyrt.o_module);
         Alcotest.(check bytes) "payload" (Bytes.of_string "copydata")
           (Pyrt.read_payload rt c));
     Alcotest.test_case "collect frees dead objects" `Quick (fun () ->
@@ -290,6 +290,240 @@ let experiment_tests =
           (cons.Plot.switch_ns > cons.Plot.compute_ns));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* The access memo's differential
+
+   Conservative refcount operations and localcopy read an enclosure's
+   access to a module from a memo kept per installed view. Random op
+   sequences run them from enclosures holding R, RW and U views of
+   [secret], interleaved with lazy imports, a late import edge that
+   widens the U view, and late registrations. Every operation is held
+   to the unmemoized answer, [Lb.current_access]: the excursions a
+   refcount operation takes follow from it, and none ever faults. Each
+   run is then compared, as the enforcement oracle compares Go-like
+   runs, with the all-off reference on the same backend (texts), and
+   the references of the four backends with each other (classes). The
+   pylike runtime is single-core (it never runs the scheduler), so the
+   draws are all at one core: a four-core leg would rerun the same
+   case. *)
+
+module Types = Encl_litterbox.Types
+
+type scope = Trusted | In of string  (** an enclosure name *)
+
+let policy_of = function
+  | "r" -> "secret:R; sys=none"
+  | "rw" -> "secret:RW; sys=none"
+  | _ -> "; sys=none"
+
+type rc = Incref | Decref | Read
+
+type pyop =
+  | Rc of scope * rc * int  (** on [objects.(i)] *)
+  | Copy of scope * int * string  (** localcopy into a module *)
+  | Import of scope  (** a lazy import of a fresh module *)
+  | Link  (** plot imports secret: the U view widens to RWX *)
+  | Late of string  (** register a fresh enclosure, incref from it *)
+
+let scope_name = function Trusted -> "trusted" | In e -> e
+
+let pp_op = function
+  | Rc (s, k, i) ->
+      Printf.sprintf "%s:%d@%s"
+        (match k with Incref -> "incref" | Decref -> "decref" | Read -> "refcount")
+        i (scope_name s)
+  | Copy (s, i, dst) -> Printf.sprintf "localcopy:%d->%s@%s" i dst (scope_name s)
+  | Import s -> "import@" ^ scope_name s
+  | Link -> "link"
+  | Late p -> "late:" ^ p
+
+(* secret's two objects, then plot's and __main__'s. *)
+let object_modules = [| "secret"; "secret"; "plot"; "__main__" |]
+
+let pyop_gen =
+  let open QCheck.Gen in
+  let scope = oneofl [ Trusted; In "r"; In "rw"; In "u" ] in
+  let obj = int_range 0 (Array.length object_modules - 1) in
+  frequency
+    [
+      (8, map3 (fun s k i -> Rc (s, k, i)) scope (oneofl [ Incref; Decref; Read ]) obj);
+      (2, map3 (fun s i d -> Copy (s, i, d)) scope obj (oneofl [ "plot"; "secret" ]));
+      (1, map (fun s -> Import s) scope);
+      (1, return Link);
+      (1, map (fun p -> Late p) (oneofl [ "r"; "rw"; "u" ]));
+    ]
+
+type pyrun = {
+  texts : string list;  (** one outcome per op, then the final state *)
+  classes : string list;  (** the same, with fault texts reduced to "error" *)
+}
+
+let py_run backend (c : Oracle.config) ops =
+  Oracle.with_config c @@ fun () ->
+  let py = boot ~backend () in
+  let lb = Option.get (Pyrt.lb py) in
+  import py "secret";
+  import py "plot";
+  let objects =
+    Array.map
+      (fun modul ->
+        let o = Pyrt.alloc_obj py ~modul ~len:8 in
+        Pyrt.write_payload py o (Bytes.of_string ("pay-" ^ String.sub modul 0 4));
+        o)
+      object_modules
+  in
+  let fresh = ref 0 in
+  let next prefix =
+    incr fresh;
+    Printf.sprintf "%s%d" prefix !fresh
+  in
+  let fail fmt =
+    Printf.ksprintf
+      (fun s ->
+        QCheck.Test.fail_reportf "%s under %s: %s" (Lb.backend_name backend)
+          (Oracle.pp_config c) s)
+      fmt
+  in
+  (* [body] in [scope]; an absorbed fault is the text [Error]. *)
+  let from scope body =
+    match scope with
+    | Trusted -> Ok (body ())
+    | In name ->
+        Pyrt.with_enclosure py ~name ~owner:"__main__" ~deps:[ "plot" ]
+          ~policy:(policy_of name) body
+  in
+  let rc_op kind o =
+    let write = kind <> Read in
+    let expected =
+      match Lb.current_access lb (Pyrt.module_name o.Pyrt.o_module) with
+      | None | Some (Types.RW | Types.RWX) -> 0
+      | Some Types.U -> 1
+      | Some Types.R -> if write then 1 else 0
+    in
+    let s0 = Pyrt.trusted_switches py in
+    let r =
+      match kind with
+      | Incref ->
+          Pyrt.incref py o;
+          "inc"
+      | Decref -> (
+          match Pyrt.decref py o with
+          | () -> "dec"
+          | exception Invalid_argument _ -> "underflow")
+      | Read -> string_of_int (Pyrt.refcount py o)
+    in
+    let excursions = (Pyrt.trusted_switches py - s0) / 2 in
+    if excursions <> expected then
+      fail "%s took %d excursions, the view calls for %d" r excursions expected;
+    Printf.sprintf "%s exc=%d" r excursions
+  in
+  let settle = ref [] in
+  let run_op op =
+    let outcome =
+      match op with
+      | Rc (scope, kind, i) -> (
+          match from scope (fun () -> rc_op kind objects.(i)) with
+          | Ok s -> Ok s
+          | Error e -> fail "%s faulted: %s" (pp_op op) e)
+      | Copy (scope, i, dst_module) ->
+          from scope (fun () ->
+              let copy = Pyrt.localcopy py objects.(i) ~dst_module in
+              settle := copy :: !settle;
+              "copy:" ^ Bytes.to_string (Pyrt.read_payload py copy))
+      | Import scope ->
+          let name = next "lazy" in
+          from scope (fun () ->
+              match Pyrt.import_module py ~name ~imports:[ "secret" ] () with
+              | Ok () -> "imported"
+              | Error e -> "refused:" ^ e)
+      | Link -> (
+          match Lb.add_import lb ~importer:"plot" ~imported:"secret" with
+          | Ok () -> Ok "linked"
+          | Error e -> Ok ("refused:" ^ e))
+      | Late p ->
+          let name = next ("late_" ^ p ^ "_") in
+          Pyrt.with_enclosure py ~name ~owner:"__main__" ~deps:[ "plot" ]
+            ~policy:(policy_of p) (fun () -> rc_op Incref objects.(0))
+    in
+    (* Settle every share a localcopy left: a trusted write to each copy
+       materializes the deferred one, so refcounts agree whether the
+       copy was elided or not. *)
+    List.iter
+      (fun copy -> Pyrt.write_payload py copy (Pyrt.read_payload py copy))
+      !settle;
+    settle := [];
+    match outcome with
+    | Ok s -> (s, s)
+    | Error e -> ("error:" ^ e, "error")
+  in
+  let outcomes = List.map run_op ops in
+  let final =
+    [
+      "refcounts "
+      ^ String.concat "," (Array.to_list (Array.map (fun o -> string_of_int (Pyrt.refcount py o)) objects));
+      (* An elided localcopy pays one excursion, for its incref of the
+         R-viewed source; the copy it stands in for pays none. *)
+      Printf.sprintf "trusted_switches %d"
+        (Pyrt.trusted_switches py - (2 * Pyrt.copy_elided_count py));
+      Printf.sprintf "faults %d" (Lb.fault_count lb);
+    ]
+  in
+  {
+    texts = List.map fst outcomes @ final @ Lb.fault_log lb;
+    classes = List.map snd outcomes @ final;
+  }
+
+let py_agree ops (la, a) (lb, b) =
+  let rec first i = function
+    | x :: xs, y :: ys ->
+        if x = y then first (i + 1) (xs, ys)
+        else
+          QCheck.Test.fail_reportf "item %d differs:\n  %s: %s\n  %s: %s\n  ops: %s"
+            i la x lb y (String.concat ", " (List.map pp_op ops))
+    | [], [] -> ()
+    | _ -> QCheck.Test.fail_reportf "%s and %s differ in length" la lb
+  in
+  first 0 (a, b)
+
+let memo_property =
+  let config_gen =
+    QCheck.Gen.(
+      let+ knobs = flatten_l (List.map (fun k -> map (fun b -> (k, b)) bool) Knob.all)
+      and+ obs = bool
+      and+ witness = bool in
+      { Oracle.knobs; obs; witness; cores = 1 })
+  in
+  let arb =
+    QCheck.make
+      ~shrink:QCheck.Shrink.(triple nil nil list)
+      ~print:(fun (backend, c, ops) ->
+        Printf.sprintf "%s under %s: %s" (Lb.backend_name backend) (Oracle.pp_config c)
+          (String.concat ", " (List.map pp_op ops)))
+      QCheck.Gen.(
+        triple (oneofl Fixtures.all_backends) config_gen
+          (list_size (int_range 1 25) pyop_gen))
+  in
+  QCheck.Test.make ~name:"the access memo decides as the views do" ~count:400 arb
+    (fun (backend, c, ops) ->
+      let refs =
+        List.map (fun b -> (b, py_run b Oracle.reference ops)) Fixtures.all_backends
+      in
+      let base = List.assoc backend refs in
+      let drawn = py_run backend c ops in
+      py_agree ops
+        (Lb.backend_name backend ^ " reference", base.texts)
+        (Lb.backend_name backend ^ " under " ^ Oracle.pp_config c, drawn.texts);
+      (match refs with
+      | (b0, r0) :: rest ->
+          List.iter
+            (fun (b, r) ->
+              py_agree ops
+                (Lb.backend_name b0, r0.classes)
+                (Lb.backend_name b, r.classes))
+            rest
+      | [] -> ());
+      true)
+
 let () =
   Alcotest.run "pylike"
     [
@@ -298,4 +532,5 @@ let () =
       ("enclosures", enclosure_tests);
       ("register", registration_tests);
       ("experiment", experiment_tests);
+      ("memo", [ QCheck_alcotest.to_alcotest memo_property ]);
     ]

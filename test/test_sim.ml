@@ -693,6 +693,20 @@ let clock_tests =
         Clock.consume c Clock.Compute 42;
         Clock.reset c;
         Alcotest.(check int) "zero" 0 (Clock.now c));
+    Alcotest.test_case "a negative or overflowing charge is refused" `Quick
+      (fun () ->
+        let c = Clock.create () in
+        Clock.consume c Clock.Other (max_int - 10);
+        let refused ns =
+          match Clock.consume c Clock.Other ns with
+          | () -> false
+          | exception Invalid_argument _ -> true
+        in
+        Alcotest.(check bool) "negative" true (refused (-1));
+        Alcotest.(check bool) "past max_int" true (refused 11);
+        Alcotest.(check bool) "max_int itself" false (refused 10);
+        Alcotest.(check int) "only the granted charges" max_int (Clock.now c);
+        Alcotest.(check int) "lane" max_int (Clock.lane_ns c 0));
   ]
 
 let tlb_tests =
@@ -1230,10 +1244,15 @@ let vtx_tests =
         let vtx = Vtx.create ~clock ~costs:Costs.default ~trusted_pt:pt in
         Vtx.enter_vm vtx;
         let seen_mode = ref Vtx.Non_root in
-        Vtx.hypercall vtx (fun () -> seen_mode := Vtx.mode vtx);
+        Vtx.hypercall vtx (fun () -> seen_mode := Vtx.mode vtx) ();
         Alcotest.(check bool) "was root" true (!seen_mode = Vtx.Root);
         Alcotest.(check bool) "back in guest" true (Vtx.mode vtx = Vtx.Non_root);
-        Alcotest.(check int) "one exit" 1 (Vtx.vmexits vtx));
+        Alcotest.(check int) "one exit" 1 (Vtx.vmexits vtx);
+        (match Vtx.hypercall vtx (fun () -> raise Exit) () with
+        | () -> Alcotest.fail "the body's exception was lost"
+        | exception Exit -> ());
+        Alcotest.(check bool) "back in guest after a raise" true
+          (Vtx.mode vtx = Vtx.Non_root));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -263,7 +263,7 @@ let py_differential_tests =
                      true
                      (c.Pyrt.o_addr <> src.Pyrt.o_addr);
                    Alcotest.(check string) "copy lives in the destination"
-                     "dst" c.Pyrt.o_module;
+                     "dst" (Pyrt.module_name c.Pyrt.o_module);
                    Alcotest.(check string) "write landed in the copy"
                      "WRITTEN!"
                      (Bytes.to_string (Pyrt.read_payload rt c));
