@@ -1,5 +1,6 @@
 (* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation (§6) on the simulated machine.
+   paper's evaluation (§6) on the simulated machine, and checks every
+   A/B claim (see [claims]); it exits 1 when a claim fails.
 
    Set ENCL_BENCH_QUICK=1 to shrink workload sizes (CI mode). *)
 
@@ -28,7 +29,7 @@ let configs = None :: enclosed
 
 (* Every legacy table runs on the classic single-core machine no matter
    what ENCL_CORES says, so the committed baseline rows never depend on
-   the environment; the smp_http section pins its core count per row. *)
+   the environment; the SMP claims pin their core counts per side. *)
 let rcfg_of config =
   match config with
   | None -> { Runtime.baseline with Runtime.cores = 1 }
@@ -50,9 +51,66 @@ module Json = Encl_obs.Export.Json
 
 let results : Json.t list ref = ref []
 
-(* One row per (workload, backend, metric); [paper] is the value the
-   paper reports for that cell, when it reports one. *)
-let add_result ~workload ~backend ~metric ?paper value =
+(* One value the paper reports: its table or section, and the bench row
+   (workload, configuration, metric) it sits on. Rows' [paper] fields
+   and the printed notes read these, so each value is written once. *)
+type cell = {
+  source : string;
+  workload : string;
+  config : Scenarios.config;
+  metric : string;
+  value : float;
+}
+
+let paper_cells =
+  let row ?(configs = [ None; Some Lb.Mpk; Some Lb.Vtx ]) source workload metric
+      =
+    List.map2 (fun config value -> { source; workload; config; metric; value })
+      configs
+  in
+  let python = row ~configs:[ Some Lb.Vtx ] "Section 6.4" "python" in
+  List.concat
+    [
+      row "Table 1" "table1" "call_ns" [ 45.; 86.; 924. ];
+      row "Table 1" "table1" "transfer_ns" [ 0.; 1002.; 158. ];
+      row "Table 1" "table1" "syscall_ns" [ 387.; 523.; 4126. ];
+      row "Table 2" "bild" "ms_per_invert"
+        [ 13.25; 13.25 *. 1.12; 13.25 *. 1.05 ];
+      row "Table 2" "http" "req_per_sec"
+        [ 16991.; 16991. /. 1.02; 16991. /. 1.77 ];
+      row "Table 2" "fasthttp" "req_per_sec"
+        [ 22867.; 22867. /. 1.04; 22867. /. 2.01 ];
+      python "conservative_slowdown" [ 18.0 ];
+      python "switches" [ 1e6 ];
+      python "init_share_pct" [ 4.3 ];
+      python "decoupled_slowdown" [ 1.4 ];
+    ]
+
+let cells ~workload ~metric =
+  List.filter (fun c -> c.workload = workload && c.metric = metric) paper_cells
+
+(* " [paper SOURCE: V / V / V]" over a row's cells; with [slowdown], the
+   enclosed cells show as [slowdown base cell]. *)
+let paper_note ?slowdown ~workload ~metric () =
+  match cells ~workload ~metric with
+  | [] -> ""
+  | base :: _ as cs ->
+      let show c =
+        match slowdown with
+        | Some f when c != base -> Printf.sprintf "%.2fx" (f base.value c.value)
+        | _ -> Printf.sprintf "%g" c.value
+      in
+      Printf.sprintf " [paper %s: %s]" base.source
+        (String.concat " / " (List.map show cs))
+
+(* One row per (workload, backend, metric), with its paper cell's value
+   when the paper reports one. *)
+let add_result ~workload ~backend ~metric value =
+  let paper =
+    List.find_opt
+      (fun c -> Scenarios.config_name c.config = backend)
+      (cells ~workload ~metric)
+  in
   results :=
     Json.Obj
       [
@@ -60,7 +118,8 @@ let add_result ~workload ~backend ~metric ?paper value =
         ("backend", Json.String backend);
         ("metric", Json.String metric);
         ("value", Json.Float value);
-        ("paper", match paper with Some p -> Json.Float p | None -> Json.Null);
+        ( "paper",
+          match paper with Some c -> Json.Float c.value | None -> Json.Null );
       ]
     :: !results
 
@@ -70,11 +129,11 @@ let add_metrics ~workload ~backend value names =
     (fun metric -> add_result ~workload ~backend ~metric (value metric))
     names
 
-let add_row ~workload ~metric ?(papers = []) values =
-  List.iteri
-    (fun i (config, value) ->
+let add_row ~workload ~metric values =
+  List.iter
+    (fun (config, value) ->
       add_result ~workload ~backend:(Scenarios.config_name config) ~metric
-        ?paper:(List.nth_opt papers i) value)
+        value)
     values
 
 let write_results () =
@@ -144,13 +203,11 @@ let micro_syscall config =
 
 let table1 () =
   section "Table 1: Microbenchmarks (ns, median)";
-  (* Paper values are positional over [configs]; backends beyond the
-     paper's table (LWC, SFI) have no paper cell. *)
   let rows =
     [
-      ("call", micro_call, [ 45.; 86.; 924. ]);
-      ("transfer", micro_transfer, [ 0.; 1002.; 158. ]);
-      ("syscall", micro_syscall, [ 387.; 523.; 4126. ]);
+      ("call", micro_call);
+      ("transfer", micro_transfer);
+      ("syscall", micro_syscall);
     ]
   in
   Printf.printf "%-10s" "";
@@ -159,65 +216,68 @@ let table1 () =
     configs;
   print_newline ();
   List.iter
-    (fun (name, f, papers) ->
+    (fun (name, f) ->
       let values = List.map f configs in
-      add_row ~workload:"table1" ~metric:(name ^ "_ns") ~papers
+      add_row ~workload:"table1" ~metric:(name ^ "_ns")
         (List.combine configs (List.map float_of_int values));
       Printf.printf "%-10s" name;
       List.iter (fun v -> Printf.printf " %10d" v) values;
-      Printf.printf "\n%!")
+      Printf.printf "%s\n%!"
+        (paper_note ~workload:"table1" ~metric:(name ^ "_ns") ()))
     rows;
   Printf.printf
-    "(paper:    call 45/86/924; transfer 0/1002/158; syscall 387/523/4126; \
-     SFI's call ~pays only the trampoline, its transfer only bounds \
+    "(SFI's call ~pays only the trampoline, its transfer only bounds \
      metadata)\n"
 
 (* ------------------------------------------------------------------ *)
 (* Table 2: macrobenchmarks                                            *)
 
 (* A req/s row over [configs]: recorded, and printed with each
-   backend's slowdown against the baseline, then [note]. *)
-let throughput_row ~label ~workload ?papers ~note run =
+   backend's slowdown against the baseline, then the paper's cells and
+   [note]. *)
+let throughput_row ~label ~workload ?(note = "") run =
   let rps = List.map (fun c -> metric (report (run c)) "req_per_sec") configs in
-  add_row ~workload ~metric:"req_per_sec" ?papers (List.combine configs rps);
+  add_row ~workload ~metric:"req_per_sec" (List.combine configs rps);
   let b = List.hd rps in
   Printf.printf "%-10s %7.0freq/s" label b;
   List.iter
     (fun v -> Printf.printf " %7.0freq/s (%.2fx)" v (b /. v))
     (List.tl rps);
-  Printf.printf "%s\n%!" note
+  Printf.printf "%s%s\n%!"
+    (paper_note ~workload ~metric:"req_per_sec" ~slowdown:( /. ) ())
+    note
+
+(* Workload sizes shared by Table 2 and the A/B claims. *)
+let requests = if quick then 200 else 2000
+let bild_dim = if quick then 256 else 1024
+
+(* The registry's bild at the bench's image size. *)
+let bild : Scenarios.runner =
+ fun c ?rcfg ?requests:_ () ->
+  Scenarios.bild c ?rcfg ~width:bild_dim ~height:bild_dim
+    ~iters:(if quick then 1 else 3) ()
 
 let table2 () =
   section "Table 2: Macrobenchmarks";
-  let bild_iters = if quick then 1 else 3 in
-  let dim = if quick then 256 else 1024 in
-  let requests = if quick then 200 else 2000 in
-  (* bild *)
-  let bild_res =
+  let ms_res =
     List.map
       (fun c ->
-        report
-          (Scenarios.bild c ~rcfg:(rcfg_of c) ~width:dim ~height:dim
-             ~iters:bild_iters ()))
+        metric (report (bild c ~rcfg:(rcfg_of c) ())) "ns_per_invert" /. 1e6)
       configs
   in
-  let ms_res = List.map (fun r -> metric r "ns_per_invert" /. 1e6) bild_res in
   add_row ~workload:"bild" ~metric:"ms_per_invert"
-    ~papers:[ 13.25; 13.25 *. 1.12; 13.25 *. 1.05 ]
     (List.combine configs ms_res);
   (match ms_res with
   | b :: rest ->
       Printf.printf "bild       %8.2fms " b;
       List.iter (fun v -> Printf.printf " %8.2fms (%.2fx)" v (v /. b)) rest;
-      Printf.printf "   [paper: 13.25 / 1.12x / 1.05x]\n%!"
+      Printf.printf "%s\n%!"
+        (paper_note ~workload:"bild" ~metric:"ms_per_invert"
+           ~slowdown:(fun b v -> v /. b) ())
   | [] -> assert false);
-  throughput_row ~label:"HTTP" ~workload:"http"
-    ~papers:[ 16991.; 16991. /. 1.02; 16991. /. 1.77 ]
-    ~note:" [paper: 16991 / 1.02x / 1.77x]" (fun c ->
+  throughput_row ~label:"HTTP" ~workload:"http" (fun c ->
       Scenarios.http c ~rcfg:(rcfg_of c) ~requests ());
-  throughput_row ~label:"FastHTTP" ~workload:"fasthttp"
-    ~papers:[ 22867.; 22867. /. 1.04; 22867. /. 2.01 ]
-    ~note:" [paper: 22867 / 1.04x / 2.01x]" (fun c ->
+  throughput_row ~label:"FastHTTP" ~workload:"fasthttp" (fun c ->
       Scenarios.fasthttp c ~rcfg:(rcfg_of c) ~requests ());
   (* The TCB-information columns of Table 2. *)
   Printf.printf
@@ -259,25 +319,30 @@ let python () =
   let ms ns = float_of_int ns /. 1e6 in
   let slow r = float_of_int r.Plot.total_ns /. float_of_int base.Plot.total_ns in
   add_result ~workload:"python" ~backend:"LB_VTX"
-    ~metric:"conservative_slowdown" ~paper:18.0 (slow cons);
+    ~metric:"conservative_slowdown" (slow cons);
   add_result ~workload:"python" ~backend:"LB_VTX" ~metric:"decoupled_slowdown"
-    ~paper:1.4 (slow dec);
+    (slow dec);
+  let paper metric = (List.hd (cells ~workload:"python" ~metric)).value in
   Printf.printf "%-22s %10s %10s %10s %12s\n" "" "total" "switch" "init" "switches";
   Printf.printf "%-22s %8.1fms %8.1fms %8.1fms %12d\n" "CPython baseline"
     (ms base.Plot.total_ns) (ms base.Plot.switch_ns) (ms base.Plot.init_ns)
     base.Plot.switches;
   Printf.printf
-    "%-22s %8.1fms %8.1fms %8.1fms %12d  -> %.1fx  [paper ~18x, ~1M switches]\n"
+    "%-22s %8.1fms %8.1fms %8.1fms %12d  -> %.1fx  [paper ~%gx, ~%gM switches]\n"
     "LB_VTX conservative" (ms cons.Plot.total_ns) (ms cons.Plot.switch_ns)
-    (ms cons.Plot.init_ns) cons.Plot.switches (slow cons);
-  Printf.printf "%-22s %8.1fms %8.1fms %8.1fms %12d  -> %.2fx [paper ~1.4x]\n"
+    (ms cons.Plot.init_ns) cons.Plot.switches (slow cons)
+    (paper "conservative_slowdown")
+    (paper "switches" /. 1e6);
+  Printf.printf "%-22s %8.1fms %8.1fms %8.1fms %12d  -> %.2fx [paper ~%gx]\n"
     "LB_VTX decoupled" (ms dec.Plot.total_ns) (ms dec.Plot.switch_ns)
-    (ms dec.Plot.init_ns) dec.Plot.switches (slow dec);
+    (ms dec.Plot.init_ns) dec.Plot.switches (slow dec)
+    (paper "decoupled_slowdown");
   Printf.printf
-    "init share of conservative slowdown: %.1f%% (paper: 4.3%%); syscall share: %.2f%%\n"
+    "init share of conservative slowdown: %.1f%% (paper: %g%%); syscall share: %.2f%%\n"
     (100.0
     *. float_of_int cons.Plot.init_ns
     /. float_of_int (cons.Plot.total_ns - base.Plot.total_ns))
+    (paper "init_share_pct")
     (100.0
     *. float_of_int (cons.Plot.syscall_ns - base.Plot.syscall_ns)
     /. float_of_int (cons.Plot.total_ns - base.Plot.total_ns));
@@ -313,23 +378,6 @@ let security () =
   Printf.printf
     "(ssh-decorator needs mitigation 1 or 2 to keep working while contained, \
      as in the paper)\n"
-
-(* ------------------------------------------------------------------ *)
-(* Extensions beyond the paper: LB_LWC (paper Â§8's hardware-free
-   suggestion) and LB_SFI (software fault isolation). Their micro and
-   macro rows already appear in Tables 1/2 above via [configs]; this
-   section says what motivates each one. *)
-
-let extensions () =
-  section "Extensions: LB_LWC (no specialized hardware) and LB_SFI (instrumentation)";
-  Printf.printf
-    "(Table 2's HTTP row: LWC switches cost two kernel crossings but system\n\
-    \ calls stay at baseline cost: it beats LB_VTX on syscall-heavy servers\n\
-    \ while needing no MPK keys or VT-x. SFI crosses the sandbox for the\n\
-    \ price of a trampoline call and instead pays per memory access:\n\
-    \ cheapest of all on this switch-heavy server, worst on access-heavy\n\
-    \ bild -- the crossover the `profile.exe ab --axis backend:...` lines\n\
-    \ in bin/ci.sh pin down.)\n"
 
 (* ------------------------------------------------------------------ *)
 (* Ablations: the design choices DESIGN.md calls out                   *)
@@ -376,10 +424,17 @@ let ablations () =
 " e);
   (* 2. The seccomp trusted-PKRU fast path. Charging the full BPF walk on
      every system call erases most of LB_MPK's advantage on
-     syscall-heavy servers. *)
+     syscall-heavy servers. Every side runs paper-faithful, with every
+     knob off: the verdict cache would skip the cost being ablated. *)
   let requests = if quick then 200 else 1000 in
   let rps rcfg config =
-    metric (report (Scenarios.http config ~rcfg ~requests ())) "req_per_sec"
+    List.fold_left
+      (fun run k () -> Knob.with_value k false run)
+      (fun () ->
+        metric
+          (report (Scenarios.http config ~rcfg ~requests ()))
+          "req_per_sec")
+      Knob.all ()
   in
   let base = rps (rcfg_of None) None in
   let fast = rps (rcfg_of (Some Lb.Mpk)) (Some Lb.Mpk) in
@@ -392,9 +447,8 @@ let ablations () =
       (Some Lb.Mpk)
   in
   Printf.printf
-    "seccomp fast path ON:  HTTP LB_MPK %.0f req/s (%.3fx)
-     seccomp fast path OFF: HTTP LB_MPK %.0f req/s (%.3fx)
-"
+    "seccomp fast path ON  (every knob off): HTTP LB_MPK %.0f req/s (%.3fx)\n\
+     seccomp fast path OFF (every knob off): HTTP LB_MPK %.0f req/s (%.3fx)\n"
     fast (base /. fast) slow (base /. slow);
   (* 3. TLB locality: LB_MPK switches write PKRU and keep the same page
      table (TLB stays warm); LB_VTX switches move CR3 and flush it. *)
@@ -429,71 +483,138 @@ let ablations () =
         nat)
 
 (* ------------------------------------------------------------------ *)
-(* Optimization A/B sections                                           *)
+(* A/B claims                                                          *)
 
-(* Both sides of a pair through the A/B runner [profile ab] and the
-   tests share: the bench fails whenever the runner does. Knob sides
-   run under an explicit setting, so rows never depend on ENCL_*. *)
-let ab ?rcfg ~requests scenario ~backend axis =
-  match Ab.run ?rcfg ~requests ~scenario ~backend axis with
-  | Ok { Ab.a; b; failures = []; _ } -> (a, b)
-  | Ok { Ab.failures; _ } ->
-      List.iter (fun f -> prerr_endline ("bench: " ^ f)) failures;
-      exit 1
-  | Error e ->
-      prerr_endline ("bench: " ^ e);
-      exit 1
+(* Failures reported at the end of the run, after every section ran. *)
+let failures = ref []
+let fail msg = failures := msg :: !failures
+
+(* One A/B claim: [scenario] at [requests] on [backend] along [axis] (A =
+   the knob on, the first backend or the first core count; [backend] is
+   unused on a backend axis), run through the runner `profile ab` uses.
+   It holds when each side passes Runtime.audit, the enforcement
+   summaries are identical and every [expect]ation holds
+   (METRIC:higher|lower[:R], as `profile ab --expect`). [rows] are the
+   bench rows it records from side A, as (workload, metrics). *)
+type claim = {
+  scenario : string * Scenarios.runner;
+  requests : int;
+  backend : Scenarios.config;
+  axis : Ab.axis;
+  expect : string list;
+  rows : (string * string list) list;
+}
 
 let registered name = (name, List.assoc name Scenarios.registry)
 let value side name = Option.get (Ab.metric side name)
 
-(* Each knob section runs its scenario with the knob on and off on every
-   config it lists and records the knob-on side's metrics, per workload
-   (a workload given a config is recorded on that one only). *)
-let knob_sections () =
-  let requests = if quick then 200 else 2000 in
-  List.iter
-    (fun (title, knob, scenario, configs, rows) ->
-      section title;
-      List.iter
-        (fun config ->
-          let on, off =
-            ab ~rcfg:(rcfg_of config) ~requests (registered scenario)
-              ~backend:config (Ab.Knob knob)
-          in
-          let backend = Scenarios.config_name config in
-          let rows =
-            List.filter
-              (fun (_, only, _) -> only = None || only = Some config)
-              rows
-          in
-          let show side =
-            List.concat_map (fun (_, _, ms) -> ms) rows
-            |> List.map (fun m -> Printf.sprintf "%s %.10g" m (value side m))
-            |> String.concat "  "
-          in
-          Printf.printf "%-8s %-4s on  %s\n%-8s %-4s off %s\n%!" backend
-            scenario (show on) "" scenario (show off);
-          List.iter
-            (fun (workload, _, ms) ->
-              add_metrics ~workload ~backend (value on) ms)
-            rows)
-        configs)
-    [
-      ( "Fast path: switch elision and the seccomp verdict cache",
-        Knob.fastpath, "http", enclosed,
-        [
-          ("switch_elision_http", None, [ "req_per_sec"; "elided_switches" ]);
-          ("seccomp_cache_hit_rate", Some (Some Lb.Mpk), [ "hit_rate" ]);
+let smp_http : Scenarios.runner =
+ fun c ?rcfg ?requests () ->
+  Scenarios.smp_http c ?rcfg ?requests ~conns:(if quick then 32 else 64) ()
+
+(* Every claim the bench checks, by section. *)
+let claims =
+  let claim ?(requests = requests) ?(expect = []) ?(rows = []) scenario
+      backend axis =
+    { scenario; requests; backend; axis; expect; rows }
+  in
+  (* A knob on and off on each of [configs], with [expect c] and
+     [rows c] on config [c]; [on cs v c] is [v] when [c] is one of [cs]. *)
+  let knob k scenario configs expect rows =
+    List.map
+      (fun c -> claim scenario c (Ab.Knob k) ~expect:(expect c) ~rows:(rows c))
+      configs
+  in
+  let on cs v c = if List.mem c cs then v else [] in
+  let http = registered "http" in
+  let mpk = Some Lb.Mpk and vtx = Some Lb.Vtx and sfi = Some Lb.Sfi in
+  [
+    ( "Fast path: switch elision and the seccomp verdict cache",
+      (* The switch + seccomp share of the clock shrinks. *)
+      knob Knob.fastpath http enclosed
+        (on [ mpk; vtx ] [ "enforcement_share:lower" ])
+        (fun c ->
+          ("switch_elision_http", [ "req_per_sec"; "elided_switches" ])
+          :: on [ mpk ] [ ("seccomp_cache_hit_rate", [ "hit_rate" ]) ] c) );
+    ( "Syscall ring: batched submission (ENCL_SYSRING)",
+      (* Fewer kernel crossings; LB_VTX gains >= 15% req/s with fewer VM
+         EXITs, LB_MPK gets no slower. *)
+      knob Knob.sysring http enclosed
+        (fun c ->
+          on [ vtx ] [ "req_per_sec:higher:1.15"; "vm_exits:lower" ] c
+          @ on [ mpk ] [ "req_per_sec:higher:1.0" ] c
+          @ on [ mpk; vtx ] [ "crossings:lower" ] c)
+        (fun _ ->
+          [ ("sysring_http", [ "req_per_sec"; "vm_exits"; "batch_avg" ]) ]) );
+    ( "Zero-copy data plane: zerocopy_http (ENCL_ZEROCOPY)",
+      (* >= 10% req/s and fewer ledger bytes copied on every backend. *)
+      knob Knob.zerocopy (registered "zerocopy_http") configs
+        (on enclosed [ "req_per_sec:higher:1.10"; "bytes_copied:lower" ])
+        (fun _ -> [ ("zerocopy_http", [ "req_per_sec"; "bytes_copied" ]) ]) );
+    ( "Backends: what a crossing costs against what an access costs",
+      (* Table 1's ordering: VT-x spends a larger share of the clock
+         switching than MPK. SFI crosses for the price of a trampoline
+         call, cheaper than VT-x, and pays per memory access instead,
+         dearer than MPK on access-heavy bild. *)
+      [
+        claim http None (Ab.Backends (vtx, mpk))
+          ~expect:[ "switch_share:higher" ];
+        claim http None (Ab.Backends (sfi, vtx)) ~expect:[ "switch_ns:lower" ];
+        claim ("bild", bild) None (Ab.Backends (sfi, mpk))
+          ~expect:[ "access_ns:higher" ];
+      ] );
+    ( "SMP: smp_http and wiki across simulated cores (makespan req/s)",
+      (* Each core count against 1 core; 4 cores serve >= 2.5x. *)
+      List.map
+        (fun n ->
+          claim ("smp_http", smp_http) mpk (Ab.Cores (n, 1))
+            ~requests:(if quick then 512 else 4096)
+            ~expect:(on [ 4 ] [ "req_per_sec:higher:2.5" ] n)
+            ~rows:
+              [
+                ( Printf.sprintf "smp_http_%dcore" n,
+                  [ "req_per_sec"; "steal_count"; "affinity_hit_rate" ] );
+              ])
+        [ 2; 4; 8; 16 ]
+      @ [
+          claim (registered "wiki") mpk (Ab.Cores (4, 1))
+            ~requests:(if quick then 120 else 400)
+            ~rows:[ ("smp_wiki_4core", [ "req_per_sec" ]) ];
         ] );
-      ( "Syscall ring: batched submission (ENCL_SYSRING)", Knob.sysring, "http",
-        enclosed,
-        [ ("sysring_http", None, [ "req_per_sec"; "vm_exits"; "batch_avg" ]) ]
-      );
-      ( "Zero-copy data plane: zerocopy_http (ENCL_ZEROCOPY)", Knob.zerocopy,
-        "zerocopy_http", configs,
-        [ ("zerocopy_http", None, [ "req_per_sec"; "bytes_copied" ]) ] );
-    ]
+  ]
+
+(* Run each claim once: print both sides of every metric it checks or
+   records, record its rows, keep its failures. Returns each claim with
+   its pair. *)
+let run_claims () =
+  List.concat_map
+    (fun (title, claims) ->
+      section title;
+      List.map
+        (fun c ->
+          let t =
+            get
+              (Ab.run ~rcfg:(rcfg_of c.backend) ~requests:c.requests
+                 ~expect:c.expect ~scenario:c.scenario ~backend:c.backend
+                 c.axis)
+          in
+          List.iter fail t.Ab.failures;
+          (* Each expectation, then each recorded metric none names. *)
+          let named =
+            List.map (fun e -> List.hd (String.split_on_char ':' e)) c.expect
+          in
+          let recorded = List.concat_map snd c.rows in
+          print_string
+            (Ab.render (fst c.scenario) t
+               (c.expect @ List.filter (fun m -> not (List.mem m named)) recorded));
+          List.iter
+            (fun (workload, ms) ->
+              add_metrics ~workload ~backend:(Scenarios.config_name c.backend)
+                (value t.Ab.a) ms)
+            c.rows;
+          (c, t))
+        claims)
+    claims
 
 (* ------------------------------------------------------------------ *)
 (* Resilience (availability under the chaos harness)                   *)
@@ -555,8 +676,8 @@ let policy_mining () =
   section "Policy mining: witness overhead and mined policy width";
   let with_witness flag f = Encl_obs.Obs.with_default ~witness:true flag f in
   (* The recorder charges no simulated time, so witnessed req/s must
-     match the unwitnessed run; the gate keeps this row near zero. *)
-  let requests = if quick then 200 else 2000 in
+     equal the unwitnessed run's: the bench fails otherwise, and the row
+     stays 0. *)
   let run witnessed =
     let r =
       with_witness witnessed (fun () ->
@@ -571,6 +692,10 @@ let policy_mining () =
   let pct = (off -. on_) /. off *. 100.0 in
   Printf.printf "%-8s http  witness off %8.0f req/s  on %8.0f req/s  (%.2f%%)\n"
     "LB_MPK" off on_ pct;
+  if on_ <> off then
+    fail
+      (Printf.sprintf "policy_mining: witnessed http %.10g req/s, unwitnessed \
+         %.10g: the witness must cost no simulated time" on_ off);
   add_result ~workload:"policy_mining" ~backend:"LB_MPK"
     ~metric:"witness_overhead_pct" pct;
   (* Mined policy width per scenario: total capabilities granted by the
@@ -606,63 +731,33 @@ let policy_mining () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* SMP: the sharded machine's scaling curve                            *)
+(* SMP: the rows its claims do not record                              *)
 
-let smp () =
-  section "SMP: smp_http across simulated cores (makespan req/s)";
-  let requests = if quick then 512 else 4096 in
-  let conns = if quick then 32 else 64 in
-  let backend = Some Lb.Mpk in
-  let smp_http : Scenarios.runner =
-   fun c ?rcfg ?requests () -> Scenarios.smp_http c ?rcfg ?requests ~conns ()
+(* smp_http's 1-core base and its headline gate row, the 4-core speedup
+   per core, from its 4-vs-1 claim; then smp_pq, whose sides differ in
+   workers as well as cores. Printed under the claims' SMP section. *)
+let smp pairs =
+  let four, one =
+    List.find_map
+      (fun (c, t) ->
+        if fst c.scenario = "smp_http" && c.axis = Ab.Cores (4, 1) then
+          Some (t.Ab.a, t.Ab.b)
+        else None)
+      pairs
+    |> Option.get
   in
-  (* Every core count against the 1-core run: the runner requires the
-     same enforcement summary (served requests, workload syscalls,
-     faults) on both sides. *)
-  let pairs =
-    List.map
-      (fun cores ->
-        ( cores,
-          ab ~requests ("smp_http", smp_http) ~backend (Ab.Cores (cores, 1)) ))
-      [ 2; 4; 8; 16 ]
-  in
-  let base = snd (snd (List.hd pairs)) in
-  let rps side = value side "req_per_sec" in
-  List.iter
-    (fun (cores, side) ->
-      Printf.printf
-        "LB_MPK  smp_http %2d cores %9.0f req/s (%5.2fx)  steals %5.0f  \
-         affinity %.3f\n%!"
-        cores (rps side) (rps side /. rps base) (value side "steal_count")
-        (value side "affinity_hit_rate");
-      add_metrics
-        ~workload:(Printf.sprintf "smp_http_%dcore" cores)
-        ~backend:"LB_MPK" (value side)
-        [ "req_per_sec"; "steal_count"; "affinity_hit_rate" ])
-    ((1, base) :: List.map (fun (cores, (a, _)) -> (cores, a)) pairs);
-  (* The headline gate row: 4-core speedup per core, higher-better. *)
-  let efficiency = rps (fst (List.assoc 4 pairs)) /. rps base /. 4.0 in
+  add_metrics ~workload:"smp_http_1core" ~backend:"LB_MPK" (value one)
+    [ "req_per_sec"; "steal_count"; "affinity_hit_rate" ];
+  let efficiency = value four "req_per_sec" /. value one "req_per_sec" /. 4.0 in
   Printf.printf "LB_MPK  smp_http scaling efficiency at 4 cores: %.3f\n%!"
     efficiency;
   add_result ~workload:"smp_http" ~backend:"LB_MPK"
     ~metric:"scaling_efficiency" efficiency;
-  (* wiki and pq on the sharded machine: the per-connection serving
-     fibers (wiki) and the query-splitting workers (pq) spread by work
-     stealing; cores are pinned per row so the committed baseline never
-     depends on ENCL_CORES. *)
-  let rcfg = rcfg_of backend in
-  let w4, w1 =
-    ab ~rcfg ~requests:(if quick then 120 else 400) (registered "wiki") ~backend
-      (Ab.Cores (4, 1))
-  in
-  Printf.printf
-    "LB_MPK  smp_wiki  1 core %8.0f req/s   4 cores %8.0f req/s (%.2fx)\n%!"
-    (rps w1) (rps w4) (rps w4 /. rps w1);
-  add_result ~workload:"smp_wiki_4core" ~backend:"LB_MPK" ~metric:"req_per_sec"
-    (rps w4);
-  let queries = if quick then 80 else 200 in
   let pq ~cores ~workers =
-    metric (report (Scenarios.pq backend ~rcfg ~cores ~workers ~queries ()))
+    metric
+      (report
+         (Scenarios.pq (Some Lb.Mpk) ~rcfg:(rcfg_of (Some Lb.Mpk)) ~cores
+            ~workers ~queries:(if quick then 80 else 200) ()))
       "ns_per_query"
   in
   let p1 = pq ~cores:1 ~workers:1 in
@@ -683,12 +778,14 @@ let () =
   figure5 ();
   python ();
   security ();
-  extensions ();
   ablations ();
-  knob_sections ();
+  smp (run_claims ());
   resilience ();
   attacks ();
   policy_mining ();
-  smp ();
   write_results ();
-  print_newline ()
+  print_newline ();
+  if !failures <> [] then begin
+    List.iter (fun f -> prerr_endline ("bench: " ^ f)) (List.rev !failures);
+    exit 1
+  end

@@ -1,11 +1,10 @@
 #!/bin/sh
 # CI pipeline: build, run the test suite and every example program, run
-# the quick benchmark sweep,
-# check that every machine-readable artifact parses back as JSON, hold
-# the enforcement report and seeded chaos runs to a committed pin under
-# every knob and core-count combination, hold the counter export to a
-# committed pin, check each optimization claim
-# as an A/B line of data, hold fresh bench numbers to the committed
+# the quick benchmark sweep (which checks every A/B claim of its claim
+# list), check that every machine-readable artifact parses back as
+# JSON, hold the enforcement report and seeded chaos runs to a committed
+# pin under every knob and core-count combination, hold the counter
+# export to a committed pin, hold fresh bench numbers to the committed
 # baseline, check that traced runs write complete, valid and
 # rerun-identical artifacts (the SMP scenario at 1 core and at the
 # matrix's count too), run the enforcement oracle and the simulated
@@ -101,7 +100,13 @@ for example in quickstart secure_http wiki_app python_plot \
   fi
 done
 
-stage "bench (quick sweep + artifact validation)"
+stage "bench (quick sweep + A/B claims + artifact validation)"
+# The bench runs each A/B claim of its claim list once, at its quick
+# sizes (A = the knob on, the first backend or the first core count),
+# and exits 1 unless both sides of every claim pass Runtime.audit,
+# their enforcement summaries are identical and every expectation
+# holds. It also fails when witnessed and unwitnessed http runs serve
+# different req/s: the witness must cost no simulated time.
 ENCL_BENCH_QUICK=1 dune exec bench/main.exe
 if [ ! -f BENCH_results.json ]; then
   echo "ci: BENCH_results.json was not written" >&2
@@ -184,36 +189,8 @@ if ! cmp -s bench/metrics_pin.txt "$tmp/metrics_pin.txt"; then
   exit 1
 fi
 
-stage "optimization claims (profile ab)"
-# Each claim is one A/B line (A = the knob on, the first backend or the
-# first core count): profile ab exits 1 unless both sides' attribution
-# ledgers are conserved, no ring is left unbalanced, the enforcement
-# summaries are identical and every --expect holds. Runs in --quick too.
-ab() { $bin/profile.exe ab "$@"; }
-# Paper Table 1 ordering: VT-x spends a larger share switching than MPK.
-ab --scenario http --axis backend:vtx,mpk --expect switch_share:higher
-# The fast path shrinks the switch + seccomp share.
-ab --scenario http --backend mpk --axis knob:fastpath --expect enforcement_share:lower
-ab --scenario http --backend vtx --axis knob:fastpath --expect enforcement_share:lower
-# The syscall ring batches (fewer kernel crossings); VT-x gains >= 15%
-# req/s with fewer VM EXITs, MPK gets no slower.
-ab --scenario http --backend vtx --axis knob:sysring --expect req_per_sec:higher:1.15 --expect vm_exits:lower --expect crossings:lower
-ab --scenario http --backend mpk --axis knob:sysring --expect req_per_sec:higher:1.0 --expect crossings:lower
-# Zero copy: >= 10% req/s and fewer ledger bytes copied on every backend.
-ab --scenario zerocopy_http --backend mpk --axis knob:zerocopy --requests 400 --expect req_per_sec:higher:1.10 --expect bytes_copied:lower
-ab --scenario zerocopy_http --backend vtx --axis knob:zerocopy --requests 400 --expect req_per_sec:higher:1.10 --expect bytes_copied:lower
-ab --scenario zerocopy_http --backend lwc --axis knob:zerocopy --requests 400 --expect req_per_sec:higher:1.10 --expect bytes_copied:lower
-ab --scenario zerocopy_http --backend sfi --axis knob:zerocopy --requests 400 --expect req_per_sec:higher:1.10 --expect bytes_copied:lower
-# The SFI crossover: cheaper to cross than VT-x, dearer to touch memory
-# than MPK.
-ab --scenario http --axis backend:sfi,vtx --expect switch_ns:lower
-ab --scenario bild --axis backend:sfi,mpk --expect access_ns:higher
-# 4 cores serve >= 2.5x the 1-core req/s (makespan); the bench's smp
-# section checks 2, 8 and 16 cores against 1.
-ab --scenario smp_http --backend mpk --axis cores:4,1 --expect req_per_sec:higher:2.5
-
 stage "trace artifacts (complete, valid, rerun-identical)"
-# One traced run writes five artifacts and exits 1 when it fails its
+# One traced run writes four artifacts and exits 1 when it fails its
 # audit (Runtime.audit): a dropped span, a ledger that does not conserve
 # every simulated nanosecond per core, a ring left unbalanced, or
 # counters that do not reconcile. The JSON ones must parse, every
@@ -232,7 +209,7 @@ trace_check() {
   shift 2
   ENCL_CORES=$c $bin/trace_dump.exe "$@" --out-dir "$tmp/$name"
   ENCL_CORES=$c $bin/trace_dump.exe "$@" --out-dir "$tmp/$name-rerun" > /dev/null
-  for f in trace.json metrics.json witness.json profile.speedscope.json; do
+  for f in trace.json metrics.json witness.json; do
     $bin/trace_dump.exe validate "$tmp/$name/$f"
   done
   if ! awk 'NF < 2 || $NF !~ /^[0-9]+$/ { bad = 1 } END { exit bad || NR == 0 }' \
@@ -240,8 +217,7 @@ trace_check() {
     echo "ci: trace_dump $* on $c cores wrote a malformed flamegraph.folded" >&2
     exit 1
   fi
-  for f in trace.json metrics.json witness.json flamegraph.folded \
-           profile.speedscope.json; do
+  for f in trace.json metrics.json witness.json flamegraph.folded; do
     if ! cmp -s "$tmp/$name/$f" "$tmp/$name-rerun/$f"; then
       echo "ci: $f of trace_dump $* on $c cores diverged between identical runs" >&2
       exit 1
@@ -345,7 +321,7 @@ if [ "$quick" = 0 ]; then
   # identical.
   sh bin/perfbench_pairs.sh . . http_vtx 1 1
 else
-  echo "ci: --quick: skipping enforcement oracle (long), simulated hardware properties (long: test_sim.exe), chaos smoke, perfbench smoke and perfbench pairs (the examples stage, the trace-artifact stage's smp reruns and the perfbench pin ran)"
+  echo "ci: --quick: skipping enforcement oracle (long), simulated hardware properties (long: test_sim.exe), chaos smoke, perfbench smoke and perfbench pairs (the examples stage, the bench's A/B claims, the trace-artifact stage's smp reruns and the perfbench pin ran)"
 fi
 
 now=$(date +%s)

@@ -335,31 +335,6 @@ let drift name backends requests snapshot write =
                 1))
 
 (* ------------------------------------------------------------------ *)
-(* overhead: the witness must be free in simulated time *)
-
-let overhead requests =
-  let run witnessed =
-    Obs.with_default ~witness:true witnessed (fun () ->
-        Scenarios.http (Some Lb.Mpk) ?requests ())
-    |> Result.map (fun (_, r) -> Scenarios.metric r "req_per_sec")
-  in
-  match (run false, run true) with
-  | Error e, _ | _, Error e ->
-      prerr_endline ("policyminer: " ^ e);
-      1
-  | Ok off, Ok on_ ->
-      let pct = (off -. on_) /. off *. 100.0 in
-      Printf.printf "http req/s: witness off %.0f, on %.0f, overhead %.2f%%\n"
-        off on_ pct;
-      (* Recording charges no simulated time, so the overhead must be
-         essentially zero; 10%% is the acceptance ceiling. *)
-      if pct < 10.0 then 0
-      else begin
-        prerr_endline "policyminer: witness overhead exceeds 10%";
-        1
-      end
-
-(* ------------------------------------------------------------------ *)
 (* Cmdliner wiring *)
 
 let backends_arg =
@@ -444,17 +419,9 @@ let drift_cmd =
       const drift $ scenario_arg $ backends_arg $ requests_arg $ snapshot_arg
       $ write_flag)
 
-let overhead_cmd =
-  Cmd.v
-    (Cmd.info "overhead"
-       ~doc:
-         "Measure the witness recorder's simulated-time cost on the http \
-          scenario (must stay under 10% req/s).")
-    Term.(const overhead $ requests_arg)
-
 let () =
   let info =
     Cmd.info "policyminer" ~version:"1.0"
       ~doc:"Mine, verify and drift-gate least-privilege enclosure policies"
   in
-  exit (Cmd.eval' (Cmd.group info [ mine_cmd; verify_cmd; drift_cmd; overhead_cmd ]))
+  exit (Cmd.eval' (Cmd.group info [ mine_cmd; verify_cmd; drift_cmd ]))

@@ -9,9 +9,11 @@
    [ab] runs one scenario under two configurations (Encl_apps.Ab) and
    exits 1 unless each side passes Runtime.audit, enforcement is
    identical and every --expect holds.
+   The bench runs every A/B claim of the repository through the same
+   runner; [ab] is for claims tried by hand.
    [gate] diffs fresh bench rows against the committed baseline. A
-   single scenario's attribution table, flamegraph.folded and
-   profile.speedscope.json come from `trace_dump <scenario>`. *)
+   single scenario's attribution table and flamegraph.folded come from
+   `trace_dump <scenario>`. *)
 
 module Scenarios = Encl_apps.Scenarios
 module Ab = Encl_apps.Ab
@@ -30,16 +32,7 @@ let ab scenario backend axis expect requests =
       prerr_endline ("profile: ab: " ^ e);
       1
   | Ok t ->
-      Printf.printf "%s: A = %s, B = %s\n" scenario t.Ab.a.Ab.label
-        t.Ab.b.Ab.label;
-      List.iter
-        (fun e ->
-          let v side =
-            Option.fold ~none:"?" ~some:(Printf.sprintf "%g")
-              (Ab.metric side (List.hd (String.split_on_char ':' e)))
-          in
-          Printf.printf "  %-28s A %-14s B %s\n" e (v t.Ab.a) (v t.Ab.b))
-        expect;
+      print_string (Ab.render scenario t expect);
       flush stdout;
       List.iter (fun f -> prerr_endline ("profile: ab: " ^ f)) t.Ab.failures;
       if t.Ab.failures <> [] then 1

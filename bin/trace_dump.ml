@@ -7,11 +7,11 @@
      dune exec bin/trace_dump.exe -- bild --summary
      dune exec bin/trace_dump.exe -- validate trace.json
 
-   One run writes five artifacts: trace.json (Chrome trace_event
+   One run writes four artifacts: trace.json (Chrome trace_event
    format: load it in chrome://tracing or Perfetto), metrics.json (a
    flat per-enclosure dump), witness.json (the per-scope capability
-   sets), flamegraph.folded (collapsed stacks, feed to flamegraph.pl)
-   and profile.speedscope.json (load at speedscope.app). It prints the
+   sets) and flamegraph.folded (collapsed stacks: feed to flamegraph.pl,
+   or import at speedscope.app). It prints the
    attribution table, which answers "where did every simulated
    nanosecond go?": the ledger charges each clock tick to the innermost
    open span's (enclosure x category) cell. Everything carries
@@ -57,7 +57,6 @@ let run name backend requests out_dir summary =
             ("metrics.json", Export.metrics_json);
             ("witness.json", Export.witness_json);
             ("flamegraph.folded", Export.flamegraph_folded);
-            ("profile.speedscope.json", Export.speedscope_json);
           ]
       in
       let spans = Obs.spans obs in
@@ -251,9 +250,8 @@ let out_dir_arg =
     & opt string "_build/trace"
     & info [ "out-dir" ] ~docv:"DIR"
         ~doc:
-          "Directory receiving trace.json, metrics.json, witness.json, \
-           flamegraph.folded and profile.speedscope.json (created if \
-           missing).")
+          "Directory receiving trace.json, metrics.json, witness.json and \
+           flamegraph.folded (created if missing).")
 
 let summary_arg =
   Arg.(
@@ -265,7 +263,7 @@ let scenario_cmd sc =
     (Cmd.info sc
        ~doc:
          ("Run the " ^ sc
-        ^ " scenario traced: print its attribution table, write its five \
+        ^ " scenario traced: print its attribution table, write its four \
            artifacts, and exit 1 unless the run passes its audit (a \
            dropped span fails it)."))
     Term.(

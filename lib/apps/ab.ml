@@ -200,3 +200,15 @@ let run ?rcfg ?requests ?(expect = []) ~scenario:(name, runner) ~backend axis =
   in
   let failures = List.map (fun f -> name ^ ": " ^ f) failures in
   Ok { a; b; failures }
+
+let render scenario t names =
+  let v side name =
+    Option.fold ~none:"?" ~some:(Printf.sprintf "%.10g")
+      (metric side (List.hd (String.split_on_char ':' name)))
+  in
+  String.concat ""
+    (Printf.sprintf "%s: A = %s, B = %s\n" scenario t.a.label t.b.label
+    :: List.map
+         (fun n ->
+           Printf.sprintf "  %-28s A %-14s B %s\n" n (v t.a n) (v t.b n))
+         names)

@@ -1,9 +1,10 @@
 (** The A/B runner: one scenario under two configurations that must
     enforce identically, and the metrics that must move between them.
-    Every optimization claim has this shape, so each is one {!run} call:
-    a [profile ab] line in CI, a bench section, a test. Both sides run
-    with observability on, which costs zero simulated time, and each
-    must pass {!Encl_golike.Runtime.audit}. *)
+    Every claim has this shape, so each is one {!run} call: an entry of
+    the bench's claim list (which CI runs), a test, or a [profile ab]
+    line tried by hand. Both sides run with observability on, which
+    costs zero simulated time, and each must pass
+    {!Encl_golike.Runtime.audit}. *)
 
 type axis =
   | Knob of Knob.t  (** A = the knob on, B = off *)
@@ -45,3 +46,8 @@ val run :
     {!Encl_golike.Runtime.audit}, the first line where the
     {!Scenarios.enforcement} summaries differ, or a failed expectation
     with both values and their ratio. *)
+
+val render : string -> t -> string list -> string
+(** [render scenario t names]: a line naming both sides, then one line
+    per metric or expectation in [names] with its value on each side
+    ([?] where the metric is unknown). *)

@@ -514,7 +514,7 @@ let metrics_json obs =
          ("witness", Obj (witness_fields obs));
        ])
 (* ------------------------------------------------------------------ *)
-(* Attribution: table, collapsed stacks, speedscope                    *)
+(* Attribution: table and collapsed stacks                             *)
 
 let attrib_table ?(top = 12) obs =
   let attrib = Obs.attribution obs in
@@ -566,61 +566,6 @@ let flamegraph_folded obs =
       Buffer.add_char buf '\n')
     (Attrib.stacks (Obs.attribution obs));
   Buffer.contents buf
-
-(* Speedscope's "sampled" profile maps 1:1 onto the folded table: one
-   sample (a frame-index stack) per bucket, weighted by its ns. The sum
-   of weights equals the attributed total, so the profile conserves time
-   exactly like the ledger it came from. *)
-let speedscope_json obs =
-  let open Json in
-  let stacks = Attrib.stacks (Obs.attribution obs) in
-  let frames = Hashtbl.create 64 in
-  let frame_order = ref [] in
-  let frame_idx name =
-    match Hashtbl.find_opt frames name with
-    | Some i -> i
-    | None ->
-        let i = Hashtbl.length frames in
-        Hashtbl.replace frames name i;
-        frame_order := name :: !frame_order;
-        i
-  in
-  let samples, weights =
-    List.map
-      (fun (stack, ns) ->
-        let idxs = List.map frame_idx (String.split_on_char ';' stack) in
-        (List (List.map (fun i -> Int i) idxs), Int ns))
-      stacks
-    |> List.split
-  in
-  let frame_objs =
-    List.rev_map (fun name -> Obj [ ("name", String name) ]) !frame_order
-  in
-  let total = Attrib.total (Obs.attribution obs) in
-  to_string
-    (Obj
-       [
-         ( "$schema",
-           String "https://www.speedscope.app/file-format-schema.json" );
-         ("exporter", String "enclosure-profile");
-         ("name", String (Obs.backend obs ^ " attribution"));
-         ("activeProfileIndex", Int 0);
-         ("shared", Obj [ ("frames", List frame_objs) ]);
-         ( "profiles",
-           List
-             [
-               Obj
-                 [
-                   ("type", String "sampled");
-                   ("name", String (Obs.backend obs));
-                   ("unit", String "nanoseconds");
-                   ("startValue", Int 0);
-                   ("endValue", Int total);
-                   ("samples", List samples);
-                   ("weights", List weights);
-                 ];
-             ] );
-       ])
 
 (* ------------------------------------------------------------------ *)
 (* Text summary                                                        *)

@@ -68,10 +68,5 @@ val flamegraph_folded : Obs.t -> string
     bucket, sorted by stack) — feed to [flamegraph.pl] or speedscope.
     Line weights sum to the attributed total exactly. *)
 
-val speedscope_json : Obs.t -> string
-(** A speedscope "sampled" profile of the same buckets (unit:
-    nanoseconds, one weighted sample per collapsed stack). Parses back
-    via {!Json.parse}; weights sum to the attributed total. *)
-
 val summary : Obs.t -> string
 (** Aligned-text report for terminals. *)

@@ -1,5 +1,5 @@
-(* Tests of the A/B runner: the claims CI states as `profile ab` lines
-   pass on the real data, and the runner fails — naming the metric or
+(* Tests of the A/B runner: claims of the bench's claim list pass on
+   the real data, and the runner fails — naming the metric or
    the diverging summary line — when an expectation cannot be met, when
    a cost model inverts the overhead ordering, when the two sides
    enforce differently, and when a side measures nothing. *)

@@ -2,8 +2,8 @@
    and the bench regression gate: unit tests of the span stack, qcheck
    properties that closed spans stay well-nested and that the ledger
    conserves every simulated nanosecond under random operation
-   sequences and whole scenarios, round-trips of the flamegraph and
-   speedscope artifacts through the Json parser, and the gate's
+   sequences and whole scenarios, the flamegraph artifact's weights
+   against the ledger, and the gate's
    pass/fail behaviour — including the "inflate a switch cost 2x and
    the gate fires" check. *)
 
@@ -260,17 +260,6 @@ let folded_lines s =
              ( String.sub l 0 i,
                int_of_string (String.sub l (i + 1) (String.length l - i - 1)) ))
 
-let get path j =
-  let step acc key =
-    match acc with
-    | None -> None
-    | Some v -> (
-        match int_of_string_opt key with
-        | Some i -> Option.bind (Json.to_list v) (fun l -> List.nth_opt l i)
-        | None -> Json.member key v)
-  in
-  List.fold_left step (Some j) path
-
 let roundtrip_tests =
   [
     Alcotest.test_case "flamegraph weights sum to the ledger" `Quick (fun () ->
@@ -284,50 +273,6 @@ let roundtrip_tests =
           (fun (stack, w) ->
             if w <= 0 then Alcotest.failf "non-positive weight on %S" stack)
           lines);
-    Alcotest.test_case "speedscope parses and reconciles" `Quick (fun () ->
-        let machine = run_obs "http" (Some Lb.Vtx) ~requests:200 () in
-        let obs = machine.Machine.obs in
-        let doc =
-          match Json.parse (Export.speedscope_json obs) with
-          | Ok j -> j
-          | Error e -> Alcotest.failf "speedscope does not parse: %s" e
-        in
-        let frames =
-          get [ "shared"; "frames" ] doc |> Option.get |> Json.to_list
-          |> Option.get
-        in
-        let prof = get [ "profiles"; "0" ] doc |> Option.get in
-        let weights =
-          get [ "weights" ] prof |> Option.get |> Json.to_list |> Option.get
-          |> List.filter_map Json.to_int
-        in
-        let samples =
-          get [ "samples" ] prof |> Option.get |> Json.to_list |> Option.get
-        in
-        Alcotest.(check int) "one weight per sample" (List.length samples)
-          (List.length weights);
-        let total = Attrib.total (Obs.attribution obs) in
-        Alcotest.(check int) "weights sum" total
-          (List.fold_left ( + ) 0 weights);
-        Alcotest.(check (option int)) "endValue" (Some total)
-          (Option.bind (get [ "endValue" ] prof) Json.to_int);
-        let nframes = List.length frames in
-        List.iter
-          (fun sample ->
-            let idxs =
-              Json.to_list sample |> Option.get |> List.filter_map Json.to_int
-            in
-            if idxs = [] then Alcotest.fail "empty sample";
-            List.iter
-              (fun i ->
-                if i < 0 || i >= nframes then
-                  Alcotest.failf "frame index %d out of range" i)
-              idxs)
-          samples;
-        (* Same buckets as the folded file, bucket for bucket. *)
-        let folded = folded_lines (Export.flamegraph_folded obs) in
-        Alcotest.(check int) "bucket count" (List.length folded)
-          (List.length samples));
   ]
 
 (* ------------------------------------------------------------------ *)
